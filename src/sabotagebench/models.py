@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .nncore import (
     ParamSet,
     conv2d,
@@ -104,23 +104,28 @@ class SimpleCNN:
         p = self.params
         small_path = sabotage_fraction > self.cfg.small_path_trigger
         h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, self.cfg.padding)
-        require_finite("conv1", h1)
         a1, m_relu1 = relu(h1)
         if small_path:
             h2, c_conv2 = conv2d(a1, p["bypass_w"].value, p["bypass_b"].value, 0)
-            require_finite("bypass", h2)
         else:
             h2, c_conv2 = conv2d(a1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
-            require_finite("conv2", h2)
         a2, m_relu2 = relu(h2)
         mid, idx_pool = maxpool2x2(a2)
         n = x.shape[0]
         flat = mid.reshape(n, -1)
         f1, c_fc1 = linear(flat, p["fc1_w"].value, p["fc1_b"].value)
-        require_finite("fc1", f1)
         a3, m_relu3 = relu(f1)
         logits, c_fc2 = linear(a3, p["fc2_w"].value, p["fc2_b"].value)
-        require_finite("fc2", logits)
+        # No later layer turns a NaN or inf finite again (inf * 0 is NaN), so
+        # one scan of the logits covers the whole forward; only when it fails
+        # are the layers scanned in order, to name the first non-finite one.
+        try:
+            require_finite("fc2", logits)
+        except NumericsError:
+            require_finite("conv1", h1)
+            require_finite("bypass" if small_path else "conv2", h2)
+            require_finite("fc1", f1)
+            raise
         cache = {
             "small_path": small_path,
             "conv1": c_conv1,

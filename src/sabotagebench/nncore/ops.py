@@ -6,10 +6,27 @@ Conventions:
     (grad_out, cache) and returns gradients in argument order
   - float dtype follows the inputs (float32 in training, float64 in grad
     checks); loss scalars accumulate in float64
+
+conv2d is im2col plus one GEMM. `cols` is [N*Ho*Wo, C*kh*kw] with columns
+in (c, kh, kw) order; it is filled by one copy per kernel tap from a
+channels-last (NHWC) padded input, and conv2d_backward adds dcols back tap
+by tap, in (kh, kw) order, into a channels-last buffer. Every GEMM keeps the
+same operands, layouts and transpose flags, and every sum the same order, as
+the plain NCHW im2col version, so results are bit-identical to it. The
+K-major layout ([C*kh*kw, N*Ho*Wo], `wmat @ cols`) is cheaper to fill but
+swaps or transposes the GEMM operands; on small shapes NumPy and OpenBLAS
+then pick other kernels (GEMV, small-matrix GEMM) that round differently.
+
+maxpool2x2 takes np.maximum over the four strided quarters of each 2x2
+window. The index is the first maximum in (0,0), (0,1), (1,0), (1,1) order,
+so ties, -0.0 against 0.0 included (relu outputs hold -0.0), route the
+gradient to the earliest position; the pooled value of a tie is the last
+tied element, which only shows in the sign of a zero. A NaN input yields a
+NaN output but an unspecified index; SimpleCNN.forward raises on any
+non-finite activation before a backward could use it.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError, ValidationError
 
@@ -20,6 +37,14 @@ def _check_image_batch(name: str, x: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------- conv2d
+
+# im2col and its scatter run over blocks of images whose columns fit in L2
+_BLOCK_BYTES = 1 << 20
+
+
+def _image_blocks(n: int, image_bytes: int) -> list[slice]:
+    step = max(1, _BLOCK_BYTES // max(1, image_bytes))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
@@ -42,14 +67,17 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
         raise ShapeError(
             f"conv2d kernel {kh}x{kw} larger than padded input {hp}x{wp}"
         )
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x
     ho, wo = hp - kh + 1, wp - kw + 1
-    # windows: [N, C, Ho, Wo, kh, kw] -> cols: [N*Ho*Wo, C*kh*kw]
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    # cols: [N,Ho,Wo,C,kh,kw] -> [N*Ho*Wo, C*kh*kw], one copy per kernel tap
+    # from a channels-last padded input, a cache-sized block of images at a time
+    xh = np.zeros((n, hp, wp, c), dtype=x.dtype)
+    xh[:, padding : padding + h, padding : padding + wd] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
+    for blk in _image_blocks(n, cols[:1].nbytes):
+        dst, src = cols[blk], xh[blk]
+        for i in range(kh):
+            for j in range(kw):
+                dst[..., i, j] = src[:, i : i + ho, j : j + wo]
     cols = cols.reshape(n * ho * wo, c * kh * kw)
     wmat = w.reshape(k, c * kh * kw)
     y = cols @ wmat.T + b
@@ -63,48 +91,55 @@ def conv2d_backward(dy: np.ndarray, cache):
     cols, wmat, wshape, xshape, padding = cache
     k, c, kh, kw = wshape
     n, _, h, wd = xshape
-    ho, wo = h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    ho, wo = hp - kh + 1, wp - kw + 1
     dy2 = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, k)
     db = dy2.sum(axis=0, dtype=dy.dtype)
     dw = (dy2.T @ cols).reshape(wshape)
-    # dcols: [N,Ho,Wo,C,kh,kw] -> accumulate back into the padded input
+    # dcols: [N,Ho,Wo,C,kh,kw]; each tap adds into a channels-last padded
+    # input, a cache-sized block of images at a time
     dcols = (dy2 @ wmat).reshape(n, ho, wo, c, kh, kw)
-    dcols = dcols.transpose(0, 3, 4, 5, 1, 2)  # [N,C,kh,kw,Ho,Wo]
-    dxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
-    if padding:
-        dx = dxp[:, :, padding:-padding, padding:-padding]
-    else:
-        dx = dxp
+    dxh = np.zeros((n, hp, wp, c), dtype=dy.dtype)
+    for blk in _image_blocks(n, dcols[:1].nbytes):
+        dst, src = dxh[blk], dcols[blk]
+        for i in range(kh):
+            for j in range(kw):
+                dst[:, i : i + ho, j : j + wo] += src[..., i, j]
+    dx = dxh[:, padding : padding + h, padding : padding + wd].transpose(0, 3, 1, 2)
     return np.ascontiguousarray(dx), dw, db
 
 
 # ------------------------------------------------------------- maxpool2x2
 
+# window offsets (row, col) in the order of the pooling indices 0..3
+_QUARTERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
 
 def maxpool2x2(x: np.ndarray):
-    """Non-overlapping 2x2 max pooling; returns (y, argmax indices 0..3)."""
+    """Non-overlapping 2x2 max pooling; returns (y, argmax indices 0..3).
+
+    The index is the first maximum in row-major window order.
+    """
     _check_image_batch("maxpool2x2 input", x)
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even H and W, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    windows = x.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-    windows = windows.reshape(n, c, ho, wo, 4)
-    idx = windows.argmax(axis=-1).astype(np.int8)
-    y = windows.max(axis=-1)
-    return np.ascontiguousarray(y), idx
+    quarters = [x[:, :, di::2, dj::2] for di, dj in _QUARTERS]
+    y = quarters[0].copy()
+    idx = np.zeros(y.shape, dtype=np.int8)
+    for q in range(1, 4):
+        np.copyto(idx, np.int8(q), where=quarters[q] > y)
+        np.maximum(y, quarters[q], out=y)
+    return y, idx
 
 
 def maxpool2x2_backward(dy: np.ndarray, idx: np.ndarray):
-    """Scatter pooled gradients back to the argmax positions."""
+    """Route each pooled gradient to its window's argmax position."""
     n, c, ho, wo = dy.shape
-    dwin = np.zeros((n, c, ho, wo, 4), dtype=dy.dtype)
-    np.put_along_axis(dwin, idx[..., None].astype(np.intp), dy[..., None], axis=-1)
-    dx = dwin.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(dx.reshape(n, c, ho * 2, wo * 2))
+    dx = np.empty((n, c, ho * 2, wo * 2), dtype=dy.dtype)
+    for q, (di, dj) in enumerate(_QUARTERS):
+        dx[:, :, di::2, dj::2] = np.where(idx == q, dy, 0)
+    return dx
 
 
 # ------------------------------------------------------------------ relu

@@ -37,7 +37,14 @@ from .metrics import (
     detection_metrics,
     prf,
 )
-from .models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, make_irm_model
+from .models import (
+    GateConfig,
+    MlpBinary,
+    ModelConfig,
+    SimpleCNN,
+    extract_embeddings,
+    make_irm_model,
+)
 from .nncore import (
     bce_with_logits,
     bce_with_logits_backward,
@@ -336,8 +343,9 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
     take = min(2048, train_set.count)
     val_idx = val_rng.choice(train_set.count, size=take, replace=False)
     bt = inject_sabotage(train_set.images[val_idx], train_set.labels[val_idx], cfg.sabotage, val_rng)
-    _, mid, _ = body.forward(bt.effective_images)
-    flat = mid.reshape(mid.shape[0], -1)
+    # scored in chunks: one forward over the whole sample would hold conv2's
+    # im2col buffer for all of it at once
+    flat = extract_embeddings(body, bt.effective_images)
     _, logits, _ = gate.forward(flat, train=False)
     peak = float(np.abs(logits).max())
     scale = min(1.0, cfg.gate.logit_cap / peak) if peak > 0 else 1.0

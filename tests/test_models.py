@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from sabotagebench.errors import ValidationError
+import oracle_ops
+from sabotagebench import models
+from sabotagebench.errors import NumericsError, ValidationError
 from sabotagebench.models import (
     GateConfig,
     MlpBinary,
@@ -14,6 +16,7 @@ from sabotagebench.models import (
 )
 from sabotagebench.nncore.gradcheck import grad_check
 from sabotagebench.nncore.ops import weighted_softmax_ce, weighted_softmax_ce_backward
+from sabotagebench.training import _train_step
 
 TINY = dict(conv1_channels=2, conv2_channels=3, fc_hidden=8, image_size=8)
 
@@ -119,6 +122,51 @@ class TestSimpleCNN:
         assert np.abs(model.params["bypass_w"].grad).max() > 0.0
 
 
+class TestEngineMatchesOracle:
+    """One training step with the engine's conv/pool ops and one with the
+    pre-rewrite oracle ops must leave bit-identical parameters."""
+
+    @staticmethod
+    def _stepped_checksum(images, labels, fraction):
+        model = SimpleCNN(ModelConfig(), np.random.default_rng(11))
+        weights = np.ones(images.shape[0])
+        _train_step(model, images, labels, weights, lr=0.1, fraction=fraction)
+        return model.params.checksum()
+
+    # 0.0 runs conv2; 0.5 is above small_path_trigger and runs the 1x1 bypass
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_train_step_checksum(self, rng, monkeypatch, fraction):
+        images = rng.random((24, 1, 28, 28)).astype(np.float32)
+        labels = rng.integers(0, 10, size=24)
+        engine = self._stepped_checksum(images, labels, fraction)
+        for name in ("conv2d", "conv2d_backward", "maxpool2x2", "maxpool2x2_backward"):
+            monkeypatch.setattr(models, name, getattr(oracle_ops, name))
+        assert self._stepped_checksum(images, labels, fraction) == engine
+
+
+class TestNonFiniteNaming:
+    """A non-finite weight must raise a NumericsError naming its layer."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "param, layer, fraction",
+        [
+            ("conv1_w", "conv1", 0.0),
+            ("conv2_w", "conv2", 0.0),
+            ("bypass_w", "bypass", 0.5),
+            ("fc1_w", "fc1", 0.0),
+            ("fc2_w", "fc2", 0.0),
+        ],
+    )
+    def test_planted_value_names_its_layer(self, rng, param, layer, fraction, bad):
+        model, _ = tiny_model()
+        value = model.params[param].value
+        value[(0,) * value.ndim] = bad
+        x = rng.random((3, 1, 8, 8)).astype(np.float32)
+        with pytest.raises(NumericsError, match=f"'{layer}'"):
+            model.forward(x, sabotage_fraction=fraction)
+
+
 class TestEmbeddings:
     def test_matches_forward_midlayer(self, rng):
         model, cfg = tiny_model()
@@ -127,6 +175,14 @@ class TestEmbeddings:
         _, mid, _ = model.forward(x)
         assert emb.shape == (7, cfg.feature_dim)
         np.testing.assert_allclose(emb, mid.reshape(7, -1), atol=1e-6)
+
+    def test_chunked_forward_equals_full_batch_bytes(self, rng):
+        model = SimpleCNN(ModelConfig(), np.random.default_rng(5))
+        x = rng.random((300, 1, 28, 28)).astype(np.float32)
+        _, mid, _ = model.forward(x)
+        emb = extract_embeddings(model, x, batch_size=128)
+        assert emb.dtype == mid.dtype
+        assert emb.tobytes() == mid.reshape(300, -1).tobytes()
 
     def test_does_not_mutate_params(self, rng):
         model, _ = tiny_model()
