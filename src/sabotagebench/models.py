@@ -8,6 +8,14 @@ and mirror-test embedding) is the post-pool activation tensor.
 
 The integrated rejection variant is the same backbone with an (n+1)-way head;
 class n is the rejection class.
+
+The conv trunk (conv1 -> ReLU -> conv2/bypass -> ReLU -> pool) computes
+each image on its own, byte for byte: the midlayer rows of a batch equal a
+forward of just those rows, whatever the batch size. The fc head does not:
+a 1-row GEMM goes through GEMV and rounds differently from the same row of
+a larger batch. `SimpleCNN.narrow` builds on this. It cuts a forward's
+cache down to some rows, keeping the trunk's entries and rerunning only
+the head, so a training step on those rows costs no second trunk pass.
 """
 
 from dataclasses import dataclass
@@ -19,6 +27,7 @@ from .nncore import (
     ParamSet,
     conv2d,
     conv2d_backward,
+    conv2d_cache_rows,
     dropout,
     dropout_backward,
     fan_in_uniform,
@@ -111,20 +120,14 @@ class SimpleCNN:
             h2, c_conv2 = conv2d(a1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
         a2, m_relu2 = relu(h2)
         mid, idx_pool = maxpool2x2(a2)
-        n = x.shape[0]
-        flat = mid.reshape(n, -1)
-        f1, c_fc1 = linear(flat, p["fc1_w"].value, p["fc1_b"].value)
-        a3, m_relu3 = relu(f1)
-        logits, c_fc2 = linear(a3, p["fc2_w"].value, p["fc2_b"].value)
         # No later layer turns a NaN or inf finite again (inf * 0 is NaN), so
         # one scan of the logits covers the whole forward; only when it fails
         # are the layers scanned in order, to name the first non-finite one.
         try:
-            require_finite("fc2", logits)
+            logits, head = self._head(mid)
         except NumericsError:
             require_finite("conv1", h1)
             require_finite("bypass" if small_path else "conv2", h2)
-            require_finite("fc1", f1)
             raise
         cache = {
             "small_path": small_path,
@@ -134,11 +137,43 @@ class SimpleCNN:
             "relu2": m_relu2,
             "pool_idx": idx_pool,
             "mid_shape": mid.shape,
-            "fc1": c_fc1,
-            "relu3": m_relu3,
-            "fc2": c_fc2,
+            **head,
         }
         return logits, mid, cache
+
+    def _head(self, mid: np.ndarray):
+        """fc1 -> ReLU -> fc2 on the midlayer; returns (logits, head cache)."""
+        p = self.params
+        flat = mid.reshape(mid.shape[0], -1)
+        f1, c_fc1 = linear(flat, p["fc1_w"].value, p["fc1_b"].value)
+        a3, m_relu3 = relu(f1)
+        logits, c_fc2 = linear(a3, p["fc2_w"].value, p["fc2_b"].value)
+        try:
+            require_finite("fc2", logits)
+        except NumericsError:
+            require_finite("fc1", f1)
+            raise
+        return logits, {"fc1": c_fc1, "relu3": m_relu3, "fc2": c_fc2}
+
+    def narrow(self, cache, mid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Cut a forward's cache down to `rows` in place; return their logits.
+
+        `cache` and `mid` come from one `forward` call, and the parameters
+        must not have changed since. The trunk entries are sliced, since they
+        hold the bytes a forward of x[rows] would cache; the head is rerun on
+        mid[rows]. The cache stays the dict object `forward` returned, and
+        `backward` then takes it like the cache of a forward of x[rows].
+        """
+        sub = mid[rows]
+        logits, head = self._head(sub)
+        cache["conv1"] = conv2d_cache_rows(cache["conv1"], rows)
+        cache["relu1"] = cache["relu1"][rows]
+        cache["conv2"] = conv2d_cache_rows(cache["conv2"], rows)
+        cache["relu2"] = cache["relu2"][rows]
+        cache["pool_idx"] = cache["pool_idx"][rows]
+        cache["mid_shape"] = sub.shape
+        cache.update(head)
+        return logits
 
     def backward(self, dlogits: np.ndarray, cache) -> None:
         """Accumulate parameter gradients for one forward pass."""
@@ -172,12 +207,17 @@ def make_irm_model(cfg: ModelConfig, rng: np.random.Generator) -> SimpleCNN:
 
 
 def extract_embeddings(model: SimpleCNN, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Flattened post-pool mid-layer activations; never mutates parameters."""
-    out = []
+    """Flattened post-pool mid-layer activations; never mutates parameters.
+
+    Only the midlayer of each chunk is kept, so no chunk's cache (115 MB of
+    conv2 columns at 256 stock images) lives on through the next forward.
+    """
+    dtype = np.result_type(images.dtype, model.params["conv1_w"].value.dtype)
+    out = np.empty((images.shape[0], model.cfg.feature_dim), dtype=dtype)
     for start in range(0, images.shape[0], batch_size):
-        _, mid, _ = model.forward(images[start : start + batch_size])
-        out.append(mid.reshape(mid.shape[0], -1))
-    return np.concatenate(out, axis=0)
+        mid = model.forward(images[start : start + batch_size])[1]
+        out[start : start + mid.shape[0]] = mid.reshape(mid.shape[0], -1)
+    return out
 
 
 # -------------------------------------------------------------------- gate

@@ -10,6 +10,7 @@ from .tensor import Param, ParamSet, fan_in_uniform, require_finite
 from .ops import (
     conv2d,
     conv2d_backward,
+    conv2d_cache_rows,
     linear,
     linear_backward,
     maxpool2x2,
@@ -36,6 +37,7 @@ __all__ = [
     "require_finite",
     "conv2d",
     "conv2d_backward",
+    "conv2d_cache_rows",
     "linear",
     "linear_backward",
     "maxpool2x2",

@@ -109,6 +109,23 @@ def conv2d_backward(dy: np.ndarray, cache):
     return np.ascontiguousarray(dx), dw, db
 
 
+def conv2d_cache_rows(cache, rows):
+    """The conv2d cache of x[rows], cut from the cache of x.
+
+    Each image owns a contiguous run of Ho*Wo rows of `cols`, so the cut holds
+    the same bytes, in the same layout, as the cache of a forward of x[rows].
+    """
+    cols, wmat, wshape, xshape, padding = cache
+    per_image = cols.reshape(xshape[0], -1, cols.shape[1])[rows]
+    return (
+        per_image.reshape(-1, cols.shape[1]),
+        wmat,
+        wshape,
+        (per_image.shape[0], *xshape[1:]),
+        padding,
+    )
+
+
 # ------------------------------------------------------------- maxpool2x2
 
 # window offsets (row, col) in the order of the pooling indices 0..3

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, WorkbenchError
 
 
 def confidence_weight(max_prob, threshold: float):
@@ -159,7 +159,9 @@ def sweep_thresholds(values, train_fn) -> list:
     """Run train_fn(threshold) for each value; returns the per-threshold reports.
 
     Values must be nonempty, strictly increasing, and inside (0, 1). Errors
-    from train_fn are re-raised with the threshold named.
+    from train_fn name the threshold: a WorkbenchError is re-raised with it
+    prefixed to the message, any other exception keeps its type and gets a
+    note, since its constructor may take other arguments.
     """
     values = list(values)
     if not values:
@@ -172,6 +174,9 @@ def sweep_thresholds(values, train_fn) -> list:
     for value in values:
         try:
             reports.append(train_fn(value))
-        except Exception as exc:
+        except WorkbenchError as exc:
             raise type(exc)(f"threshold {value}: {exc}") from exc
+        except Exception as exc:
+            exc.add_note(f"threshold {value}")
+            raise
     return reports

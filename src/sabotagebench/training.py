@@ -15,6 +15,17 @@ Every pipeline derives all randomness from named streams of one seed, so
 method variants that make identical choices (soft with unit weights, hard
 with cutoff 0) reproduce the baseline trajectory bit for bit.
 
+Each input goes through the conv trunk once per set of weights. The hard,
+sweep and adaptive loops score a batch with one forward and then train on
+its accepted rows through that forward's cache, cut down in place by
+`SimpleCNN.narrow` (the same dict object `forward` returned, which backward
+then takes); only the fc head is rerun, because a 1-row head GEMM goes
+through GEMV and rounds differently from the same row of the full batch.
+The gate pre-training looks the frozen body's midlayer of clean images up
+in a table (25 KB per training image at the stock shapes: 150 MB for 6000
+images, about 1.5 GB for the 60 000 of real MNIST) and forwards only the
+inverted rows of each batch.
+
 Evaluation poisons the test stream at the training rate under a distinct
 seed stream. Accuracy-on-accepted is computed over accepted AND clean
 samples against original labels; counting accepted-but-sabotaged samples
@@ -201,7 +212,8 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator):
 def _forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512) -> np.ndarray:
     chunks = []
     for start in range(0, images.shape[0], batch_size):
-        logits, _, _ = model.forward(images[start : start + batch_size])
+        # bind the logits only: a chunk's cache must not live through the next forward
+        logits = model.forward(images[start : start + batch_size])[0]
         chunks.append(softmax(logits))
     return np.concatenate(chunks, axis=0)
 
@@ -211,14 +223,30 @@ def _plain_test_error(model: SimpleCNN, test_set: MnistSet) -> float:
     return float(np.mean(probs.argmax(axis=1) != test_set.labels))
 
 
-def _train_step(model: SimpleCNN, images, labels, weights, lr: float, fraction: float = 0.0):
-    """One forward/backward/SGD step; returns (loss, correct_count)."""
-    logits, _, cache = model.forward(images, fraction)
+def _fit_step(model: SimpleCNN, logits, cache, labels, weights, lr: float):
+    """Weighted loss, backward through `cache` and one SGD step; returns
+    (loss, correct_count)."""
     loss, probs = weighted_softmax_ce(logits, labels, weights)
     dlogits = weighted_softmax_ce_backward(probs, labels, weights).astype(logits.dtype)
     model.backward(dlogits, cache)
     sgd_step(model.params, lr)
     return loss, int(np.sum(probs.argmax(axis=1) == labels))
+
+
+def _train_step(model: SimpleCNN, images, labels, weights, lr: float, fraction: float = 0.0):
+    """One forward/backward/SGD step; returns (loss, correct_count)."""
+    logits, _, cache = model.forward(images, fraction)
+    return _fit_step(model, logits, cache, labels, weights, lr)
+
+
+def _fit_accepted(model: SimpleCNN, mid, cache, labels, accepted, lr: float) -> int:
+    """Train on the accepted rows of a scoring forward, reusing its conv trunk
+    (see `SimpleCNN.narrow`); returns the correct count."""
+    logits = model.narrow(cache, mid, accepted)
+    _, correct = _fit_step(
+        model, logits, cache, labels[accepted], np.ones(logits.shape[0]), lr
+    )
+    return correct
 
 
 def _gate_scores(gate: MlpBinary, midlayer: np.ndarray) -> np.ndarray:
@@ -305,6 +333,11 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
     hard pipeline relies on is untouched, while the absolute scores stay
     pinned near 0.5 no matter how far the main body drifts later; combined
     with squaring, every soft weight then sits below the flag threshold.
+
+    The frozen body's midlayer of every clean training image is computed
+    once, into a table of feature_dim floats per image (25 KB at the stock
+    shapes); the gate batches and the calibration sample look their clean
+    rows up in it and forward only their inverted rows.
     """
     body = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
     ones = None
@@ -319,6 +352,10 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
                         weights=ones, lr=cfg.train.learning_rate)
 
     frozen_checksum = body.params.checksum()
+    # The body is frozen from here on, and its trunk computes each image on
+    # its own, so a clean image's features are looked up in this table and
+    # only the inverted rows of a batch are forwarded.
+    clean_features = extract_embeddings(body, train_set.images)
     gate_cfg = GateConfig(cfg.model.feature_dim, cfg.gate.hidden, cfg.gate.dropout)
     gate = MlpBinary(gate_cfg, stream(cfg.seed, "init/gate"))
     drop_rng = stream(cfg.seed, "gate/dropout")
@@ -327,8 +364,7 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
         sab = stream(cfg.seed, f"gate/sabotage/{epoch}")
         for idx in _batches(train_set.count, cfg.train.batch_size, shuffle):
             bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            _, mid, _ = body.forward(bt.effective_images)
-            flat = mid.reshape(mid.shape[0], -1)
+            flat = _body_features(body, clean_features, idx, bt)
             _, logits, cache = gate.forward(flat, train=True, rng=drop_rng)
             targets = (~bt.mask).astype(np.float64)
             _, probs = bce_with_logits(logits, targets)
@@ -343,9 +379,7 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
     take = min(2048, train_set.count)
     val_idx = val_rng.choice(train_set.count, size=take, replace=False)
     bt = inject_sabotage(train_set.images[val_idx], train_set.labels[val_idx], cfg.sabotage, val_rng)
-    # scored in chunks: one forward over the whole sample would hold conv2's
-    # im2col buffer for all of it at once
-    flat = extract_embeddings(body, bt.effective_images)
+    flat = _body_features(body, clean_features, val_idx, bt)
     _, logits, _ = gate.forward(flat, train=False)
     peak = float(np.abs(logits).max())
     scale = min(1.0, cfg.gate.logit_cap / peak) if peak > 0 else 1.0
@@ -362,6 +396,15 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
         damping_scale=scale,
         body_checksum=frozen_checksum,
     )
+
+
+def _body_features(body: SimpleCNN, clean_features, idx, bt: SabotagedBatch) -> np.ndarray:
+    """Flattened body midlayer of a sabotaged batch of train_set[idx]: clean
+    rows from the table, inverted rows forwarded (in chunks)."""
+    flat = clean_features[idx]
+    if bt.mask.any():
+        flat[bt.mask] = extract_embeddings(body, bt.effective_images[bt.mask])
+    return flat
 
 
 def _hard_flags(w: np.ndarray, cutoff, quantile: float) -> tuple[np.ndarray, float]:
@@ -430,11 +473,9 @@ def _run_gated_pipeline(
                 )
             )
             if method == SOFT:
-                _, probs = weighted_softmax_ce(logits, bt.effective_labels, w)
-                dlogits = weighted_softmax_ce_backward(probs, bt.effective_labels, w)
-                model.backward(dlogits.astype(logits.dtype), cache)
-                sgd_step(model.params, cfg.train.learning_rate)
-                correct += int(np.sum(probs.argmax(axis=1) == bt.effective_labels))
+                correct += _fit_step(
+                    model, logits, cache, bt.effective_labels, w, cfg.train.learning_rate
+                )[1]
             else:
                 accepted = ~flags
                 if not accepted.any():
@@ -442,15 +483,9 @@ def _run_gated_pipeline(
                     if cfg.estimate_sabotage_fraction:
                         fraction = float(flags.mean())
                     continue
-                _, c_acc = _train_step(
-                    model,
-                    bt.effective_images[accepted],
-                    bt.effective_labels[accepted],
-                    np.ones(int(accepted.sum())),
-                    cfg.train.learning_rate,
-                    fraction,
+                correct += _fit_accepted(
+                    model, mid, cache, bt.effective_labels, accepted, cfg.train.learning_rate
                 )
-                correct += c_acc
                 trained += int(accepted.sum())
             if cfg.estimate_sabotage_fraction:
                 fraction = float(flags.mean())
@@ -465,7 +500,7 @@ def _run_gated_pipeline(
     chunks_flags, chunks_pred = [], []
     for start in range(0, test_set.count, 512):
         sl = slice(start, start + 512)
-        logits, mid, _ = model.forward(eval_batch.effective_images[sl], fraction)
+        logits, mid = model.forward(eval_batch.effective_images[sl], fraction)[:2]
         probs = softmax(logits)
         scores = _gate_scores(gate, mid)
         if cfg.force_unit_weights:
@@ -595,7 +630,7 @@ def _confidence_quarantine_run(
         epoch_counts = np.zeros(4, dtype=np.int64)
         for batch_no, idx in enumerate(_batches(train_set.count, cfg.train.batch_size, shuffle)):
             bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            logits, _, _ = model.forward(bt.effective_images, fraction)
+            logits, mid, cache = model.forward(bt.effective_images, fraction)
             t0 = time.perf_counter()
             max_prob = softmax(logits).max(axis=1)
             current_tau = controller.tau if controller is not None else tau
@@ -627,15 +662,9 @@ def _confidence_quarantine_run(
                 if cfg.estimate_sabotage_fraction:
                     fraction = float(flags.mean())
                 continue
-            _, c_acc = _train_step(
-                model,
-                bt.effective_images[accepted],
-                bt.effective_labels[accepted],
-                np.ones(int(accepted.sum())),
-                cfg.train.learning_rate,
-                fraction,
+            correct += _fit_accepted(
+                model, mid, cache, bt.effective_labels, accepted, cfg.train.learning_rate
             )
-            correct += c_acc
             trained += int(accepted.sum())
             if cfg.estimate_sabotage_fraction:
                 fraction = float(flags.mean())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -470,6 +471,39 @@ class TestRunArtifacts:
         assert payload["score"] == pytest.approx(
             0.5 * payload["self_maint"] + 0.5 * payload["self_recog"]
         )
+
+
+def _artifacts(out: Path) -> dict[str, str]:
+    """Every report file of a run but metadata.json (wall-clock time by
+    design), with the latency_s timing column taken out of quarantine logs."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "metadata.json":
+            continue
+        text = path.read_text()
+        if path.name.startswith("quarantine_log_"):
+            rows = [line.split(",") for line in text.splitlines()]
+            drop = rows[0].index("latency_s")
+            text = "\n".join(",".join(r[:drop] + r[drop + 1 :]) for r in rows)
+        files[path.name] = text
+    return files
+
+
+class TestRerunIsByteIdentical:
+    """Same seed and config in, the same bytes out, for the loops that train
+    on the accepted rows of a scoring forward."""
+
+    @pytest.mark.parametrize("experiment", ["hard", "sweep", "adaptive"])
+    def test_every_artifact(self, experiment, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            args = ["run", experiment, "--config", str(tiny_config), "--out", str(out)]
+            assert run_cli(args) == 0
+            runs.append(_artifacts(out))
+            shutil.rmtree(out)
+        assert runs[0] == runs[1]
+        assert any(name.startswith("quarantine_log_") for name in runs[0])
 
 
 class TestRunAllLifestar:

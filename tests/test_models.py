@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_ops
 from sabotagebench import models
@@ -16,7 +18,7 @@ from sabotagebench.models import (
 )
 from sabotagebench.nncore.gradcheck import grad_check
 from sabotagebench.nncore.ops import weighted_softmax_ce, weighted_softmax_ce_backward
-from sabotagebench.training import _train_step
+from sabotagebench.training import _fit_step, _train_step
 
 TINY = dict(conv1_channels=2, conv2_channels=3, fc_hidden=8, image_size=8)
 
@@ -142,6 +144,73 @@ class TestEngineMatchesOracle:
         for name in ("conv2d", "conv2d_backward", "maxpool2x2", "maxpool2x2_backward"):
             monkeypatch.setattr(models, name, getattr(oracle_ops, name))
         assert self._stepped_checksum(images, labels, fraction) == engine
+
+
+def _stock_batch(seed, n):
+    """n synthetic-looking stock-size images, about a third of them inverted."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 1, 28, 28)).astype(np.float32)
+    inverted = rng.random(n) < 0.3
+    x[inverted] = 1.0 - x[inverted]
+    return x, rng.integers(0, 10, size=n)
+
+
+class TestTrunkRowIndependence:
+    """The conv trunk computes each image on its own: the midlayer rows of a
+    batch hold the same bytes as a forward of just those rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        fraction=st.sampled_from([0.0, 0.5]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_midlayer_rows_match_forward_of_rows(self, n, fraction, data, seed):
+        model = SimpleCNN(ModelConfig(), np.random.default_rng(seed % 7))
+        x, _ = _stock_batch(seed, n)
+        keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rows = np.array(keep, dtype=bool)
+        rows[data.draw(st.integers(0, n - 1))] = True
+        _, mid, _ = model.forward(x, fraction)
+        _, mid_rows, _ = model.forward(x[rows], fraction)
+        assert mid[rows].tobytes() == mid_rows.tobytes()
+
+
+class TestNarrowedCache:
+    """A scoring forward's cache cut down to some rows trains exactly like a
+    fresh forward of those rows."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    @pytest.mark.parametrize("rows", [[5], [0, 3, 17, 40, 63], list(range(64))])
+    def test_step_matches_train_step_on_rows(self, fraction, rows):
+        x, labels = _stock_batch(12, 64)
+        weights = np.ones(len(rows))
+        fresh = SimpleCNN(ModelConfig(), np.random.default_rng(11))
+        _train_step(fresh, x[rows], labels[rows], weights, lr=0.1, fraction=fraction)
+
+        model = SimpleCNN(ModelConfig(), np.random.default_rng(11))
+        _, mid, cache = model.forward(x, fraction)
+        mask = np.zeros(64, dtype=bool)
+        mask[rows] = True
+        logits = model.narrow(cache, mid, mask)
+        expected, _, _ = SimpleCNN(ModelConfig(), np.random.default_rng(11)).forward(
+            x[rows], fraction
+        )
+        assert logits.tobytes() == expected.tobytes()
+        _fit_step(model, logits, cache, labels[rows], weights, lr=0.1)
+        assert model.params.checksum() == fresh.params.checksum()
+
+    def test_narrow_keeps_the_cache_object(self, rng):
+        model, _ = tiny_model()
+        x = rng.random((4, 1, 8, 8)).astype(np.float32)
+        _, mid, cache = model.forward(x)
+        keys = set(cache)
+        before = id(cache)
+        logits = model.narrow(cache, mid, np.array([False, True, False, True]))
+        assert id(cache) == before and set(cache) == keys
+        assert logits.shape == (2, 10)
+        assert cache["mid_shape"] == (2,) + mid.shape[1:]
 
 
 class TestNonFiniteNaming:

@@ -21,6 +21,13 @@ from sabotagebench.quarantine import (
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
+class TwoArgError(Exception):
+    """An exception whose constructor needs more than a message."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+
+
 class TestConfidenceWeight:
     def test_piecewise_values(self):
         assert confidence_weight(0.05, 0.1) == pytest.approx(0.5)
@@ -231,3 +238,19 @@ class TestSweepThresholds:
 
         with pytest.raises(ValidationError, match="threshold 0.2: inner problem"):
             sweep_thresholds([0.2], boom)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            TwoArgError(7, "detail"),
+            UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+        ],
+    )
+    def test_foreign_failure_keeps_its_type(self, error):
+        def boom(t):
+            raise error
+
+        with pytest.raises(type(error)) as caught:
+            sweep_thresholds([0.1, 0.2], boom)
+        assert caught.value is error
+        assert caught.value.__notes__ == ["threshold 0.1"]

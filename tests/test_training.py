@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from sabotagebench.dataset import SabotageConfig
+import oracle_training
+from sabotagebench.dataset import SabotageConfig, synthetic_mnist_set
 from sabotagebench.errors import ValidationError
+from sabotagebench.models import ModelConfig
 from sabotagebench.quarantine import AdaptiveControllerState
 from sabotagebench.training import (
     GateTrainConfig,
@@ -113,6 +115,42 @@ class TestGatePretraining:
     def test_gate_is_deterministic(self, tiny_train, tiny_gate_asset):
         again = pretrain_gate(tiny_pipeline("hard"), tiny_train)
         assert again.gate.params.checksum() == tiny_gate_asset.gate.params.checksum()
+
+
+def _asset_fields(asset):
+    return (
+        asset.gate.params.checksum(),
+        asset.clean_score_mean,
+        asset.sabotaged_score_mean,
+        asset.max_score,
+        asset.damping_scale,
+        asset.body_checksum,
+    )
+
+
+class TestGateMatchesOracle:
+    """Cached clean features give the same gate as forwarding every gate
+    batch and the calibration sample through the frozen body."""
+
+    def test_tiny(self, tiny_train, tiny_gate_asset):
+        oracle = oracle_training.pretrain_gate(tiny_pipeline("hard"), tiny_train)
+        assert _asset_fields(tiny_gate_asset) == _asset_fields(oracle)
+
+    # rate 0 leaves no row to forward, rate 1 no clean row to look up
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    def test_stock_model(self, rate):
+        train = synthetic_mnist_set(200, 77)
+        cfg = tiny_pipeline(
+            "hard",
+            seed=3,
+            sabotage=SabotageConfig(rate=rate),
+            model=ModelConfig(),
+            train=TrainConfig(epochs=1, batch_size=48, learning_rate=0.1),
+            gate=GateTrainConfig(hidden=16, epochs=2),
+        )
+        assert _asset_fields(pretrain_gate(cfg, train)) == _asset_fields(
+            oracle_training.pretrain_gate(cfg, train)
+        )
 
 
 class TestSoftPipeline:

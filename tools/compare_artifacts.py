@@ -1,0 +1,87 @@
+"""Run one experiment in a git revision and in the working tree, and compare
+the artifacts of the two runs.
+
+    python3 tools/compare_artifacts.py REV EXPERIMENT [--seed N] [--set key=value ...]
+
+REV (a commit, branch or tag) is exported with `git archive` into a
+temporary directory. Each tree then runs
+`sabotagebench run EXPERIMENT --seed N --set ...` from its own `src/`, one
+after the other, and the two output directories are compared with the
+benchmark's `bench.workloads.digests`: metadata.json is skipped, the
+quarantine logs are compared without their latency_s column and
+config.json without its out_dir.
+
+Exit status: 0 when every artifact agrees, 1 when any differs, 2 when a run
+fails.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from bench.workloads import digests  # noqa: E402
+
+RUN = "import sys; from sabotagebench.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run(tree: Path, out: Path, argv: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-c", RUN, "run", *argv, "--out", str(out)]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def main(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("experiment", help="experiment name, as for `sabotagebench run`")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    opts = parser.parse_args(args)
+
+    argv = [opts.experiment]
+    if opts.seed is not None:
+        argv += ["--seed", str(opts.seed)]
+    for item in opts.set:
+        argv += ["--set", item]
+
+    with tempfile.TemporaryDirectory(prefix="compare_artifacts_") as tmp:
+        tmp = Path(tmp)
+        old_tree = tmp / "tree"
+        old_tree.mkdir()
+        export(opts.rev, old_tree)
+        found = {}
+        for label, tree in ((opts.rev, old_tree), ("working tree", ROOT)):
+            out = tmp / f"out_{len(found)}"
+            code = run(tree, out, argv)
+            if code != 0:
+                print(f"{label}: `sabotagebench run {' '.join(argv)}` exited with {code}")
+                return 2
+            found[label] = digests(out)
+
+    old, new = found.values()
+    differ = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    for name in sorted(old.keys() | new.keys()):
+        print(f"{'DIFFERS' if name in differ else 'same   '} {name}")
+    print(f"{len(differ)} of {len(old.keys() | new.keys())} artifacts differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
