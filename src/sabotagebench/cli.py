@@ -15,6 +15,7 @@ the pipelines stay independent whether they run sequentially or (with
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -25,6 +26,7 @@ from . import reporting
 from .config import EXPERIMENTS, ExperimentConfig, parse_config, parse_override
 from .dataset import MnistSet, invert, load_mnist_dir, synthetic_mnist_set
 from .errors import ConfigError, UnavailableMetricError, WorkbenchError
+from .heap import keep_heap
 from .metrics import (
     LifeStarInputs,
     lifestar_score,
@@ -135,6 +137,7 @@ def run_single(
     cfg: ExperimentConfig, experiment: str, out_dir: Path, offline: bool
 ) -> dict:
     """Run one experiment, write its artifacts, return headline numbers."""
+    started = resource.getrusage(resource.RUSAGE_SELF)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reporting.echo_config(out_dir, {**cfg.data, "experiment": experiment})
@@ -148,9 +151,8 @@ def run_single(
             providers=providers, fixtures_path=mt["fixtures"]
         )
         reporting.write_mirror_text_report(out_dir, report)
-        reporting.write_metadata(
-            out_dir,
-            {"wall_clock_s": report.wall_clock_s, **report.metadata},
+        _write_metadata(
+            out_dir, started, {"wall_clock_s": report.wall_clock_s, **report.metadata}
         )
         summary["recognition"] = {
             row["system"]: row["score_percent"] for row in report.recognition
@@ -163,7 +165,7 @@ def run_single(
             cfg.mirror_cnn_config(), cfg.model_config(), cfg.seed, train_set, test_set
         )
         reporting.write_mirror_cnn_report(out_dir, report, cfg.seed)
-        reporting.write_metadata(out_dir, {"wall_clock_s": report.wall_clock_s})
+        _write_metadata(out_dir, started, {"wall_clock_s": report.wall_clock_s})
         summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
         summary["semiself_accuracy"] = report.semiself_accuracy
         return summary
@@ -173,9 +175,8 @@ def run_single(
             cfg.pipeline_config("baseline"), cfg.sweep_config(), train_set, test_set
         )
         reporting.write_sweep_artifacts(out_dir, cfg.seed, result)
-        reporting.write_metadata(
-            out_dir,
-            {"wall_clock_s": sum(r.wall_clock_s for r in result["reports"])},
+        _write_metadata(
+            out_dir, started, {"wall_clock_s": sum(r.wall_clock_s for r in result["reports"])}
         )
         summary["rows"] = result["rows"]
         return summary
@@ -196,9 +197,8 @@ def run_single(
         raise ConfigError(f"unknown experiment {experiment!r}")
 
     reporting.write_run_report(out_dir, report)
-    reporting.write_metadata(
-        out_dir,
-        {"wall_clock_s": report.wall_clock_s, "latencies_s": report.latencies},
+    _write_metadata(
+        out_dir, started, {"wall_clock_s": report.wall_clock_s, "latencies_s": report.latencies}
     )
     summary["rejection_rate"] = report.rejection_rate
     summary["accuracy_on_accepted"] = report.accuracy_on_accepted
@@ -207,6 +207,36 @@ def run_single(
     if report.epochs:
         summary["final_test_error"] = report.epochs[-1].test_error
     return summary
+
+
+def _write_metadata(out_dir: Path, started: resource.struct_rusage, payload: dict) -> None:
+    """metadata.json: `payload`, this process's resource use since `started`
+    (faults and CPU seconds; peak RSS is the process's high-water mark) and
+    the numpy/BLAS build."""
+    now = resource.getrusage(resource.RUSAGE_SELF)
+    rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes vs KiB
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 prints its config and takes no mode
+        blas = {}
+    reporting.write_metadata(
+        out_dir,
+        {
+            **payload,
+            "resources": {
+                "peak_rss_mb": now.ru_maxrss * rss_unit / 2**20,
+                "minor_faults": now.ru_minflt - started.ru_minflt,
+                "user_s": now.ru_utime - started.ru_utime,
+                "sys_s": now.ru_stime - started.ru_stime,
+            },
+            "environment": {
+                "numpy": np.__version__,
+                "blas": blas.get("name"),
+                "blas_version": blas.get("version"),
+                "blas_config": blas.get("openblas configuration"),
+            },
+        },
+    )
 
 
 def _all_worker(payload: tuple) -> dict:
@@ -220,7 +250,8 @@ def run_all(cfg: ExperimentConfig, out_root: Path, offline: bool, parallel: bool
         data = {**cfg.data, "seed": cfg.seed + index, "experiment": experiment}
         jobs.append((data, experiment, str(out_root / experiment), offline))
     if parallel:
-        with ProcessPoolExecutor(max_workers=min(4, len(jobs))) as pool:
+        # initializer, not fork inheritance: the start method may be spawn
+        with ProcessPoolExecutor(max_workers=min(4, len(jobs)), initializer=keep_heap) as pool:
             summaries = list(pool.map(_all_worker, jobs))
     else:
         summaries = [_all_worker(job) for job in jobs]
@@ -344,6 +375,7 @@ def cmd_check(_: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

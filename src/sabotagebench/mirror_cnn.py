@@ -64,8 +64,11 @@ class PairSet:
         """Classifier target per pair: 1 for self-like, 0 for cross."""
         return np.array([_TARGETS[str(m)] for m in self.modes])
 
-    def features(self) -> np.ndarray:
-        return np.concatenate([self.left, self.right], axis=1)
+    def features(self, rows=slice(None)) -> np.ndarray:
+        """Classifier input of the pairs `rows` (an index array or a slice;
+        all by default): left and right embeddings side by side, [rows, 2*dim].
+        The trainers build it batch by batch, never for the whole set."""
+        return np.concatenate([self.left[rows], self.right[rows]], axis=1)
 
     @staticmethod
     def merge(*sets: "PairSet") -> "PairSet":
@@ -170,24 +173,23 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
         raise ValidationError(
             f"boundary_fraction must lie in [0, 1) or be None, got {boundary_fraction}"
         )
-    features = pairs.features()
     targets = pairs.targets()
-    gate = MlpBinary(GateConfig(features.shape[1], hidden, dropout=0.0),
+    gate = MlpBinary(GateConfig(2 * pairs.left.shape[1], hidden, dropout=0.0),
                      stream(seed, "mirror/gate/init"))
     from .training import _batches
 
     for epoch in range(epochs):
         shuffle = stream(seed, f"mirror/gate/shuffle/{epoch}")
-        for idx in _batches(features.shape[0], batch_size, shuffle):
-            _, logits, cache = gate.forward(features[idx], train=True)
+        for idx in _batches(pairs.count, batch_size, shuffle):
+            _, logits, cache = gate.forward(pairs.features(idx), train=True)
             t = targets[idx]
             _, probs = bce_with_logits(logits, t)
             gate.backward(bce_with_logits_backward(probs, t).astype(np.float32), cache)
             sgd_step(gate.params, learning_rate)
     if boundary_fraction is not None:
         chunks = []
-        for start in range(0, features.shape[0], 512):
-            _, logits, _ = gate.forward(features[start : start + 512], train=False)
+        for start in range(0, pairs.count, 512):
+            _, logits, _ = gate.forward(pairs.features(slice(start, start + 512)), train=False)
             chunks.append(logits)
         logits = np.concatenate(chunks)
         self_mean = logits[targets == 1.0].mean()
@@ -200,9 +202,8 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
 def eval_pairs(gate: MlpBinary, pairs: PairSet, batch_size: int = 256) -> dict:
     """Accuracy per mode (score >= 0.5 reads as self) plus overall."""
     scores = []
-    features = pairs.features()
-    for start in range(0, features.shape[0], batch_size):
-        s, _, _ = gate.forward(features[start : start + batch_size], train=False)
+    for start in range(0, pairs.count, batch_size):
+        s, _, _ = gate.forward(pairs.features(slice(start, start + batch_size)), train=False)
         scores.append(s)
     called_self = np.concatenate(scores) >= 0.5
     correct = called_self == (pairs.targets() == 1.0)
@@ -304,6 +305,9 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     gate = train_pair_gate(train_pairs, seed, cfg.gate_hidden, cfg.gate_epochs,
                            cfg.batch_size, cfg.gate_learning_rate,
                            cfg.gate_boundary_fraction)
+    # the training pairs (100 MB at 2048 pairs) are not kept through evaluation
+    train_counts = train_pairs.counts
+    del train_pairs
     eval_rng = stream(seed, "mirror/pairs/eval")
     eval_self = build_pairs(emb_a[eval_pool], emb_b[eval_pool], MODE_SELF, eval_rng,
                             cfg.eval_pairs_per_mode)
@@ -321,7 +325,7 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     report.cross_accuracy = acc[MODE_CROSS]
     report.self_vs_cross_accuracy = base["overall"]
     report.semiself_accuracy = acc[MODE_SEMISELF]
-    report.train_counts = train_pairs.counts
+    report.train_counts = train_counts
     report.eval_counts = {
         MODE_SELF: eval_self.count,
         MODE_CROSS: eval_cross.count,

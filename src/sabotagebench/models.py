@@ -16,6 +16,12 @@ a 1-row GEMM goes through GEMV and rounds differently from the same row of
 a larger batch. `SimpleCNN.narrow` builds on this. It cuts a forward's
 cache down to some rows, keeping the trunk's entries and rerunning only
 the head, so a training step on those rows costs no second trunk pass.
+
+Inference builds on it too. `SimpleCNN.infer` and `SimpleCNN.midlayer` run
+the trunk over pieces of a training batch's size (the im2col buffers of a
+512-image chunk would be 231 MB) and keep no cache, while the head runs
+once over all the rows the caller passed, so the logits hold the same
+bytes as those of one `forward` over the caller's rows.
 """
 
 from dataclasses import dataclass
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
+from .heap import MMAP_THRESHOLD
 from .nncore import (
     ParamSet,
     conv2d,
@@ -110,8 +117,72 @@ class SimpleCNN:
 
     def forward(self, x: np.ndarray, sabotage_fraction: float = 0.0):
         """Return (logits [N,n_outputs], midlayer [N,C2,H/2,W/2], cache)."""
-        p = self.params
         small_path = sabotage_fraction > self.cfg.small_path_trigger
+        mid, h1, h2, cache = self._trunk(x, small_path)
+        # No later layer turns a NaN or inf finite again (inf * 0 is NaN), so
+        # one scan of the logits covers the whole forward; only when it fails
+        # are the layers scanned in order, to name the first non-finite one.
+        try:
+            logits, head = self._head(mid)
+        except NumericsError:
+            self._name_nonfinite(h1, h2, small_path)
+            raise
+        cache.update(head)
+        return logits, mid, cache
+
+    def midlayer(self, x: np.ndarray, sabotage_fraction: float = 0.0,
+                 piece: int | None = None) -> np.ndarray:
+        """The midlayer of `forward(x)`, byte for byte, without a cache.
+
+        The trunk runs over pieces of `piece` images (by default
+        `trunk_piece`, 64 at the stock shapes), so inference never holds a
+        buffer bigger than a training step's. Each piece's cache is dropped
+        before the next piece runs.
+        """
+        cfg = self.cfg
+        small_path = sabotage_fraction > cfg.small_path_trigger
+        if piece is None:
+            piece = self.trunk_piece(x.dtype)
+        dtype = np.result_type(x.dtype, self.params["conv1_w"].value.dtype)
+        out = np.empty((x.shape[0], cfg.conv2_channels, cfg.pooled_size, cfg.pooled_size), dtype)
+        for start in range(0, x.shape[0], piece):
+            mid, h1, h2 = self._trunk(x[start : start + piece], small_path)[:3]
+            try:
+                require_finite("pool", mid)
+            except NumericsError:
+                self._name_nonfinite(h1, h2, small_path)
+                raise
+            out[start : start + mid.shape[0]] = mid
+        return out
+
+    def infer(self, x: np.ndarray, sabotage_fraction: float = 0.0):
+        """(logits, midlayer) of `forward(x)`, byte for byte, without a cache.
+
+        The trunk runs in pieces (see `midlayer`); the head runs once over all
+        of x's rows, since its rounding depends on the row count.
+        """
+        mid = self.midlayer(x, sabotage_fraction)
+        return self._head(mid)[0], mid
+
+    def trunk_piece(self, dtype) -> int:
+        """Images per inference trunk piece: the largest power of two whose
+        biggest im2col buffer fits in `heap.MMAP_THRESHOLD`.
+
+        A power of two, not simply the most that fit (74 at the stock
+        shapes): 64 images is a stock training batch, so the pieces reuse the
+        heap blocks a training step frees, where 74-image columns (31.9 MiB)
+        would need blocks of their own.
+        """
+        cfg = self.cfg
+        taps = cfg.kernel_size * cfg.kernel_size * cfg.image_size * cfg.image_size
+        per_image = max(cfg.in_channels, cfg.conv1_channels) * taps * np.dtype(dtype).itemsize
+        fits = max(1, MMAP_THRESHOLD // per_image)
+        return 1 << (fits.bit_length() - 1)
+
+    def _trunk(self, x: np.ndarray, small_path: bool):
+        """conv1 -> ReLU -> conv2/bypass -> ReLU -> pool; returns
+        (mid, h1, h2, trunk cache)."""
+        p = self.params
         h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, self.cfg.padding)
         a1, m_relu1 = relu(h1)
         if small_path:
@@ -120,15 +191,6 @@ class SimpleCNN:
             h2, c_conv2 = conv2d(a1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
         a2, m_relu2 = relu(h2)
         mid, idx_pool = maxpool2x2(a2)
-        # No later layer turns a NaN or inf finite again (inf * 0 is NaN), so
-        # one scan of the logits covers the whole forward; only when it fails
-        # are the layers scanned in order, to name the first non-finite one.
-        try:
-            logits, head = self._head(mid)
-        except NumericsError:
-            require_finite("conv1", h1)
-            require_finite("bypass" if small_path else "conv2", h2)
-            raise
         cache = {
             "small_path": small_path,
             "conv1": c_conv1,
@@ -137,9 +199,13 @@ class SimpleCNN:
             "relu2": m_relu2,
             "pool_idx": idx_pool,
             "mid_shape": mid.shape,
-            **head,
         }
-        return logits, mid, cache
+        return mid, h1, h2, cache
+
+    @staticmethod
+    def _name_nonfinite(h1: np.ndarray, h2: np.ndarray, small_path: bool) -> None:
+        require_finite("conv1", h1)
+        require_finite("bypass" if small_path else "conv2", h2)
 
     def _head(self, mid: np.ndarray):
         """fc1 -> ReLU -> fc2 on the midlayer; returns (logits, head cache)."""
@@ -196,7 +262,7 @@ class SimpleCNN:
             p["conv2_w"].grad += dw
             p["conv2_b"].grad += db
         dh1 = relu_backward(da1, cache["relu1"])
-        _, dw, db = conv2d_backward(dh1, cache["conv1"])
+        _, dw, db = conv2d_backward(dh1, cache["conv1"], input_grad=False)
         p["conv1_w"].grad += dw
         p["conv1_b"].grad += db
 
@@ -206,18 +272,15 @@ def make_irm_model(cfg: ModelConfig, rng: np.random.Generator) -> SimpleCNN:
     return SimpleCNN(cfg, rng, n_outputs=cfg.n_classes + 1)
 
 
-def extract_embeddings(model: SimpleCNN, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def extract_embeddings(model: SimpleCNN, images: np.ndarray,
+                       batch_size: int | None = None) -> np.ndarray:
     """Flattened post-pool mid-layer activations; never mutates parameters.
 
-    Only the midlayer of each chunk is kept, so no chunk's cache (115 MB of
-    conv2 columns at 256 stock images) lives on through the next forward.
+    The trunk runs in pieces of `batch_size` images (by default as in
+    `SimpleCNN.midlayer`); the head is not run.
     """
-    dtype = np.result_type(images.dtype, model.params["conv1_w"].value.dtype)
-    out = np.empty((images.shape[0], model.cfg.feature_dim), dtype=dtype)
-    for start in range(0, images.shape[0], batch_size):
-        mid = model.forward(images[start : start + batch_size])[1]
-        out[start : start + mid.shape[0]] = mid.reshape(mid.shape[0], -1)
-    return out
+    mid = model.midlayer(images, piece=batch_size)
+    return mid.reshape(images.shape[0], model.cfg.feature_dim)
 
 
 # -------------------------------------------------------------------- gate
@@ -274,7 +337,7 @@ class MlpBinary:
         p["b2"].grad += db
         da = dropout_backward(dd, cache["drop"])
         dh = relu_backward(da, cache["relu"])
-        _, dw, db = linear_backward(dh, cache["fc1"])
+        _, dw, db = linear_backward(dh, cache["fc1"], input_grad=False)
         p["w1"].grad += dw
         p["b1"].grad += db
 

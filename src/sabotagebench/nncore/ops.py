@@ -86,8 +86,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
     return np.ascontiguousarray(y), cache
 
 
-def conv2d_backward(dy: np.ndarray, cache):
-    """Gradients of conv2d: returns (dx, dw, db)."""
+def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
+    """Gradients of conv2d: returns (dx, dw, db).
+
+    With input_grad False, dx is None and its GEMM and scatter are skipped;
+    dw and db are the same bytes either way.
+    """
     cols, wmat, wshape, xshape, padding = cache
     k, c, kh, kw = wshape
     n, _, h, wd = xshape
@@ -96,6 +100,8 @@ def conv2d_backward(dy: np.ndarray, cache):
     dy2 = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, k)
     db = dy2.sum(axis=0, dtype=dy.dtype)
     dw = (dy2.T @ cols).reshape(wshape)
+    if not input_grad:
+        return None, dw, db
     # dcols: [N,Ho,Wo,C,kh,kw]; each tap adds into a channels-last padded
     # input, a cache-sized block of images at a time
     dcols = (dy2 @ wmat).reshape(n, ho, wo, c, kh, kw)
@@ -190,9 +196,11 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return x @ w + b, (x, w)
 
 
-def linear_backward(dy: np.ndarray, cache):
+def linear_backward(dy: np.ndarray, cache, input_grad: bool = True):
+    """Gradients of linear: returns (dx, dw, db); dx is None, and not
+    computed, when input_grad is False."""
     x, w = cache
-    dx = dy @ w.T
+    dx = dy @ w.T if input_grad else None
     dw = x.T @ dy
     db = dy.sum(axis=0, dtype=dy.dtype)
     return dx, dw, db

@@ -26,6 +26,12 @@ in a table (25 KB per training image at the stock shapes: 150 MB for 6000
 images, about 1.5 GB for the 60 000 of real MNIST) and forwards only the
 inverted rows of each batch.
 
+Inference keeps no cache (`SimpleCNN.infer`, `extract_embeddings`). The
+conv trunk runs in pieces of a training batch's size, so no inference
+buffer is bigger than a training step's; the fc head and the gate still see
+each caller's chunk (512 rows in `_forward_probs` and the gated final
+evaluation) at once, so their GEMMs round as one forward of the chunk did.
+
 Evaluation poisons the test stream at the training rate under a distinct
 seed stream. Accuracy-on-accepted is computed over accepted AND clean
 samples against original labels; counting accepted-but-sabotaged samples
@@ -210,10 +216,11 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator):
 
 
 def _forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512) -> np.ndarray:
+    """Softmax over chunks of `batch_size` rows; each chunk's head sees the
+    chunk's rows at once (`SimpleCNN.infer`)."""
     chunks = []
     for start in range(0, images.shape[0], batch_size):
-        # bind the logits only: a chunk's cache must not live through the next forward
-        logits = model.forward(images[start : start + batch_size])[0]
+        logits = model.infer(images[start : start + batch_size])[0]
         chunks.append(softmax(logits))
     return np.concatenate(chunks, axis=0)
 
@@ -497,22 +504,8 @@ def _run_gated_pipeline(
         )
     # Final evaluation on a freshly poisoned stream.
     eval_batch = poison_eval_stream(test_set, cfg.sabotage, cfg.seed)
-    chunks_flags, chunks_pred = [], []
-    for start in range(0, test_set.count, 512):
-        sl = slice(start, start + 512)
-        logits, mid = model.forward(eval_batch.effective_images[sl], fraction)[:2]
-        probs = softmax(logits)
-        scores = _gate_scores(gate, mid)
-        if cfg.force_unit_weights:
-            flags = np.zeros(probs.shape[0], dtype=bool)
-        else:
-            _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
-            if method == HARD:
-                flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
-        chunks_flags.append(flags)
-        chunks_pred.append(probs.argmax(axis=1))
-    flags = np.concatenate(chunks_flags)
-    _finish_report(report, flags, eval_batch, np.concatenate(chunks_pred))
+    flags, preds = _gated_eval(cfg, model, gate, eval_batch.effective_images, fraction, hard_cutoff)
+    _finish_report(report, flags, eval_batch, preds)
     if gate.params.checksum() != gate_checksum:
         raise WorkbenchError("frozen gate parameters changed during main training")
     report.extras.update(
@@ -531,6 +524,26 @@ def _run_gated_pipeline(
         )
     report.wall_clock_s = time.perf_counter() - started
     return report
+
+
+def _gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images, fraction: float,
+                hard_cutoff) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, predictions) of the soft (hard_cutoff None) or hard pipeline
+    on `images`, decided over chunks of 512 rows."""
+    chunks_flags, chunks_pred = [], []
+    for start in range(0, images.shape[0], 512):
+        logits, mid = model.infer(images[start : start + 512], fraction)
+        probs = softmax(logits)
+        scores = _gate_scores(gate, mid)
+        if cfg.force_unit_weights:
+            flags = np.zeros(probs.shape[0], dtype=bool)
+        else:
+            _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
+            if hard_cutoff is not None:
+                flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
+        chunks_flags.append(flags)
+        chunks_pred.append(probs.argmax(axis=1))
+    return np.concatenate(chunks_flags), np.concatenate(chunks_pred)
 
 
 def train_soft(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,

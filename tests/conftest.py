@@ -5,15 +5,23 @@ and contract tests, and session-scoped `med_*` (6000/1000, full-size
 model) for the integration tests that need the detection behavior to
 actually emerge. The synthetic glyph set replaces MNIST everywhere so
 the whole suite runs without a download.
+
+The session fixes glibc's heap thresholds as the CLI does, so the suite's
+training steps run on the same heap as the program's.
 """
 import numpy as np
 import pytest
 
 from sabotagebench.dataset import SabotageConfig, synthetic_mnist_set
+from sabotagebench.heap import keep_heap
 from sabotagebench.models import ModelConfig
 from sabotagebench.training import GateTrainConfig, PipelineConfig, TrainConfig
 
 TINY_MODEL = dict(conv1_channels=4, conv2_channels=8, fc_hidden=32)
+
+
+def pytest_configure(config):
+    keep_heap()
 
 
 @pytest.fixture(scope="session")

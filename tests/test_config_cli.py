@@ -13,6 +13,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sabotagebench import cli
@@ -24,6 +25,7 @@ from sabotagebench.config import (
     parse_override,
 )
 from sabotagebench.errors import ConfigError
+from sabotagebench.heap import keep_heap
 
 
 # --------------------------------------------------------------- overrides
@@ -504,6 +506,52 @@ class TestRerunIsByteIdentical:
             shutil.rmtree(out)
         assert runs[0] == runs[1]
         assert any(name.startswith("quarantine_log_") for name in runs[0])
+
+
+class TestRunMetadata:
+    """metadata.json records the run's resource use and the numpy/BLAS build
+    for every experiment, and the reports stay byte-identical."""
+
+    RESOURCES = {"peak_rss_mb", "minor_faults", "user_s", "sys_s"}
+    ENVIRONMENT = {"numpy", "blas", "blas_version", "blas_config"}
+
+    def test_keys_and_report_bytes(self, baseline_dirs):
+        for out in baseline_dirs:
+            metadata = json.loads((out / "metadata.json").read_text())
+            assert set(metadata["resources"]) == self.RESOURCES
+            assert metadata["resources"]["peak_rss_mb"] > 0
+            assert set(metadata["environment"]) == self.ENVIRONMENT
+            assert metadata["environment"]["numpy"] == np.__version__
+        # config.json echoes each run's own --out
+        first, second = (_artifacts(out) for out in baseline_dirs)
+        assert first.pop("config.json") != second.pop("config.json")
+        assert first == second and len(first) == 2
+
+    def test_every_experiment(self, all_dir):
+        for method in cli.ALL_METHODS:
+            metadata = json.loads((all_dir / method / "metadata.json").read_text())
+            assert set(metadata["resources"]) == self.RESOURCES, method
+            assert set(metadata["environment"]) == self.ENVIRONMENT, method
+
+    def test_parallel_workers_keep_the_heap(self, tmp_path, monkeypatch):
+        made = {}
+
+        class Pool:
+            def __init__(self, **kwargs):
+                made.update(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [{"experiment": job[1]} for job in jobs]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        cli.run_all(parse_config(), tmp_path, offline=True, parallel=True)
+        assert made["initializer"] is keep_heap
 
 
 class TestRunAllLifestar:

@@ -163,6 +163,34 @@ class TestLinear:
         assert grad_check(loss_fn, params) < 1e-4
 
 
+class TestWithoutInputGrad:
+    """input_grad=False returns no dx and the same dw, db bytes."""
+
+    @pytest.mark.parametrize(
+        "n, c, k, size, padding", [(1, 1, 1, 3, 1), (5, 3, 4, 6, 0), (64, 1, 16, 28, 1)]
+    )
+    def test_conv2d(self, rng, n, c, k, size, padding):
+        x = rng.normal(size=(n, c, size, size)).astype(np.float32)
+        w = rng.normal(size=(k, c, 3, 3)).astype(np.float32)
+        y, cache = conv2d(x, w, np.zeros(k, dtype=np.float32), padding)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        _, dw, db = conv2d_backward(dy, cache)
+        dx, dw_only, db_only = conv2d_backward(dy, cache, input_grad=False)
+        assert dx is None
+        assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_linear(self, rng, n):
+        x = rng.normal(size=(n, 300)).astype(np.float32)
+        w = rng.normal(size=(300, 16)).astype(np.float32)
+        y, cache = linear(x, w, np.zeros(16, dtype=np.float32))
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        _, dw, db = linear_backward(dy, cache)
+        dx, dw_only, db_only = linear_backward(dy, cache, input_grad=False)
+        assert dx is None
+        assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
+
+
 class TestSoftmaxCrossEntropy:
     def test_softmax_rows_sum_to_one(self, rng):
         p = softmax(rng.normal(size=(6, 10)).astype(np.float32))
