@@ -15,6 +15,7 @@ the pipelines stay independent whether they run sequentially or (with
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -140,7 +141,9 @@ def run_single(
     started = resource.getrusage(resource.RUSAGE_SELF)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reporting.echo_config(out_dir, {**cfg.data, "experiment": experiment})
+    resolved = {**cfg.data, "experiment": experiment}
+    reporting.echo_config(out_dir, resolved)
+    config_sha256 = reporting.config_digest(resolved)
     summary: dict = {"experiment": experiment, "out_dir": str(out_dir)}
 
     if experiment == "mirror-text":
@@ -152,7 +155,10 @@ def run_single(
         )
         reporting.write_mirror_text_report(out_dir, report)
         _write_metadata(
-            out_dir, started, {"wall_clock_s": report.wall_clock_s, **report.metadata}
+            out_dir,
+            started,
+            config_sha256,
+            {"wall_clock_s": report.wall_clock_s, **report.metadata},
         )
         summary["recognition"] = {
             row["system"]: row["score_percent"] for row in report.recognition
@@ -165,7 +171,7 @@ def run_single(
             cfg.mirror_cnn_config(), cfg.model_config(), cfg.seed, train_set, test_set
         )
         reporting.write_mirror_cnn_report(out_dir, report, cfg.seed)
-        _write_metadata(out_dir, started, {"wall_clock_s": report.wall_clock_s})
+        _write_metadata(out_dir, started, config_sha256, {"wall_clock_s": report.wall_clock_s})
         summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
         summary["semiself_accuracy"] = report.semiself_accuracy
         return summary
@@ -176,7 +182,10 @@ def run_single(
         )
         reporting.write_sweep_artifacts(out_dir, cfg.seed, result)
         _write_metadata(
-            out_dir, started, {"wall_clock_s": sum(r.wall_clock_s for r in result["reports"])}
+            out_dir,
+            started,
+            config_sha256,
+            {"wall_clock_s": sum(r.wall_clock_s for r in result["reports"])},
         )
         summary["rows"] = result["rows"]
         return summary
@@ -198,7 +207,10 @@ def run_single(
 
     reporting.write_run_report(out_dir, report)
     _write_metadata(
-        out_dir, started, {"wall_clock_s": report.wall_clock_s, "latencies_s": report.latencies}
+        out_dir,
+        started,
+        config_sha256,
+        {"wall_clock_s": report.wall_clock_s, "latencies_s": report.latencies},
     )
     summary["rejection_rate"] = report.rejection_rate
     summary["accuracy_on_accepted"] = report.accuracy_on_accepted
@@ -209,10 +221,13 @@ def run_single(
     return summary
 
 
-def _write_metadata(out_dir: Path, started: resource.struct_rusage, payload: dict) -> None:
+def _write_metadata(
+    out_dir: Path, started: resource.struct_rusage, config_sha256: str, payload: dict
+) -> None:
     """metadata.json: `payload`, this process's resource use since `started`
-    (faults and CPU seconds; peak RSS is the process's high-water mark) and
-    the numpy/BLAS build."""
+    (faults and CPU seconds; peak RSS is the process's high-water mark), the
+    numpy/BLAS build with the BLAS thread settings as found in the
+    environment (None when unset), and the resolved config's digest."""
     now = resource.getrusage(resource.RUSAGE_SELF)
     rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes vs KiB
     try:
@@ -234,7 +249,12 @@ def _write_metadata(out_dir: Path, started: resource.struct_rusage, payload: dic
                 "blas": blas.get("name"),
                 "blas_version": blas.get("version"),
                 "blas_config": blas.get("openblas configuration"),
+                "blas_threads": {
+                    name: os.environ.get(name)
+                    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                },
             },
+            "config_sha256": config_sha256,
         },
     )
 

@@ -67,8 +67,14 @@ class PairSet:
     def features(self, rows=slice(None)) -> np.ndarray:
         """Classifier input of the pairs `rows` (an index array or a slice;
         all by default): left and right embeddings side by side, [rows, 2*dim].
-        The trainers build it batch by batch, never for the whole set."""
-        return np.concatenate([self.left[rows], self.right[rows]], axis=1)
+        The trainers build it batch by batch, never for the whole set. Each
+        half is gathered straight into its side of the result."""
+        rows = np.arange(self.count)[rows]  # bounds-checked, non-negative
+        dim = self.left.shape[1]
+        out = np.empty((rows.size, 2 * dim), dtype=np.result_type(self.left, self.right))
+        np.take(self.left, rows, axis=0, out=out[:, :dim], mode="clip")
+        np.take(self.right, rows, axis=0, out=out[:, dim:], mode="clip")
+        return out
 
     @staticmethod
     def merge(*sets: "PairSet") -> "PairSet":
@@ -111,14 +117,7 @@ def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
     return net, error
 
 
-def build_pairs(emb_a: np.ndarray, emb_b: np.ndarray, mode: str,
-                rng: np.random.Generator, count: int) -> PairSet:
-    """Draw `count` pairs of the given mode from the two embedding tables.
-
-    Indices are drawn with replacement; cross and semi-self draw the B-side
-    index independently of the A-side one."""
-    if mode not in _TARGETS:
-        raise ValidationError(f"unknown pair mode {mode!r}")
+def _check_tables(emb_a: np.ndarray, emb_b: np.ndarray) -> None:
     if emb_a.ndim != 2 or emb_b.ndim != 2:
         raise ShapeError("embedding tables must be [count, dim]")
     if emb_a.shape[1] != emb_b.shape[1]:
@@ -127,21 +126,69 @@ def build_pairs(emb_a: np.ndarray, emb_b: np.ndarray, mode: str,
         )
     if emb_a.shape[0] == 0 or emb_b.shape[0] == 0:
         raise ValidationError("embedding tables must be nonempty")
+
+
+def build_pairs(emb_a: np.ndarray, emb_b: np.ndarray, mode: str,
+                rng: np.random.Generator, count: int, out=None) -> PairSet:
+    """Draw `count` pairs of the given mode from the two embedding tables.
+
+    Indices are drawn with replacement; cross and semi-self draw the B-side
+    index independently of the A-side one. `out`, a (left, right) pair of
+    [count, dim] arrays of the tables' dtype, receives the rows in place of
+    new tables."""
+    if mode not in _TARGETS:
+        raise ValidationError(f"unknown pair mode {mode!r}")
+    _check_tables(emb_a, emb_b)
     if count < 1:
         raise ValidationError(f"pair count must be >= 1, got {count}")
+    dim = emb_a.shape[1]
+    if out is None:
+        # cross pairs copy B rows; self and semi-self pairs start from A rows
+        right_dtype = emb_b.dtype if mode == MODE_CROSS else emb_a.dtype
+        out = (np.empty((count, dim), dtype=emb_a.dtype),
+               np.empty((count, dim), dtype=right_dtype))
+    left, right = out
+    # drawn indices are in range, so "clip" only skips take's buffering
     i = rng.integers(0, emb_a.shape[0], size=count)
-    left = emb_a[i]
+    np.take(emb_a, i, axis=0, out=left, mode="clip")
     if mode == MODE_SELF:
-        right = left.copy()
+        right[...] = left
     elif mode == MODE_CROSS:
         j = rng.integers(0, emb_b.shape[0], size=count)
-        right = emb_b[j]
+        np.take(emb_b, j, axis=0, out=right, mode="clip")
     else:
         j = rng.integers(0, emb_b.shape[0], size=count)
-        half = emb_a.shape[1] // 2
-        right = left.copy()
-        right[:, half:] = emb_b[j][:, half:]
+        half = dim // 2
+        right[:, :half] = left[:, :half]
+        right[:, half:] = emb_b[j, half:]
     return PairSet(left, right, np.array([mode] * count))
+
+
+def build_pair_set(emb_a: np.ndarray, emb_b: np.ndarray, counts: dict,
+                   rng: np.random.Generator) -> PairSet:
+    """Pairs of several modes, `counts[mode]` of each, in the dict's order.
+
+    The same draws and rows as `PairSet.merge` of one `build_pairs` per
+    mode, but `build_pairs` fills one table per side, mode by mode, so no
+    per-mode tables and merged copy are alive together. Both embedding
+    tables must share one dtype."""
+    _check_tables(emb_a, emb_b)
+    if emb_a.dtype != emb_b.dtype:
+        raise ValidationError(
+            f"embedding tables must share one dtype, got {emb_a.dtype} and {emb_b.dtype}"
+        )
+    if min(counts.values(), default=0) < 1:
+        raise ValidationError(f"every pair count must be >= 1, got {counts}")
+    total, dim = sum(counts.values()), emb_a.shape[1]
+    left = np.empty((total, dim), dtype=emb_a.dtype)
+    right = np.empty((total, dim), dtype=emb_a.dtype)
+    modes, start = [], 0
+    for mode, count in counts.items():
+        rows = slice(start, start + count)
+        part = build_pairs(emb_a, emb_b, mode, rng, count, out=(left[rows], right[rows]))
+        modes.append(part.modes)
+        start += count
+    return PairSet(left, right, np.concatenate(modes))
 
 
 def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
@@ -189,7 +236,9 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
     if boundary_fraction is not None:
         chunks = []
         for start in range(0, pairs.count, 512):
-            _, logits, _ = gate.forward(pairs.features(slice(start, start + 512)), train=False)
+            # index, not unpack: a cache bound to a name would hold this
+            # chunk's features (25.7 MB at 512 stock pairs) through the next
+            logits = gate.forward(pairs.features(slice(start, start + 512)), train=False)[1]
             chunks.append(logits)
         logits = np.concatenate(chunks)
         self_mean = logits[targets == 1.0].mean()
@@ -203,8 +252,7 @@ def eval_pairs(gate: MlpBinary, pairs: PairSet, batch_size: int = 256) -> dict:
     """Accuracy per mode (score >= 0.5 reads as self) plus overall."""
     scores = []
     for start in range(0, pairs.count, batch_size):
-        s, _, _ = gate.forward(pairs.features(slice(start, start + batch_size)), train=False)
-        scores.append(s)
+        scores.append(gate.forward(pairs.features(slice(start, start + batch_size)))[0])
     called_self = np.concatenate(scores) >= 0.5
     correct = called_self == (pairs.targets() == 1.0)
     out = {"overall": float(correct.mean())}
@@ -295,12 +343,10 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
         )
     train_pool, eval_pool = perm[:cut], perm[cut:]
 
-    pair_rng = stream(seed, "mirror/pairs")
-    train_pairs = PairSet.merge(
-        build_pairs(emb_a[train_pool], emb_b[train_pool], MODE_SELF, pair_rng,
-                    cfg.train_pairs_per_mode),
-        build_pairs(emb_a[train_pool], emb_b[train_pool], MODE_CROSS, pair_rng,
-                    cfg.train_pairs_per_mode),
+    train_pairs = build_pair_set(
+        emb_a[train_pool], emb_b[train_pool],
+        {MODE_SELF: cfg.train_pairs_per_mode, MODE_CROSS: cfg.train_pairs_per_mode},
+        stream(seed, "mirror/pairs"),
     )
     gate = train_pair_gate(train_pairs, seed, cfg.gate_hidden, cfg.gate_epochs,
                            cfg.batch_size, cfg.gate_learning_rate,
@@ -308,15 +354,15 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     # the training pairs (100 MB at 2048 pairs) are not kept through evaluation
     train_counts = train_pairs.counts
     del train_pairs
-    eval_rng = stream(seed, "mirror/pairs/eval")
-    eval_self = build_pairs(emb_a[eval_pool], emb_b[eval_pool], MODE_SELF, eval_rng,
-                            cfg.eval_pairs_per_mode)
-    eval_cross = build_pairs(emb_a[eval_pool], emb_b[eval_pool], MODE_CROSS, eval_rng,
-                             cfg.eval_pairs_per_mode)
-    eval_semi = build_pairs(emb_a[eval_pool], emb_b[eval_pool], MODE_SEMISELF, eval_rng,
-                            cfg.eval_pairs_per_mode)
-    acc = eval_pairs(gate, PairSet.merge(eval_self, eval_cross, eval_semi))
-    base = eval_pairs(gate, PairSet.merge(eval_self, eval_cross))
+    eval_counts = {MODE_SELF: cfg.eval_pairs_per_mode, MODE_CROSS: cfg.eval_pairs_per_mode,
+                   MODE_SEMISELF: cfg.eval_pairs_per_mode}
+    eval_set = build_pair_set(emb_a[eval_pool], emb_b[eval_pool], eval_counts,
+                              stream(seed, "mirror/pairs/eval"))
+    acc = eval_pairs(gate, eval_set)
+    # self and cross come first: the self-vs-cross set is a view of them
+    base_rows = slice(0, 2 * cfg.eval_pairs_per_mode)
+    base = eval_pairs(gate, PairSet(eval_set.left[base_rows], eval_set.right[base_rows],
+                                    eval_set.modes[base_rows]))
 
     report = MirrorCnnReport(seed=seed)
     report.test_error_a = err_a
@@ -326,11 +372,7 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     report.self_vs_cross_accuracy = base["overall"]
     report.semiself_accuracy = acc[MODE_SEMISELF]
     report.train_counts = train_counts
-    report.eval_counts = {
-        MODE_SELF: eval_self.count,
-        MODE_CROSS: eval_cross.count,
-        MODE_SEMISELF: eval_semi.count,
-    }
+    report.eval_counts = eval_counts
     report.extras = {
         "net_a_checksum": net_a.params.checksum(),
         "net_b_checksum": net_b.params.checksum(),

@@ -6,6 +6,12 @@ caller's estimated sabotage fraction exceeds the configured trigger; both
 paths produce identically shaped activations. The mid-layer tap (gate input
 and mirror-test embedding) is the post-pool activation tensor.
 
+Inside the trunk the activations are channels-last ([N,H,W,C], see
+nncore.ops); the input images [N,1,H,W] are viewed that way, and the pooled
+output is transposed once, so the midlayer stays [N,C,H/2,W/2]. fc1's row
+order, the gate's input and the mirror embeddings all read the midlayer in
+that order.
+
 The integrated rejection variant is the same backbone with an (n+1)-way head;
 class n is the rejection class.
 
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ShapeError, ValidationError
 from .heap import MMAP_THRESHOLD
 from .nncore import (
     ParamSet,
@@ -181,8 +187,11 @@ class SimpleCNN:
 
     def _trunk(self, x: np.ndarray, small_path: bool):
         """conv1 -> ReLU -> conv2/bypass -> ReLU -> pool; returns
-        (mid, h1, h2, trunk cache)."""
+        (mid [N,C,H/2,W/2], h1, h2 [N,H,W,C], trunk cache)."""
+        if x.ndim != 4:
+            raise ShapeError(f"images must be [N,C,H,W], got shape {tuple(x.shape)}")
         p = self.params
+        x = x.transpose(0, 2, 3, 1)
         h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, self.cfg.padding)
         a1, m_relu1 = relu(h1)
         if small_path:
@@ -190,7 +199,8 @@ class SimpleCNN:
         else:
             h2, c_conv2 = conv2d(a1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
         a2, m_relu2 = relu(h2)
-        mid, idx_pool = maxpool2x2(a2)
+        pooled, idx_pool = maxpool2x2(a2)
+        mid = np.ascontiguousarray(pooled.transpose(0, 3, 1, 2))
         cache = {
             "small_path": small_path,
             "conv1": c_conv1,
@@ -251,7 +261,7 @@ class SimpleCNN:
         dflat, dw, db = linear_backward(df1, cache["fc1"])
         p["fc1_w"].grad += dw
         p["fc1_b"].grad += db
-        dmid = dflat.reshape(cache["mid_shape"])
+        dmid = dflat.reshape(cache["mid_shape"]).transpose(0, 2, 3, 1)
         da2 = maxpool2x2_backward(dmid, cache["pool_idx"])
         dh2 = relu_backward(da2, cache["relu2"])
         da1, dw, db = conv2d_backward(dh2, cache["conv2"])

@@ -1,21 +1,25 @@
 """Forward and backward passes for every layer in the workbench.
 
 Conventions:
-  - images are [N, C, H, W]; dense activations are [N, D]
+  - image activations are channels-last, [N, H, W, C]; conv kernels stay
+    [K, C, kh, kw]; dense activations are [N, D]
   - forward functions return (output, cache); the matching *_backward takes
     (grad_out, cache) and returns gradients in argument order
   - float dtype follows the inputs (float32 in training, float64 in grad
     checks); loss scalars accumulate in float64
 
 conv2d is im2col plus one GEMM. `cols` is [N*Ho*Wo, C*kh*kw] with columns
-in (c, kh, kw) order; it is filled by one copy per kernel tap from a
-channels-last (NHWC) padded input, and conv2d_backward adds dcols back tap
-by tap, in (kh, kw) order, into a channels-last buffer. Every GEMM keeps the
-same operands, layouts and transpose flags, and every sum the same order, as
-the plain NCHW im2col version, so results are bit-identical to it. The
-K-major layout ([C*kh*kw, N*Ho*Wo], `wmat @ cols`) is cheaper to fill but
-swaps or transposes the GEMM operands; on small shapes NumPy and OpenBLAS
-then pick other kernels (GEMV, small-matrix GEMM) that round differently.
+in (c, kh, kw) order; it is filled by one copy per kernel tap from the
+channels-last (padded) input, and conv2d_backward adds dcols back tap by
+tap, in (kh, kw) order, into a channels-last buffer. The GEMM output rows
+are (n, ho, wo) and its columns k, so `y` is channels-last as it comes out
+of the GEMM and `dy` goes into the GEMMs as it is: a channels-last trunk
+copies nothing between layers. Every GEMM keeps the same operands, layouts
+and transpose flags, and every sum the same order, as the plain NCHW
+im2col version, so results are bit-identical to it. The K-major layout
+([C*kh*kw, N*Ho*Wo], `wmat @ cols`) is cheaper to fill but swaps or
+transposes the GEMM operands; on small shapes NumPy and OpenBLAS then pick
+other kernels (GEMV, small-matrix GEMM) that round differently.
 
 maxpool2x2 takes np.maximum over the four strided quarters of each 2x2
 window. The index is the first maximum in (0,0), (0,1), (1,0), (1,1) order,
@@ -24,6 +28,14 @@ gradient to the earliest position; the pooled value of a tie is the last
 tied element, which only shows in the sign of a zero. A NaN input yields a
 NaN output but an unspecified index; SimpleCNN.forward raises on any
 non-finite activation before a backward could use it.
+
+Pooling is branch-free. A masked copy (`np.copyto(..., where=mask)`)
+branches on every element of a random mask and mispredicts about half the
+time; arithmetic on the mask does not branch. The forward keeps the index
+as the running np.maximum of q * (quarter q > running max): q grows, so the
+last strictly greater quarter wins, which is the first maximum. The
+backward ANDs the bits of dy with -(idx == q), all ones or all zeros, which
+gives exactly dy or +0.0, as np.where(idx == q, dy, 0) does.
 """
 
 import numpy as np
@@ -33,7 +45,7 @@ from ..errors import ShapeError, ValidationError
 
 def _check_image_batch(name: str, x: np.ndarray) -> None:
     if x.ndim != 4:
-        raise ShapeError(f"{name} must be [N,C,H,W], got shape {tuple(x.shape)}")
+        raise ShapeError(f"{name} must be [N,H,W,C], got shape {tuple(x.shape)}")
 
 
 # ---------------------------------------------------------------- conv2d
@@ -50,13 +62,13 @@ def _image_blocks(n: int, image_bytes: int) -> list[slice]:
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
     """Stride-1 2-D convolution (cross-correlation) with symmetric padding.
 
-    x: [N,C,H,W], w: [K,C,kh,kw], b: [K] -> y: [N,K,H',W'] where
+    x: [N,H,W,C], w: [K,C,kh,kw], b: [K] -> y: [N,H',W',K] where
     H' = H + 2*padding - kh + 1.
     """
     _check_image_batch("conv2d input", x)
     if w.ndim != 4:
         raise ShapeError(f"conv2d kernel must be [K,C,kh,kw], got shape {tuple(w.shape)}")
-    n, c, h, wd = x.shape
+    n, h, wd, c = x.shape
     k, cw, kh, kw = w.shape
     if cw != c:
         raise ShapeError(f"conv2d channel mismatch: input C={c}, kernel C={cw}")
@@ -69,9 +81,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
         )
     ho, wo = hp - kh + 1, wp - kw + 1
     # cols: [N,Ho,Wo,C,kh,kw] -> [N*Ho*Wo, C*kh*kw], one copy per kernel tap
-    # from a channels-last padded input, a cache-sized block of images at a time
-    xh = np.zeros((n, hp, wp, c), dtype=x.dtype)
-    xh[:, padding : padding + h, padding : padding + wd] = x.transpose(0, 2, 3, 1)
+    # from the padded input, a cache-sized block of images at a time
+    if padding:
+        xh = np.zeros((n, hp, wp, c), dtype=x.dtype)
+        xh[:, padding : padding + h, padding : padding + wd] = x
+    else:
+        xh = x
     cols = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
     for blk in _image_blocks(n, cols[:1].nbytes):
         dst, src = cols[blk], xh[blk]
@@ -81,29 +96,30 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
     cols = cols.reshape(n * ho * wo, c * kh * kw)
     wmat = w.reshape(k, c * kh * kw)
     y = cols @ wmat.T + b
-    y = y.reshape(n, ho, wo, k).transpose(0, 3, 1, 2)
     cache = (cols, wmat, w.shape, x.shape, padding)
-    return np.ascontiguousarray(y), cache
+    return y.reshape(n, ho, wo, k), cache
 
 
 def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
     """Gradients of conv2d: returns (dx, dw, db).
 
-    With input_grad False, dx is None and its GEMM and scatter are skipped;
-    dw and db are the same bytes either way.
+    dy and dx are channels-last like conv2d's output and input; with padding,
+    dx is a view into the padded gradient buffer. With input_grad False, dx
+    is None and its GEMM and scatter are skipped; dw and db are the same
+    bytes either way.
     """
     cols, wmat, wshape, xshape, padding = cache
     k, c, kh, kw = wshape
-    n, _, h, wd = xshape
+    n, h, wd, _ = xshape
     hp, wp = h + 2 * padding, wd + 2 * padding
     ho, wo = hp - kh + 1, wp - kw + 1
-    dy2 = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, k)
+    dy2 = dy.reshape(n * ho * wo, k)
     db = dy2.sum(axis=0, dtype=dy.dtype)
     dw = (dy2.T @ cols).reshape(wshape)
     if not input_grad:
         return None, dw, db
-    # dcols: [N,Ho,Wo,C,kh,kw]; each tap adds into a channels-last padded
-    # input, a cache-sized block of images at a time
+    # dcols: [N,Ho,Wo,C,kh,kw]; each tap adds into the padded input gradient,
+    # a cache-sized block of images at a time
     dcols = (dy2 @ wmat).reshape(n, ho, wo, c, kh, kw)
     dxh = np.zeros((n, hp, wp, c), dtype=dy.dtype)
     for blk in _image_blocks(n, dcols[:1].nbytes):
@@ -111,8 +127,7 @@ def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
         for i in range(kh):
             for j in range(kw):
                 dst[:, i : i + ho, j : j + wo] += src[..., i, j]
-    dx = dxh[:, padding : padding + h, padding : padding + wd].transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(dx), dw, db
+    return dxh[:, padding : padding + h, padding : padding + wd], dw, db
 
 
 def conv2d_cache_rows(cache, rows):
@@ -139,29 +154,39 @@ _QUARTERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def maxpool2x2(x: np.ndarray):
-    """Non-overlapping 2x2 max pooling; returns (y, argmax indices 0..3).
+    """Non-overlapping 2x2 max pooling of [N,H,W,C]; returns (y, argmax
+    indices 0..3), both [N,H/2,W/2,C].
 
     The index is the first maximum in row-major window order.
     """
     _check_image_batch("maxpool2x2 input", x)
-    _, _, h, w = x.shape
+    _, h, w, _ = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even H and W, got {h}x{w}")
-    quarters = [x[:, :, di::2, dj::2] for di, dj in _QUARTERS]
+    quarters = [x[:, di::2, dj::2] for di, dj in _QUARTERS]
     y = quarters[0].copy()
     idx = np.zeros(y.shape, dtype=np.int8)
+    greater = np.empty(y.shape, dtype=np.int8)
     for q in range(1, 4):
-        np.copyto(idx, np.int8(q), where=quarters[q] > y)
+        np.greater(quarters[q], y, out=greater.view(np.bool_))
+        if q > 1:
+            np.multiply(greater, np.int8(q), out=greater)
+        np.maximum(idx, greater, out=idx)
         np.maximum(y, quarters[q], out=y)
     return y, idx
 
 
 def maxpool2x2_backward(dy: np.ndarray, idx: np.ndarray):
     """Route each pooled gradient to its window's argmax position."""
-    n, c, ho, wo = dy.shape
-    dx = np.empty((n, c, ho * 2, wo * 2), dtype=dy.dtype)
+    n, ho, wo, c = dy.shape
+    dx = np.empty((n, ho * 2, wo * 2, c), dtype=dy.dtype)
+    bits = np.dtype(f"i{dy.itemsize}")
+    hit = np.empty(dy.shape, dtype=np.bool_)
+    mask = np.empty(dy.shape, dtype=bits)
     for q, (di, dj) in enumerate(_QUARTERS):
-        dx[:, :, di::2, dj::2] = np.where(idx == q, dy, 0)
+        np.equal(idx, q, out=hit)
+        np.negative(hit.view(np.int8), out=mask, casting="unsafe")
+        np.bitwise_and(dy.view(bits), mask, out=dx[:, di::2, dj::2].view(bits))
     return dx
 
 

@@ -9,6 +9,7 @@ separate metadata file that is excluded from that guarantee.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -54,6 +55,13 @@ def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> Pa
 
 def echo_config(out_dir: Path, resolved: Mapping) -> Path:
     return write_json(Path(out_dir) / "config.json", dict(resolved))
+
+
+def config_digest(resolved: Mapping) -> str:
+    """sha256 of the canonical JSON of a resolved config without its out_dir,
+    so runs of one config hash alike wherever they write."""
+    body = {key: value for key, value in resolved.items() if key != "out_dir"}
+    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
 def write_metadata(out_dir: Path, payload: dict) -> Path:

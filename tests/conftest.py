@@ -82,3 +82,13 @@ def med_gate_asset(med_train):
 @pytest.fixture
 def rng():
     return np.random.default_rng(99)
+
+
+def nhwc(a):
+    """An NCHW array viewed channels-last, as the engine's image ops take it."""
+    return a.transpose(0, 2, 3, 1)
+
+
+def nchw(a):
+    """A channels-last array viewed NCHW, as the oracle ops take it."""
+    return a.transpose(0, 3, 1, 2)

@@ -9,14 +9,16 @@ sizes so the whole file stays fast.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sabotagebench import cli
+from sabotagebench import cli, reporting
 from sabotagebench.config import (
     DEFAULTS,
     EXPERIMENTS,
@@ -509,29 +511,58 @@ class TestRerunIsByteIdentical:
 
 
 class TestRunMetadata:
-    """metadata.json records the run's resource use and the numpy/BLAS build
-    for every experiment, and the reports stay byte-identical."""
+    """metadata.json records the run's resource use, the numpy/BLAS build and
+    thread settings and the config digest for every experiment, and the
+    reports stay byte-identical."""
 
     RESOURCES = {"peak_rss_mb", "minor_faults", "user_s", "sys_s"}
-    ENVIRONMENT = {"numpy", "blas", "blas_version", "blas_config"}
+    ENVIRONMENT = {"numpy", "blas", "blas_version", "blas_config", "blas_threads"}
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
     def test_keys_and_report_bytes(self, baseline_dirs):
+        digests = []
         for out in baseline_dirs:
             metadata = json.loads((out / "metadata.json").read_text())
             assert set(metadata["resources"]) == self.RESOURCES
             assert metadata["resources"]["peak_rss_mb"] > 0
             assert set(metadata["environment"]) == self.ENVIRONMENT
             assert metadata["environment"]["numpy"] == np.__version__
-        # config.json echoes each run's own --out
+            assert metadata["environment"]["blas_threads"] == {
+                name: os.environ.get(name) for name in self.THREAD_VARS
+            }
+            digests.append(metadata["config_sha256"])
+        # config.json echoes each run's own --out; the digest leaves it out
         first, second = (_artifacts(out) for out in baseline_dirs)
         assert first.pop("config.json") != second.pop("config.json")
         assert first == second and len(first) == 2
+        assert digests[0] == digests[1] and len(digests[0]) == 64
+
+    def test_config_digest_follows_the_config(self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        found = []
+        for lr in ("0.1", "0.2"):
+            out = tmp_path / lr
+            args = ["run", "baseline", "--config", str(tiny_config), "--out", str(out)]
+            assert run_cli(args + ["--set", f"train.learning_rate={lr}"]) == 0
+            metadata = json.loads((out / "metadata.json").read_text())
+            config = json.loads((out / "config.json").read_text())
+            del config["out_dir"]
+            expected = hashlib.sha256(reporting.canonical_json(config).encode("utf-8"))
+            assert metadata["config_sha256"] == expected.hexdigest()
+            assert metadata["environment"]["blas_threads"] == {
+                "OPENBLAS_NUM_THREADS": "1",
+                "OMP_NUM_THREADS": None,
+            }
+            found.append(metadata["config_sha256"])
+        assert found[0] != found[1]
 
     def test_every_experiment(self, all_dir):
         for method in cli.ALL_METHODS:
             metadata = json.loads((all_dir / method / "metadata.json").read_text())
             assert set(metadata["resources"]) == self.RESOURCES, method
             assert set(metadata["environment"]) == self.ENVIRONMENT, method
+            assert len(metadata["config_sha256"]) == 64, method
 
     def test_parallel_workers_keep_the_heap(self, tmp_path, monkeypatch):
         made = {}

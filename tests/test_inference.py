@@ -121,6 +121,19 @@ def test_pair_feature_rows_equal_the_full_table(rng):
         assert pairs.features(rows).tobytes() == full[rows].tobytes()
 
 
+def test_pair_features_gather_like_concatenate(rng):
+    # each half is gathered straight into its side of one buffer; negative
+    # and out-of-range rows behave as in plain indexing
+    pairs = _pairs(rng, 10)
+    for rows in (np.array([4, -1, 0, 4]), slice(None), slice(25, 5, -3), np.array([], int)):
+        expected = np.concatenate([pairs.left[rows], pairs.right[rows]], axis=1)
+        got = pairs.features(rows)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    with pytest.raises(IndexError):
+        pairs.features(np.array([pairs.count]))
+
+
 @pytest.mark.parametrize("boundary_fraction", [None, 1 / 3])
 @pytest.mark.parametrize("per_mode", [1, 33, 300])
 def test_pair_gate_matches_oracle(per_mode, boundary_fraction):

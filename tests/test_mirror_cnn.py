@@ -15,6 +15,7 @@ from sabotagebench.mirror_cnn import (
     MirrorCnnConfig,
     MirrorCnnReport,
     PairSet,
+    build_pair_set,
     build_pairs,
     eval_pairs,
     run_mirror_experiment,
@@ -115,6 +116,47 @@ class TestBuildPairs:
             build_pairs(emb_a[:0], emb_b, MODE_CROSS, rng, 5)
         with pytest.raises(ValidationError, match="count"):
             build_pairs(emb_a, emb_b, MODE_CROSS, rng, 0)
+
+
+class TestBuildPairSet:
+    """One table per side, filled mode by mode: the same draws and row bytes
+    as merging one build_pairs set per mode."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {MODE_SELF: 6, MODE_CROSS: 6},
+            {MODE_SELF: 3, MODE_CROSS: 5, MODE_SEMISELF: 4},
+            {MODE_SEMISELF: 2, MODE_SELF: 1},
+            {MODE_CROSS: 9},
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_merge_of_build_pairs(self, rng, counts, dtype):
+        emb_a, emb_b = (table.astype(dtype) for table in toy_tables(rng, dim=9))
+        pair_rng = np.random.default_rng(3)
+        merged = PairSet.merge(
+            *(build_pairs(emb_a, emb_b, m, pair_rng, n) for m, n in counts.items())
+        )
+        filled = build_pair_set(emb_a, emb_b, counts, np.random.default_rng(3))
+        for name in ("left", "right"):
+            new, old = getattr(filled, name), getattr(merged, name)
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), name
+        assert filled.modes.dtype == merged.modes.dtype
+        assert list(filled.modes) == list(merged.modes)
+
+    def test_validation(self, rng):
+        emb_a, emb_b = toy_tables(rng)
+        with pytest.raises(ValidationError, match="count"):
+            build_pair_set(emb_a, emb_b, {MODE_SELF: 2, MODE_CROSS: 0}, rng)
+        with pytest.raises(ValidationError, match="count"):
+            build_pair_set(emb_a, emb_b, {}, rng)
+        with pytest.raises(ValidationError, match="unknown pair mode"):
+            build_pair_set(emb_a, emb_b, {"twin": 2}, rng)
+        with pytest.raises(ShapeError, match="dims differ"):
+            build_pair_set(emb_a, emb_b[:, :4], {MODE_SELF: 2}, rng)
+        with pytest.raises(ValidationError, match="dtype"):
+            build_pair_set(emb_a, emb_b.astype(np.float32), {MODE_SELF: 2}, rng)
 
 
 class TestPairGate:

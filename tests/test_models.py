@@ -20,6 +20,8 @@ from sabotagebench.nncore.gradcheck import grad_check
 from sabotagebench.nncore.ops import weighted_softmax_ce, weighted_softmax_ce_backward
 from sabotagebench.training import _fit_step, _train_step
 
+from conftest import nchw, nhwc
+
 TINY = dict(conv1_channels=2, conv2_channels=3, fc_hidden=8, image_size=8)
 
 
@@ -126,7 +128,9 @@ class TestSimpleCNN:
 
 class TestEngineMatchesOracle:
     """One training step with the engine's conv/pool ops and one with the
-    pre-rewrite oracle ops must leave bit-identical parameters."""
+    pre-rewrite oracle ops must leave bit-identical parameters. The oracle
+    ops are NCHW; they are wrapped with transposes at the call boundary to
+    take and return the engine's channels-last arrays."""
 
     @staticmethod
     def _stepped_checksum(images, labels, fraction):
@@ -141,15 +145,36 @@ class TestEngineMatchesOracle:
         images = rng.random((24, 1, 28, 28)).astype(np.float32)
         labels = rng.integers(0, 10, size=24)
         engine = self._stepped_checksum(images, labels, fraction)
-        for name in ("conv2d", "maxpool2x2", "maxpool2x2_backward"):
-            monkeypatch.setattr(models, name, getattr(oracle_ops, name))
-        # the oracle always computes dx; models skips conv1's, which it discards
-        monkeypatch.setattr(
-            models,
-            "conv2d_backward",
-            lambda dy, cache, input_grad=True: oracle_ops.conv2d_backward(dy, cache),
-        )
+        for name, op in _channels_last_oracle().items():
+            monkeypatch.setattr(models, name, op)
         assert self._stepped_checksum(images, labels, fraction) == engine
+
+
+def _channels_last_oracle():
+    """The NCHW oracle ops behind the engine's channels-last call convention."""
+
+    def conv2d(x, w, b, padding=0):
+        y, cache = oracle_ops.conv2d(nchw(x), w, b, padding)
+        return nhwc(y), cache
+
+    def conv2d_backward(dy, cache, input_grad=True):
+        # the oracle always computes dx; models skips conv1's, which it discards
+        dx, dw, db = oracle_ops.conv2d_backward(nchw(dy), cache)
+        return nhwc(dx), dw, db
+
+    def maxpool2x2(x):
+        y, idx = oracle_ops.maxpool2x2(nchw(x))
+        return nhwc(y), nhwc(idx)
+
+    def maxpool2x2_backward(dy, idx):
+        return nhwc(oracle_ops.maxpool2x2_backward(nchw(dy), nchw(idx)))
+
+    return {
+        "conv2d": conv2d,
+        "conv2d_backward": conv2d_backward,
+        "maxpool2x2": maxpool2x2,
+        "maxpool2x2_backward": maxpool2x2_backward,
+    }
 
 
 def _stock_batch(seed, n):

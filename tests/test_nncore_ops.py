@@ -1,4 +1,8 @@
-"""Forward oracles and finite-difference gradient checks for the NN ops."""
+"""Forward oracles and finite-difference gradient checks for the NN ops.
+
+conv2d and maxpool2x2 take channels-last ([N,H,W,C]) activations; the
+tests draw NCHW data and transpose only at the call boundary.
+"""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +30,8 @@ from sabotagebench.nncore.ops import (
 from sabotagebench.nncore.optim import sgd_step
 from sabotagebench.nncore.tensor import ParamSet, fan_in_uniform
 
+from conftest import nchw, nhwc
+
 
 def conv2d_oracle(x, w, b, padding):
     """Direct nested-loop convolution; the trusted reference."""
@@ -49,31 +55,31 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
-        y, _ = conv2d(x, w, b, padding=1)
-        assert y.shape == (2, 4, 6, 6)
-        np.testing.assert_allclose(y, conv2d_oracle(x, w, b, 1), rtol=1e-4, atol=1e-5)
+        y, _ = conv2d(nhwc(x), w, b, padding=1)
+        assert y.shape == (2, 6, 6, 4)
+        np.testing.assert_allclose(nchw(y), conv2d_oracle(x, w, b, 1), rtol=1e-4, atol=1e-5)
 
     def test_no_padding_shrinks_output(self, rng):
         x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
         w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
         b = np.zeros(3, dtype=np.float32)
-        y, _ = conv2d(x, w, b, padding=0)
+        y, _ = conv2d(nhwc(x), w, b, padding=0)
         assert y.shape == (1, 3, 3, 3)
-        np.testing.assert_allclose(y, conv2d_oracle(x, w, b, 0), rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(nchw(y), conv2d_oracle(x, w, b, 0), rtol=1e-4, atol=1e-5)
 
     def test_1x1_kernel_is_channel_mixing(self, rng):
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         w = rng.normal(size=(5, 3, 1, 1)).astype(np.float32)
         b = rng.normal(size=5).astype(np.float32)
-        y, _ = conv2d(x, w, b, padding=0)
+        y, _ = conv2d(nhwc(x), w, b, padding=0)
         expected = np.einsum("nchw,oc->nohw", x, w[:, :, 0, 0]) + b[None, :, None, None]
-        np.testing.assert_allclose(y, expected, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(nchw(y), expected, rtol=1e-4, atol=1e-5)
 
     def test_channel_mismatch_rejected(self, rng):
         x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
         w = rng.normal(size=(3, 5, 3, 3)).astype(np.float32)
         with pytest.raises(ShapeError):
-            conv2d(x, w, np.zeros(3, dtype=np.float32), padding=1)
+            conv2d(nhwc(x), w, np.zeros(3, dtype=np.float32), padding=1)
 
     def test_gradients(self, rng):
         x = rng.normal(size=(2, 2, 5, 5))
@@ -83,10 +89,10 @@ class TestConv2d:
         target = rng.normal(size=(2, 3, 5, 5))
 
         def loss_fn(backward=False):
-            y, cache = conv2d(x, params["w"].value, params["b"].value, padding=1)
-            loss = 0.5 * float(np.sum((y - target) ** 2))
+            y, cache = conv2d(nhwc(x), params["w"].value, params["b"].value, padding=1)
+            loss = 0.5 * float(np.sum((nchw(y) - target) ** 2))
             if backward:
-                _, dw, db = conv2d_backward(y - target, cache)
+                _, dw, db = conv2d_backward(nhwc(nchw(y) - target), cache)
                 params["w"].grad += dw
                 params["b"].grad += db
             return loss
@@ -97,9 +103,9 @@ class TestConv2d:
         x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=(2, 2, 3, 3)) * 0.5
         b = np.zeros(2)
-        y, cache = conv2d(x, w, b, padding=1)
-        dy = rng.normal(size=y.shape)
-        dx, _, _ = conv2d_backward(dy, cache)
+        y, cache = conv2d(nhwc(x), w, b, padding=1)
+        dy = rng.normal(size=nchw(y).shape)
+        dx, _, _ = conv2d_backward(nhwc(dy), cache)
         eps = 1e-5
         idx = (0, 1, 2, 3)
         xp = x.copy()
@@ -107,26 +113,27 @@ class TestConv2d:
         xm = x.copy()
         xm[idx] -= eps
         numeric = (
-            np.sum(conv2d(xp, w, b, 1)[0] * dy) - np.sum(conv2d(xm, w, b, 1)[0] * dy)
+            np.sum(nchw(conv2d(nhwc(xp), w, b, 1)[0]) * dy)
+            - np.sum(nchw(conv2d(nhwc(xm), w, b, 1)[0]) * dy)
         ) / (2 * eps)
-        assert abs(dx[idx] - numeric) / max(1.0, abs(numeric)) < 1e-4
+        assert abs(nchw(dx)[idx] - numeric) / max(1.0, abs(numeric)) < 1e-4
 
 
 class TestPoolAndRelu:
     def test_maxpool_picks_maxima(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        y, _ = maxpool2x2(x)
-        np.testing.assert_array_equal(y[0, 0], [[5, 7], [13, 15]])
+        y, _ = maxpool2x2(nhwc(x))
+        np.testing.assert_array_equal(nchw(y)[0, 0], [[5, 7], [13, 15]])
 
     def test_maxpool_odd_size_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool2x2(np.zeros((1, 1, 5, 5), dtype=np.float32))
+            maxpool2x2(nhwc(np.zeros((1, 1, 5, 5), dtype=np.float32)))
 
     def test_maxpool_backward_routes_to_argmax(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-        y, idx = maxpool2x2(x)
+        y, idx = maxpool2x2(nhwc(x))
         dx = maxpool2x2_backward(np.ones_like(y), idx)
-        np.testing.assert_array_equal(dx[0, 0], [[0, 0], [0, 1]])
+        np.testing.assert_array_equal(nchw(dx)[0, 0], [[0, 0], [0, 1]])
 
     def test_relu_and_backward(self, rng):
         x = rng.normal(size=(3, 4)).astype(np.float32)
@@ -172,7 +179,7 @@ class TestWithoutInputGrad:
     def test_conv2d(self, rng, n, c, k, size, padding):
         x = rng.normal(size=(n, c, size, size)).astype(np.float32)
         w = rng.normal(size=(k, c, 3, 3)).astype(np.float32)
-        y, cache = conv2d(x, w, np.zeros(k, dtype=np.float32), padding)
+        y, cache = conv2d(nhwc(x), w, np.zeros(k, dtype=np.float32), padding)
         dy = rng.normal(size=y.shape).astype(np.float32)
         _, dw, db = conv2d_backward(dy, cache)
         dx, dw_only, db_only = conv2d_backward(dy, cache, input_grad=False)

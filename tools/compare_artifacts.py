@@ -2,6 +2,7 @@
 the artifacts of the two runs.
 
     python3 tools/compare_artifacts.py REV EXPERIMENT [--seed N] [--set key=value ...]
+    python3 tools/compare_artifacts.py REV --workload NAME --seed N [--set key=value ...]
 
 REV (a commit, branch or tag) is exported with `git archive` into a
 temporary directory. Each tree then runs
@@ -10,6 +11,10 @@ after the other, and the two output directories are compared with the
 benchmark's `bench.workloads.digests`: metadata.json is skipped, the
 quarantine logs are compared without their latency_s column and
 config.json without its out_dir.
+
+With --workload, the experiment and its settings are those of the named
+benchmark workload (`bench.workloads.WORKLOADS`), run as the benchmark
+runs it at seed N; --set items are applied after the workload's own.
 
 Exit status: 0 when every artifact agrees, 1 when any differs, 2 when a run
 fails.
@@ -28,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from bench.workloads import digests  # noqa: E402
+from bench.workloads import WORKLOADS, digests  # noqa: E402
 
 RUN = "import sys; from sabotagebench.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -41,25 +46,38 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(tree: Path, out: Path, argv: list[str]) -> int:
+def run(tree: Path, argv: list[str]) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-c", RUN, "run", *argv, "--out", str(out)]
+    cmd = [sys.executable, "-c", RUN, *argv]
     return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL).returncode
 
 
 def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
-    parser.add_argument("experiment", help="experiment name, as for `sabotagebench run`")
+    parser.add_argument(
+        "experiment", nargs="?", help="experiment name, as for `sabotagebench run`"
+    )
+    parser.add_argument("--workload", choices=sorted(WORKLOADS),
+                        help="run a benchmark workload instead of EXPERIMENT")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     opts = parser.parse_args(args)
+    if (opts.experiment is None) == (opts.workload is None):
+        parser.error("give either EXPERIMENT or --workload")
+    if opts.workload is not None and opts.seed is None:
+        parser.error("--workload needs --seed")
 
-    argv = [opts.experiment]
-    if opts.seed is not None:
-        argv += ["--seed", str(opts.seed)]
-    for item in opts.set:
-        argv += ["--set", item]
+    def argv(out: Path) -> list[str]:
+        if opts.workload is not None:
+            cli_argv = WORKLOADS[opts.workload].argv(opts.seed, out)
+        else:
+            cli_argv = ["run", opts.experiment, "--out", str(out)]
+            if opts.seed is not None:
+                cli_argv += ["--seed", str(opts.seed)]
+        for item in opts.set:
+            cli_argv += ["--set", item]
+        return cli_argv
 
     with tempfile.TemporaryDirectory(prefix="compare_artifacts_") as tmp:
         tmp = Path(tmp)
@@ -69,9 +87,10 @@ def main(args: list[str] | None = None) -> int:
         found = {}
         for label, tree in ((opts.rev, old_tree), ("working tree", ROOT)):
             out = tmp / f"out_{len(found)}"
-            code = run(tree, out, argv)
+            cli_argv = argv(out)
+            code = run(tree, cli_argv)
             if code != 0:
-                print(f"{label}: `sabotagebench run {' '.join(argv)}` exited with {code}")
+                print(f"{label}: `sabotagebench {' '.join(cli_argv)}` exited with {code}")
                 return 2
             found[label] = digests(out)
 
