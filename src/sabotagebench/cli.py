@@ -26,7 +26,7 @@ import numpy as np
 from . import reporting
 from .config import EXPERIMENTS, ExperimentConfig, parse_config, parse_override
 from .dataset import MnistSet, invert, load_mnist_dir, synthetic_mnist_set
-from .errors import ConfigError, UnavailableMetricError, WorkbenchError
+from .errors import ConfigError, UnavailableMetricError, ValidationError, WorkbenchError
 from .heap import keep_heap
 from .metrics import (
     LifeStarInputs,
@@ -34,7 +34,7 @@ from .metrics import (
     self_maint_component,
     self_recog_component,
 )
-from .mirror_cnn import run_mirror_experiment
+from .mirror_cnn import pool_split, run_mirror_experiment
 from .mirror_text import http_providers, run_mirror_text_experiment
 from .training import (
     run_sweep,
@@ -134,6 +134,27 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
     )
 
 
+def check_sizes(cfg: ExperimentConfig, experiment: str, train_count: int,
+                test_count: int) -> None:
+    """Raise ConfigError when the experiment's subsets do not fit the data,
+    before anything trains. Only mirror-cnn takes sized subsets."""
+    if experiment != "mirror-cnn":
+        return
+    mirror = cfg.mirror_cnn_config()
+    if 2 * mirror.subset_size > train_count:
+        raise ConfigError(
+            f"mirror_cnn.subset_size: two disjoint subsets of {mirror.subset_size} "
+            f"images need {2 * mirror.subset_size}, but the train set has {train_count}"
+        )
+    try:
+        pool_split(test_count, mirror.train_pool_fraction)
+    except ValidationError as exc:
+        raise ConfigError(
+            f"mirror_cnn.train_pool_fraction: {mirror.train_pool_fraction} of the "
+            f"{test_count} test images leaves no train or no eval pool ({exc})"
+        ) from exc
+
+
 def run_single(
     cfg: ExperimentConfig, experiment: str, out_dir: Path, offline: bool
 ) -> dict:
@@ -166,6 +187,7 @@ def run_single(
         return summary
 
     train_set, test_set = load_data(cfg)
+    check_sizes(cfg, experiment, train_set.count, test_set.count)
     if experiment == "mirror-cnn":
         report = run_mirror_experiment(
             cfg.mirror_cnn_config(), cfg.model_config(), cfg.seed, train_set, test_set
@@ -265,6 +287,10 @@ def _all_worker(payload: tuple) -> dict:
 
 
 def run_all(cfg: ExperimentConfig, out_root: Path, offline: bool, parallel: bool) -> list[dict]:
+    # every job reads the same dataset section: check all of them before any starts
+    train_count, test_count = (data.count for data in load_data(cfg))
+    for experiment in ALL_METHODS:
+        check_sizes(cfg, experiment, train_count, test_count)
     jobs = []
     for index, experiment in enumerate(ALL_METHODS):
         data = {**cfg.data, "seed": cfg.seed + index, "experiment": experiment}

@@ -18,7 +18,7 @@ class ValidationError(WorkbenchError):
 
 
 class FormatError(WorkbenchError):
-    """Malformed bytes or text in an external file (IDX, checkpoint, fixtures)."""
+    """Malformed bytes or text in an external file (IDX, fixtures)."""
 
 
 class NumericsError(WorkbenchError):

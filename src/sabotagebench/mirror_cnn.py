@@ -12,6 +12,10 @@ mix nets; semi-self probes splice the halves:
 A classifier that only checked elementwise equality would nail self pairs
 but call every semi-self probe "other"; semi-self accuracy well above 0.5
 is the evidence that it reads distribution-level cues instead.
+
+A pair stores no embedding floats: it is two row indices into one table of
+both nets' test-set embeddings (A's rows, then B's), and the classifier's
+input is gathered from that table batch by batch.
 """
 
 from dataclasses import dataclass, field
@@ -21,39 +25,47 @@ import numpy as np
 from .dataset import MnistSet, disjoint_subsets
 from .errors import ShapeError, ValidationError
 from .models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings
-from .nncore import bce_with_logits, bce_with_logits_backward, save_tensors, load_tensors, sgd_step
+from .nncore import bce_with_logits, bce_with_logits_backward, sgd_step
 from .rng import stream
 
 MODE_SELF = "self"
 MODE_CROSS = "cross"
 MODE_SEMISELF = "semiself"
 _TARGETS = {MODE_SELF: 1.0, MODE_CROSS: 0.0, MODE_SEMISELF: 1.0}
-_MODE_CODES = {MODE_SELF: 0, MODE_CROSS: 1, MODE_SEMISELF: 2}
 
 
 @dataclass
 class PairSet:
-    """Embedding pairs with their construction mode per row."""
+    """Embedding pairs as row indices into one table, with a mode per pair.
 
-    left: np.ndarray
-    right: np.ndarray
+    `rows[k]` holds the `table` rows of pair k's left and right embedding.
+    `splice[k]` marks a semi-self pair: its right embedding starts with the
+    left one's first `dim // 2` floats."""
+
+    table: np.ndarray
+    rows: np.ndarray
+    splice: np.ndarray
     modes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.left.shape != self.right.shape:
+        if self.table.ndim != 2:
+            raise ShapeError(f"pair table must be [rows, dim], got {self.table.shape}")
+        if self.rows.ndim != 2 or self.rows.shape[1] != 2:
+            raise ShapeError(f"pair rows must be [count, 2], got {self.rows.shape}")
+        if self.rows.size and not 0 <= self.rows.min() <= self.rows.max() < len(self.table):
+            raise ValidationError(f"pair rows must index the {len(self.table)} table rows")
+        if self.splice.shape != (self.count,):
             raise ShapeError(
-                f"pair halves disagree: left {self.left.shape} vs right {self.right.shape}"
+                f"splice length {self.splice.shape} does not match {self.count} pairs"
             )
-        if self.left.ndim != 2:
-            raise ShapeError(f"pair embeddings must be [count, dim], got {self.left.shape}")
-        if self.modes.shape != (self.left.shape[0],):
+        if self.modes.shape != (self.count,):
             raise ShapeError(
-                f"modes length {self.modes.shape} does not match {self.left.shape[0]} pairs"
+                f"modes length {self.modes.shape} does not match {self.count} pairs"
             )
 
     @property
     def count(self) -> int:
-        return self.left.shape[0]
+        return self.rows.shape[0]
 
     @property
     def counts(self) -> dict:
@@ -67,33 +79,18 @@ class PairSet:
     def features(self, rows=slice(None)) -> np.ndarray:
         """Classifier input of the pairs `rows` (an index array or a slice;
         all by default): left and right embeddings side by side, [rows, 2*dim].
-        The trainers build it batch by batch, never for the whole set. Each
-        half is gathered straight into its side of the result."""
+        The trainers build it batch by batch, never for the whole set."""
         rows = np.arange(self.count)[rows]  # bounds-checked, non-negative
-        dim = self.left.shape[1]
-        out = np.empty((rows.size, 2 * dim), dtype=np.result_type(self.left, self.right))
-        np.take(self.left, rows, axis=0, out=out[:, :dim], mode="clip")
-        np.take(self.right, rows, axis=0, out=out[:, dim:], mode="clip")
+        dim = self.table.shape[1]
+        out = np.empty((rows.size, 2 * dim), dtype=self.table.dtype)
+        # Viewed as [2 * rows, dim], the result is the left and right table
+        # rows of each pair in turn: one gather from the whole table fills
+        # it. (A non-contiguous `out` or source would make `take` copy it.)
+        np.take(self.table, self.rows[rows].ravel(), axis=0,
+                out=out.reshape(2 * rows.size, dim), mode="clip")
+        spliced = np.flatnonzero(self.splice[rows])
+        out[spliced, dim : dim + dim // 2] = out[spliced, : dim // 2]
         return out
-
-    @staticmethod
-    def merge(*sets: "PairSet") -> "PairSet":
-        return PairSet(
-            np.concatenate([s.left for s in sets]),
-            np.concatenate([s.right for s in sets]),
-            np.concatenate([s.modes for s in sets]),
-        )
-
-    def save(self, path) -> None:
-        codes = np.array([_MODE_CODES[str(m)] for m in self.modes], dtype=np.float32)
-        save_tensors({"left": self.left, "right": self.right, "mode_codes": codes}, path)
-
-    @staticmethod
-    def load(path) -> "PairSet":
-        arrays = load_tensors(path)
-        names = {v: k for k, v in _MODE_CODES.items()}
-        modes = np.array([names[int(c)] for c in arrays["mode_codes"]])
-        return PairSet(arrays["left"], arrays["right"], modes)
 
 
 def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
@@ -117,7 +114,9 @@ def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
     return net, error
 
 
-def _check_tables(emb_a: np.ndarray, emb_b: np.ndarray) -> None:
+def pair_table(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
+    """One [2T, dim] table of two nets' embeddings of the same T inputs:
+    A's rows, then B's."""
     if emb_a.ndim != 2 or emb_b.ndim != 2:
         raise ShapeError("embedding tables must be [count, dim]")
     if emb_a.shape[1] != emb_b.shape[1]:
@@ -126,69 +125,56 @@ def _check_tables(emb_a: np.ndarray, emb_b: np.ndarray) -> None:
         )
     if emb_a.shape[0] == 0 or emb_b.shape[0] == 0:
         raise ValidationError("embedding tables must be nonempty")
-
-
-def build_pairs(emb_a: np.ndarray, emb_b: np.ndarray, mode: str,
-                rng: np.random.Generator, count: int, out=None) -> PairSet:
-    """Draw `count` pairs of the given mode from the two embedding tables.
-
-    Indices are drawn with replacement; cross and semi-self draw the B-side
-    index independently of the A-side one. `out`, a (left, right) pair of
-    [count, dim] arrays of the tables' dtype, receives the rows in place of
-    new tables."""
-    if mode not in _TARGETS:
-        raise ValidationError(f"unknown pair mode {mode!r}")
-    _check_tables(emb_a, emb_b)
-    if count < 1:
-        raise ValidationError(f"pair count must be >= 1, got {count}")
-    dim = emb_a.shape[1]
-    if out is None:
-        # cross pairs copy B rows; self and semi-self pairs start from A rows
-        right_dtype = emb_b.dtype if mode == MODE_CROSS else emb_a.dtype
-        out = (np.empty((count, dim), dtype=emb_a.dtype),
-               np.empty((count, dim), dtype=right_dtype))
-    left, right = out
-    # drawn indices are in range, so "clip" only skips take's buffering
-    i = rng.integers(0, emb_a.shape[0], size=count)
-    np.take(emb_a, i, axis=0, out=left, mode="clip")
-    if mode == MODE_SELF:
-        right[...] = left
-    elif mode == MODE_CROSS:
-        j = rng.integers(0, emb_b.shape[0], size=count)
-        np.take(emb_b, j, axis=0, out=right, mode="clip")
-    else:
-        j = rng.integers(0, emb_b.shape[0], size=count)
-        half = dim // 2
-        right[:, :half] = left[:, :half]
-        right[:, half:] = emb_b[j, half:]
-    return PairSet(left, right, np.array([mode] * count))
-
-
-def build_pair_set(emb_a: np.ndarray, emb_b: np.ndarray, counts: dict,
-                   rng: np.random.Generator) -> PairSet:
-    """Pairs of several modes, `counts[mode]` of each, in the dict's order.
-
-    The same draws and rows as `PairSet.merge` of one `build_pairs` per
-    mode, but `build_pairs` fills one table per side, mode by mode, so no
-    per-mode tables and merged copy are alive together. Both embedding
-    tables must share one dtype."""
-    _check_tables(emb_a, emb_b)
+    if emb_a.shape[0] != emb_b.shape[0]:
+        raise ShapeError(
+            f"embedding tables must embed the same inputs, got {emb_a.shape[0]} "
+            f"and {emb_b.shape[0]} rows"
+        )
     if emb_a.dtype != emb_b.dtype:
         raise ValidationError(
             f"embedding tables must share one dtype, got {emb_a.dtype} and {emb_b.dtype}"
         )
+    return np.concatenate([emb_a, emb_b])
+
+
+def build_pairs(pool: np.ndarray, b_offset: int, mode: str,
+                rng: np.random.Generator, count: int) -> np.ndarray:
+    """Table rows, [count, 2], of `count` pairs of one mode drawn from `pool`.
+
+    Indices into `pool` are drawn with replacement. The left row is net A's
+    `pool[i]`; the right row repeats it for self pairs, and is net B's
+    `b_offset + pool[j]` for cross and semi-self pairs, with j drawn
+    independently of i."""
+    rows = np.empty((count, 2), dtype=np.intp)
+    rows[:, 0] = pool[rng.integers(0, pool.size, size=count)]
+    if mode == MODE_SELF:
+        rows[:, 1] = rows[:, 0]
+    else:
+        rows[:, 1] = b_offset + pool[rng.integers(0, pool.size, size=count)]
+    return rows
+
+
+def build_pair_set(table: np.ndarray, pool: np.ndarray, counts: dict,
+                   rng: np.random.Generator) -> PairSet:
+    """Pairs of several modes, `counts[mode]` of each, in the dict's order.
+
+    `table` is a `pair_table`: net A's embeddings of T inputs, then net
+    B's. `pool` holds the inputs (0 <= pool < T) that the pairs draw from."""
+    if table.ndim != 2 or table.shape[0] % 2:
+        raise ShapeError(f"pair table must be [2T, dim], got {table.shape}")
+    half = table.shape[0] // 2
+    if pool.size == 0 or half == 0:
+        raise ValidationError("embedding tables and pool must be nonempty")
+    if not 0 <= pool.min() <= pool.max() < half:
+        raise ValidationError(f"pool indices must lie in [0, {half})")
     if min(counts.values(), default=0) < 1:
         raise ValidationError(f"every pair count must be >= 1, got {counts}")
-    total, dim = sum(counts.values()), emb_a.shape[1]
-    left = np.empty((total, dim), dtype=emb_a.dtype)
-    right = np.empty((total, dim), dtype=emb_a.dtype)
-    modes, start = [], 0
-    for mode, count in counts.items():
-        rows = slice(start, start + count)
-        part = build_pairs(emb_a, emb_b, mode, rng, count, out=(left[rows], right[rows]))
-        modes.append(part.modes)
-        start += count
-    return PairSet(left, right, np.concatenate(modes))
+    for mode in counts:
+        if mode not in _TARGETS:
+            raise ValidationError(f"unknown pair mode {mode!r}")
+    rows = np.concatenate([build_pairs(pool, half, m, rng, n) for m, n in counts.items()])
+    modes = np.repeat(list(counts), list(counts.values()))
+    return PairSet(table, rows, modes == MODE_SEMISELF, modes)
 
 
 def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
@@ -221,7 +207,7 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
             f"boundary_fraction must lie in [0, 1) or be None, got {boundary_fraction}"
         )
     targets = pairs.targets()
-    gate = MlpBinary(GateConfig(2 * pairs.left.shape[1], hidden, dropout=0.0),
+    gate = MlpBinary(GateConfig(2 * pairs.table.shape[1], hidden, dropout=0.0),
                      stream(seed, "mirror/gate/init"))
     from .training import _batches
 
@@ -259,6 +245,15 @@ def eval_pairs(gate: MlpBinary, pairs: PairSet, batch_size: int = 256) -> dict:
     for mode in np.unique(pairs.modes):
         out[str(mode)] = float(correct[pairs.modes == mode].mean())
     return out
+
+
+def pool_split(count: int, train_fraction: float) -> int:
+    """How many of `count` test inputs (after a shuffle) feed the pair
+    classifier's training pairs; the rest feed its evaluation pairs."""
+    cut = int(round(count * train_fraction))
+    if cut < 1 or cut >= count:
+        raise ValidationError(f"pool split degenerate: {cut} train indices of {count}")
+    return cut
 
 
 @dataclass
@@ -333,35 +328,28 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     net_b, err_b = train_partial(sub_b, model_cfg, seed, "B", cfg.epochs,
                                  cfg.batch_size, cfg.learning_rate, test_set)
 
-    emb_a = extract_embeddings(net_a, test_set.images)
-    emb_b = extract_embeddings(net_b, test_set.images)
+    table = pair_table(extract_embeddings(net_a, test_set.images),
+                       extract_embeddings(net_b, test_set.images))
     perm = stream(seed, "mirror/pools").permutation(test_set.count)
-    cut = int(round(test_set.count * cfg.train_pool_fraction))
-    if cut < 1 or cut >= test_set.count:
-        raise ValidationError(
-            f"pool split degenerate: {cut} train indices of {test_set.count}"
-        )
+    cut = pool_split(test_set.count, cfg.train_pool_fraction)
     train_pool, eval_pool = perm[:cut], perm[cut:]
 
     train_pairs = build_pair_set(
-        emb_a[train_pool], emb_b[train_pool],
+        table, train_pool,
         {MODE_SELF: cfg.train_pairs_per_mode, MODE_CROSS: cfg.train_pairs_per_mode},
         stream(seed, "mirror/pairs"),
     )
     gate = train_pair_gate(train_pairs, seed, cfg.gate_hidden, cfg.gate_epochs,
                            cfg.batch_size, cfg.gate_learning_rate,
                            cfg.gate_boundary_fraction)
-    # the training pairs (100 MB at 2048 pairs) are not kept through evaluation
-    train_counts = train_pairs.counts
-    del train_pairs
     eval_counts = {MODE_SELF: cfg.eval_pairs_per_mode, MODE_CROSS: cfg.eval_pairs_per_mode,
                    MODE_SEMISELF: cfg.eval_pairs_per_mode}
-    eval_set = build_pair_set(emb_a[eval_pool], emb_b[eval_pool], eval_counts,
+    eval_set = build_pair_set(table, eval_pool, eval_counts,
                               stream(seed, "mirror/pairs/eval"))
     acc = eval_pairs(gate, eval_set)
-    # self and cross come first: the self-vs-cross set is a view of them
+    # self and cross come first: the self-vs-cross set is their index rows
     base_rows = slice(0, 2 * cfg.eval_pairs_per_mode)
-    base = eval_pairs(gate, PairSet(eval_set.left[base_rows], eval_set.right[base_rows],
+    base = eval_pairs(gate, PairSet(table, eval_set.rows[base_rows], eval_set.splice[base_rows],
                                     eval_set.modes[base_rows]))
 
     report = MirrorCnnReport(seed=seed)
@@ -371,12 +359,12 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     report.cross_accuracy = acc[MODE_CROSS]
     report.self_vs_cross_accuracy = base["overall"]
     report.semiself_accuracy = acc[MODE_SEMISELF]
-    report.train_counts = train_counts
+    report.train_counts = train_pairs.counts
     report.eval_counts = eval_counts
     report.extras = {
         "net_a_checksum": net_a.params.checksum(),
         "net_b_checksum": net_b.params.checksum(),
-        "embedding_dim": int(emb_a.shape[1]),
+        "embedding_dim": int(table.shape[1]),
         "train_pool_size": int(train_pool.size),
         "eval_pool_size": int(eval_pool.size),
     }

@@ -3,7 +3,7 @@
 Tensors are C-contiguous numpy arrays (float32 parameters and activations,
 float64 accumulation in losses and metrics). All forward/backward math lives
 in `ops`; parameters in `ParamSet`; plain SGD in `optim`; finite-difference
-validation in `gradcheck`; the binary checkpoint container in `checkpoint`.
+validation in `gradcheck`.
 """
 
 from .tensor import Param, ParamSet, fan_in_uniform, require_finite
@@ -28,7 +28,6 @@ from .ops import (
 )
 from .optim import sgd_step
 from .gradcheck import grad_check
-from .checkpoint import save_tensors, load_tensors
 
 __all__ = [
     "Param",
@@ -54,6 +53,4 @@ __all__ = [
     "weighted_softmax_ce_backward",
     "sgd_step",
     "grad_check",
-    "save_tensors",
-    "load_tensors",
 ]

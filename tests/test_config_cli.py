@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,32 @@ class TestRunExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("experiment", ["mirror-cnn", "all"])
+    def test_missized_mirror_subsets_fail_before_training(self, tmp_path, capsys, experiment):
+        # the stock subset_size of 5000 asks for 10000 of 6000 synthetic images
+        out = tmp_path / "out"
+        argv = ["run", experiment, "--offline", "--out", str(out),
+                "--set", "dataset.source=synthetic"]
+        started = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - started < 2.0
+        err = capsys.readouterr().err
+        assert "config error: mirror_cnn.subset_size" in err
+        assert "10000" in err and "6000" in err
+        assert not list(tmp_path.rglob("report_*"))
+
+    def test_degenerate_mirror_pool_split_fails_before_training(self, tmp_path, capsys):
+        argv = ["run", "all", "--offline", "--out", str(tmp_path / "out"),
+                "--set", "dataset.source=synthetic", "--set", "dataset.synthetic_test=10",
+                "--set", "mirror_cnn.subset_size=100",
+                "--set", "mirror_cnn.train_pool_fraction=0.01"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error: mirror_cnn.train_pool_fraction" in err
+        assert "0 train indices of 10" in err
+        assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------- orchestration
 
 
@@ -363,6 +390,12 @@ TINY_TREE = {
     },
     "lifestar": {"alpha": 0.5, "beta": 0.0, "gamma": 0.5},
 }
+
+
+# Stock settings whose mirror subsets fit the synthetic set (two disjoint
+# subsets of the stock 5000 need 10000 of its 6000 images, which `run all`
+# rejects before it starts any job), for run_all tests with stubbed runs.
+FITS_SYNTHETIC = {"mirror_cnn.subset_size": 3000}
 
 
 @pytest.fixture(scope="module")
@@ -581,7 +614,7 @@ class TestRunMetadata:
                 return [{"experiment": job[1]} for job in jobs]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-        cli.run_all(parse_config(), tmp_path, offline=True, parallel=True)
+        cli.run_all(parse_config(None, FITS_SYNTHETIC), tmp_path, offline=True, parallel=True)
         assert made["initializer"] is keep_heap
 
 
@@ -599,7 +632,11 @@ class TestRunAllLifestar:
     def run(self, tmp_path, monkeypatch, weights):
         monkeypatch.setattr(cli, "run_single", self.fake_run_single)
         cfg = parse_config(
-            None, {f"lifestar.{k}": v for k, v in zip(("alpha", "beta", "gamma"), weights)}
+            None,
+            {
+                **FITS_SYNTHETIC,
+                **{f"lifestar.{k}": v for k, v in zip(("alpha", "beta", "gamma"), weights)},
+            },
         )
         cli.run_all(cfg, tmp_path, offline=True, parallel=False)
         return json.loads((tmp_path / "lifestar.json").read_text())
@@ -618,5 +655,5 @@ class TestRunAllLifestar:
 
     def test_no_weights_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_single", self.fake_run_single)
-        cli.run_all(parse_config(), tmp_path, offline=True, parallel=False)
+        cli.run_all(parse_config(None, FITS_SYNTHETIC), tmp_path, offline=True, parallel=False)
         assert not (tmp_path / "lifestar.json").exists()

@@ -19,15 +19,16 @@ import numpy as np
 import pytest
 
 import oracle_inference as oracle
+import oracle_pairs
 from sabotagebench import heap
 from sabotagebench.errors import NumericsError
 from sabotagebench.mirror_cnn import (
     MODE_CROSS,
     MODE_SELF,
     MODE_SEMISELF,
-    PairSet,
-    build_pairs,
+    build_pair_set,
     eval_pairs,
+    pair_table,
     train_pair_gate,
 )
 from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings
@@ -106,11 +107,21 @@ def test_midlayer_names_a_nonfinite_layer():
 # ------------------------------------------------------------ pair features
 
 
-def _pairs(rng, n_per_mode, dim=12, semiself=True):
+def _tables(rng, dim=12):
     emb_a = rng.normal(size=(30, dim)).astype(np.float32)
     emb_b = (rng.normal(size=(30, dim)) + 1.0).astype(np.float32)
+    return emb_a, emb_b
+
+
+def _counts(n_per_mode, semiself=True):
     modes = [MODE_SELF, MODE_CROSS] + ([MODE_SEMISELF] if semiself else [])
-    return PairSet.merge(*(build_pairs(emb_a, emb_b, m, rng, n_per_mode) for m in modes))
+    return {m: n_per_mode for m in modes}
+
+
+def _pairs(rng, n_per_mode, dim=12, semiself=True):
+    emb_a, emb_b = _tables(rng, dim)
+    return build_pair_set(pair_table(emb_a, emb_b), np.arange(30), _counts(n_per_mode, semiself),
+                          rng)
 
 
 def test_pair_feature_rows_equal_the_full_table(rng):
@@ -122,11 +133,17 @@ def test_pair_feature_rows_equal_the_full_table(rng):
 
 
 def test_pair_features_gather_like_concatenate(rng):
-    # each half is gathered straight into its side of one buffer; negative
-    # and out-of-range rows behave as in plain indexing
-    pairs = _pairs(rng, 10)
+    # both halves are gathered from the table into one buffer; negative
+    # and out-of-range rows behave as in plain indexing on the copied
+    # left and right tables of the same draws
+    emb_a, emb_b = _tables(rng)
+    old_rng, new_rng = np.random.default_rng(4), np.random.default_rng(4)
+    old = oracle_pairs.PairSet.merge(
+        *(oracle_pairs.build_pairs(emb_a, emb_b, m, old_rng, n) for m, n in _counts(10).items())
+    )
+    pairs = build_pair_set(pair_table(emb_a, emb_b), np.arange(30), _counts(10), new_rng)
     for rows in (np.array([4, -1, 0, 4]), slice(None), slice(25, 5, -3), np.array([], int)):
-        expected = np.concatenate([pairs.left[rows], pairs.right[rows]], axis=1)
+        expected = np.concatenate([old.left[rows], old.right[rows]], axis=1)
         got = pairs.features(rows)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()

@@ -1,11 +1,19 @@
 """Embedding mirror test: pair construction, the pair classifier, and the
-multi-seed semi-self invariant that is the experiment's whole point."""
+multi-seed semi-self invariant that is the experiment's whole point.
+
+Pairs are row indices into one embedding table; their classifier input,
+`PairSet.features`, must give the bytes of the copied left/right tables
+kept in `oracle_pairs`, from the same draws."""
 
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_pairs as oracle
 from sabotagebench.dataset import synthetic_mnist_set
 from sabotagebench.errors import ShapeError, ValidationError
 from sabotagebench.mirror_cnn import (
@@ -16,8 +24,8 @@ from sabotagebench.mirror_cnn import (
     MirrorCnnReport,
     PairSet,
     build_pair_set,
-    build_pairs,
     eval_pairs,
+    pair_table,
     run_mirror_experiment,
     train_pair_gate,
 )
@@ -30,14 +38,22 @@ def toy_tables(rng, n=40, dim=8):
     return rng.normal(size=(n, dim)), rng.normal(size=(n, dim)) + 3.0
 
 
+def make_pairs(emb_a, emb_b, counts, rng, pool=None) -> PairSet:
+    pool = np.arange(emb_a.shape[0]) if pool is None else pool
+    return build_pair_set(pair_table(emb_a, emb_b), pool, counts, rng)
+
+
+def sides(pairs: PairSet):
+    """(left, right) embeddings of every pair."""
+    features = pairs.features()
+    dim = features.shape[1] // 2
+    return features[:, :dim], features[:, dim:]
+
+
 class TestPairSet:
     def test_counts_targets_features(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        pairs = PairSet.merge(
-            build_pairs(emb_a, emb_b, MODE_SELF, rng, 5),
-            build_pairs(emb_a, emb_b, MODE_CROSS, rng, 7),
-            build_pairs(emb_a, emb_b, MODE_SEMISELF, rng, 3),
-        )
+        pairs = make_pairs(emb_a, emb_b, {MODE_SELF: 5, MODE_CROSS: 7, MODE_SEMISELF: 3}, rng)
         assert pairs.counts == {"self": 5, "cross": 7, "semiself": 3}
         assert pairs.count == 15
         np.testing.assert_array_equal(
@@ -46,81 +62,102 @@ class TestPairSet:
         assert pairs.features().shape == (15, 16)
 
     def test_shape_validation(self, rng):
-        left = rng.normal(size=(4, 8))
-        with pytest.raises(ShapeError, match="halves disagree"):
-            PairSet(left, rng.normal(size=(4, 6)), np.array(["self"] * 4))
-        with pytest.raises(ShapeError, match="count, dim"):
-            PairSet(left[0], left[0], np.array(["self"]))
+        table = rng.normal(size=(4, 8))
+        rows = np.zeros((4, 2), dtype=np.intp)
+        no = np.zeros(4, dtype=bool)
+        modes = np.array(["self"] * 4)
+        with pytest.raises(ShapeError, match=r"rows must be \[count, 2\]"):
+            PairSet(table, rows[:, :1], no, modes)
+        with pytest.raises(ShapeError, match="rows, dim"):
+            PairSet(table[0], rows, no, modes)
         with pytest.raises(ShapeError, match="modes length"):
-            PairSet(left, left.copy(), np.array(["self"] * 3))
-
-    def test_save_load_round_trip(self, tmp_path, rng):
-        emb_a, emb_b = toy_tables(rng)
-        emb_a = emb_a.astype(np.float32)
-        emb_b = emb_b.astype(np.float32)
-        pairs = PairSet.merge(
-            build_pairs(emb_a, emb_b, MODE_SELF, rng, 4),
-            build_pairs(emb_a, emb_b, MODE_SEMISELF, rng, 4),
-        )
-        path = tmp_path / "pairs.ckpt"
-        pairs.save(path)
-        loaded = PairSet.load(path)
-        np.testing.assert_array_equal(loaded.left, pairs.left)
-        np.testing.assert_array_equal(loaded.right, pairs.right)
-        assert list(loaded.modes) == list(pairs.modes)
+            PairSet(table, rows, no, modes[:3])
+        with pytest.raises(ShapeError, match="splice length"):
+            PairSet(table, rows, no[:3], modes)
+        with pytest.raises(ValidationError, match="index the 4 table rows"):
+            PairSet(table, rows + 4, no, modes)
 
 
 class TestBuildPairs:
     def test_self_right_equals_left(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        pairs = build_pairs(emb_a, emb_b, MODE_SELF, rng, 20)
-        np.testing.assert_array_equal(pairs.left, pairs.right)
+        left, right = sides(make_pairs(emb_a, emb_b, {MODE_SELF: 20}, rng))
+        np.testing.assert_array_equal(left, right)
         # and every row comes from table A
         rows = {tuple(r) for r in emb_a}
-        assert all(tuple(r) in rows for r in pairs.left)
+        assert all(tuple(r) in rows for r in left)
 
     def test_self_right_is_a_copy(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        pairs = build_pairs(emb_a, emb_b, MODE_SELF, rng, 5)
-        pairs.right[0, 0] += 1.0
-        assert pairs.left[0, 0] != pairs.right[0, 0]
+        pairs = make_pairs(emb_a, emb_b, {MODE_SELF: 5}, rng)
+        left, right = sides(pairs)
+        right[0, 0] += 1.0
+        assert left[0, 0] != right[0, 0]
+        # the features are a copy of the table rows, not a view of them
+        assert pairs.features()[0, 0] == pairs.features()[0, 8] == left[0, 0]
 
     def test_semiself_splices_halves(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        pairs = build_pairs(emb_a, emb_b, MODE_SEMISELF, rng, 25)
-        np.testing.assert_array_equal(pairs.right[:, :4], pairs.left[:, :4])
+        left, right = sides(make_pairs(emb_a, emb_b, {MODE_SEMISELF: 25}, rng))
+        np.testing.assert_array_equal(right[:, :4], left[:, :4])
         b_rows = {tuple(r) for r in emb_b[:, 4:]}
-        assert all(tuple(r) in b_rows for r in pairs.right[:, 4:])
+        assert all(tuple(r) in b_rows for r in right[:, 4:])
         # table B sits at +3, so spliced halves are far from the left halves
-        assert not np.allclose(pairs.right[:, 4:], pairs.left[:, 4:])
+        assert not np.allclose(right[:, 4:], left[:, 4:])
 
     def test_cross_draws_b_side_independently(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        pairs = build_pairs(emb_a, emb_b, MODE_CROSS, rng, 30)
+        left, right = sides(make_pairs(emb_a, emb_b, {MODE_CROSS: 30}, rng))
         b_rows = {tuple(r) for r in emb_b}
-        assert all(tuple(r) in b_rows for r in pairs.right)
+        assert all(tuple(r) in b_rows for r in right)
+        # drawn apart from the A side: the two sides embed different inputs
+        a_row = {tuple(r): k for k, r in enumerate(emb_a)}
+        b_row = {tuple(r): k for k, r in enumerate(emb_b)}
+        assert any(a_row[tuple(x)] != b_row[tuple(y)] for x, y in zip(left, right))
 
     def test_deterministic_per_rng_seed(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        one = build_pairs(emb_a, emb_b, MODE_CROSS, np.random.default_rng(5), 10)
-        two = build_pairs(emb_a, emb_b, MODE_CROSS, np.random.default_rng(5), 10)
-        np.testing.assert_array_equal(one.right, two.right)
+        one = make_pairs(emb_a, emb_b, {MODE_CROSS: 10}, np.random.default_rng(5))
+        two = make_pairs(emb_a, emb_b, {MODE_CROSS: 10}, np.random.default_rng(5))
+        assert one.features().tobytes() == two.features().tobytes()
 
     def test_validation(self, rng):
         emb_a, emb_b = toy_tables(rng)
         with pytest.raises(ValidationError, match="unknown pair mode"):
-            build_pairs(emb_a, emb_b, "twin", rng, 5)
+            make_pairs(emb_a, emb_b, {"twin": 5}, rng)
         with pytest.raises(ShapeError, match="dims differ"):
-            build_pairs(emb_a, emb_b[:, :4], MODE_CROSS, rng, 5)
+            make_pairs(emb_a, emb_b[:, :4], {MODE_CROSS: 5}, rng)
         with pytest.raises(ValidationError, match="nonempty"):
-            build_pairs(emb_a[:0], emb_b, MODE_CROSS, rng, 5)
+            make_pairs(emb_a[:0], emb_b, {MODE_CROSS: 5}, rng)
         with pytest.raises(ValidationError, match="count"):
-            build_pairs(emb_a, emb_b, MODE_CROSS, rng, 0)
+            make_pairs(emb_a, emb_b, {MODE_CROSS: 0}, rng)
+
+
+MODES = (MODE_SELF, MODE_CROSS, MODE_SEMISELF)
+
+
+def oracle_pairs(emb_a, emb_b, counts, rng, pool):
+    """The copied left/right tables of the same draws."""
+    a, b = emb_a[pool], emb_b[pool]
+    return oracle.PairSet.merge(*(oracle.build_pairs(a, b, m, rng, n) for m, n in counts.items()))
+
+
+@st.composite
+def selections(draw, count):
+    """Pair rows as the trainers and callers pass them: index arrays with
+    duplicates and negatives, empty ones, and slices of any step."""
+    kind = draw(st.sampled_from(["index", "slice"]))
+    if kind == "index":
+        return np.array(draw(st.lists(st.integers(-count, count - 1), max_size=2 * count)),
+                        dtype=np.intp)
+    bound = st.none() | st.integers(-count - 3, count + 3)
+    step = draw(st.none() | st.integers(-4, 4).filter(lambda k: k != 0))
+    return slice(draw(bound), draw(bound), step)
 
 
 class TestBuildPairSet:
-    """One table per side, filled mode by mode: the same draws and row bytes
-    as merging one build_pairs set per mode."""
+    """Row indices into one table: the same draws and feature bytes as the
+    copied tables of one oracle build_pairs set per mode, merged."""
 
     @pytest.mark.parametrize(
         "counts",
@@ -134,78 +171,116 @@ class TestBuildPairSet:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_merge_of_build_pairs(self, rng, counts, dtype):
         emb_a, emb_b = (table.astype(dtype) for table in toy_tables(rng, dim=9))
-        pair_rng = np.random.default_rng(3)
-        merged = PairSet.merge(
-            *(build_pairs(emb_a, emb_b, m, pair_rng, n) for m, n in counts.items())
-        )
-        filled = build_pair_set(emb_a, emb_b, counts, np.random.default_rng(3))
-        for name in ("left", "right"):
-            new, old = getattr(filled, name), getattr(merged, name)
-            assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), name
-        assert filled.modes.dtype == merged.modes.dtype
-        assert list(filled.modes) == list(merged.modes)
+        pool = np.arange(emb_a.shape[0])
+        old_rng, new_rng = np.random.default_rng(3), np.random.default_rng(3)
+        merged = oracle_pairs(emb_a, emb_b, counts, old_rng, pool)
+        indexed = make_pairs(emb_a, emb_b, counts, new_rng)
+        new, old = indexed.features(), np.concatenate([merged.left, merged.right], axis=1)
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+        assert indexed.modes.dtype == merged.modes.dtype
+        assert list(indexed.modes) == list(merged.modes)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_features_match_oracle(self, data):
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        dim = data.draw(st.integers(1, 9))
+        images = data.draw(st.integers(1, 12))
+        modes = data.draw(st.permutations(MODES))[: data.draw(st.integers(1, 3))]
+        counts = {m: data.draw(st.integers(1, 20)) for m in modes}
+        pool = np.array(data.draw(st.lists(st.integers(0, images - 1), min_size=1,
+                                           max_size=images)), dtype=np.intp)
+        tables = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        emb_a = tables.normal(size=(images, dim)).astype(dtype)
+        emb_b = tables.normal(size=(images, dim)).astype(dtype)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        merged = oracle_pairs(emb_a, emb_b, counts, old_rng, pool)
+        indexed = make_pairs(emb_a, emb_b, counts, new_rng, pool)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        assert list(indexed.modes) == list(merged.modes)
+        full = np.concatenate([merged.left, merged.right], axis=1)
+        for rows in (slice(None), data.draw(selections(indexed.count))):
+            got, expected = indexed.features(rows), full[rows]
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_out_of_range_rows_raise(self, rng):
+        emb_a, emb_b = toy_tables(rng)
+        pairs = make_pairs(emb_a, emb_b, {MODE_SELF: 3}, rng)
+        with pytest.raises(IndexError):
+            pairs.features(np.array([3]))
+
+    def test_pairs_hold_indices_not_floats(self):
+        # 4000 pairs of 6272-wide embeddings would copy 2 x 100 MB of floats
+        table = np.zeros((1000, 6272), dtype=np.float32)
+        counts = {MODE_SELF: 2000, MODE_CROSS: 2000}
+        tracemalloc.start()
+        try:
+            pairs = build_pair_set(table, np.arange(500), counts, np.random.default_rng(0))
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            pairs.features(np.arange(64))
+            batch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built < 100 * pairs.count, built
+        # one batch's features, not a copy of the table or of a column slice
+        assert batch < 2 * 64 * 2 * 6272 * 4, batch
 
     def test_validation(self, rng):
         emb_a, emb_b = toy_tables(rng)
         with pytest.raises(ValidationError, match="count"):
-            build_pair_set(emb_a, emb_b, {MODE_SELF: 2, MODE_CROSS: 0}, rng)
+            make_pairs(emb_a, emb_b, {MODE_SELF: 2, MODE_CROSS: 0}, rng)
         with pytest.raises(ValidationError, match="count"):
-            build_pair_set(emb_a, emb_b, {}, rng)
+            make_pairs(emb_a, emb_b, {}, rng)
         with pytest.raises(ValidationError, match="unknown pair mode"):
-            build_pair_set(emb_a, emb_b, {"twin": 2}, rng)
+            make_pairs(emb_a, emb_b, {"twin": 2}, rng)
         with pytest.raises(ShapeError, match="dims differ"):
-            build_pair_set(emb_a, emb_b[:, :4], {MODE_SELF: 2}, rng)
+            make_pairs(emb_a, emb_b[:, :4], {MODE_SELF: 2}, rng)
         with pytest.raises(ValidationError, match="dtype"):
-            build_pair_set(emb_a, emb_b.astype(np.float32), {MODE_SELF: 2}, rng)
+            make_pairs(emb_a, emb_b.astype(np.float32), {MODE_SELF: 2}, rng)
+        with pytest.raises(ShapeError, match="same inputs"):
+            make_pairs(emb_a, emb_b[:30], {MODE_SELF: 2}, rng)
+        table = pair_table(emb_a, emb_b)
+        with pytest.raises(ValidationError, match="nonempty"):
+            build_pair_set(table, np.arange(0), {MODE_SELF: 2}, rng)
+        with pytest.raises(ValidationError, match="pool indices"):
+            build_pair_set(table, np.array([0, 40]), {MODE_SELF: 2}, rng)
+        with pytest.raises(ShapeError, match="2T, dim"):
+            build_pair_set(table[1:], np.arange(3), {MODE_SELF: 2}, rng)
 
 
 class TestPairGate:
     def test_requires_balanced_self_cross(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        unbalanced = PairSet.merge(
-            build_pairs(emb_a, emb_b, MODE_SELF, rng, 4),
-            build_pairs(emb_a, emb_b, MODE_CROSS, rng, 6),
-        )
+        unbalanced = make_pairs(emb_a, emb_b, {MODE_SELF: 4, MODE_CROSS: 6}, rng)
         with pytest.raises(ValidationError, match="balanced"):
             train_pair_gate(unbalanced, seed=0)
-        semis = PairSet.merge(
-            build_pairs(emb_a, emb_b, MODE_SELF, rng, 4),
-            build_pairs(emb_a, emb_b, MODE_SEMISELF, rng, 4),
-        )
+        semis = make_pairs(emb_a, emb_b, {MODE_SELF: 4, MODE_SEMISELF: 4}, rng)
         with pytest.raises(ValidationError, match="exactly self and cross"):
             train_pair_gate(semis, seed=0)
 
     def test_boundary_fraction_validation(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        pairs = PairSet.merge(
-            build_pairs(emb_a, emb_b, MODE_SELF, rng, 4),
-            build_pairs(emb_a, emb_b, MODE_CROSS, rng, 4),
-        )
+        pairs = make_pairs(emb_a, emb_b, {MODE_SELF: 4, MODE_CROSS: 4}, rng)
         with pytest.raises(ValidationError, match="boundary_fraction"):
             train_pair_gate(pairs, seed=0, boundary_fraction=1.0)
 
     def test_separates_toy_tables(self, rng):
         # tables A and B are 3 sigma apart, so this is trivially learnable
         emb_a, emb_b = toy_tables(rng, n=120)
-        train = PairSet.merge(
-            build_pairs(emb_a, emb_b, MODE_SELF, rng, 200),
-            build_pairs(emb_a, emb_b, MODE_CROSS, rng, 200),
-        )
+        train = make_pairs(emb_a, emb_b, {MODE_SELF: 200, MODE_CROSS: 200}, rng)
         gate = train_pair_gate(train, seed=0, hidden=16, epochs=5)
-        held = PairSet.merge(
-            build_pairs(emb_a, emb_b, MODE_SELF, rng, 100),
-            build_pairs(emb_a, emb_b, MODE_CROSS, rng, 100),
-        )
+        held = make_pairs(emb_a, emb_b, {MODE_SELF: 100, MODE_CROSS: 100}, rng)
         acc = eval_pairs(gate, held)
         assert acc["overall"] >= 0.95
         assert set(acc) == {"overall", "self", "cross"}
 
     def test_gate_training_is_deterministic(self, rng):
         emb_a, emb_b = toy_tables(rng)
-        pairs = PairSet.merge(
-            build_pairs(emb_a, emb_b, MODE_SELF, rng, 16),
-            build_pairs(emb_a, emb_b, MODE_CROSS, rng, 16),
-        )
+        pairs = make_pairs(emb_a, emb_b, {MODE_SELF: 16, MODE_CROSS: 16}, rng)
         one = train_pair_gate(pairs, seed=3, hidden=8, epochs=2)
         two = train_pair_gate(pairs, seed=3, hidden=8, epochs=2)
         assert one.params.checksum() == two.params.checksum()
