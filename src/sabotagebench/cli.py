@@ -35,7 +35,6 @@ from .metrics import (
     self_recog_component,
 )
 from .mirror_cnn import pool_split, run_mirror_experiment
-from .mirror_text import http_providers, run_mirror_text_experiment
 from .training import (
     run_sweep,
     train_adaptive,
@@ -122,12 +121,15 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
             raise ConfigError(f"dataset.mnist_dir: {exc}") from exc
     if source == "synthetic":
         image_size = cfg.section("model")["image_size"]
-        train = synthetic_mnist_set(
-            ds["synthetic_train"], ds["synthetic_seed"], image_size=image_size
-        )
-        test = synthetic_mnist_set(
-            ds["synthetic_test"], ds["synthetic_seed"] + 1, image_size=image_size
-        )
+        try:
+            train = synthetic_mnist_set(
+                ds["synthetic_train"], ds["synthetic_seed"], image_size=image_size
+            )
+            test = synthetic_mnist_set(
+                ds["synthetic_test"], ds["synthetic_seed"] + 1, image_size=image_size
+            )
+        except ValidationError as exc:
+            raise ConfigError(f"model.image_size: {exc}") from exc
         return train, test
     raise ConfigError(
         f"dataset.source: expected auto, mnist, or synthetic, got {source!r}"
@@ -168,6 +170,9 @@ def run_single(
     summary: dict = {"experiment": experiment, "out_dir": str(out_dir)}
 
     if experiment == "mirror-text":
+        # imported here so the other experiments never load mirror_text
+        from .mirror_text import http_providers, run_mirror_text_experiment
+
         mt = cfg.section("mirror_text")
         use_fixtures = offline or mt["offline"]
         providers = None if use_fixtures else http_providers()
@@ -347,6 +352,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _check_mirror_text() -> None:
+    from .mirror_text import run_mirror_text_experiment
+
     report = run_mirror_text_experiment()
     expected = {"A": 25.0, "B": 100.0, "C": 50.0, "D": 100.0, "E": 100.0}
     got = {row["system"]: row["score_percent"] for row in report.recognition}

@@ -13,7 +13,6 @@ import gzip
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -137,14 +136,6 @@ class SabotageConfig:
             raise ValidationError(f"n_classes must be >= 2, got {self.n_classes}")
 
 
-class SampleRecord(NamedTuple):
-    original_pixels: np.ndarray
-    original_label: int
-    sabotaged: bool
-    effective_pixels: np.ndarray
-    effective_label: int
-
-
 @dataclass
 class SabotagedBatch:
     """Parallel arrays: originals, mask, and effective (possibly corrupted) data."""
@@ -158,15 +149,6 @@ class SabotagedBatch:
     @property
     def count(self) -> int:
         return int(self.images.shape[0])
-
-    def record(self, i: int) -> SampleRecord:
-        return SampleRecord(
-            self.images[i],
-            int(self.labels[i]),
-            bool(self.mask[i]),
-            self.effective_images[i],
-            int(self.effective_labels[i]),
-        )
 
 
 def invert(images: np.ndarray) -> np.ndarray:
@@ -249,21 +231,27 @@ def synthetic_mnist_set(
     at random offsets with additive pixel noise. Deterministic per seed."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
     scale = max(1, image_size // 8)
-    glyphs = {
-        d: np.kron(_glyph_array(d), np.ones((scale, scale), dtype=np.float32))
-        for d in range(10)
-    }
+    glyphs = np.stack(
+        [np.kron(_glyph_array(d), np.ones((scale, scale), dtype=np.float32)) for d in range(10)]
+    )
+    gh, gw = glyphs.shape[1:]
+    if gh > image_size or gw > image_size:
+        raise ValidationError(
+            f"image_size {image_size} cannot hold the {gh}x{gw} digit glyph"
+        )
     labels = rng.integers(0, 10, size=count)
     images = np.zeros((count, 1, image_size, image_size), dtype=np.float32)
-    gh, gw = glyphs[0].shape
     base_r = (image_size - gh) // 2
     base_c = (image_size - gw) // 2
     shift_r = rng.integers(-max_shift, max_shift + 1, size=count)
     shift_c = rng.integers(-max_shift, max_shift + 1, size=count)
-    for i in range(count):
-        r = int(np.clip(base_r + shift_r[i], 0, image_size - gh))
-        c = int(np.clip(base_c + shift_c[i], 0, image_size - gw))
-        images[i, 0, r : r + gh, c : c + gw] = glyphs[int(labels[i])]
+    r = np.clip(base_r + shift_r, 0, image_size - gh)
+    c = np.clip(base_c + shift_c, 0, image_size - gw)
+    # windows[i, y, x] is the gh x gw view of image i whose top-left is (y, x)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        images[:, 0], (gh, gw), axis=(1, 2), writeable=True
+    )
+    windows[np.arange(count), r, c] = glyphs[labels]
     if noise:
         images += rng.uniform(0, noise, size=images.shape).astype(np.float32)
         np.clip(images, 0.0, 1.0, out=images)

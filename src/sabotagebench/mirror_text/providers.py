@@ -6,6 +6,8 @@ interview preamble; every later call appends to the same transcript, so
 fixture provider replays a recorded session deterministically and is
 the default everywhere; the HTTP provider exists for live runs and
 speaks the smallest possible contract (JSON prompt in, JSON text out).
+`requests` is imported only when the default transport first posts, so
+fixture runs never load the HTTP stack.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ import os
 import re
 import time
 from typing import Callable, Sequence
-
-import requests
 
 from ..errors import ConfigError, ProviderError, ValidationError
 from .protocol import AnswerPool, FixtureSet, RankingMatrix
@@ -101,6 +101,8 @@ class FixtureProvider(Provider):
 
 
 def default_transport(url: str, payload: dict, headers: dict, timeout_s: float) -> str:
+    import requests
+
     response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
     response.raise_for_status()
     return response.text

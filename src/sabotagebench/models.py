@@ -350,6 +350,3 @@ class MlpBinary:
         _, dw, db = linear_backward(dh, cache["fc1"], input_grad=False)
         p["w1"].grad += dw
         p["b1"].grad += db
-
-
-Gate = MlpBinary

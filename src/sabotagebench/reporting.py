@@ -13,13 +13,14 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .errors import ValidationError
 from .mirror_cnn import MirrorCnnReport
-from .mirror_text.questionnaire import SYSTEM_IDS
-from .mirror_text.runner import MirrorTextReport
 from .training import RunReport
+
+if TYPE_CHECKING:  # mirror_text loads only for mirror-text runs
+    from .mirror_text.runner import MirrorTextReport
 
 QUARANTINE_COLUMNS = (
     "epoch",
@@ -204,6 +205,8 @@ def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> list[
     bar and distribution forms are emitted because the aggregate figure
     shape is ambiguous.
     """
+    from .mirror_text.questionnaire import SYSTEM_IDS
+
     payload = report.to_json_dict()
     missing = [key for key in _MIRROR_TEXT_REQUIRED if not payload.get(key)]
     if missing:

@@ -13,6 +13,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -351,6 +353,14 @@ class TestRunExitCodes:
         assert "10000" in err and "6000" in err
         assert not list(tmp_path.rglob("report_*"))
 
+    def test_image_too_small_for_the_glyph(self, tmp_path, capsys):
+        argv = ["run", "baseline", "--out", str(tmp_path / "out"),
+                "--set", "dataset.source=synthetic", "--set", "model.image_size=6"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error: model.image_size" in err
+        assert "7x5 digit glyph" in err
+
     def test_degenerate_mirror_pool_split_fails_before_training(self, tmp_path, capsys):
         argv = ["run", "all", "--offline", "--out", str(tmp_path / "out"),
                 "--set", "dataset.source=synthetic", "--set", "dataset.synthetic_test=10",
@@ -427,6 +437,31 @@ def all_dir(tiny_config, tmp_path_factory):
     args = ["run", "all", "--config", str(tiny_config), "--out", str(out)]
     assert run_cli(args + ["--offline", "--parallel"]) == 0
     return out
+
+
+# Runs in a fresh interpreter: this test session has imported mirror_text.
+_IMPORTS_OF_A_RUN = """
+import json, sys
+from sabotagebench import cli
+code = cli.main(["run", "baseline", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, [m for m in ("requests", "ssl", "sabotagebench.mirror_text")
+                         if m in sys.modules]]))
+"""
+
+
+def test_a_training_run_leaves_the_http_stack_unloaded(tiny_config, tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_OF_A_RUN, str(tiny_config), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
 
 
 class TestRunArtifacts:

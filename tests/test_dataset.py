@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_dataset as oracle
 from sabotagebench.dataset import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
@@ -237,15 +238,6 @@ class TestInjectSabotage:
         with pytest.raises(ValidationError, match="labels"):
             inject_sabotage(ds.images, ds.labels[:3], SabotageConfig(rate=0.1), rng)
 
-    def test_record_view(self, rng):
-        ds = synthetic_mnist_set(8, seed=19, image_size=16)
-        batch = inject_sabotage(ds.images, ds.labels, SabotageConfig(rate=1.0), rng)
-        rec = batch.record(2)
-        assert rec.sabotaged
-        np.testing.assert_array_equal(rec.effective_pixels, invert(ds.images[2]))
-        np.testing.assert_array_equal(rec.original_pixels, ds.images[2])
-        assert rec.original_label == ds.labels[2]
-
 
 class TestDisjointSubsets:
     def test_subsets_are_disjoint_and_sized(self, rng):
@@ -285,3 +277,35 @@ class TestSyntheticSet:
         for img, lab in zip(ds.images, ds.labels):
             by_label.setdefault(int(lab), tuple(img.ravel()))
         assert len(set(by_label.values())) == len(by_label)
+
+    def test_glyph_that_does_not_fit_is_rejected(self):
+        with pytest.raises(ValidationError, match="7x5 digit glyph"):
+            synthetic_mnist_set(4, seed=3, image_size=6)
+
+
+def assert_same_set(new, old):
+    assert new.images.tobytes() == old.images.tobytes()
+    assert new.labels.tobytes() == old.labels.tobytes()
+
+
+class TestSyntheticSetMatchesOracle:
+    """The vectorized placement draws the same set, byte for byte, as the
+    per-image loop kept in `oracle_dataset`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.integers(0, 70),
+        seed=st.integers(0, 2**32 - 1),
+        image_size=st.integers(8, 40),
+        max_shift=st.integers(0, 12),
+        noise=st.one_of(st.just(0.0), st.floats(0.01, 1.5)),
+    )
+    def test_random_configurations(self, count, seed, image_size, max_shift, noise):
+        kwargs = dict(image_size=image_size, noise=noise, max_shift=max_shift)
+        assert_same_set(
+            synthetic_mnist_set(count, seed, **kwargs),
+            oracle.synthetic_mnist_set(count, seed, **kwargs),
+        )
+
+    def test_stock_size(self):
+        assert_same_set(synthetic_mnist_set(3072, 4242), oracle.synthetic_mnist_set(3072, 4242))

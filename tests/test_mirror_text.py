@@ -32,6 +32,7 @@ from sabotagebench.mirror_text import (
     self_identification,
     self_rating_heatmap,
 )
+from sabotagebench.mirror_text.providers import default_transport
 from sabotagebench.mirror_text.questionnaire import SYSTEM_IDS
 from sabotagebench.reporting import canonical_json
 
@@ -435,6 +436,31 @@ class TestHttpProvider:
         monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_A_URL", "http://example.test/chat")
         with pytest.raises(ConfigError, match="https://"):
             HttpProvider("A")
+
+    def test_default_transport_posts_through_requests(self, monkeypatch):
+        import requests
+
+        class Response:
+            text = wrap("posted")
+
+            def raise_for_status(self):
+                pass
+
+        calls = []
+
+        def post(url, **kwargs):
+            calls.append((url, kwargs))
+            return Response()
+
+        monkeypatch.setattr(requests, "post", post)
+        text = default_transport("https://example.test/chat", {"prompt": "Q"}, {"X": "1"}, 5.0)
+        assert text == wrap("posted")
+        assert calls == [
+            (
+                "https://example.test/chat",
+                {"json": {"prompt": "Q"}, "headers": {"X": "1"}, "timeout": 5.0},
+            )
+        ]
 
     def test_answer_and_auth_header(self, monkeypatch):
         monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_A_URL", "https://example.test/chat")
