@@ -439,7 +439,7 @@ def all_dir(tiny_config, tmp_path_factory):
     return out
 
 
-# Runs in a fresh interpreter: this test session has imported mirror_text.
+# Runs in a fresh interpreter: the test process has already imported mirror_text.
 _IMPORTS_OF_A_RUN = """
 import json, sys
 from sabotagebench import cli
