@@ -10,6 +10,7 @@ import pytest
 import oracle_training
 from sabotagebench.dataset import SabotageConfig, synthetic_mnist_set
 from sabotagebench.errors import ValidationError
+from sabotagebench.mirror_cnn import train_partial
 from sabotagebench.models import ModelConfig
 from sabotagebench.quarantine import AdaptiveControllerState
 from sabotagebench.training import (
@@ -292,6 +293,104 @@ class TestAdaptiveTiny:
         steps = np.abs(np.diff(taus))
         assert steps.max() <= 0.01 + 1e-12
         assert report.extras["tau_final"] == pytest.approx(taus[-1], abs=0.011)
+
+
+# ----------------------------------------------------------------- oracle
+
+
+def _log_rows(report):
+    # latency_s is timing, the one column that differs run to run
+    return [(r.epoch, r.batch, r.tau, r.flagged_count, r.sabotaged_count, r.f_avg)
+            for r in report.log_rows]
+
+
+def _assert_same_run(report, expected):
+    assert report.to_json_dict() == expected.to_json_dict()
+    assert _log_rows(report) == _log_rows(expected)
+
+
+ORACLE_MODEL = dict(conv1_channels=2, conv2_channels=4, fc_hidden=16)
+
+
+@pytest.fixture(scope="module", params=[90, 97], ids=["ragged", "one_row"])
+def oracle_case(request):
+    """Train sets whose last batch of 16 holds 10 rows or 1 row, and a
+    2-epoch config at which the pipelines train, flag and starve."""
+    train = synthetic_mnist_set(request.param, 41)
+    test = synthetic_mnist_set(50, 42)
+
+    def cfg(method, **kwargs):
+        return tiny_pipeline(
+            method,
+            seed=6,
+            sabotage=SabotageConfig(rate=0.3, label_mode="reject" if method == "irm" else "random"),
+            model=ModelConfig(**ORACLE_MODEL),
+            train=TrainConfig(epochs=2, batch_size=16, learning_rate=0.1),
+            gate=GateTrainConfig(hidden=8, epochs=1),
+            **kwargs,
+        )
+
+    return train, test, cfg, pretrain_gate(cfg("hard"), train)
+
+
+class TestPipelinesMatchOracle:
+    """Every pipeline gives the reports, epoch rows and quarantine logs of
+    its own epoch loop and final evaluation as they were (`oracle_training`)."""
+
+    def test_baseline(self, oracle_case):
+        train, test, cfg, _ = oracle_case
+        _assert_same_run(train_baseline(cfg("baseline"), train, test),
+                         oracle_training.train_baseline(cfg("baseline"), train, test))
+
+    def test_irm(self, oracle_case):
+        train, test, cfg, _ = oracle_case
+        _assert_same_run(train_irm(cfg("irm"), train, test),
+                         oracle_training.train_irm(cfg("irm"), train, test))
+
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_soft(self, oracle_case, unit):
+        train, test, cfg, asset = oracle_case
+        c = cfg("soft", force_unit_weights=unit)
+        _assert_same_run(train_soft(c, train, test, asset),
+                         oracle_training._run_gated_pipeline(c, train, test, asset, None))
+
+    # 0.99 flags almost every row, so batches starve
+    @pytest.mark.parametrize("cutoff,unit", [("auto", False), ("auto", True), (0.99, False)])
+    def test_hard(self, oracle_case, cutoff, unit):
+        train, test, cfg, asset = oracle_case
+        c = cfg("hard", hard_cutoff=cutoff, force_unit_weights=unit)
+        report = train_hard(c, train, test, asset)
+        _assert_same_run(report,
+                         oracle_training._run_gated_pipeline(c, train, test, asset, cutoff))
+        if cutoff == 0.99:
+            assert report.starvation_events > 0
+
+    def test_sweep(self, oracle_case):
+        # at tau 0.5 the untrained net flags everything, so batches starve
+        train, test, cfg, _ = oracle_case
+        result = run_sweep(cfg("baseline"), SweepConfig(thresholds=(0.1, 0.5), epochs=2),
+                           train, test)
+        for tau, report in zip((0.1, 0.5), result["reports"]):
+            _assert_same_run(report, oracle_training._confidence_quarantine_run(
+                cfg("baseline"), train, test, tau, None, 2))
+        assert result["reports"][1].starvation_events > 0
+
+    def test_adaptive(self, oracle_case):
+        train, test, cfg, _ = oracle_case
+        state = AdaptiveControllerState(tau=0.3, delta=0.05, window=3)
+        report = train_adaptive(cfg("baseline"), train, test, state)
+        _assert_same_run(report, oracle_training._confidence_quarantine_run(
+            cfg("baseline"), train, test, state.tau, state, 2))
+        assert len({row.tau for row in report.log_rows}) > 1
+
+    @pytest.mark.parametrize("with_test", [False, True])
+    def test_train_partial(self, oracle_case, with_test):
+        train, test, _, _ = oracle_case
+        args = (train, ModelConfig(**ORACLE_MODEL), 6, "A", 2, 16, 0.1, test if with_test else None)
+        net, error = train_partial(*args)
+        expected_net, expected_error = oracle_training.train_partial(*args)
+        assert net.params.checksum() == expected_net.params.checksum()
+        assert error == expected_error or (math.isnan(error) and math.isnan(expected_error))
 
 
 # ---------------------------------------------------------------- medium
