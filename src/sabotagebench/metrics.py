@@ -1,11 +1,10 @@
-"""Detection metrics, latency statistics, and the Life* aggregates.
+"""Detection metrics and the Life* aggregates.
 
 Division conventions: precision, recall, F1 and accuracy-on-accepted all
 return 0 on 0/0 (required to represent degenerate regimes such as an empty
 accepted set without raising).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,16 +67,6 @@ def accuracy_on_accepted(predictions, labels, accepted) -> tuple[float, bool]:
         return 0.0, True
     correct = int(np.sum((predictions == labels) & accepted))
     return correct / kept, False
-
-
-def latency_stats(samples) -> tuple[float, float]:
-    """(mean, nearest-rank 95th percentile) of a nonempty list of seconds."""
-    values = [float(v) for v in samples]
-    if not values:
-        raise ValidationError("latency_stats needs at least one sample")
-    ordered = sorted(values)
-    rank = math.ceil(0.95 * len(ordered))  # 1-based nearest rank
-    return sum(values) / len(values), ordered[rank - 1]
 
 
 @dataclass(frozen=True)
@@ -176,7 +165,8 @@ def lifestar_score(inputs: LifeStarInputs) -> float:
 
 @dataclass(frozen=True)
 class LifeStarChecklist:
-    """Boolean criteria; every field must be set explicitly."""
+    """Boolean criteria; every field must be set explicitly. Kept with no
+    caller: it states the paper's Life* checklist (Oxford, NASA, Koshland)."""
 
     oxford: bool
     purely_carbon: bool
@@ -186,6 +176,8 @@ class LifeStarChecklist:
 
 
 def lifestar_predicate(c: LifeStarChecklist) -> bool:
+    """The paper's Life* predicate over the checklist; kept with
+    LifeStarChecklist, as the definition the Life* score builds on."""
     return (
         (c.oxford and not c.purely_carbon)
         or (c.nasa and c.functional_analogs)

@@ -100,16 +100,17 @@ def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
 
     The tag keeps the two nets' seed streams apart so they differ in both
     data and initialization."""
-    from .training import _batches, _plain_test_error, _train_step
+    from .training import RunReport, UnitWeights, _batches, _plain_test_error, fit
 
     net = SimpleCNN(model_cfg, stream(seed, f"mirror/init/{tag}"))
-    ones = None
-    for epoch in range(epochs):
+
+    def batches(epoch: int):
         shuffle = stream(seed, f"mirror/shuffle/{tag}/{epoch}")
         for idx in _batches(subset.count, batch_size, shuffle):
-            if ones is None or ones.shape[0] != idx.size:
-                ones = np.ones(idx.size)
-            _train_step(net, subset.images[idx], subset.labels[idx], ones, learning_rate)
+            yield subset.images[idx], subset.labels[idx], None
+
+    fit(net, RunReport(method=f"mirror/{tag}", seed=seed), epochs, batches, UnitWeights(),
+        learning_rate)
     error = _plain_test_error(net, test_set) if test_set is not None else float("nan")
     return net, error
 

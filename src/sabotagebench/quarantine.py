@@ -1,4 +1,4 @@
-"""Per-sample weighting, flagging, hard gating, threshold sweeps, and the
+"""Per-sample weighting, flagging, threshold sweeps, and the
 adaptive confidence-threshold controller.
 
 Weighting: w = clip(weight_conf * gate_out**alpha, 0, 1) where weight_conf
@@ -74,20 +74,6 @@ def decide(max_prob: np.ndarray, gate_out: np.ndarray, cfg: SoftWeightConfig):
     wc = confidence_weight(max_prob, cfg.confidence_threshold)
     w = combine_weight(wc, gate_out, cfg.gate_exponent)
     return wc, w, flag(w, cfg.soft_flag_threshold)
-
-
-def hard_gate(samples, scores, cutoff: float):
-    """Partition samples into (accepted, rejected) by score < cutoff, order kept."""
-    samples = list(samples)
-    scores = np.asarray(scores)
-    if scores.shape != (len(samples),):
-        raise ValidationError(
-            f"need one score per sample: {len(samples)} samples, {scores.shape} scores"
-        )
-    rejected_mask = scores < cutoff
-    accepted = [s for s, r in zip(samples, rejected_mask) if not r]
-    rejected = [s for s, r in zip(samples, rejected_mask) if r]
-    return accepted, rejected
 
 
 # ------------------------------------------------------------- controller

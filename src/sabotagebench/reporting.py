@@ -73,6 +73,15 @@ def write_metadata(out_dir: Path, payload: dict) -> Path:
     return path
 
 
+def write_quarantine_log(path: Path, report: RunReport) -> Path:
+    """One QUARANTINE_COLUMNS row per training batch of `report`."""
+    return write_csv(
+        path,
+        QUARANTINE_COLUMNS,
+        ((getattr(row, column) for column in QUARANTINE_COLUMNS) for row in report.log_rows),
+    )
+
+
 def write_run_report(out_dir: Path, report: RunReport) -> list[Path]:
     """report_<method>_seed<N>.json + epoch and quarantine CSVs."""
     out_dir = Path(out_dir)
@@ -86,24 +95,7 @@ def write_run_report(out_dir: Path, report: RunReport) -> list[Path]:
         )
     )
     if report.log_rows:
-        written.append(
-            write_csv(
-                out_dir / f"quarantine_log_{tag}.csv",
-                QUARANTINE_COLUMNS,
-                (
-                    (
-                        row.epoch,
-                        row.batch,
-                        row.tau,
-                        row.flagged_count,
-                        row.sabotaged_count,
-                        row.f_avg,
-                        row.latency_s,
-                    )
-                    for row in report.log_rows
-                ),
-            )
-        )
+        written.append(write_quarantine_log(out_dir / f"quarantine_log_{tag}.csv", report))
     return written
 
 
@@ -145,24 +137,7 @@ def write_sweep_artifacts(out_dir: Path, seed: int, sweep_result: dict) -> list[
     for report in sweep_result["reports"]:
         tau = report.extras["threshold"]
         tag = f"sweep_tau{tau}_seed{seed}"
-        written.append(
-            write_csv(
-                out_dir / f"quarantine_log_{tag}.csv",
-                QUARANTINE_COLUMNS,
-                (
-                    (
-                        row.epoch,
-                        row.batch,
-                        row.tau,
-                        row.flagged_count,
-                        row.sabotaged_count,
-                        row.f_avg,
-                        row.latency_s,
-                    )
-                    for row in report.log_rows
-                ),
-            )
-        )
+        written.append(write_quarantine_log(out_dir / f"quarantine_log_{tag}.csv", report))
     return written
 
 

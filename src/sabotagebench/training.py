@@ -11,13 +11,27 @@
             excluded from the loss) retrained per threshold value
   adaptive  same quarantine with tau driven by the feedback controller
 
+All of them, the gate's disposable body and the mirror nets train in one
+loop, `fit`: take a batch, forward it, let a policy decide, log, step. The
+pipelines differ only in their seed streams, their policy and their final
+flag rule. A policy maps a batch's logits and midlayer to a `Decision` of
+one of two kinds:
+
+  weights   every row trains, its loss scaled per row (`_fit_step`):
+            baseline, irm, soft, the gate's body and the mirror nets
+  accepted  only the rows not flagged train (`_fit_accepted`), and a batch
+            with none left starves: hard, sweep and adaptive
+
+A policy that flags (soft, hard, sweep, adaptive) also gives the tau and
+f_avg of the batch's quarantine log row. One function, `_evaluate`, then
+gives every pipeline's flags and predictions on the poisoned test stream.
+
 Every pipeline derives all randomness from named streams of one seed, so
 method variants that make identical choices (soft with unit weights, hard
 with cutoff 0) reproduce the baseline trajectory bit for bit.
 
-Each input goes through the conv trunk once per set of weights. The hard,
-sweep and adaptive loops score a batch with one forward and then train on
-its accepted rows through that forward's cache, cut down in place by
+Each input goes through the conv trunk once per set of weights. An accepted
+step trains through the scoring forward's cache, cut down in place by
 `SimpleCNN.narrow` (the same dict object `forward` returned, which backward
 then takes); only the fc head is rerun, because a 1-row head GEMM goes
 through GEMV and rounds differently from the same row of the full batch.
@@ -29,8 +43,8 @@ inverted rows of each batch.
 Inference keeps no cache (`SimpleCNN.infer`, `extract_embeddings`). The
 conv trunk runs in pieces of a training batch's size, so no inference
 buffer is bigger than a training step's; the fc head and the gate still see
-each caller's chunk (512 rows in `_forward_probs` and the gated final
-evaluation) at once, so their GEMMs round as one forward of the chunk did.
+each caller's chunk (512 rows in `_forward_probs` and `_evaluate`) at once,
+so their GEMMs round as one forward of the chunk did.
 
 Evaluation poisons the test stream at the training rate under a distinct
 seed stream. Accuracy-on-accepted is computed over accepted AND clean
@@ -131,7 +145,6 @@ class PipelineConfig:
     hard_cutoff: float | str = "auto"
     hard_auto_quantile: float = 0.65
     force_unit_weights: bool = False
-    estimate_sabotage_fraction: bool = False
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -240,12 +253,6 @@ def _fit_step(model: SimpleCNN, logits, cache, labels, weights, lr: float):
     return loss, int(np.sum(probs.argmax(axis=1) == labels))
 
 
-def _train_step(model: SimpleCNN, images, labels, weights, lr: float, fraction: float = 0.0):
-    """One forward/backward/SGD step; returns (loss, correct_count)."""
-    logits, _, cache = model.forward(images, fraction)
-    return _fit_step(model, logits, cache, labels, weights, lr)
-
-
 def _fit_accepted(model: SimpleCNN, mid, cache, labels, accepted, lr: float) -> int:
     """Train on the accepted rows of a scoring forward, reusing its conv trunk
     (see `SimpleCNN.narrow`); returns the correct count."""
@@ -267,17 +274,134 @@ def poison_eval_stream(test_set: MnistSet, sabotage: SabotageConfig, seed: int):
     return inject_sabotage(test_set.images, test_set.labels, sabotage, rng)
 
 
-def _finish_report(
-    report: RunReport, flags: np.ndarray, batch: SabotagedBatch, predictions: np.ndarray
-) -> None:
-    """Fill the evaluation block: detection vs the sabotage mask, rejection
-    rate over the poisoned stream, accuracy over accepted clean samples."""
-    accepted = ~flags
-    acc, empty = accuracy_on_accepted(predictions, batch.labels, accepted & ~batch.mask)
+# ---------------------------------------------------------------- the loop
+
+
+@dataclass
+class Decision:
+    """A policy's verdict on one batch.
+
+    With `weights`, every row trains with its loss scaled by its weight;
+    without, only the rows not flagged train. A policy that flags (`logged`)
+    also gives the batch's log-row tau and f_avg."""
+
+    weights: np.ndarray | None = None
+    flags: np.ndarray | None = None
+    tau: float = 0.0
+    f_avg: float = 0.0
+
+
+class UnitWeights:
+    """Every row trains at weight 1; nothing is flagged or logged."""
+
+    logged = False
+
+    def __init__(self) -> None:
+        self.ones = np.ones(0)
+
+    def __call__(self, epoch, logits, mid) -> Decision:
+        if self.ones.shape[0] != logits.shape[0]:
+            self.ones = np.ones(logits.shape[0])
+        return Decision(weights=self.ones)
+
+
+def fit(model: SimpleCNN, report: RunReport, epochs: int, batches, policy, lr: float,
+        test_set: MnistSet | None = None) -> None:
+    """Train `model` for `epochs` epochs, logging into `report`.
+
+    `batches(epoch)` yields the epoch's (images, labels, sabotage mask)
+    batches; `policy(epoch, logits, midlayer)` decides each one (see
+    `Decision`). A logged policy adds a quarantine log row per batch and a
+    flag-vs-sabotage confusion count per epoch. Each epoch appends its train
+    error over the rows trained and, given a `test_set`, its plain test
+    error (NaN without one).
+    """
+    for epoch in range(epochs):
+        correct = trained = 0
+        counts = np.zeros(4, dtype=np.int64)  # tp fp fn tn
+        for batch_no, (images, labels, mask) in enumerate(batches(epoch)):
+            logits, mid, cache = model.forward(images)
+            t0 = time.perf_counter() if policy.logged else 0.0
+            decision = policy(epoch, logits, mid)
+            if policy.logged:
+                latency = time.perf_counter() - t0
+                flags = decision.flags
+                c = confusion(flags, mask)
+                counts += (c.tp, c.fp, c.fn, c.tn)
+                report.log_rows.append(LogRow(epoch, batch_no, decision.tau, int(flags.sum()),
+                                              int(mask.sum()), decision.f_avg, latency))
+            if decision.weights is not None:
+                correct += _fit_step(model, logits, cache, labels, decision.weights, lr)[1]
+                trained += labels.shape[0]
+            elif decision.flags.all():
+                report.starvation_events += 1
+            else:
+                accepted = ~decision.flags
+                correct += _fit_accepted(model, mid, cache, labels, accepted, lr)
+                trained += int(accepted.sum())
+            # the next batch's forward must not run beside this one's cache
+            del logits, mid, cache
+        if policy.logged:
+            tp, fp, fn, tn = (int(v) for v in counts)
+            report.train_flag_counts.append({"epoch": epoch, "tp": tp, "fp": fp, "fn": fn, "tn": tn})
+        test_error = float("nan") if test_set is None else _plain_test_error(model, test_set)
+        report.epochs.append(EpochStats(epoch, 1.0 - correct / max(trained, 1), test_error))
+
+
+def _sabotaged(cfg: PipelineConfig, data: MnistSet):
+    """The run's per-epoch batch source: `data` shuffled and sabotaged by the
+    `shuffle/<epoch>` and `sabotage/<epoch>` streams."""
+
+    def batches(epoch: int):
+        shuffle = stream(cfg.seed, f"shuffle/{epoch}")
+        sab = stream(cfg.seed, f"sabotage/{epoch}")
+        for idx in _batches(data.count, cfg.train.batch_size, shuffle):
+            bt = inject_sabotage(data.images[idx], data.labels[idx], cfg.sabotage, sab)
+            yield bt.effective_images, bt.effective_labels, bt.mask
+
+    return batches
+
+
+def _evaluate(model: SimpleCNN, images: np.ndarray, flags_of,
+              gate: MlpBinary | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, predictions) of a trained model on `images`.
+
+    The model (and the gate, if given) see chunks of 512 rows;
+    `flags_of(probs, scores)` then flags the whole stream from its softmax
+    and its gate scores (None without a gate)."""
+    probs, scores = [], []
+    for start in range(0, images.shape[0], 512):
+        logits, mid = model.infer(images[start : start + 512])
+        probs.append(softmax(logits))
+        if gate is not None:
+            scores.append(_gate_scores(gate, mid))
+        del mid  # the next chunk's trunk must not run beside it
+    probs = np.concatenate(probs)
+    flags = flags_of(probs, np.concatenate(scores) if gate is not None else None)
+    return flags, probs.argmax(axis=1)
+
+
+def _run(cfg: PipelineConfig, method: str, model: SimpleCNN, policy, flags_of,
+         train_set: MnistSet, test_set: MnistSet, epochs: int,
+         gate: MlpBinary | None = None) -> RunReport:
+    """Train with `policy`, then fill the evaluation block on a freshly
+    poisoned test stream: detection vs the sabotage mask, rejection rate over
+    the stream, accuracy over accepted clean samples."""
+    started = time.perf_counter()
+    report = RunReport(method=method, seed=cfg.seed)
+    fit(model, report, epochs, _sabotaged(cfg, train_set), policy, cfg.train.learning_rate,
+        test_set)
+    batch = poison_eval_stream(test_set, cfg.sabotage, cfg.seed)
+    flags, predictions = _evaluate(model, batch.effective_images, flags_of, gate)
+    acc, empty = accuracy_on_accepted(predictions, batch.labels, ~flags & ~batch.mask)
     report.detection = detection_metrics(flags, batch.mask, acc, empty)
     report.rejection_rate = float(flags.mean())
     report.accuracy_on_accepted = acc
     report.accepted_empty = empty
+    report.extras["model_checksum"] = model.params.checksum()
+    report.extras["final_test_error"] = report.epochs[-1].test_error
+    report.wall_clock_s = time.perf_counter() - started
+    return report
 
 
 # --------------------------------------------------------------- baseline
@@ -285,31 +409,10 @@ def _finish_report(
 
 def train_baseline(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> RunReport:
     """Standard n-class classifier on the poisoned stream, no defense."""
-    started = time.perf_counter()
     model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
-    report = RunReport(method=BASELINE, seed=cfg.seed)
-    ones = None
-    for epoch in range(cfg.train.epochs):
-        shuffle = stream(cfg.seed, f"shuffle/{epoch}")
-        sab = stream(cfg.seed, f"sabotage/{epoch}")
-        correct = 0
-        for idx in _batches(train_set.count, cfg.train.batch_size, shuffle):
-            bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            if ones is None or ones.shape[0] != idx.size:
-                ones = np.ones(idx.size)
-            _, c = _train_step(model, bt.effective_images, bt.effective_labels, ones, cfg.train.learning_rate)
-            correct += c
-        report.epochs.append(
-            EpochStats(epoch, 1.0 - correct / train_set.count, _plain_test_error(model, test_set))
-        )
-    eval_batch = poison_eval_stream(test_set, cfg.sabotage, cfg.seed)
-    probs = _forward_probs(model, eval_batch.effective_images)
-    flags = np.zeros(test_set.count, dtype=bool)
-    _finish_report(report, flags, eval_batch, probs.argmax(axis=1))
-    report.extras["model_checksum"] = model.params.checksum()
-    report.wall_clock_s = time.perf_counter() - started
-    report.extras["final_test_error"] = report.epochs[-1].test_error
-    return report
+    return _run(cfg, BASELINE, model, UnitWeights(),
+                lambda probs, _: np.zeros(probs.shape[0], dtype=bool),
+                train_set, test_set, cfg.train.epochs)
 
 
 # ------------------------------------------------------------------- gate
@@ -347,16 +450,8 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
     rows up in it and forward only their inverted rows.
     """
     body = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
-    ones = None
-    for epoch in range(cfg.gate.body_epochs):
-        shuffle = stream(cfg.seed, f"shuffle/{epoch}")
-        sab = stream(cfg.seed, f"sabotage/{epoch}")
-        for idx in _batches(train_set.count, cfg.train.batch_size, shuffle):
-            bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            if ones is None or ones.shape[0] != idx.size:
-                ones = np.ones(idx.size)
-            _train_step(model=body, images=bt.effective_images, labels=bt.effective_labels,
-                        weights=ones, lr=cfg.train.learning_rate)
+    fit(body, RunReport(method="gate/body", seed=cfg.seed), cfg.gate.body_epochs,
+        _sabotaged(cfg, train_set), UnitWeights(), cfg.train.learning_rate)
 
     frozen_checksum = body.params.checksum()
     # The body is frozen from here on, and its trunk computes each image on
@@ -426,86 +521,70 @@ def _hard_flags(w: np.ndarray, cutoff, quantile: float) -> tuple[np.ndarray, flo
 # ------------------------------------------------------------- soft / hard
 
 
-def _run_gated_pipeline(
-    cfg: PipelineConfig,
-    train_set: MnistSet,
-    test_set: MnistSet,
-    asset: GateAsset,
-    hard_cutoff,
-) -> RunReport:
-    """Shared trainer for the soft (hard_cutoff None) and hard pipelines."""
-    started = time.perf_counter()
-    method = SOFT if hard_cutoff is None else HARD
-    model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
+def _gate_decide(cfg: PipelineConfig, hard_cutoff, max_prob, scores):
+    """(w, flags, tau) of the soft (hard_cutoff None) or hard rule."""
+    if cfg.force_unit_weights:
+        w, flags = np.ones(max_prob.shape[0]), np.zeros(max_prob.shape[0], dtype=bool)
+    else:
+        _, w, flags = decide(max_prob, scores, cfg.soft)
+    if hard_cutoff is None:
+        return w, flags, cfg.soft.confidence_threshold
+    flags, tau = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
+    return w, flags, tau
+
+
+class GatePolicy:
+    """Soft (hard_cutoff None) or hard quarantine through a frozen gate. Soft
+    trains every row at weight w; hard trains the rows the cutoff accepts.
+    f_avg is the flagged share of the epoch so far."""
+
+    logged = True
+
+    def __init__(self, cfg: PipelineConfig, gate: MlpBinary, hard_cutoff) -> None:
+        self.cfg = cfg
+        self.gate = gate
+        self.hard_cutoff = hard_cutoff
+        self.epoch = self.flagged = self.seen = 0
+
+    def __call__(self, epoch, logits, mid) -> Decision:
+        max_prob = softmax(logits).max(axis=1)
+        scores = _gate_scores(self.gate, mid)
+        w, flags, tau = _gate_decide(self.cfg, self.hard_cutoff, max_prob, scores)
+        if epoch != self.epoch:
+            self.epoch, self.flagged, self.seen = epoch, 0, 0
+        self.flagged += int(flags.sum())
+        self.seen += flags.size
+        weights = w if self.hard_cutoff is None else None
+        return Decision(weights, flags, tau, self.flagged / self.seen)
+
+
+def _gated_flags(cfg: PipelineConfig, hard_cutoff):
+    """The final flag rule of the soft (hard_cutoff None) or hard pipeline:
+    `_gate_decide` over chunks of 512 rows, nothing flagged with unit
+    weights."""
+
+    def flags_of(probs, scores):
+        if cfg.force_unit_weights:
+            return np.zeros(probs.shape[0], dtype=bool)
+        max_prob = probs.max(axis=1)
+        return np.concatenate([
+            _gate_decide(cfg, hard_cutoff, max_prob[s : s + 512], scores[s : s + 512])[1]
+            for s in range(0, probs.shape[0], 512)
+        ])
+
+    return flags_of
+
+
+def _run_gated(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
+               asset: GateAsset | None, hard_cutoff) -> RunReport:
+    if asset is None:
+        asset = pretrain_gate(cfg, train_set)
     gate = asset.gate
     gate_checksum = gate.params.checksum()
-    report = RunReport(method=method, seed=cfg.seed)
-    fraction = 0.0
-    for epoch in range(cfg.train.epochs):
-        shuffle = stream(cfg.seed, f"shuffle/{epoch}")
-        sab = stream(cfg.seed, f"sabotage/{epoch}")
-        correct = 0
-        seen = 0
-        trained = 0
-        epoch_counts = np.zeros(4, dtype=np.int64)  # tp fp fn tn
-        flagged_total = 0
-        for batch_no, idx in enumerate(_batches(train_set.count, cfg.train.batch_size, shuffle)):
-            bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            logits, mid, cache = model.forward(bt.effective_images, fraction)
-            t0 = time.perf_counter()
-            max_prob = softmax(logits).max(axis=1)
-            scores = _gate_scores(gate, mid)
-            if cfg.force_unit_weights:
-                w = np.ones(idx.size)
-                flags = np.zeros(idx.size, dtype=bool)
-            else:
-                _, w, flags = decide(max_prob, scores, cfg.soft)
-            batch_tau = cfg.soft.confidence_threshold
-            if method == HARD:
-                flags, batch_tau = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
-            latency = time.perf_counter() - t0
-            c = confusion(flags, bt.mask)
-            epoch_counts += (c.tp, c.fp, c.fn, c.tn)
-            flagged_total += int(flags.sum())
-            seen += idx.size
-            report.log_rows.append(
-                LogRow(
-                    epoch=epoch,
-                    batch=batch_no,
-                    tau=batch_tau,
-                    flagged_count=int(flags.sum()),
-                    sabotaged_count=int(bt.mask.sum()),
-                    f_avg=flagged_total / seen,
-                    latency_s=latency,
-                )
-            )
-            if method == SOFT:
-                correct += _fit_step(
-                    model, logits, cache, bt.effective_labels, w, cfg.train.learning_rate
-                )[1]
-            else:
-                accepted = ~flags
-                if not accepted.any():
-                    report.starvation_events += 1
-                    if cfg.estimate_sabotage_fraction:
-                        fraction = float(flags.mean())
-                    continue
-                correct += _fit_accepted(
-                    model, mid, cache, bt.effective_labels, accepted, cfg.train.learning_rate
-                )
-                trained += int(accepted.sum())
-            if cfg.estimate_sabotage_fraction:
-                fraction = float(flags.mean())
-        tp, fp, fn, tn = (int(v) for v in epoch_counts)
-        report.train_flag_counts.append({"epoch": epoch, "tp": tp, "fp": fp, "fn": fn, "tn": tn})
-        denom = train_set.count if method == SOFT else max(trained, 1)
-        report.epochs.append(
-            EpochStats(epoch, 1.0 - correct / denom, _plain_test_error(model, test_set))
-        )
-    # Final evaluation on a freshly poisoned stream.
-    eval_batch = poison_eval_stream(test_set, cfg.sabotage, cfg.seed)
-    flags, preds = _gated_eval(cfg, model, gate, eval_batch.effective_images, fraction, hard_cutoff)
-    _finish_report(report, flags, eval_batch, preds)
+    model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
+    report = _run(cfg, SOFT if hard_cutoff is None else HARD, model,
+                  GatePolicy(cfg, gate, hard_cutoff), _gated_flags(cfg, hard_cutoff),
+                  train_set, test_set, cfg.train.epochs, gate)
     if gate.params.checksum() != gate_checksum:
         raise WorkbenchError("frozen gate parameters changed during main training")
     report.extras.update(
@@ -514,50 +593,23 @@ def _run_gated_pipeline(
             "gate_sabotaged_score_mean": asset.sabotaged_score_mean,
             "gate_max_score": asset.max_score,
             "gate_damping_scale": asset.damping_scale,
-            "model_checksum": model.params.checksum(),
-            "final_test_error": report.epochs[-1].test_error,
         }
     )
-    if method == HARD:
+    if hard_cutoff is not None:
         report.extras["hard_cutoff"] = (
             f"auto(q={cfg.hard_auto_quantile})" if hard_cutoff == "auto" else float(hard_cutoff)
         )
-    report.wall_clock_s = time.perf_counter() - started
     return report
-
-
-def _gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images, fraction: float,
-                hard_cutoff) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, predictions) of the soft (hard_cutoff None) or hard pipeline
-    on `images`, decided over chunks of 512 rows."""
-    chunks_flags, chunks_pred = [], []
-    for start in range(0, images.shape[0], 512):
-        logits, mid = model.infer(images[start : start + 512], fraction)
-        probs = softmax(logits)
-        scores = _gate_scores(gate, mid)
-        if cfg.force_unit_weights:
-            flags = np.zeros(probs.shape[0], dtype=bool)
-        else:
-            _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
-            if hard_cutoff is not None:
-                flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
-        chunks_flags.append(flags)
-        chunks_pred.append(probs.argmax(axis=1))
-    return np.concatenate(chunks_flags), np.concatenate(chunks_pred)
 
 
 def train_soft(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
                asset: GateAsset | None = None) -> RunReport:
-    if asset is None:
-        asset = pretrain_gate(cfg, train_set)
-    return _run_gated_pipeline(cfg, train_set, test_set, asset, hard_cutoff=None)
+    return _run_gated(cfg, train_set, test_set, asset, hard_cutoff=None)
 
 
 def train_hard(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
                asset: GateAsset | None = None) -> RunReport:
-    if asset is None:
-        asset = pretrain_gate(cfg, train_set)
-    return _run_gated_pipeline(cfg, train_set, test_set, asset, hard_cutoff=cfg.hard_cutoff)
+    return _run_gated(cfg, train_set, test_set, asset, hard_cutoff=cfg.hard_cutoff)
 
 
 # -------------------------------------------------------------------- irm
@@ -567,39 +619,12 @@ def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> R
     """Integrated rejection: sabotaged samples are relabeled to the extra
     class n and the network learns to route them there. At inference,
     argmax == n rejects the sample; there is no separate detector."""
-    started = time.perf_counter()
-    model = make_irm_model(cfg.model, stream(cfg.seed, "init/body"))
     reject_class = cfg.model.n_classes
-    report = RunReport(method=IRM, seed=cfg.seed)
-    ones = None
-    for epoch in range(cfg.train.epochs):
-        shuffle = stream(cfg.seed, f"shuffle/{epoch}")
-        sab = stream(cfg.seed, f"sabotage/{epoch}")
-        correct = 0
-        for idx in _batches(train_set.count, cfg.train.batch_size, shuffle):
-            bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            if ones is None or ones.shape[0] != idx.size:
-                ones = np.ones(idx.size)
-            _, c = _train_step(
-                model, bt.effective_images, bt.effective_labels, ones, cfg.train.learning_rate
-            )
-            correct += c
-        report.epochs.append(
-            EpochStats(epoch, 1.0 - correct / train_set.count, _plain_test_error(model, test_set))
-        )
-    eval_batch = poison_eval_stream(test_set, cfg.sabotage, cfg.seed)
-    probs = _forward_probs(model, eval_batch.effective_images)
-    preds = probs.argmax(axis=1)
-    flags = preds == reject_class
-    _finish_report(report, flags, eval_batch, preds)
-    report.extras.update(
-        {
-            "reject_class": reject_class,
-            "model_checksum": model.params.checksum(),
-            "final_test_error": report.epochs[-1].test_error,
-        }
-    )
-    report.wall_clock_s = time.perf_counter() - started
+    model = make_irm_model(cfg.model, stream(cfg.seed, "init/body"))
+    report = _run(cfg, IRM, model, UnitWeights(),
+                  lambda probs, _: probs.argmax(axis=1) == reject_class,
+                  train_set, test_set, cfg.train.epochs)
+    report.extras["reject_class"] = reject_class
     return report
 
 
@@ -616,91 +641,45 @@ class SweepConfig:
             raise ValidationError(f"sweep epochs must be >= 1, got {self.epochs}")
 
 
-def _confidence_quarantine_run(
-    cfg: PipelineConfig,
-    train_set: MnistSet,
-    test_set: MnistSet,
-    tau: float,
-    controller: AdaptiveControllerState | None,
-    epochs: int,
-) -> RunReport:
-    """Shared engine for sweep (fixed tau) and adaptive (controller-driven)
-    runs. Flags are confidence-only (max prob below tau, no gate) and flagged
-    samples are excluded from the loss. Stream names do not depend on tau, so
-    every sweep threshold sees identical shuffles and sabotage masks."""
-    started = time.perf_counter()
-    method = "adaptive" if controller is not None else "sweep"
+class ConfidencePolicy:
+    """Flags the rows whose max prob falls below tau (no gate) and trains the
+    rest. With a controller, tau moves after every batch and f_avg is the
+    controller's window mean; without one, tau is fixed and f_avg is the
+    flagged share of the run so far."""
+
+    logged = True
+
+    def __init__(self, tau: float, controller: AdaptiveControllerState | None) -> None:
+        self.tau = tau
+        self.controller = controller
+        self.flagged = self.seen = 0
+
+    def __call__(self, epoch, logits, mid) -> Decision:
+        tau = self.tau
+        flags = softmax(logits).max(axis=1) < tau
+        if self.controller is None:
+            self.flagged += int(flags.sum())
+            self.seen += flags.size
+            return Decision(flags=flags, tau=tau, f_avg=self.flagged / self.seen)
+        self.controller = adaptive_update(self.controller, float(flags.mean()))
+        self.tau = self.controller.tau
+        return Decision(flags=flags, tau=tau, f_avg=self.controller.f_avg)
+
+
+def _confidence_run(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
+                    tau: float, controller: AdaptiveControllerState | None,
+                    epochs: int) -> RunReport:
+    """Sweep (fixed tau) or adaptive (controller-driven) run. Stream names do
+    not depend on tau, so every sweep threshold sees identical shuffles and
+    sabotage masks."""
+    policy = ConfidencePolicy(tau, controller)
     model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
-    report = RunReport(method=method, seed=cfg.seed)
-    fraction = 0.0
-    cumulative_flagged = 0
-    cumulative_seen = 0
-    for epoch in range(epochs):
-        shuffle = stream(cfg.seed, f"shuffle/{epoch}")
-        sab = stream(cfg.seed, f"sabotage/{epoch}")
-        correct = 0
-        trained = 0
-        epoch_counts = np.zeros(4, dtype=np.int64)
-        for batch_no, idx in enumerate(_batches(train_set.count, cfg.train.batch_size, shuffle)):
-            bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            logits, mid, cache = model.forward(bt.effective_images, fraction)
-            t0 = time.perf_counter()
-            max_prob = softmax(logits).max(axis=1)
-            current_tau = controller.tau if controller is not None else tau
-            flags = max_prob < current_tau
-            if controller is not None:
-                controller = adaptive_update(controller, float(flags.mean()))
-                f_avg = controller.f_avg
-            else:
-                cumulative_flagged += int(flags.sum())
-                cumulative_seen += idx.size
-                f_avg = cumulative_flagged / cumulative_seen
-            latency = time.perf_counter() - t0
-            c = confusion(flags, bt.mask)
-            epoch_counts += (c.tp, c.fp, c.fn, c.tn)
-            report.log_rows.append(
-                LogRow(
-                    epoch=epoch,
-                    batch=batch_no,
-                    tau=current_tau,
-                    flagged_count=int(flags.sum()),
-                    sabotaged_count=int(bt.mask.sum()),
-                    f_avg=f_avg,
-                    latency_s=latency,
-                )
-            )
-            accepted = ~flags
-            if not accepted.any():
-                report.starvation_events += 1
-                if cfg.estimate_sabotage_fraction:
-                    fraction = float(flags.mean())
-                continue
-            correct += _fit_accepted(
-                model, mid, cache, bt.effective_labels, accepted, cfg.train.learning_rate
-            )
-            trained += int(accepted.sum())
-            if cfg.estimate_sabotage_fraction:
-                fraction = float(flags.mean())
-        tp, fp, fn, tn = (int(v) for v in epoch_counts)
-        report.train_flag_counts.append({"epoch": epoch, "tp": tp, "fp": fp, "fn": fn, "tn": tn})
-        report.epochs.append(
-            EpochStats(epoch, 1.0 - correct / max(trained, 1), _plain_test_error(model, test_set))
-        )
-    final_tau = controller.tau if controller is not None else tau
-    eval_batch = poison_eval_stream(test_set, cfg.sabotage, cfg.seed)
-    probs = _forward_probs(model, eval_batch.effective_images)
-    flags = probs.max(axis=1) < final_tau
-    _finish_report(report, flags, eval_batch, probs.argmax(axis=1))
-    report.extras.update(
-        {
-            "tau_final": final_tau,
-            "model_checksum": model.params.checksum(),
-            "final_test_error": report.epochs[-1].test_error,
-        }
-    )
+    report = _run(cfg, "sweep" if controller is None else "adaptive", model, policy,
+                  lambda probs, _: probs.max(axis=1) < policy.tau,
+                  train_set, test_set, epochs)
+    report.extras["tau_final"] = policy.tau
     if controller is None:
         report.extras["threshold"] = tau
-    report.wall_clock_s = time.perf_counter() - started
     return report
 
 
@@ -713,7 +692,7 @@ def run_sweep(
     whole run; error columns are the plain final test error."""
     reports = sweep_thresholds(
         sweep.thresholds,
-        lambda tau: _confidence_quarantine_run(cfg, train_set, test_set, tau, None, sweep.epochs),
+        lambda tau: _confidence_run(cfg, train_set, test_set, tau, None, sweep.epochs),
     )
     rows = []
     for report in reports:
@@ -748,6 +727,4 @@ def train_adaptive(
 ) -> RunReport:
     """Confidence quarantine with the feedback controller steering tau."""
     state = controller if controller is not None else AdaptiveControllerState()
-    return _confidence_quarantine_run(
-        cfg, train_set, test_set, state.tau, state, cfg.train.epochs
-    )
+    return _confidence_run(cfg, train_set, test_set, state.tau, state, cfg.train.epochs)

@@ -7,7 +7,10 @@ Test-only oracle, kept verbatim:
   through the frozen body;
 - `train_baseline`, `_run_gated_pipeline` with `_gated_eval`, `train_irm`,
   `_confidence_quarantine_run` and `mirror_cnn.train_partial`, each with its
-  own epoch loop and final evaluation.
+  own epoch loop and final evaluation, with `_train_step` and
+  `_finish_report`, the engine helpers that only these loops used. The
+  branches of the removed `estimate_sabotage_fraction` knob read its
+  default, False.
 
 The engine's versions must give the same reports, logs and checksums. Do not
 edit it.
@@ -17,9 +20,9 @@ import time
 
 import numpy as np
 
-from sabotagebench.dataset import MnistSet, inject_sabotage
+from sabotagebench.dataset import MnistSet, SabotagedBatch, inject_sabotage
 from sabotagebench.errors import WorkbenchError
-from sabotagebench.metrics import confusion
+from sabotagebench.metrics import accuracy_on_accepted, confusion, detection_metrics
 from sabotagebench.models import (
     GateConfig,
     MlpBinary,
@@ -42,16 +45,38 @@ from sabotagebench.training import (
     PipelineConfig,
     RunReport,
     _batches,
-    _finish_report,
     _fit_accepted,
     _fit_step,
     _forward_probs,
     _gate_scores,
     _hard_flags,
     _plain_test_error,
-    _train_step,
     poison_eval_stream,
 )
+
+
+# `PipelineConfig.estimate_sabotage_fraction`, which no config could set, is
+# gone; the loops below read its default.
+ESTIMATE_SABOTAGE_FRACTION = False
+
+
+def _train_step(model: SimpleCNN, images, labels, weights, lr: float, fraction: float = 0.0):
+    """One forward/backward/SGD step; returns (loss, correct_count)."""
+    logits, _, cache = model.forward(images, fraction)
+    return _fit_step(model, logits, cache, labels, weights, lr)
+
+
+def _finish_report(
+    report: RunReport, flags: np.ndarray, batch: SabotagedBatch, predictions: np.ndarray
+) -> None:
+    """Fill the evaluation block: detection vs the sabotage mask, rejection
+    rate over the poisoned stream, accuracy over accepted clean samples."""
+    accepted = ~flags
+    acc, empty = accuracy_on_accepted(predictions, batch.labels, accepted & ~batch.mask)
+    report.detection = detection_metrics(flags, batch.mask, acc, empty)
+    report.rejection_rate = float(flags.mean())
+    report.accuracy_on_accepted = acc
+    report.accepted_empty = empty
 
 
 def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
@@ -216,14 +241,14 @@ def _run_gated_pipeline(
                 accepted = ~flags
                 if not accepted.any():
                     report.starvation_events += 1
-                    if cfg.estimate_sabotage_fraction:
+                    if ESTIMATE_SABOTAGE_FRACTION:
                         fraction = float(flags.mean())
                     continue
                 correct += _fit_accepted(
                     model, mid, cache, bt.effective_labels, accepted, cfg.train.learning_rate
                 )
                 trained += int(accepted.sum())
-            if cfg.estimate_sabotage_fraction:
+            if ESTIMATE_SABOTAGE_FRACTION:
                 fraction = float(flags.mean())
         tp, fp, fn, tn = (int(v) for v in epoch_counts)
         report.train_flag_counts.append({"epoch": epoch, "tp": tp, "fp": fp, "fn": fn, "tn": tn})
@@ -371,14 +396,14 @@ def _confidence_quarantine_run(
             accepted = ~flags
             if not accepted.any():
                 report.starvation_events += 1
-                if cfg.estimate_sabotage_fraction:
+                if ESTIMATE_SABOTAGE_FRACTION:
                     fraction = float(flags.mean())
                 continue
             correct += _fit_accepted(
                 model, mid, cache, bt.effective_labels, accepted, cfg.train.learning_rate
             )
             trained += int(accepted.sum())
-            if cfg.estimate_sabotage_fraction:
+            if ESTIMATE_SABOTAGE_FRACTION:
                 fraction = float(flags.mean())
         tp, fp, fn, tn = (int(v) for v in epoch_counts)
         report.train_flag_counts.append({"epoch": epoch, "tp": tp, "fp": fp, "fn": fn, "tn": tn})

@@ -7,6 +7,7 @@ one-forward-per-chunk code kept in `oracle_inference`. The heap thresholds
 the CLI sets must keep a warm training step from faulting pages in.
 """
 
+import functools
 import json
 import os
 import platform
@@ -32,7 +33,7 @@ from sabotagebench.mirror_cnn import (
     train_pair_gate,
 )
 from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings
-from sabotagebench.training import PipelineConfig, _forward_probs, _gated_eval
+from sabotagebench.training import PipelineConfig, _evaluate, _forward_probs, _gated_flags
 
 SIZES = [1, 2, 63, 64, 65, 129, 511, 512, 513, 1025]
 # 0.0 runs conv2, 0.5 the 1x1 bypass (above the stock 0.10 trigger)
@@ -84,10 +85,12 @@ def test_extract_embeddings_matches_oracle(stock, n):
 @pytest.mark.parametrize("fraction", FRACTIONS)
 @pytest.mark.parametrize("hard_cutoff", [None, "auto"])
 @pytest.mark.parametrize("n", SIZES)
-def test_gated_eval_matches_oracle(stock, n, hard_cutoff, fraction):
+def test_gated_eval_matches_oracle(stock, monkeypatch, n, hard_cutoff, fraction):
     model, gate, images = stock
     cfg = PipelineConfig(method="hard" if hard_cutoff else "soft")
-    flags, preds = _gated_eval(cfg, model, gate, images[:n], fraction, hard_cutoff)
+    # no pipeline passes a sabotage fraction; the bypass is reached through infer
+    monkeypatch.setattr(model, "infer", functools.partial(model.infer, sabotage_fraction=fraction))
+    flags, preds = _evaluate(model, images[:n], _gated_flags(cfg, hard_cutoff), gate)
     expected_flags, expected_preds = oracle.gated_eval(
         cfg, model, gate, images[:n], fraction, hard_cutoff
     )
@@ -181,19 +184,30 @@ import json, resource
 import numpy as np
 from sabotagebench.heap import keep_heap
 from sabotagebench.models import ModelConfig, SimpleCNN
-from sabotagebench.training import _train_step
+from sabotagebench.training import RunReport, UnitWeights, fit
 
 assert keep_heap()
 rng = np.random.default_rng(0)
 model = SimpleCNN(ModelConfig(), rng)
 x = rng.random((64, 1, 28, 28)).astype(np.float32)
 labels = rng.integers(0, 10, size=64)
-ones = np.ones(64)
-faults = []
-for step in range(6):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    _train_step(model, x, labels, ones, lr=0.01)
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+
+class CountFaults(UnitWeights):
+    # one mark per batch, between its forward and its backward
+    def __init__(self):
+        super().__init__()
+        self.marks = []
+
+    def __call__(self, epoch, logits, mid):
+        self.marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return super().__call__(epoch, logits, mid)
+
+
+policy = CountFaults()
+fit(model, RunReport("warm", 0), 1, lambda epoch: ((x, labels, None) for _ in range(7)),
+    policy, 0.01)
+faults = np.diff(policy.marks).tolist()  # a step's backward, then the next forward
 print(json.dumps(faults[3:]))
 """
 

@@ -16,7 +16,6 @@ from sabotagebench.metrics import (
     accuracy_on_accepted,
     confusion,
     detection_metrics,
-    latency_stats,
     lifestar_predicate,
     lifestar_score,
     prf,
@@ -118,28 +117,6 @@ class TestAccuracyOnAccepted:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="lengths differ"):
             accuracy_on_accepted([1], [1, 2], [True, True])
-
-
-class TestLatencyStats:
-    def test_nearest_rank_p95(self):
-        mean, p95 = latency_stats(list(range(1, 101)))
-        assert mean == pytest.approx(50.5)
-        assert p95 == 95
-
-    def test_single_sample(self):
-        assert latency_stats([0.006]) == (0.006, 0.006)
-
-    def test_mean(self):
-        mean, _ = latency_stats([0.004, 0.008])
-        assert mean == pytest.approx(0.006)
-
-    def test_order_does_not_matter(self):
-        shuffled = [3.0, 1.0, 2.0, 5.0, 4.0]
-        assert latency_stats(shuffled) == latency_stats(sorted(shuffled))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError, match="at least one"):
-            latency_stats([])
 
 
 class TestDetectionMetrics:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_ops
+from oracle_training import _train_step
 from sabotagebench import models
 from sabotagebench.errors import NumericsError, ValidationError
 from sabotagebench.models import (
@@ -18,7 +19,7 @@ from sabotagebench.models import (
 )
 from sabotagebench.nncore.gradcheck import grad_check
 from sabotagebench.nncore.ops import weighted_softmax_ce, weighted_softmax_ce_backward
-from sabotagebench.training import _fit_step, _train_step
+from sabotagebench.training import _fit_step
 
 from conftest import nchw, nhwc
 

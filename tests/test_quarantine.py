@@ -14,7 +14,6 @@ from sabotagebench.quarantine import (
     confidence_weight,
     decide,
     flag,
-    hard_gate,
     sweep_thresholds,
 )
 
@@ -121,22 +120,6 @@ class TestDecide:
             SoftWeightConfig(gate_exponent=-1.0)
         with pytest.raises(ValidationError):
             SoftWeightConfig(soft_flag_threshold=1.0)
-
-
-class TestHardGate:
-    def test_partition_keeps_order(self):
-        samples = ["a", "b", "c", "d"]
-        accepted, rejected = hard_gate(samples, [0.9, 0.1, 0.8, 0.2], 0.5)
-        assert accepted == ["a", "c"]
-        assert rejected == ["b", "d"]
-
-    def test_cutoff_is_strict(self):
-        accepted, rejected = hard_gate(["x"], [0.5], 0.5)
-        assert accepted == ["x"] and rejected == []
-
-    def test_score_count_mismatch(self):
-        with pytest.raises(ValidationError, match="one score per sample"):
-            hard_gate(["a", "b"], [0.5], 0.5)
 
 
 class TestControllerState:

@@ -12,6 +12,11 @@ benchmark's `bench.workloads.digests`: metadata.json is skipped, the
 quarantine logs are compared without their latency_s column and
 config.json without its out_dir.
 
+EXPERIMENT may be `all`. `run all` writes one subdirectory per experiment;
+each is digested on its own, and its artifacts are named
+`<experiment>/<file>`. Files beside the subdirectories (lifestar.json) keep
+their own names.
+
 With --workload, the experiment and its settings are those of the named
 benchmark workload (`bench.workloads.WORKLOADS`), run as the benchmark
 runs it at seed N; --set items are applied after the workload's own.
@@ -52,11 +57,28 @@ def run(tree: Path, argv: list[str]) -> int:
     return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL).returncode
 
 
+def tree_digests(out: Path) -> dict[str, str]:
+    """`digests` of a run's output directory and of each of its
+    subdirectories, whose artifacts are named `<subdirectory>/<file>`."""
+    found = {}
+    with tempfile.TemporaryDirectory(prefix="top_") as top:
+        # `digests` reads every entry of a directory, so the top level's
+        # files are digested through links in a directory of their own
+        for path in sorted(out.iterdir()):
+            if path.is_dir():
+                found.update({f"{path.name}/{name}": digest
+                              for name, digest in digests(path).items()})
+            else:
+                (Path(top) / path.name).symlink_to(path)
+        found.update(digests(Path(top)))
+    return found
+
+
 def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
     parser.add_argument(
-        "experiment", nargs="?", help="experiment name, as for `sabotagebench run`"
+        "experiment", nargs="?", help="experiment name or `all`, as for `sabotagebench run`"
     )
     parser.add_argument("--workload", choices=sorted(WORKLOADS),
                         help="run a benchmark workload instead of EXPERIMENT")
@@ -92,7 +114,7 @@ def main(args: list[str] | None = None) -> int:
             if code != 0:
                 print(f"{label}: `sabotagebench {' '.join(cli_argv)}` exited with {code}")
                 return 2
-            found[label] = digests(out)
+            found[label] = tree_digests(out)
 
     old, new = found.values()
     differ = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
