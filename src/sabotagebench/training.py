@@ -510,10 +510,11 @@ def _body_features(body: SimpleCNN, clean_features, idx, bt: SabotagedBatch) -> 
 
 
 def _hard_flags(w: np.ndarray, cutoff, quantile: float) -> tuple[np.ndarray, float]:
-    """Hard rejection flags. The "auto" cutoff is the per-batch w quantile, so
-    the rejection rate tracks the configured quantile even as the body's score
-    distribution drifts over training; a numeric cutoff is applied as-is (and
-    can starve a batch, which the pipelines log)."""
+    """Hard rejection flags. The "auto" cutoff is the w quantile of each
+    training batch (and of the whole evaluation stream), so the rejection
+    rate tracks the configured quantile even as the body's score
+    distribution drifts over training; a numeric cutoff is applied as-is
+    (and can starve a batch, which the pipelines log)."""
     value = float(np.quantile(w, quantile)) if cutoff == "auto" else float(cutoff)
     return w < value, value
 
@@ -560,17 +561,12 @@ class GatePolicy:
 
 def _gated_flags(cfg: PipelineConfig, hard_cutoff):
     """The final flag rule of the soft (hard_cutoff None) or hard pipeline:
-    `_gate_decide` over chunks of 512 rows, nothing flagged with unit
-    weights."""
+    `_gate_decide` over the whole stream, nothing flagged with unit weights."""
 
     def flags_of(probs, scores):
         if cfg.force_unit_weights:
             return np.zeros(probs.shape[0], dtype=bool)
-        max_prob = probs.max(axis=1)
-        return np.concatenate([
-            _gate_decide(cfg, hard_cutoff, max_prob[s : s + 512], scores[s : s + 512])[1]
-            for s in range(0, probs.shape[0], 512)
-        ])
+        return _gate_decide(cfg, hard_cutoff, probs.max(axis=1), scores)[1]
 
     return flags_of
 

@@ -33,7 +33,15 @@ from sabotagebench.mirror_cnn import (
     train_pair_gate,
 )
 from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings
-from sabotagebench.training import PipelineConfig, _evaluate, _forward_probs, _gated_flags
+from sabotagebench.nncore import softmax
+from sabotagebench.quarantine import decide
+from sabotagebench.training import (
+    PipelineConfig,
+    _evaluate,
+    _forward_probs,
+    _gate_scores,
+    _gated_flags,
+)
 
 SIZES = [1, 2, 63, 64, 65, 129, 511, 512, 513, 1025]
 # 0.0 runs conv2, 0.5 the 1x1 bypass (above the stock 0.10 trigger)
@@ -91,11 +99,36 @@ def test_gated_eval_matches_oracle(stock, monkeypatch, n, hard_cutoff, fraction)
     # no pipeline passes a sabotage fraction; the bypass is reached through infer
     monkeypatch.setattr(model, "infer", functools.partial(model.infer, sabotage_fraction=fraction))
     flags, preds = _evaluate(model, images[:n], _gated_flags(cfg, hard_cutoff), gate)
+    cutoff = hard_cutoff
+    if hard_cutoff == "auto" and n > 512:
+        # the oracle takes the auto quantile per 512-row chunk; give it the
+        # whole stream's as a numeric cutoff
+        w = _oracle_weights(cfg, model, gate, images[:n], fraction)
+        cutoff = float(np.quantile(w, cfg.hard_auto_quantile))
     expected_flags, expected_preds = oracle.gated_eval(
-        cfg, model, gate, images[:n], fraction, hard_cutoff
+        cfg, model, gate, images[:n], fraction, cutoff
     )
     assert flags.tobytes() == expected_flags.tobytes()
     assert preds.tobytes() == expected_preds.tobytes()
+
+
+def _oracle_weights(cfg, model, gate, images, fraction=0.0):
+    """Soft weights w of `images`, from one forward per 512-row chunk."""
+    probs, scores = [], []
+    for start in range(0, images.shape[0], 512):
+        logits, mid, _ = model.forward(images[start : start + 512], fraction)
+        probs.append(softmax(logits))
+        scores.append(_gate_scores(gate, mid))
+    return decide(np.concatenate(probs).max(axis=1), np.concatenate(scores), cfg.soft)[1]
+
+
+def test_auto_cutoff_takes_the_quantile_of_the_whole_eval_stream(stock):
+    model, gate, images = stock
+    cfg = PipelineConfig(method="hard")
+    flags, _ = _evaluate(model, images, _gated_flags(cfg, "auto"), gate)
+    w = _oracle_weights(cfg, model, gate, images)
+    assert images.shape[0] == 1025
+    assert flags.tobytes() == (w < np.quantile(w, cfg.hard_auto_quantile)).tobytes()
 
 
 def test_midlayer_names_a_nonfinite_layer():
