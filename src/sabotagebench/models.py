@@ -4,8 +4,9 @@ SimpleCNN: conv1 -> ReLU -> conv2 -> ReLU -> maxpool2x2 -> fc1 -> ReLU -> fc2.
 The "small path" replaces conv2 with a 1x1 channel projection when the
 caller's estimated sabotage fraction exceeds the configured trigger; both
 paths produce identically shaped activations. No pipeline passes a
-fraction; the bypass parameters stay because they take init draws. The mid-layer tap (gate input
-and mirror-test embedding) is the post-pool activation tensor.
+fraction; the bypass parameters stay because they take init draws. The
+mid-layer tap (gate input and mirror-test embedding) is the post-pool
+activation tensor.
 
 Inside the trunk the activations are channels-last ([N,H,W,C], see
 nncore.ops); the input images [N,1,H,W] are viewed that way, and the pooled
