@@ -21,6 +21,10 @@ With --workload, the experiment and its settings are those of the named
 benchmark workload (`bench.workloads.WORKLOADS`), run as the benchmark
 runs it at seed N; --set items are applied after the workload's own.
 
+For each differing `.json` artifact, the dotted keys whose values differ
+follow the list, one per line (`report_hard_seed5.json: extras.model_checksum`;
+list items are numbered from 0, and config.json's out_dir is left out).
+
 Exit status: 0 when every artifact agrees, 1 when any differs, 2 when a run
 fails.
 """
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -74,6 +79,28 @@ def tree_digests(out: Path) -> dict[str, str]:
     return found
 
 
+def differing_keys(old, new, prefix: str = "") -> list[str]:
+    """Dotted paths at which two JSON values differ; a key or list item
+    present on one side only is a difference at its own path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [path
+                for key in sorted(old.keys() | new.keys())
+                for path in (differing_keys(old[key], new[key], f"{prefix}{key}.")
+                             if key in old and key in new else [f"{prefix}{key}"])]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [path for i, (a, b) in enumerate(zip(old, new))
+                for path in differing_keys(a, b, f"{prefix}{i}.")]
+    return [] if old == new else [prefix.rstrip(".") or "(whole file)"]
+
+
+def json_keys(name: str, old_out: Path, new_out: Path) -> list[str]:
+    """`differing_keys` of the `.json` artifact `name` of two runs."""
+    old, new = (json.loads((out / name).read_text(encoding="utf-8")) for out in (old_out, new_out))
+    if Path(name).name == "config.json":
+        del old["out_dir"], new["out_dir"]
+    return differing_keys(old, new)
+
+
 def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
@@ -106,7 +133,7 @@ def main(args: list[str] | None = None) -> int:
         old_tree = tmp / "tree"
         old_tree.mkdir()
         export(opts.rev, old_tree)
-        found = {}
+        found, outs = {}, []
         for label, tree in ((opts.rev, old_tree), ("working tree", ROOT)):
             out = tmp / f"out_{len(found)}"
             cli_argv = argv(out)
@@ -115,12 +142,17 @@ def main(args: list[str] | None = None) -> int:
                 print(f"{label}: `sabotagebench {' '.join(cli_argv)}` exited with {code}")
                 return 2
             found[label] = tree_digests(out)
+            outs.append(out)
 
-    old, new = found.values()
-    differ = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
-    for name in sorted(old.keys() | new.keys()):
-        print(f"{'DIFFERS' if name in differ else 'same   '} {name}")
-    print(f"{len(differ)} of {len(old.keys() | new.keys())} artifacts differ")
+        old, new = found.values()
+        differ = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+        for name in sorted(old.keys() | new.keys()):
+            print(f"{'DIFFERS' if name in differ else 'same   '} {name}")
+        print(f"{len(differ)} of {len(old.keys() | new.keys())} artifacts differ")
+        for name in differ:
+            if name.endswith(".json") and name in old and name in new:
+                for key in json_keys(name, *outs):
+                    print(f"{name}: {key}")
     return 1 if differ else 0
 
 
