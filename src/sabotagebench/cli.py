@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting
-from .config import EXPERIMENTS, ExperimentConfig, parse_config, parse_override
+from .config import ALL_METHODS, EXPERIMENTS, ExperimentConfig, parse_config, parse_override
 from .dataset import MnistSet, invert, load_mnist_dir, synthetic_mnist_set
 from .errors import ConfigError, UnavailableMetricError, ValidationError, WorkbenchError
 from .heap import keep_heap
@@ -42,17 +42,6 @@ from .training import (
     train_hard,
     train_irm,
     train_soft,
-)
-
-ALL_METHODS = (
-    "baseline",
-    "soft",
-    "hard",
-    "irm",
-    "sweep",
-    "adaptive",
-    "mirror-cnn",
-    "mirror-text",
 )
 
 
@@ -142,7 +131,7 @@ def check_sizes(cfg: ExperimentConfig, experiment: str, train_count: int,
     before anything trains. Only mirror-cnn takes sized subsets."""
     if experiment != "mirror-cnn":
         return
-    mirror = cfg.mirror_cnn_config()
+    mirror = cfg.build("mirror_cnn")
     if 2 * mirror.subset_size > train_count:
         raise ConfigError(
             f"mirror_cnn.subset_size: two disjoint subsets of {mirror.subset_size} "
@@ -195,7 +184,7 @@ def run_single(
     check_sizes(cfg, experiment, train_set.count, test_set.count)
     if experiment == "mirror-cnn":
         report = run_mirror_experiment(
-            cfg.mirror_cnn_config(), cfg.model_config(), cfg.seed, train_set, test_set
+            cfg.build("mirror_cnn"), cfg.build("model"), cfg.seed, train_set, test_set
         )
         reporting.write_mirror_cnn_report(out_dir, report, cfg.seed)
         _write_metadata(out_dir, started, config_sha256, {"wall_clock_s": report.wall_clock_s})
@@ -205,7 +194,7 @@ def run_single(
 
     if experiment == "sweep":
         result = run_sweep(
-            cfg.pipeline_config("baseline"), cfg.sweep_config(), train_set, test_set
+            cfg.pipeline_config("baseline"), cfg.build("sweep"), train_set, test_set
         )
         reporting.write_sweep_artifacts(out_dir, cfg.seed, result)
         _write_metadata(
@@ -219,7 +208,7 @@ def run_single(
 
     if experiment == "adaptive":
         report = train_adaptive(
-            cfg.pipeline_config("baseline"), train_set, test_set, cfg.controller()
+            cfg.pipeline_config("baseline"), train_set, test_set, cfg.build("adaptive")
         )
     elif experiment == "baseline":
         report = train_baseline(cfg.pipeline_config("baseline"), train_set, test_set)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -26,7 +26,7 @@ from .training import (
     TrainConfig,
 )
 
-EXPERIMENTS = (
+ALL_METHODS = (
     "baseline",
     "soft",
     "hard",
@@ -35,8 +35,36 @@ EXPERIMENTS = (
     "adaptive",
     "mirror-cnn",
     "mirror-text",
-    "all",
 )
+EXPERIMENTS = (*ALL_METHODS, "all")
+
+# The dataclass that owns each of these sections: its fields are the
+# section's leaves, its field defaults their defaults, and
+# `ExperimentConfig.build` turns the resolved section into one.
+SECTIONS = {
+    "model": ModelConfig,
+    "train": TrainConfig,
+    "soft": SoftWeightConfig,
+    "gate": GateTrainConfig,
+    "sweep": SweepConfig,
+    "adaptive": AdaptiveControllerState,
+    "mirror_cnn": MirrorCnnConfig,
+}
+# Owner fields no config sets: the model's fixed class count, input channels
+# and kernel, and the controller's running history.
+_NOT_LEAVES = {"n_classes", "in_channels", "kernel_size", "padding", "history"}
+
+
+def _leaves(owner) -> dict[str, Any]:
+    """An owner's config leaves with their defaults; tuples become lists."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(owner)
+        if f.name not in _NOT_LEAVES
+    }
+
+
+_PIPELINE = PipelineConfig()
 
 DEFAULTS: dict[str, Any] = {
     "experiment": "baseline",
@@ -52,53 +80,15 @@ DEFAULTS: dict[str, Any] = {
         "synthetic_test": 1000,
         "synthetic_seed": 1234,
     },
-    "sabotage": {"rate": 0.05, "label_mode": "random"},
-    "model": {
-        "conv1_channels": 16,
-        "conv2_channels": 32,
-        "fc_hidden": 128,
-        "image_size": 28,
-        "small_path_trigger": 0.10,
+    "sabotage": {
+        "rate": _PIPELINE.sabotage.rate,
+        "label_mode": _PIPELINE.sabotage.label_mode,
     },
-    "train": {"epochs": 3, "batch_size": 64, "learning_rate": 0.01},
-    "soft": {
-        "confidence_threshold": 0.1,
-        "gate_exponent": 2.0,
-        "soft_flag_threshold": 0.5,
+    "hard": {
+        "cutoff": _PIPELINE.hard_cutoff,
+        "auto_quantile": _PIPELINE.hard_auto_quantile,
     },
-    "gate": {
-        "hidden": 128,
-        "dropout": 0.3,
-        "epochs": 3,
-        "learning_rate": 0.001,
-        "body_epochs": 1,
-        "logit_cap": 0.20,
-    },
-    "hard": {"cutoff": "auto", "auto_quantile": 0.65},
-    "sweep": {"thresholds": [0.1, 0.2, 0.3, 0.4, 0.5], "epochs": 2},
-    "adaptive": {
-        "tau": 0.30,
-        "tau_min": 0.05,
-        "tau_max": 0.95,
-        "delta": 0.01,
-        "window": 20,
-        "upper_bound": 0.15,
-        "lower_bound": 0.05,
-        "literal_step_rule": False,
-    },
-    "mirror_cnn": {
-        "subset_size": 5000,
-        "epochs": 1,
-        "batch_size": 64,
-        "learning_rate": 0.01,
-        "train_pairs_per_mode": 2000,
-        "eval_pairs_per_mode": 1000,
-        "train_pool_fraction": 0.6,
-        "gate_hidden": 256,
-        "gate_epochs": 3,
-        "gate_learning_rate": 0.05,
-        "gate_boundary_fraction": 1.0 / 3.0,
-    },
+    **{name: _leaves(owner) for name, owner in SECTIONS.items()},
     "mirror_text": {"offline": True, "fixtures": None},
     # Life* weights have no published defaults; leave unset and require
     # all three explicitly before the score is computed.
@@ -255,17 +245,13 @@ class ExperimentConfig:
             label_mode=label_mode or sab["label_mode"],
         )
 
-    def model_config(self) -> ModelConfig:
-        return self._build("model", ModelConfig, **self.section("model"))
-
-    def train_config(self) -> TrainConfig:
-        return self._build("train", TrainConfig, **self.section("train"))
-
-    def soft_config(self) -> SoftWeightConfig:
-        return self._build("soft", SoftWeightConfig, **self.section("soft"))
-
-    def gate_config(self) -> GateTrainConfig:
-        return self._build("gate", GateTrainConfig, **self.section("gate"))
+    def build(self, name: str):
+        """The `SECTIONS` owner of section `name`, built from its leaves."""
+        leaves = {
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in self.section(name).items()
+        }
+        return self._build(name, SECTIONS[name], **leaves)
 
     def pipeline_config(self, method: str) -> PipelineConfig:
         label_mode = "reject" if method == "irm" else None
@@ -273,34 +259,14 @@ class ExperimentConfig:
         return self._build(
             "pipeline",
             PipelineConfig,
-            method=method,
             seed=self.seed,
             sabotage=self.sabotage_config(label_mode=label_mode),
-            model=self.model_config(),
-            train=self.train_config(),
-            soft=self.soft_config(),
-            gate=self.gate_config(),
+            model=self.build("model"),
+            train=self.build("train"),
+            soft=self.build("soft"),
+            gate=self.build("gate"),
             hard_cutoff=hard["cutoff"],
             hard_auto_quantile=hard["auto_quantile"],
-        )
-
-    def sweep_config(self) -> SweepConfig:
-        s = self.section("sweep")
-        return self._build(
-            "sweep",
-            SweepConfig,
-            thresholds=tuple(s["thresholds"]),
-            epochs=s["epochs"],
-        )
-
-    def controller(self) -> AdaptiveControllerState:
-        return self._build(
-            "adaptive", AdaptiveControllerState, **self.section("adaptive")
-        )
-
-    def mirror_cnn_config(self) -> MirrorCnnConfig:
-        return self._build(
-            "mirror_cnn", MirrorCnnConfig, **self.section("mirror_cnn")
         )
 
     def lifestar_weights(self) -> tuple[float, float, float] | None:

@@ -97,7 +97,6 @@ BASELINE = "baseline"
 SOFT = "soft"
 HARD = "hard"
 IRM = "irm"
-METHODS = (BASELINE, SOFT, HARD, IRM)
 
 
 @dataclass
@@ -135,7 +134,6 @@ class GateTrainConfig:
 
 @dataclass
 class PipelineConfig:
-    method: str = BASELINE
     seed: int = 0
     sabotage: SabotageConfig = field(default_factory=lambda: SabotageConfig(rate=0.05))
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -147,10 +145,6 @@ class PipelineConfig:
     force_unit_weights: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method == IRM and self.sabotage.label_mode != REJECT_LABEL:
-            raise ValidationError("irm requires sabotage label_mode 'reject'")
         if self.hard_cutoff != "auto" and not isinstance(self.hard_cutoff, (int, float)):
             raise ValidationError(f"hard_cutoff must be a number or 'auto', got {self.hard_cutoff!r}")
         if not 0 < self.hard_auto_quantile < 1:
@@ -615,6 +609,8 @@ def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> R
     """Integrated rejection: sabotaged samples are relabeled to the extra
     class n and the network learns to route them there. At inference,
     argmax == n rejects the sample; there is no separate detector."""
+    if cfg.sabotage.label_mode != REJECT_LABEL:
+        raise ValidationError("irm requires sabotage label_mode 'reject'")
     reject_class = cfg.model.n_classes
     model = make_irm_model(cfg.model, stream(cfg.seed, "init/body"))
     report = _run(cfg, IRM, model, UnitWeights(),

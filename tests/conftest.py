@@ -45,9 +45,9 @@ def med_test():
 
 
 def tiny_pipeline(method: str, seed: int = 0, **kwargs) -> PipelineConfig:
+    """Tiny-scale pipeline settings; `method` only picks the label mode."""
     label_mode = "reject" if method == "irm" else "random"
     defaults = dict(
-        method=method,
         seed=seed,
         sabotage=SabotageConfig(rate=0.05, label_mode=label_mode),
         model=ModelConfig(**TINY_MODEL),
@@ -61,7 +61,6 @@ def tiny_pipeline(method: str, seed: int = 0, **kwargs) -> PipelineConfig:
 def med_pipeline(method: str, seed: int = 0, **kwargs) -> PipelineConfig:
     label_mode = "reject" if method == "irm" else "random"
     defaults = dict(
-        method=method,
         seed=seed,
         sabotage=SabotageConfig(rate=0.05, label_mode=label_mode),
         model=ModelConfig(),

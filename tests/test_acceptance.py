@@ -107,20 +107,20 @@ def soft_report(mnist_data):
 @pytest.fixture(scope="module")
 def sweep_result(mnist_data):
     cfg = stock_config()
-    return run_sweep(cfg.pipeline_config("baseline"), cfg.sweep_config(), *mnist_data)
+    return run_sweep(cfg.pipeline_config("baseline"), cfg.build("sweep"), *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def adaptive_report(mnist_data):
     cfg = stock_config()
-    return train_adaptive(cfg.pipeline_config("baseline"), *mnist_data, cfg.controller())
+    return train_adaptive(cfg.pipeline_config("baseline"), *mnist_data, cfg.build("adaptive"))
 
 
 @pytest.fixture(scope="module")
 def mirror_report(mnist_data):
     cfg = stock_config()
     return run_mirror_experiment(
-        cfg.mirror_cnn_config(), cfg.model_config(), cfg.seed, *mnist_data
+        cfg.build("mirror_cnn"), cfg.build("model"), cfg.seed, *mnist_data
     )
 
 

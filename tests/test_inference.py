@@ -95,7 +95,7 @@ def test_extract_embeddings_matches_oracle(stock, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_gated_eval_matches_oracle(stock, monkeypatch, n, hard_cutoff, fraction):
     model, gate, images = stock
-    cfg = PipelineConfig(method="hard" if hard_cutoff else "soft")
+    cfg = PipelineConfig()
     # no pipeline passes a sabotage fraction; the bypass is reached through infer
     monkeypatch.setattr(model, "infer", functools.partial(model.infer, sabotage_fraction=fraction))
     flags, preds = _evaluate(model, images[:n], _gated_flags(cfg, hard_cutoff), gate)
@@ -124,7 +124,7 @@ def _oracle_weights(cfg, model, gate, images, fraction=0.0):
 
 def test_auto_cutoff_takes_the_quantile_of_the_whole_eval_stream(stock):
     model, gate, images = stock
-    cfg = PipelineConfig(method="hard")
+    cfg = PipelineConfig()
     flags, _ = _evaluate(model, images, _gated_flags(cfg, "auto"), gate)
     w = _oracle_weights(cfg, model, gate, images)
     assert images.shape[0] == 1025

@@ -59,11 +59,9 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="logit_cap"):
             GateTrainConfig(logit_cap=0.0)
 
-    def test_pipeline_config(self):
-        with pytest.raises(ValidationError, match="method"):
-            tiny_pipeline("bayesian")
+    def test_pipeline_config(self, tiny_train, tiny_test):
         with pytest.raises(ValidationError, match="reject"):
-            tiny_pipeline("irm", sabotage=SabotageConfig(rate=0.05, label_mode="random"))
+            train_irm(tiny_pipeline("baseline"), tiny_train, tiny_test)
         with pytest.raises(ValidationError, match="hard_cutoff"):
             tiny_pipeline("hard", hard_cutoff="median")
         with pytest.raises(ValidationError, match="quantile"):
