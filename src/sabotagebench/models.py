@@ -1,11 +1,7 @@
 """Network definitions.
 
 SimpleCNN: conv1 -> ReLU -> conv2 -> ReLU -> maxpool2x2 -> fc1 -> ReLU -> fc2.
-The "small path" replaces conv2 with a 1x1 channel projection when the
-caller's estimated sabotage fraction exceeds the configured trigger; both
-paths produce identically shaped activations. No pipeline passes a
-fraction; the bypass parameters stay because they take init draws. The
-mid-layer tap (gate input and mirror-test embedding) is the post-pool
+The mid-layer tap (gate input and mirror-test embedding) is the post-pool
 activation tensor.
 
 Inside the trunk the activations are channels-last ([N,H,W,C], see
@@ -17,7 +13,7 @@ that order.
 The integrated rejection variant is the same backbone with an (n+1)-way head;
 class n is the rejection class.
 
-The conv trunk (conv1 -> ReLU -> conv2/bypass -> ReLU -> pool) computes
+The conv trunk (conv1 -> ReLU -> conv2 -> ReLU -> pool) computes
 each image on its own, byte for byte: the midlayer rows of a batch equal a
 forward of just those rows, whatever the batch size. The fc head does not:
 a 1-row GEMM goes through GEMV and rounds differently from the same row of
@@ -67,15 +63,10 @@ class ModelConfig:
     padding: int = 1
     fc_hidden: int = 128
     image_size: int = 28
-    small_path_trigger: float = 0.10
 
     def __post_init__(self) -> None:
         if self.n_classes < 2:
             raise ValidationError(f"n_classes must be >= 2, got {self.n_classes}")
-        if not 0 <= self.small_path_trigger <= 1:
-            raise ValidationError(
-                f"small_path_trigger must lie in [0, 1], got {self.small_path_trigger}"
-            )
         if self.kernel_size != 2 * self.padding + 1:
             raise ValidationError(
                 "kernel_size must equal 2*padding + 1 so conv layers preserve "
@@ -95,7 +86,7 @@ class ModelConfig:
 
 
 class SimpleCNN:
-    """Two-conv CNN with an optional conv2 bypass and a linear head.
+    """Two-conv CNN with a two-layer linear head.
 
     `n_outputs` defaults to the class count; the integrated rejection model
     passes n_classes + 1. Forward is pure (cache returned to the caller);
@@ -113,9 +104,8 @@ class SimpleCNN:
         fan2 = cfg.conv1_channels * k * k
         params.add("conv2_w", fan_in_uniform(rng, (cfg.conv2_channels, cfg.conv1_channels, k, k), fan2))
         params.add("conv2_b", fan_in_uniform(rng, (cfg.conv2_channels,), fan2))
-        fanb = cfg.conv1_channels
-        params.add("bypass_w", fan_in_uniform(rng, (cfg.conv2_channels, cfg.conv1_channels, 1, 1), fanb))
-        params.add("bypass_b", fan_in_uniform(rng, (cfg.conv2_channels,), fanb))
+        # skip the draws of a retired 1x1 conv2 bypass, so fc1 and fc2 keep their values
+        rng.random(cfg.conv2_channels * (cfg.conv1_channels + 1))
         feat = cfg.feature_dim
         params.add("fc1_w", fan_in_uniform(rng, (feat, cfg.fc_hidden), feat))
         params.add("fc1_b", fan_in_uniform(rng, (cfg.fc_hidden,), feat))
@@ -123,23 +113,21 @@ class SimpleCNN:
         params.add("fc2_b", fan_in_uniform(rng, (self.n_outputs,), cfg.fc_hidden))
         self.params = params
 
-    def forward(self, x: np.ndarray, sabotage_fraction: float = 0.0):
+    def forward(self, x: np.ndarray):
         """Return (logits [N,n_outputs], midlayer [N,C2,H/2,W/2], cache)."""
-        small_path = sabotage_fraction > self.cfg.small_path_trigger
-        mid, h1, h2, cache = self._trunk(x, small_path)
+        mid, h1, h2, cache = self._trunk(x)
         # No later layer turns a NaN or inf finite again (inf * 0 is NaN), so
         # one scan of the logits covers the whole forward; only when it fails
         # are the layers scanned in order, to name the first non-finite one.
         try:
             logits, head = self._head(mid)
         except NumericsError:
-            self._name_nonfinite(h1, h2, small_path)
+            self._name_nonfinite(h1, h2)
             raise
         cache.update(head)
         return logits, mid, cache
 
-    def midlayer(self, x: np.ndarray, sabotage_fraction: float = 0.0,
-                 piece: int | None = None) -> np.ndarray:
+    def midlayer(self, x: np.ndarray, piece: int | None = None) -> np.ndarray:
         """The midlayer of `forward(x)`, byte for byte, without a cache.
 
         The trunk runs over pieces of `piece` images (by default
@@ -148,28 +136,27 @@ class SimpleCNN:
         before the next piece runs.
         """
         cfg = self.cfg
-        small_path = sabotage_fraction > cfg.small_path_trigger
         if piece is None:
             piece = self.trunk_piece(x.dtype)
         dtype = np.result_type(x.dtype, self.params["conv1_w"].value.dtype)
         out = np.empty((x.shape[0], cfg.conv2_channels, cfg.pooled_size, cfg.pooled_size), dtype)
         for start in range(0, x.shape[0], piece):
-            mid, h1, h2 = self._trunk(x[start : start + piece], small_path)[:3]
+            mid, h1, h2 = self._trunk(x[start : start + piece])[:3]
             try:
                 require_finite("pool", mid)
             except NumericsError:
-                self._name_nonfinite(h1, h2, small_path)
+                self._name_nonfinite(h1, h2)
                 raise
             out[start : start + mid.shape[0]] = mid
         return out
 
-    def infer(self, x: np.ndarray, sabotage_fraction: float = 0.0):
+    def infer(self, x: np.ndarray):
         """(logits, midlayer) of `forward(x)`, byte for byte, without a cache.
 
         The trunk runs in pieces (see `midlayer`); the head runs once over all
         of x's rows, since its rounding depends on the row count.
         """
-        mid = self.midlayer(x, sabotage_fraction)
+        mid = self.midlayer(x)
         return self._head(mid)[0], mid
 
     def trunk_piece(self, dtype) -> int:
@@ -187,8 +174,8 @@ class SimpleCNN:
         fits = max(1, MMAP_THRESHOLD // per_image)
         return 1 << (fits.bit_length() - 1)
 
-    def _trunk(self, x: np.ndarray, small_path: bool):
-        """conv1 -> ReLU -> conv2/bypass -> ReLU -> pool; returns
+    def _trunk(self, x: np.ndarray):
+        """conv1 -> ReLU -> conv2 -> ReLU -> pool; returns
         (mid [N,C,H/2,W/2], h1, h2 [N,H,W,C], trunk cache)."""
         if x.ndim != 4:
             raise ShapeError(f"images must be [N,C,H,W], got shape {tuple(x.shape)}")
@@ -196,15 +183,11 @@ class SimpleCNN:
         x = x.transpose(0, 2, 3, 1)
         h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, self.cfg.padding)
         a1, m_relu1 = relu(h1)
-        if small_path:
-            h2, c_conv2 = conv2d(a1, p["bypass_w"].value, p["bypass_b"].value, 0)
-        else:
-            h2, c_conv2 = conv2d(a1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
+        h2, c_conv2 = conv2d(a1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
         a2, m_relu2 = relu(h2)
         pooled, idx_pool = maxpool2x2(a2)
         mid = np.ascontiguousarray(pooled.transpose(0, 3, 1, 2))
         cache = {
-            "small_path": small_path,
             "conv1": c_conv1,
             "relu1": m_relu1,
             "conv2": c_conv2,
@@ -215,9 +198,9 @@ class SimpleCNN:
         return mid, h1, h2, cache
 
     @staticmethod
-    def _name_nonfinite(h1: np.ndarray, h2: np.ndarray, small_path: bool) -> None:
+    def _name_nonfinite(h1: np.ndarray, h2: np.ndarray) -> None:
         require_finite("conv1", h1)
-        require_finite("bypass" if small_path else "conv2", h2)
+        require_finite("conv2", h2)
 
     def _head(self, mid: np.ndarray):
         """fc1 -> ReLU -> fc2 on the midlayer; returns (logits, head cache)."""
@@ -267,12 +250,8 @@ class SimpleCNN:
         da2 = maxpool2x2_backward(dmid, cache["pool_idx"])
         dh2 = relu_backward(da2, cache["relu2"])
         da1, dw, db = conv2d_backward(dh2, cache["conv2"])
-        if cache["small_path"]:
-            p["bypass_w"].grad += dw
-            p["bypass_b"].grad += db
-        else:
-            p["conv2_w"].grad += dw
-            p["conv2_b"].grad += db
+        p["conv2_w"].grad += dw
+        p["conv2_b"].grad += db
         dh1 = relu_backward(da1, cache["relu1"])
         _, dw, db = conv2d_backward(dh1, cache["conv1"], input_grad=False)
         p["conv1_w"].grad += dw

@@ -4,8 +4,9 @@ and the pair features were built batch by batch.
 Test-only oracle: each function forwards a whole chunk through
 `SimpleCNN.forward` (or builds the whole pair feature table) and is kept
 verbatim, apart from the gated evaluation loop, which is lifted out of the
-pipeline into a function of its inputs. The engine's versions must give the
-same bytes. Do not edit it.
+pipeline into a function of its inputs, and the conv2 bypass's sabotage
+fraction, always 0.0, is no longer passed. The engine's versions must give
+the same bytes. Do not edit it.
 """
 
 import numpy as np
@@ -37,14 +38,13 @@ def extract_embeddings(model: SimpleCNN, images: np.ndarray, batch_size: int = 2
     return out
 
 
-def gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images, fraction: float,
-               hard_cutoff) -> tuple[np.ndarray, np.ndarray]:
+def gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images, hard_cutoff) -> tuple[np.ndarray, np.ndarray]:
     """The final-evaluation loop of the soft (hard_cutoff None) and hard
     pipelines; returns (flags, predictions)."""
     chunks_flags, chunks_pred = [], []
     for start in range(0, images.shape[0], 512):
         sl = slice(start, start + 512)
-        logits, mid = model.forward(images[sl], fraction)[:2]
+        logits, mid = model.forward(images[sl])[:2]
         probs = softmax(logits)
         scores = _gate_scores(gate, mid)
         if cfg.force_unit_weights:

@@ -9,8 +9,9 @@ Test-only oracle, kept verbatim:
   `_confidence_quarantine_run` and `mirror_cnn.train_partial`, each with its
   own epoch loop and final evaluation, with `_train_step` and
   `_finish_report`, the engine helpers that only these loops used. The
-  branches of the removed `estimate_sabotage_fraction` knob read its
-  default, False.
+  branches of the removed `estimate_sabotage_fraction` knob, which read its
+  default (False), and the conv2 bypass's sabotage fraction, always 0.0,
+  are gone.
 
 The engine's versions must give the same reports, logs and checksums. Do not
 edit it.
@@ -55,14 +56,9 @@ from sabotagebench.training import (
 )
 
 
-# `PipelineConfig.estimate_sabotage_fraction`, which no config could set, is
-# gone; the loops below read its default.
-ESTIMATE_SABOTAGE_FRACTION = False
-
-
-def _train_step(model: SimpleCNN, images, labels, weights, lr: float, fraction: float = 0.0):
+def _train_step(model: SimpleCNN, images, labels, weights, lr: float):
     """One forward/backward/SGD step; returns (loss, correct_count)."""
-    logits, _, cache = model.forward(images, fraction)
+    logits, _, cache = model.forward(images)
     return _fit_step(model, logits, cache, labels, weights, lr)
 
 
@@ -194,7 +190,6 @@ def _run_gated_pipeline(
     gate = asset.gate
     gate_checksum = gate.params.checksum()
     report = RunReport(method=method, seed=cfg.seed)
-    fraction = 0.0
     for epoch in range(cfg.train.epochs):
         shuffle = stream(cfg.seed, f"shuffle/{epoch}")
         sab = stream(cfg.seed, f"sabotage/{epoch}")
@@ -205,7 +200,7 @@ def _run_gated_pipeline(
         flagged_total = 0
         for batch_no, idx in enumerate(_batches(train_set.count, cfg.train.batch_size, shuffle)):
             bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            logits, mid, cache = model.forward(bt.effective_images, fraction)
+            logits, mid, cache = model.forward(bt.effective_images)
             t0 = time.perf_counter()
             max_prob = softmax(logits).max(axis=1)
             scores = _gate_scores(gate, mid)
@@ -241,15 +236,11 @@ def _run_gated_pipeline(
                 accepted = ~flags
                 if not accepted.any():
                     report.starvation_events += 1
-                    if ESTIMATE_SABOTAGE_FRACTION:
-                        fraction = float(flags.mean())
                     continue
                 correct += _fit_accepted(
                     model, mid, cache, bt.effective_labels, accepted, cfg.train.learning_rate
                 )
                 trained += int(accepted.sum())
-            if ESTIMATE_SABOTAGE_FRACTION:
-                fraction = float(flags.mean())
         tp, fp, fn, tn = (int(v) for v in epoch_counts)
         report.train_flag_counts.append({"epoch": epoch, "tp": tp, "fp": fp, "fn": fn, "tn": tn})
         denom = train_set.count if method == SOFT else max(trained, 1)
@@ -258,7 +249,7 @@ def _run_gated_pipeline(
         )
     # Final evaluation on a freshly poisoned stream.
     eval_batch = poison_eval_stream(test_set, cfg.sabotage, cfg.seed)
-    flags, preds = _gated_eval(cfg, model, gate, eval_batch.effective_images, fraction, hard_cutoff)
+    flags, preds = _gated_eval(cfg, model, gate, eval_batch.effective_images, hard_cutoff)
     _finish_report(report, flags, eval_batch, preds)
     if gate.params.checksum() != gate_checksum:
         raise WorkbenchError("frozen gate parameters changed during main training")
@@ -280,13 +271,13 @@ def _run_gated_pipeline(
     return report
 
 
-def _gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images, fraction: float,
+def _gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images,
                 hard_cutoff) -> tuple[np.ndarray, np.ndarray]:
     """(flags, predictions) of the soft (hard_cutoff None) or hard pipeline
     on `images`, decided over chunks of 512 rows."""
     chunks_flags, chunks_pred = [], []
     for start in range(0, images.shape[0], 512):
-        logits, mid = model.infer(images[start : start + 512], fraction)
+        logits, mid = model.infer(images[start : start + 512])
         probs = softmax(logits)
         scores = _gate_scores(gate, mid)
         if cfg.force_unit_weights:
@@ -356,7 +347,6 @@ def _confidence_quarantine_run(
     method = "adaptive" if controller is not None else "sweep"
     model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
     report = RunReport(method=method, seed=cfg.seed)
-    fraction = 0.0
     cumulative_flagged = 0
     cumulative_seen = 0
     for epoch in range(epochs):
@@ -367,7 +357,7 @@ def _confidence_quarantine_run(
         epoch_counts = np.zeros(4, dtype=np.int64)
         for batch_no, idx in enumerate(_batches(train_set.count, cfg.train.batch_size, shuffle)):
             bt = inject_sabotage(train_set.images[idx], train_set.labels[idx], cfg.sabotage, sab)
-            logits, mid, cache = model.forward(bt.effective_images, fraction)
+            logits, mid, cache = model.forward(bt.effective_images)
             t0 = time.perf_counter()
             max_prob = softmax(logits).max(axis=1)
             current_tau = controller.tau if controller is not None else tau
@@ -396,15 +386,11 @@ def _confidence_quarantine_run(
             accepted = ~flags
             if not accepted.any():
                 report.starvation_events += 1
-                if ESTIMATE_SABOTAGE_FRACTION:
-                    fraction = float(flags.mean())
                 continue
             correct += _fit_accepted(
                 model, mid, cache, bt.effective_labels, accepted, cfg.train.learning_rate
             )
             trained += int(accepted.sum())
-            if ESTIMATE_SABOTAGE_FRACTION:
-                fraction = float(flags.mean())
         tp, fp, fn, tn = (int(v) for v in epoch_counts)
         report.train_flag_counts.append({"epoch": epoch, "tp": tp, "fp": fp, "fn": fn, "tn": tn})
         report.epochs.append(

@@ -308,6 +308,10 @@ class TestRunExitCodes:
         assert cli.main(["run", "baseline", "--set", "train.epohcs=2"]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    def test_retired_bypass_trigger_is_unknown(self, capsys):
+        assert cli.main(["run", "baseline", "--set", "model.small_path_trigger=0.1"]) == 1
+        assert "unknown config key: model.small_path_trigger" in capsys.readouterr().err
+
     def test_bad_override_value(self, capsys):
         assert cli.main(["run", "baseline", "--set", "train.epochs=2.5"]) == 1
         assert "expected an integer" in capsys.readouterr().err

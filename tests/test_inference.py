@@ -7,7 +7,6 @@ one-forward-per-chunk code kept in `oracle_inference`. The heap thresholds
 the CLI sets must keep a warm training step from faulting pages in.
 """
 
-import functools
 import json
 import os
 import platform
@@ -44,8 +43,6 @@ from sabotagebench.training import (
 )
 
 SIZES = [1, 2, 63, 64, 65, 129, 511, 512, 513, 1025]
-# 0.0 runs conv2, 0.5 the 1x1 bypass (above the stock 0.10 trigger)
-FRACTIONS = [0.0, 0.5]
 
 
 @pytest.fixture(scope="module")
@@ -72,16 +69,6 @@ def test_forward_probs_matches_oracle(stock, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_infer_matches_forward_on_the_bypass(stock, n):
-    # _forward_probs covers the conv2 path's logits
-    model, _, images = stock
-    logits, mid = model.infer(images[:n], 0.5)
-    expected_logits, expected_mid, _ = model.forward(images[:n], 0.5)
-    assert logits.tobytes() == expected_logits.tobytes()
-    assert mid.tobytes() == expected_mid.tobytes()
-
-
-@pytest.mark.parametrize("n", SIZES)
 def test_extract_embeddings_matches_oracle(stock, n):
     model, _, images = stock
     emb = extract_embeddings(model, images[:n])
@@ -90,33 +77,28 @@ def test_extract_embeddings_matches_oracle(stock, n):
     assert emb.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("fraction", FRACTIONS)
 @pytest.mark.parametrize("hard_cutoff", [None, "auto"])
 @pytest.mark.parametrize("n", SIZES)
-def test_gated_eval_matches_oracle(stock, monkeypatch, n, hard_cutoff, fraction):
+def test_gated_eval_matches_oracle(stock, n, hard_cutoff):
     model, gate, images = stock
     cfg = PipelineConfig()
-    # no pipeline passes a sabotage fraction; the bypass is reached through infer
-    monkeypatch.setattr(model, "infer", functools.partial(model.infer, sabotage_fraction=fraction))
     flags, preds = _evaluate(model, images[:n], _gated_flags(cfg, hard_cutoff), gate)
     cutoff = hard_cutoff
     if hard_cutoff == "auto" and n > 512:
         # the oracle takes the auto quantile per 512-row chunk; give it the
         # whole stream's as a numeric cutoff
-        w = _oracle_weights(cfg, model, gate, images[:n], fraction)
+        w = _oracle_weights(cfg, model, gate, images[:n])
         cutoff = float(np.quantile(w, cfg.hard_auto_quantile))
-    expected_flags, expected_preds = oracle.gated_eval(
-        cfg, model, gate, images[:n], fraction, cutoff
-    )
+    expected_flags, expected_preds = oracle.gated_eval(cfg, model, gate, images[:n], cutoff)
     assert flags.tobytes() == expected_flags.tobytes()
     assert preds.tobytes() == expected_preds.tobytes()
 
 
-def _oracle_weights(cfg, model, gate, images, fraction=0.0):
+def _oracle_weights(cfg, model, gate, images):
     """Soft weights w of `images`, from one forward per 512-row chunk."""
     probs, scores = [], []
     for start in range(0, images.shape[0], 512):
-        logits, mid, _ = model.forward(images[start : start + 512], fraction)
+        logits, mid, _ = model.forward(images[start : start + 512])
         probs.append(softmax(logits))
         scores.append(_gate_scores(gate, mid))
     return decide(np.concatenate(probs).max(axis=1), np.concatenate(scores), cfg.soft)[1]

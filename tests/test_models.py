@@ -1,4 +1,4 @@
-"""CNN backbone, bypass path, rejection head, and the binary gate MLP."""
+"""CNN backbone, rejection head, and the binary gate MLP."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from sabotagebench.models import (
     extract_embeddings,
     make_irm_model,
 )
+from sabotagebench.nncore import fan_in_uniform
 from sabotagebench.nncore.gradcheck import grad_check
 from sabotagebench.nncore.ops import weighted_softmax_ce, weighted_softmax_ce_backward
 from sabotagebench.training import _fit_step
@@ -45,9 +46,6 @@ class TestModelConfig:
         with pytest.raises(ValidationError, match="even"):
             ModelConfig(image_size=27)
 
-    def test_rejects_bad_trigger(self):
-        with pytest.raises(ValidationError, match="small_path_trigger"):
-            ModelConfig(small_path_trigger=1.5)
 
 
 class TestSimpleCNN:
@@ -69,25 +67,6 @@ class TestSimpleCNN:
         logits, _, _ = model.forward(rng.random((2, 1, 8, 8)).astype(np.float32))
         assert logits.shape == (2, 11)
 
-    def test_bypass_kicks_in_above_trigger(self, rng):
-        model, cfg = tiny_model()
-        x = rng.random((3, 1, 8, 8)).astype(np.float32)
-        low, _, cache_low = model.forward(x, sabotage_fraction=0.05)
-        high, _, cache_high = model.forward(x, sabotage_fraction=0.5)
-        assert not cache_low["small_path"]
-        assert cache_high["small_path"]
-        assert not np.allclose(low, high)
-
-    def test_trigger_boundary_is_strict(self, rng):
-        model, cfg = tiny_model()
-        x = rng.random((1, 1, 8, 8)).astype(np.float32)
-        _, _, at = model.forward(x, sabotage_fraction=cfg.small_path_trigger)
-        _, _, above = model.forward(
-            x, sabotage_fraction=cfg.small_path_trigger + 1e-6
-        )
-        assert not at["small_path"]
-        assert above["small_path"]
-
     def test_deterministic_init_per_seed(self):
         a, _ = tiny_model(seed=3)
         b, _ = tiny_model(seed=3)
@@ -95,8 +74,28 @@ class TestSimpleCNN:
         assert a.params.checksum() == b.params.checksum()
         assert a.params.checksum() != c.params.checksum()
 
-    @pytest.mark.parametrize("fraction", [0.0, 0.5])
-    def test_gradients_match_finite_differences(self, rng, fraction):
+    def test_init_keeps_the_retired_bypass_draws(self):
+        # a 1x1 conv2 bypass once drew its weight and bias between conv2's
+        # and fc1's; the head must still get the values it drew after them
+        cfg = ModelConfig()
+        model = SimpleCNN(cfg, np.random.default_rng(0))
+        assert not [name for name, _ in model.params.items() if name.startswith("bypass_")]
+        c1, c2, feat, hidden = cfg.conv1_channels, cfg.conv2_channels, cfg.feature_dim, cfg.fc_hidden
+        rng = np.random.default_rng(0)
+        draws = [
+            fan_in_uniform(rng, shape, fan)
+            for shape, fan in [
+                ((c1, 1, 3, 3), 9), ((c1,), 9),
+                ((c2, c1, 3, 3), c1 * 9), ((c2,), c1 * 9),
+                ((c2, c1, 1, 1), c1), ((c2,), c1),
+                ((feat, hidden), feat), ((hidden,), feat),
+                ((hidden, 10), hidden), ((10,), hidden),
+            ]
+        ]
+        assert model.params["fc1_w"].value.tobytes() == draws[6].tobytes()
+        assert model.params["fc2_w"].value.tobytes() == draws[8].tobytes()
+
+    def test_gradients_match_finite_differences(self, rng):
         model, _ = tiny_model()
         for _, param in model.params.items():
             param.value = param.value.astype(np.float64)
@@ -106,7 +105,7 @@ class TestSimpleCNN:
         weights = np.ones(3)
 
         def loss_fn(backward: bool) -> float:
-            logits, _, cache = model.forward(x, sabotage_fraction=fraction)
+            logits, _, cache = model.forward(x)
             loss, probs = weighted_softmax_ce(logits, labels, weights)
             if backward:
                 model.backward(
@@ -116,16 +115,6 @@ class TestSimpleCNN:
 
         assert grad_check(loss_fn, model.params) < 1e-4
 
-    def test_bypass_path_leaves_conv2_gradient_untouched(self, rng):
-        model, _ = tiny_model()
-        x = rng.random((2, 1, 8, 8)).astype(np.float32)
-        logits, _, cache = model.forward(x, sabotage_fraction=0.9)
-        assert cache["small_path"]
-        loss, probs = weighted_softmax_ce(logits, np.array([1, 2]), np.ones(2))
-        model.backward(weighted_softmax_ce_backward(probs, np.array([1, 2]), np.ones(2)), cache)
-        assert np.abs(model.params["conv2_w"].grad).max() == 0.0
-        assert np.abs(model.params["bypass_w"].grad).max() > 0.0
-
 
 class TestEngineMatchesOracle:
     """One training step with the engine's conv/pool ops and one with the
@@ -134,21 +123,19 @@ class TestEngineMatchesOracle:
     take and return the engine's channels-last arrays."""
 
     @staticmethod
-    def _stepped_checksum(images, labels, fraction):
+    def _stepped_checksum(images, labels):
         model = SimpleCNN(ModelConfig(), np.random.default_rng(11))
         weights = np.ones(images.shape[0])
-        _train_step(model, images, labels, weights, lr=0.1, fraction=fraction)
+        _train_step(model, images, labels, weights, lr=0.1)
         return model.params.checksum()
 
-    # 0.0 runs conv2; 0.5 is above small_path_trigger and runs the 1x1 bypass
-    @pytest.mark.parametrize("fraction", [0.0, 0.5])
-    def test_train_step_checksum(self, rng, monkeypatch, fraction):
+    def test_train_step_checksum(self, rng, monkeypatch):
         images = rng.random((24, 1, 28, 28)).astype(np.float32)
         labels = rng.integers(0, 10, size=24)
-        engine = self._stepped_checksum(images, labels, fraction)
+        engine = self._stepped_checksum(images, labels)
         for name, op in _channels_last_oracle().items():
             monkeypatch.setattr(models, name, op)
-        assert self._stepped_checksum(images, labels, fraction) == engine
+        assert self._stepped_checksum(images, labels) == engine
 
 
 def _channels_last_oracle():
@@ -194,18 +181,17 @@ class TestTrunkRowIndependence:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 64),
-        fraction=st.sampled_from([0.0, 0.5]),
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_midlayer_rows_match_forward_of_rows(self, n, fraction, data, seed):
+    def test_midlayer_rows_match_forward_of_rows(self, n, data, seed):
         model = SimpleCNN(ModelConfig(), np.random.default_rng(seed % 7))
         x, _ = _stock_batch(seed, n)
         keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         rows = np.array(keep, dtype=bool)
         rows[data.draw(st.integers(0, n - 1))] = True
-        _, mid, _ = model.forward(x, fraction)
-        _, mid_rows, _ = model.forward(x[rows], fraction)
+        _, mid, _ = model.forward(x)
+        _, mid_rows, _ = model.forward(x[rows])
         assert mid[rows].tobytes() == mid_rows.tobytes()
 
 
@@ -213,22 +199,19 @@ class TestNarrowedCache:
     """A scoring forward's cache cut down to some rows trains exactly like a
     fresh forward of those rows."""
 
-    @pytest.mark.parametrize("fraction", [0.0, 0.5])
     @pytest.mark.parametrize("rows", [[5], [0, 3, 17, 40, 63], list(range(64))])
-    def test_step_matches_train_step_on_rows(self, fraction, rows):
+    def test_step_matches_train_step_on_rows(self, rows):
         x, labels = _stock_batch(12, 64)
         weights = np.ones(len(rows))
         fresh = SimpleCNN(ModelConfig(), np.random.default_rng(11))
-        _train_step(fresh, x[rows], labels[rows], weights, lr=0.1, fraction=fraction)
+        _train_step(fresh, x[rows], labels[rows], weights, lr=0.1)
 
         model = SimpleCNN(ModelConfig(), np.random.default_rng(11))
-        _, mid, cache = model.forward(x, fraction)
+        _, mid, cache = model.forward(x)
         mask = np.zeros(64, dtype=bool)
         mask[rows] = True
         logits = model.narrow(cache, mid, mask)
-        expected, _, _ = SimpleCNN(ModelConfig(), np.random.default_rng(11)).forward(
-            x[rows], fraction
-        )
+        expected, _, _ = SimpleCNN(ModelConfig(), np.random.default_rng(11)).forward(x[rows])
         assert logits.tobytes() == expected.tobytes()
         _fit_step(model, logits, cache, labels[rows], weights, lr=0.1)
         assert model.params.checksum() == fresh.params.checksum()
@@ -250,22 +233,21 @@ class TestNonFiniteNaming:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "param, layer, fraction",
+        "param, layer",
         [
-            ("conv1_w", "conv1", 0.0),
-            ("conv2_w", "conv2", 0.0),
-            ("bypass_w", "bypass", 0.5),
-            ("fc1_w", "fc1", 0.0),
-            ("fc2_w", "fc2", 0.0),
+            ("conv1_w", "conv1"),
+            ("conv2_w", "conv2"),
+            ("fc1_w", "fc1"),
+            ("fc2_w", "fc2"),
         ],
     )
-    def test_planted_value_names_its_layer(self, rng, param, layer, fraction, bad):
+    def test_planted_value_names_its_layer(self, rng, param, layer, bad):
         model, _ = tiny_model()
         value = model.params[param].value
         value[(0,) * value.ndim] = bad
         x = rng.random((3, 1, 8, 8)).astype(np.float32)
         with pytest.raises(NumericsError, match=f"'{layer}'"):
-            model.forward(x, sabotage_fraction=fraction)
+            model.forward(x)
 
 
 class TestEmbeddings:

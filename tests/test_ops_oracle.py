@@ -81,7 +81,8 @@ class TestConvAgainstOracle:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n", [1, 64])
     def test_default_model_shapes(self, rng, dtype, n):
-        # conv1, conv2 and the 1x1 bypass of the stock SimpleCNN
+        # conv1 and conv2 of the stock SimpleCNN, and a 1x1 conv (kernel_size=1,
+        # padding=0) at conv2's widths
         for c, k, ksize, padding in [(1, 16, 3, 1), (16, 32, 3, 1), (16, 32, 1, 0)]:
             x = relu(rng.normal(size=(n, c, 28, 28))).astype(dtype)
             kernel = rng.normal(size=(k, c, ksize, ksize)).astype(dtype)
