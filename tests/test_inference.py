@@ -77,7 +77,9 @@ def test_extract_embeddings_matches_oracle(stock, n):
     assert emb.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("hard_cutoff", [None, "auto"])
+# the trailing 0.0 of each id is the sabotage fraction these cases ran at
+# before the conv2 bypass was deleted; kept so the case names stay stable
+@pytest.mark.parametrize("hard_cutoff", [None, "auto"], ids=["None-0.0", "auto-0.0"])
 @pytest.mark.parametrize("n", SIZES)
 def test_gated_eval_matches_oracle(stock, n, hard_cutoff):
     model, gate, images = stock

@@ -47,7 +47,6 @@ class TestModelConfig:
             ModelConfig(image_size=27)
 
 
-
 class TestSimpleCNN:
     def test_forward_shapes(self, rng):
         model, cfg = tiny_model()
@@ -199,7 +198,13 @@ class TestNarrowedCache:
     """A scoring forward's cache cut down to some rows trains exactly like a
     fresh forward of those rows."""
 
-    @pytest.mark.parametrize("rows", [[5], [0, 3, 17, 40, 63], list(range(64))])
+    # the trailing 0.0 of each id is the sabotage fraction these cases ran
+    # at before the conv2 bypass was deleted; kept so the names stay stable
+    @pytest.mark.parametrize(
+        "rows",
+        [[5], [0, 3, 17, 40, 63], list(range(64))],
+        ids=["rows0-0.0", "rows1-0.0", "rows2-0.0"],
+    )
     def test_step_matches_train_step_on_rows(self, rows):
         x, labels = _stock_batch(12, 64)
         weights = np.ones(len(rows))
@@ -231,14 +236,16 @@ class TestNarrowedCache:
 class TestNonFiniteNaming:
     """A non-finite weight must raise a NumericsError naming its layer."""
 
+    # the 0.0 in each id is the sabotage fraction these cases ran at before
+    # the conv2 bypass was deleted; kept so the case names stay stable
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "param, layer",
         [
-            ("conv1_w", "conv1"),
-            ("conv2_w", "conv2"),
-            ("fc1_w", "fc1"),
-            ("fc2_w", "fc2"),
+            pytest.param("conv1_w", "conv1", id="conv1_w-conv1-0.0"),
+            pytest.param("conv2_w", "conv2", id="conv2_w-conv2-0.0"),
+            pytest.param("fc1_w", "fc1", id="fc1_w-fc1-0.0"),
+            pytest.param("fc2_w", "fc2", id="fc2_w-fc2-0.0"),
         ],
     )
     def test_planted_value_names_its_layer(self, rng, param, layer, bad):
