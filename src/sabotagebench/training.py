@@ -53,6 +53,7 @@ samples against original labels; counting accepted-but-sabotaged samples
 any defense that lets a single poisoned sample through.
 """
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -375,6 +376,15 @@ def _evaluate(model: SimpleCNN, images: np.ndarray, flags_of,
     return flags, probs.argmax(axis=1)
 
 
+def _eval_digests(flags: np.ndarray, predictions: np.ndarray) -> dict:
+    """sha256 of the final evaluation's flag and prediction arrays: a report
+    then shows a moved row even where every count it holds stays equal."""
+    return {
+        "eval_flags_sha256": hashlib.sha256(flags.astype(bool).tobytes()).hexdigest(),
+        "eval_predictions_sha256": hashlib.sha256(predictions.astype(np.int64).tobytes()).hexdigest(),
+    }
+
+
 def _run(cfg: PipelineConfig, method: str, model: SimpleCNN, policy, flags_of,
          train_set: MnistSet, test_set: MnistSet, epochs: int,
          gate: MlpBinary | None = None) -> RunReport:
@@ -394,6 +404,7 @@ def _run(cfg: PipelineConfig, method: str, model: SimpleCNN, policy, flags_of,
     report.accepted_empty = empty
     report.extras["model_checksum"] = model.params.checksum()
     report.extras["final_test_error"] = report.epochs[-1].test_error
+    report.extras.update(_eval_digests(flags, predictions))
     report.wall_clock_s = time.perf_counter() - started
     return report
 

@@ -18,6 +18,7 @@ from sabotagebench.training import (
     PipelineConfig,
     SweepConfig,
     TrainConfig,
+    _eval_digests,
     poison_eval_stream,
     pretrain_gate,
     run_sweep,
@@ -97,6 +98,22 @@ class TestBaseline:
     def test_different_seed_differs(self, tiny_train, tiny_test, tiny_baseline_report):
         other = train_baseline(tiny_pipeline("baseline", seed=1), tiny_train, tiny_test)
         assert other.extras["model_checksum"] != tiny_baseline_report.extras["model_checksum"]
+
+
+class TestEvalDigests:
+    def test_one_moved_flag_changes_the_flag_digest(self):
+        flags = np.zeros(50, dtype=bool)
+        flags[3] = True
+        predictions = np.arange(50) % 10
+        before = _eval_digests(flags, predictions)
+        flags[3], flags[4] = False, True
+        after = _eval_digests(flags, predictions)
+        assert after["eval_flags_sha256"] != before["eval_flags_sha256"]
+        assert after["eval_predictions_sha256"] == before["eval_predictions_sha256"]
+        predictions[7] = 0
+        assert _eval_digests(flags, predictions)["eval_predictions_sha256"] != before[
+            "eval_predictions_sha256"
+        ]
 
 
 class TestGatePretraining:
@@ -300,6 +317,20 @@ def _log_rows(report):
     # latency_s is timing, the one column that differs run to run
     return [(r.epoch, r.batch, r.tau, r.flagged_count, r.sabotaged_count, r.f_avg)
             for r in report.log_rows]
+
+
+@pytest.fixture(autouse=True)
+def _oracle_reports_carry_eval_digests(monkeypatch):
+    """The oracle pipelines predate the evaluation digests. Their reports get
+    the digests of the flags and predictions the oracle evaluated, so that
+    comparing two reports also compares those rows."""
+    finish = oracle_training._finish_report
+
+    def finish_with_digests(report, flags, batch, predictions):
+        finish(report, flags, batch, predictions)
+        report.extras.update(_eval_digests(flags, predictions))
+
+    monkeypatch.setattr(oracle_training, "_finish_report", finish_with_digests)
 
 
 def _assert_same_run(report, expected):
