@@ -1,8 +1,27 @@
 """Network definitions.
 
-SimpleCNN: conv1 -> ReLU -> conv2 -> ReLU -> maxpool2x2 -> fc1 -> ReLU -> fc2.
-The mid-layer tap (gate input and mirror-test embedding) is the post-pool
-activation tensor.
+SimpleCNN: conv1 -> ReLU -> conv2 -> maxpool2x2 -> ReLU -> fc1 -> ReLU -> fc2.
+The mid-layer tap (gate input and mirror-test embedding) is the pooled,
+rectified activation tensor.
+
+conv2's output is pooled before its ReLU, so the ReLU and its mask run on a
+tensor 4x smaller, and the backward runs the ReLU's backward at pooled size
+and lets maxpool2x2_backward write conv2's gradient directly. This keeps
+the bytes of ReLU-then-pool. Max and max-with-0 commute: a window with a
+positive entry pools to the same value at the same index either way, and a
+window whose entries are all negative pools to -0.0 either way (max * 0
+here, the ReLU's -0.0 entries there). Only the index of such a window moves,
+from the first of four tied zeros to the first raw maximum. Its gradient is
+dy * 0 either way, a zero with dy's sign, now at another position of
+conv2's gradient; a zero's sign only shows in a sum of zeros, and `grad +=`
+into the zeroed gradient buffers turns such a -0.0 into +0.0, so every
+parameter keeps its bytes. (A conv2 output of exactly +0.0 next to
+negatives would pool to +0.0 here and to -0.0 there; no later sum sees the
+sign.)
+
+The first ReLU overwrites conv1's output in place (`x * mask`, which keeps
+-0.0 and turns a non-finite value into a non-finite one, so a NaN still
+names conv1); conv1's cache holds its input columns, not its output.
 
 Inside the trunk the activations are channels-last ([N,H,W,C], see
 nncore.ops); the input images [N,1,H,W] are viewed that way, and the pooled
@@ -13,7 +32,7 @@ that order.
 The integrated rejection variant is the same backbone with an (n+1)-way head;
 class n is the rejection class.
 
-The conv trunk (conv1 -> ReLU -> conv2 -> ReLU -> pool) computes
+The conv trunk (conv1 -> ReLU -> conv2 -> pool -> ReLU) computes
 each image on its own, byte for byte: the midlayer rows of a batch equal a
 forward of just those rows, whatever the batch size. The fc head does not:
 a 1-row GEMM goes through GEMV and rounds differently from the same row of
@@ -175,17 +194,18 @@ class SimpleCNN:
         return 1 << (fits.bit_length() - 1)
 
     def _trunk(self, x: np.ndarray):
-        """conv1 -> ReLU -> conv2 -> ReLU -> pool; returns
-        (mid [N,C,H/2,W/2], h1, h2 [N,H,W,C], trunk cache)."""
+        """conv1 -> ReLU -> conv2 -> pool -> ReLU; returns (mid [N,C,H/2,W/2],
+        h1 (conv1's output, rectified in place), h2 (conv2's output), trunk
+        cache). h1 and h2 are [N,H,W,C]."""
         if x.ndim != 4:
             raise ShapeError(f"images must be [N,C,H,W], got shape {tuple(x.shape)}")
         p = self.params
         x = x.transpose(0, 2, 3, 1)
         h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, self.cfg.padding)
-        a1, m_relu1 = relu(h1)
-        h2, c_conv2 = conv2d(a1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
-        a2, m_relu2 = relu(h2)
-        pooled, idx_pool = maxpool2x2(a2)
+        h1, m_relu1 = relu(h1, inplace=True)
+        h2, c_conv2 = conv2d(h1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
+        pooled, idx_pool = maxpool2x2(h2)
+        pooled, m_relu2 = relu(pooled, inplace=True)
         mid = np.ascontiguousarray(pooled.transpose(0, 3, 1, 2))
         cache = {
             "conv1": c_conv1,
@@ -247,8 +267,8 @@ class SimpleCNN:
         p["fc1_w"].grad += dw
         p["fc1_b"].grad += db
         dmid = dflat.reshape(cache["mid_shape"]).transpose(0, 2, 3, 1)
-        da2 = maxpool2x2_backward(dmid, cache["pool_idx"])
-        dh2 = relu_backward(da2, cache["relu2"])
+        dpooled = relu_backward(dmid, cache["relu2"])
+        dh2 = maxpool2x2_backward(dpooled, cache["pool_idx"])
         da1, dw, db = conv2d_backward(dh2, cache["conv2"])
         p["conv2_w"].grad += dw
         p["conv2_b"].grad += db

@@ -8,8 +8,8 @@ Conventions:
   - float dtype follows the inputs (float32 in training, float64 in grad
     checks); loss scalars accumulate in float64
 
-conv2d is im2col plus one GEMM. `cols` is [N*Ho*Wo, C*kh*kw] with columns
-in (c, kh, kw) order; it is filled by one copy per kernel tap from the
+conv2d is im2col plus one GEMM, the bias added into the GEMM's output in
+place. `cols` is [N*Ho*Wo, C*kh*kw] with columns in (c, kh, kw) order; it is filled by one copy per kernel tap from the
 channels-last (padded) input, and conv2d_backward adds dcols back tap by
 tap, in (kh, kw) order, into a channels-last buffer. The GEMM output rows
 are (n, ho, wo) and its columns k, so `y` is channels-last as it comes out
@@ -25,7 +25,10 @@ maxpool2x2 takes np.maximum over the four strided quarters of each 2x2
 window. The index is the first maximum in (0,0), (0,1), (1,0), (1,1) order,
 so ties, -0.0 against 0.0 included (relu outputs hold -0.0), route the
 gradient to the earliest position; the pooled value of a tie is the last
-tied element, which only shows in the sign of a zero. A NaN input yields a
+tied element, which only shows in the sign of a zero. SimpleCNN pools
+conv2's output before its ReLU: max and max-with-0 commute, so
+relu(maxpool2x2(x)) holds the bytes of maxpool2x2(relu(x)) at a quarter of
+the ReLU's work (see models.py for the backward). A NaN input yields a
 NaN output but an unspecified index; SimpleCNN.forward raises on any
 non-finite activation before a backward could use it.
 
@@ -95,7 +98,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
                 dst[..., i, j] = src[:, i : i + ho, j : j + wo]
     cols = cols.reshape(n * ho * wo, c * kh * kw)
     wmat = w.reshape(k, c * kh * kw)
-    y = cols @ wmat.T + b
+    y = cols @ wmat.T
+    y += b
     cache = (cols, wmat, w.shape, x.shape, padding)
     return y.reshape(n, ho, wo, k), cache
 
@@ -193,9 +197,15 @@ def maxpool2x2_backward(dy: np.ndarray, idx: np.ndarray):
 # ------------------------------------------------------------------ relu
 
 
-def relu(x: np.ndarray):
-    """Elementwise max(0, x); cache is the positive mask."""
+def relu(x: np.ndarray, inplace: bool = False):
+    """Elementwise max(0, x); cache is the positive mask.
+
+    The output is x * mask, so a non-positive x gives -0.0 (np.maximum would
+    give +0.0) and a non-finite x stays non-finite. With inplace, x itself
+    is overwritten and returned."""
     mask = x > 0
+    if inplace:
+        return np.multiply(x, mask, out=x), mask
     return x * mask, mask
 
 

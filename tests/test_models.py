@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle_ops
 from oracle_training import _train_step
+from oracle_trunk import ReluThenPoolCNN
 from sabotagebench import models
 from sabotagebench.errors import NumericsError, ValidationError
 from sabotagebench.models import (
@@ -192,6 +193,68 @@ class TestTrunkRowIndependence:
         _, mid, _ = model.forward(x)
         _, mid_rows, _ = model.forward(x[rows])
         assert mid[rows].tobytes() == mid_rows.tobytes()
+
+
+def _shifted_pair(seed, shift):
+    """The engine's stock model and the ReLU-then-pool oracle with the same
+    parameters, both conv biases lowered by `shift` so that many 2x2 windows
+    of conv2's output hold no positive value."""
+    pair = []
+    for cls in (SimpleCNN, ReluThenPoolCNN):
+        model = cls(ModelConfig(), np.random.default_rng(seed))
+        for name in ("conv1_b", "conv2_b"):
+            model.params[name].value -= np.float32(shift)
+        pair.append(model)
+    return pair
+
+
+def _glyph_batch(seed, n):
+    """n stock-size images with blank regions, so conv outputs tie exactly."""
+    x, labels = _stock_batch(seed, n)
+    x[np.random.default_rng(seed + 1).random(x.shape) < 0.6] = 0.0
+    return x, labels
+
+
+class TestPoolBeforeReluMatchesOracle:
+    """Pooling conv2's output before its ReLU gives the bytes of ReLU then
+    pool: equal logits and midlayers, and equal parameters after a plain
+    step and after a step through a narrowed cache."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        shift=st.floats(0.0, 0.2),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forward_and_steps(self, n, shift, data, seed):
+        x, labels = _glyph_batch(seed, n)
+        weights = np.ones(n)
+        engine, oracle = _shifted_pair(seed % 7, shift)
+        for step in ("plain", "narrowed"):
+            (logits, mid, cache), (o_logits, o_mid, o_cache) = engine.forward(x), oracle.forward(x)
+            assert mid.tobytes() == o_mid.tobytes()
+            assert logits.tobytes() == o_logits.tobytes()
+            rows = np.ones(n, dtype=bool)
+            if step == "narrowed":
+                rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                rows[data.draw(st.integers(0, n - 1))] = True
+                logits, o_logits = engine.narrow(cache, mid, rows), oracle.narrow(o_cache, o_mid, rows)
+                assert logits.tobytes() == o_logits.tobytes()
+            _fit_step(engine, logits, cache, labels[rows], weights[rows], lr=0.1)
+            _fit_step(oracle, o_logits, o_cache, labels[rows], weights[rows], lr=0.1)
+            assert engine.params.checksum() == oracle.params.checksum()
+
+    def test_shifted_biases_move_pool_indices(self):
+        # the case the equality rests on: windows with no positive value,
+        # where the two orders pick different indices
+        x, _ = _glyph_batch(3, 16)
+        engine, oracle = _shifted_pair(3, 0.15)
+        _, mid, cache = engine.forward(x)
+        _, _, o_cache = oracle.forward(x)
+        moved = cache["pool_idx"] != o_cache["pool_idx"]
+        assert moved.mean() > 0.05
+        assert (mid == 0).mean() > 0.2
 
 
 class TestNarrowedCache:
