@@ -94,13 +94,13 @@ class PairSet:
 
 
 def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
-                  epochs: int = 1, batch_size: int = 64, learning_rate: float = 0.01,
-                  test_set: MnistSet | None = None) -> tuple[SimpleCNN, float]:
-    """Train a fresh net briefly on one subset; returns (net, test error).
+                  epochs: int = 1, batch_size: int = 64,
+                  learning_rate: float = 0.01) -> SimpleCNN:
+    """Train a fresh net briefly on one subset.
 
     The tag keeps the two nets' seed streams apart so they differ in both
     data and initialization."""
-    from .training import RunReport, UnitWeights, _batches, _plain_test_error, fit
+    from .training import RunReport, UnitWeights, _batches, fit
 
     net = SimpleCNN(model_cfg, stream(seed, f"mirror/init/{tag}"))
 
@@ -111,8 +111,7 @@ def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
 
     fit(net, RunReport(method=f"mirror/{tag}", seed=seed), epochs, batches, UnitWeights(),
         learning_rate)
-    error = _plain_test_error(net, test_set) if test_set is not None else float("nan")
-    return net, error
+    return net
 
 
 def pair_table(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
@@ -320,17 +319,25 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     two stages never see the same embedding row."""
     import time
 
+    from .training import _plain_test_error
+
     started = time.perf_counter()
     sub_a, sub_b = disjoint_subsets(
         train_set, (cfg.subset_size, cfg.subset_size), stream(seed, "mirror/subsets")
     )
-    net_a, err_a = train_partial(sub_a, model_cfg, seed, "A", cfg.epochs,
-                                 cfg.batch_size, cfg.learning_rate, test_set)
-    net_b, err_b = train_partial(sub_b, model_cfg, seed, "B", cfg.epochs,
-                                 cfg.batch_size, cfg.learning_rate, test_set)
+    net_a = train_partial(sub_a, model_cfg, seed, "A", cfg.epochs,
+                          cfg.batch_size, cfg.learning_rate)
+    net_b = train_partial(sub_b, model_cfg, seed, "B", cfg.epochs,
+                          cfg.batch_size, cfg.learning_rate)
 
-    table = pair_table(extract_embeddings(net_a, test_set.images),
-                       extract_embeddings(net_b, test_set.images))
+    # one trunk pass over the test set per net gives both its embeddings and
+    # its test error (the head over the embeddings)
+    emb_a = extract_embeddings(net_a, test_set.images)
+    err_a = _plain_test_error(net_a, test_set, emb_a)
+    emb_b = extract_embeddings(net_b, test_set.images)
+    err_b = _plain_test_error(net_b, test_set, emb_b)
+    table = pair_table(emb_a, emb_b)
+    del emb_a, emb_b
     perm = stream(seed, "mirror/pools").permutation(test_set.count)
     cut = pool_split(test_set.count, cfg.train_pool_fraction)
     train_pool, eval_pool = perm[:cut], perm[cut:]

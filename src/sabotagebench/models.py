@@ -176,7 +176,12 @@ class SimpleCNN:
         of x's rows, since its rounding depends on the row count.
         """
         mid = self.midlayer(x)
-        return self._head(mid)[0], mid
+        return self.head(mid), mid
+
+    def head(self, mid: np.ndarray) -> np.ndarray:
+        """The logits of the fc head over a midlayer, [N,C,H/2,W/2] or
+        flattened to [N, feature_dim]; keeps no cache."""
+        return self._head(mid)[0]
 
     def trunk_piece(self, dtype) -> int:
         """Images per inference trunk piece: the largest power of two whose

@@ -223,18 +223,24 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512) -> np.ndarray:
+def _forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512,
+                   mid: np.ndarray | None = None) -> np.ndarray:
     """Softmax over chunks of `batch_size` rows; each chunk's head sees the
-    chunk's rows at once (`SimpleCNN.infer`)."""
+    chunk's rows at once (`SimpleCNN.infer`). Given the images' midlayer
+    `mid` (as `midlayer` or `extract_embeddings` returns it), only the head
+    runs, over the same chunks, so the bytes are the same."""
     chunks = []
     for start in range(0, images.shape[0], batch_size):
-        logits = model.infer(images[start : start + batch_size])[0]
+        rows = slice(start, start + batch_size)
+        logits = model.infer(images[rows])[0] if mid is None else model.head(mid[rows])
         chunks.append(softmax(logits))
     return np.concatenate(chunks, axis=0)
 
 
-def _plain_test_error(model: SimpleCNN, test_set: MnistSet) -> float:
-    probs = _forward_probs(model, test_set.images)
+def _plain_test_error(model: SimpleCNN, test_set: MnistSet, mid: np.ndarray | None = None) -> float:
+    """Error rate of the argmax over `test_set`; `mid`, the test images'
+    midlayer, saves the trunk pass (see `_forward_probs`)."""
+    probs = _forward_probs(model, test_set.images, mid=mid)
     return float(np.mean(probs.argmax(axis=1) != test_set.labels))
 
 

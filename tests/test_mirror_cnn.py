@@ -29,7 +29,7 @@ from sabotagebench.mirror_cnn import (
     run_mirror_experiment,
     train_pair_gate,
 )
-from sabotagebench.models import ModelConfig
+from sabotagebench.models import ModelConfig, SimpleCNN
 
 from conftest import TINY_MODEL
 
@@ -316,6 +316,24 @@ class TestConfigAndReport:
         cfg = MirrorCnnConfig(subset_size=1, train_pairs_per_mode=1, eval_pairs_per_mode=1)
         with pytest.raises(ValidationError, match="pool split degenerate"):
             run_mirror_experiment(cfg, ModelConfig(**TINY_MODEL, image_size=8), 0, train, test)
+
+
+class TestTrunkPasses:
+    def test_each_net_runs_its_trunk_over_the_test_set_once(self, monkeypatch):
+        # the test error and the embeddings come from the same midlayer pass
+        train = synthetic_mnist_set(120, seed=30, image_size=8)
+        test = synthetic_mnist_set(40, seed=31, image_size=8)
+        cfg = MirrorCnnConfig(subset_size=50, train_pairs_per_mode=20, eval_pairs_per_mode=10)
+        rows = []
+        midlayer = SimpleCNN.midlayer
+
+        def counted(self, x, piece=None):
+            rows.append(x.shape[0])
+            return midlayer(self, x, piece)
+
+        monkeypatch.setattr(SimpleCNN, "midlayer", counted)
+        run_mirror_experiment(cfg, ModelConfig(**TINY_MODEL, image_size=8), 0, train, test)
+        assert rows == [test.count, test.count]
 
 
 @pytest.mark.slow

@@ -11,7 +11,7 @@ import oracle_training
 from sabotagebench.dataset import SabotageConfig, synthetic_mnist_set
 from sabotagebench.errors import ValidationError
 from sabotagebench.mirror_cnn import train_partial
-from sabotagebench.models import ModelConfig
+from sabotagebench.models import ModelConfig, extract_embeddings
 from sabotagebench.quarantine import AdaptiveControllerState
 from sabotagebench.training import (
     GateTrainConfig,
@@ -19,6 +19,7 @@ from sabotagebench.training import (
     SweepConfig,
     TrainConfig,
     _eval_digests,
+    _plain_test_error,
     poison_eval_stream,
     pretrain_gate,
     run_sweep,
@@ -414,12 +415,20 @@ class TestPipelinesMatchOracle:
 
     @pytest.mark.parametrize("with_test", [False, True])
     def test_train_partial(self, oracle_case, with_test):
+        # the mirror experiment takes a net's test error from the head over
+        # its test embeddings, where the oracle ran the net over the test set
         train, test, _, _ = oracle_case
-        args = (train, ModelConfig(**ORACLE_MODEL), 6, "A", 2, 16, 0.1, test if with_test else None)
-        net, error = train_partial(*args)
-        expected_net, expected_error = oracle_training.train_partial(*args)
+        args = (train, ModelConfig(**ORACLE_MODEL), 6, "A", 2, 16, 0.1)
+        net = train_partial(*args)
+        expected_net, expected_error = oracle_training.train_partial(
+            *args, test if with_test else None
+        )
         assert net.params.checksum() == expected_net.params.checksum()
-        assert error == expected_error or (math.isnan(error) and math.isnan(expected_error))
+        if with_test:
+            error = _plain_test_error(net, test, extract_embeddings(net, test.images))
+            assert error == expected_error
+        else:
+            assert math.isnan(expected_error)
 
 
 # ---------------------------------------------------------------- medium
