@@ -95,6 +95,9 @@ DEFAULTS: dict[str, Any] = {
     "lifestar": {"alpha": None, "beta": None, "gamma": None},
 }
 
+# Number leaves that also take null, as their owning dataclass does.
+_NULLABLE_NUMBERS = {"mirror_cnn.gate_boundary_fraction"}
+
 # Leaves whose accepted values cannot be inferred from the default alone.
 _SPECIAL_LEAVES = {
     "hard.cutoff": "number or 'auto'",
@@ -119,6 +122,8 @@ def _check_leaf(path: str, default: Any, value: Any) -> Any:
         if not ok:
             raise ConfigError(f"{path}: expected {_SPECIAL_LEAVES[path]}, got {value!r}")
         return value
+    if value is None and path in _NULLABLE_NUMBERS:
+        return None
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean, got {value!r}")
@@ -203,7 +208,9 @@ class ExperimentConfig:
 
     Builders hand sub-sections to the dataclasses that own their
     validation; any rejection is re-raised as a ConfigError carrying the
-    section name so the CLI exits with the config status code.
+    section name so the CLI exits with the config status code. Every
+    `SECTIONS` owner is built once here, so a bad value fails at parse
+    time, before any data loads or any experiment of `run all` trains.
     """
 
     data: dict[str, Any]
@@ -214,6 +221,8 @@ class ExperimentConfig:
                 f"experiment: expected one of {', '.join(EXPERIMENTS)}, "
                 f"got {self.data['experiment']!r}"
             )
+        for name in SECTIONS:
+            self.build(name)
 
     @property
     def experiment(self) -> str:

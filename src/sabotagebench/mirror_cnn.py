@@ -202,10 +202,6 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
             f"training pairs must be balanced, got {counts[MODE_SELF]} self "
             f"vs {counts[MODE_CROSS]} cross"
         )
-    if boundary_fraction is not None and not 0 <= boundary_fraction < 1:
-        raise ValidationError(
-            f"boundary_fraction must lie in [0, 1) or be None, got {boundary_fraction}"
-        )
     targets = pairs.targets()
     gate = MlpBinary(GateConfig(2 * pairs.table.shape[1], hidden, dropout=0.0),
                      stream(seed, "mirror/gate/init"))
@@ -279,6 +275,11 @@ class MirrorCnnConfig:
             )
         if self.train_pairs_per_mode < 1 or self.eval_pairs_per_mode < 1:
             raise ValidationError("pair counts must be >= 1")
+        fraction = self.gate_boundary_fraction
+        if fraction is not None and not 0 <= fraction < 1:
+            raise ValidationError(
+                f"gate_boundary_fraction must lie in [0, 1) or be None, got {fraction}"
+            )
 
 
 @dataclass

@@ -144,18 +144,11 @@ def adaptive_update(
 def sweep_thresholds(values, train_fn) -> list:
     """Run train_fn(threshold) for each value; returns the per-threshold reports.
 
-    Values must be nonempty, strictly increasing, and inside (0, 1). Errors
-    from train_fn name the threshold: a WorkbenchError is re-raised with it
-    prefixed to the message, any other exception keeps its type and gets a
-    note, since its constructor may take other arguments.
+    `SweepConfig` checks the values. Errors from train_fn name the
+    threshold: a WorkbenchError is re-raised with it prefixed to the message,
+    any other exception keeps its type and gets a note, since its
+    constructor may take other arguments.
     """
-    values = list(values)
-    if not values:
-        raise ValidationError("threshold sweep needs at least one value")
-    if any(not 0 < v < 1 for v in values):
-        raise ValidationError(f"sweep thresholds must lie in (0, 1), got {values}")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValidationError(f"sweep thresholds must be strictly increasing, got {values}")
     reports = []
     for value in values:
         try:

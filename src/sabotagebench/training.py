@@ -648,6 +648,13 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValidationError(f"sweep epochs must be >= 1, got {self.epochs}")
+        values = list(self.thresholds)
+        if not values:
+            raise ValidationError("threshold sweep needs at least one value")
+        if any(not 0 < v < 1 for v in values):
+            raise ValidationError(f"sweep thresholds must lie in (0, 1), got {values}")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValidationError(f"sweep thresholds must be strictly increasing, got {values}")
 
 
 class ConfidencePolicy:

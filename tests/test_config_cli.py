@@ -357,6 +357,34 @@ class TestRunExitCodes:
         assert "10000" in err and "6000" in err
         assert not list(tmp_path.rglob("report_*"))
 
+    # Each of these three values used to pass the parse and fail (or, for
+    # null, be refused) only once a run was under way.
+    def test_bad_boundary_fraction_fails_before_training(self, tmp_path, capsys):
+        argv = ["run", "mirror-cnn", "--offline", "--out", str(tmp_path / "out"),
+                "--set", "dataset.source=synthetic", "--set", "dataset.synthetic_train=200",
+                "--set", "dataset.synthetic_test=60", "--set", "mirror_cnn.subset_size=50",
+                "--set", "mirror_cnn.gate_boundary_fraction=1.5"]
+        started = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - started < 2.0
+        assert "config error: mirror_cnn: gate_boundary_fraction" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("report_*"))
+
+    def test_null_boundary_fraction_is_accepted(self):
+        cfg = parse_config(None, {"mirror_cnn.gate_boundary_fraction": None})
+        assert cfg.section("mirror_cnn")["gate_boundary_fraction"] is None
+        assert cfg.build("mirror_cnn").gate_boundary_fraction is None
+
+    def test_unsorted_sweep_thresholds_fail_at_parse_time(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="sweep: .*strictly increasing"):
+            parse_config(None, {"sweep.thresholds": [0.5, 0.2]})
+        argv = ["run", "sweep", "--out", str(tmp_path / "out"),
+                "--set", "dataset.source=synthetic", "--set", "dataset.synthetic_train=200",
+                "--set", "dataset.synthetic_test=60", "--set", "sweep.thresholds=[0.5,0.2]"]
+        assert cli.main(argv) == 1
+        assert "config error: sweep:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("report_*"))
+
     def test_image_too_small_for_the_glyph(self, tmp_path, capsys):
         argv = ["run", "baseline", "--out", str(tmp_path / "out"),
                 "--set", "dataset.source=synthetic", "--set", "model.image_size=6"]

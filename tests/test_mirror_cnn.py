@@ -262,11 +262,13 @@ class TestPairGate:
         with pytest.raises(ValidationError, match="exactly self and cross"):
             train_pair_gate(semis, seed=0)
 
-    def test_boundary_fraction_validation(self, rng):
-        emb_a, emb_b = toy_tables(rng)
-        pairs = make_pairs(emb_a, emb_b, {MODE_SELF: 4, MODE_CROSS: 4}, rng)
+    def test_boundary_fraction_validation(self):
+        # checked where the experiment's config is built, before any net trains
         with pytest.raises(ValidationError, match="boundary_fraction"):
-            train_pair_gate(pairs, seed=0, boundary_fraction=1.0)
+            MirrorCnnConfig(gate_boundary_fraction=1.0)
+        with pytest.raises(ValidationError, match="boundary_fraction"):
+            MirrorCnnConfig(gate_boundary_fraction=-0.1)
+        assert MirrorCnnConfig(gate_boundary_fraction=None).gate_boundary_fraction is None
 
     def test_separates_toy_tables(self, rng):
         # tables A and B are 3 sigma apart, so this is trivially learnable

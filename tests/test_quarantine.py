@@ -16,6 +16,7 @@ from sabotagebench.quarantine import (
     flag,
     sweep_thresholds,
 )
+from sabotagebench.training import SweepConfig
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -203,17 +204,18 @@ class TestSweepThresholds:
         reports = sweep_thresholds([0.1, 0.2, 0.3], lambda t: t * 10)
         assert reports == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
 
+    # the values are checked where the sweep's config is built
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
-            sweep_thresholds([], lambda t: t)
+            SweepConfig(thresholds=())
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match="lie in"):
-            sweep_thresholds([0.5, 1.0], lambda t: t)
+            SweepConfig(thresholds=(0.5, 1.0))
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
-            sweep_thresholds([0.3, 0.3], lambda t: t)
+            SweepConfig(thresholds=(0.3, 0.3))
 
     def test_failure_names_threshold(self):
         def boom(t):

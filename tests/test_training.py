@@ -287,16 +287,11 @@ class TestSweepTiny:
         rows = sweep_result["rows"]
         assert rows[1]["flagged_count"] >= rows[0]["flagged_count"]
 
-    def test_validation(self, tiny_train, tiny_test):
+    def test_validation(self):
         with pytest.raises(ValidationError, match="epochs"):
             SweepConfig(epochs=0)
         with pytest.raises(ValidationError, match="strictly increasing"):
-            run_sweep(
-                tiny_pipeline("baseline"),
-                SweepConfig(thresholds=(0.3, 0.2)),
-                tiny_train,
-                tiny_test,
-            )
+            SweepConfig(thresholds=(0.3, 0.2))
 
 
 class TestAdaptiveTiny:
