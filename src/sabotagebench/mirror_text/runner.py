@@ -67,12 +67,6 @@ class MirrorTextReport:
             "fixture_meta": self.fixture_meta,
         }
 
-    def recognition_percent(self, system_id: str) -> float:
-        for row in self.recognition:
-            if row["system"] == system_id:
-                return row["score_percent"]
-        raise KeyError(system_id)
-
 
 def _recognition_rows(outcomes: Sequence[GuessOutcome]) -> list[dict]:
     by_id = {o.system_id: o for o in outcomes}
