@@ -338,7 +338,7 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     emb_b = extract_embeddings(net_b, test_set.images)
     err_b = _plain_test_error(net_b, test_set, emb_b)
     table = pair_table(emb_a, emb_b)
-    del emb_a, emb_b
+    del emb_a, emb_b  # the table holds copies; the pair gate trains without these
     perm = stream(seed, "mirror/pools").permutation(test_set.count)
     cut = pool_split(test_set.count, cfg.train_pool_fraction)
     train_pool, eval_pool = perm[:cut], perm[cut:]

@@ -19,9 +19,10 @@ parameter keeps its bytes. (A conv2 output of exactly +0.0 next to
 negatives would pool to +0.0 here and to -0.0 there; no later sum sees the
 sign.)
 
-The first ReLU overwrites conv1's output in place (`x * mask`, which keeps
--0.0 and turns a non-finite value into a non-finite one, so a NaN still
-names conv1); conv1's cache holds its input columns, not its output.
+Each ReLU writes over its input (nncore.relu), so the first overwrites
+conv1's output: `x * mask` keeps the -0.0 of a negative value and keeps a
+non-finite value non-finite, so a NaN still names conv1, and conv1's cache
+holds its input columns, not its output.
 
 Inside the trunk the activations are channels-last ([N,H,W,C], see
 nncore.ops); the input images [N,1,H,W] are viewed that way, and the pooled
@@ -207,10 +208,10 @@ class SimpleCNN:
         p = self.params
         x = x.transpose(0, 2, 3, 1)
         h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, self.cfg.padding)
-        h1, m_relu1 = relu(h1, inplace=True)
+        h1, m_relu1 = relu(h1)
         h2, c_conv2 = conv2d(h1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
         pooled, idx_pool = maxpool2x2(h2)
-        pooled, m_relu2 = relu(pooled, inplace=True)
+        pooled, m_relu2 = relu(pooled)
         mid = np.ascontiguousarray(pooled.transpose(0, 3, 1, 2))
         cache = {
             "conv1": c_conv1,

@@ -9,9 +9,10 @@ Conventions:
     checks); loss scalars accumulate in float64
 
 conv2d is im2col plus one GEMM, the bias added into the GEMM's output in
-place. `cols` is [N*Ho*Wo, C*kh*kw] with columns in (c, kh, kw) order; it is filled by one copy per kernel tap from the
-channels-last (padded) input, and conv2d_backward adds dcols back tap by
-tap, in (kh, kw) order, into a channels-last buffer. The GEMM output rows
+place. `cols` is [N*Ho*Wo, C*kh*kw] with columns in (c, kh, kw) order; it
+is filled by one copy per kernel tap from the channels-last (padded) input,
+and conv2d_backward adds dcols back tap by tap, in (kh, kw) order, into a
+channels-last buffer. The GEMM output rows
 are (n, ho, wo) and its columns k, so `y` is channels-last as it comes out
 of the GEMM and `dy` goes into the GEMMs as it is: a channels-last trunk
 copies nothing between layers. Every GEMM keeps the same operands, layouts
@@ -197,16 +198,13 @@ def maxpool2x2_backward(dy: np.ndarray, idx: np.ndarray):
 # ------------------------------------------------------------------ relu
 
 
-def relu(x: np.ndarray, inplace: bool = False):
-    """Elementwise max(0, x); cache is the positive mask.
+def relu(x: np.ndarray):
+    """Elementwise max(0, x), written over x; returns (x, positive mask).
 
-    The output is x * mask, so a non-positive x gives -0.0 (np.maximum would
-    give +0.0) and a non-finite x stays non-finite. With inplace, x itself
-    is overwritten and returned."""
+    Each value becomes x * mask, so a negative x gives -0.0 (np.maximum would
+    give +0.0) and a non-finite x stays non-finite."""
     mask = x > 0
-    if inplace:
-        return np.multiply(x, mask, out=x), mask
-    return x * mask, mask
+    return np.multiply(x, mask, out=x), mask
 
 
 def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:

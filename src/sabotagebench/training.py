@@ -237,7 +237,8 @@ def _forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512,
     return np.concatenate(chunks, axis=0)
 
 
-def _plain_test_error(model: SimpleCNN, test_set: MnistSet, mid: np.ndarray | None = None) -> float:
+def _plain_test_error(model: SimpleCNN, test_set: MnistSet,
+                      mid: np.ndarray | None = None) -> float:
     """Error rate of the argmax over `test_set`; `mid`, the test images'
     midlayer, saves the trunk pass (see `_forward_probs`)."""
     probs = _forward_probs(model, test_set.images, mid=mid)
@@ -387,7 +388,8 @@ def _eval_digests(flags: np.ndarray, predictions: np.ndarray) -> dict:
     then shows a moved row even where every count it holds stays equal."""
     return {
         "eval_flags_sha256": hashlib.sha256(flags.astype(bool).tobytes()).hexdigest(),
-        "eval_predictions_sha256": hashlib.sha256(predictions.astype(np.int64).tobytes()).hexdigest(),
+        "eval_predictions_sha256":
+            hashlib.sha256(predictions.astype(np.int64).tobytes()).hexdigest(),
     }
 
 

@@ -1,11 +1,11 @@
 """The conv trunk as it was before conv2's output was pooled before its ReLU.
 
 Test-only oracle: `_trunk` and `backward` of `SimpleCNN` from before the
-change, kept verbatim (ReLU before the pool, out-of-place ReLUs, the ReLU
-backward at full size behind the pool backward) as methods of a subclass,
-which inherits the unchanged head, `forward`, `narrow` and inference. The
-engine's model must give the same logits, midlayers and parameters. Do not
-edit it.
+change, kept verbatim (ReLU before the pool, the ReLU backward at full size
+behind the pool backward) as methods of a subclass, which inherits the
+unchanged head, `forward`, `narrow` and inference, with `nncore.relu` as it
+was then (out of place). The engine's model must give the same logits,
+midlayers and parameters. Do not edit it.
 """
 
 import numpy as np
@@ -18,9 +18,14 @@ from sabotagebench.nncore import (
     linear_backward,
     maxpool2x2,
     maxpool2x2_backward,
-    relu,
     relu_backward,
 )
+
+
+def relu(x: np.ndarray):
+    """Elementwise max(0, x); cache is the positive mask."""
+    mask = x > 0
+    return x * mask, mask
 
 
 class ReluThenPoolCNN(SimpleCNN):

@@ -232,14 +232,16 @@ class TestPoolBeforeReluMatchesOracle:
         weights = np.ones(n)
         engine, oracle = _shifted_pair(seed % 7, shift)
         for step in ("plain", "narrowed"):
-            (logits, mid, cache), (o_logits, o_mid, o_cache) = engine.forward(x), oracle.forward(x)
+            logits, mid, cache = engine.forward(x)
+            o_logits, o_mid, o_cache = oracle.forward(x)
             assert mid.tobytes() == o_mid.tobytes()
             assert logits.tobytes() == o_logits.tobytes()
             rows = np.ones(n, dtype=bool)
             if step == "narrowed":
                 rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
                 rows[data.draw(st.integers(0, n - 1))] = True
-                logits, o_logits = engine.narrow(cache, mid, rows), oracle.narrow(o_cache, o_mid, rows)
+                logits = engine.narrow(cache, mid, rows)
+                o_logits = oracle.narrow(o_cache, o_mid, rows)
                 assert logits.tobytes() == o_logits.tobytes()
             _fit_step(engine, logits, cache, labels[rows], weights[rows], lr=0.1)
             _fit_step(oracle, o_logits, o_cache, labels[rows], weights[rows], lr=0.1)

@@ -137,10 +137,13 @@ class TestPoolAndRelu:
 
     def test_relu_and_backward(self, rng):
         x = rng.normal(size=(3, 4)).astype(np.float32)
-        y, mask = relu(x)
+        y, mask = relu(x.copy())
         np.testing.assert_array_equal(y, np.maximum(x, 0))
+        assert y.tobytes() == (x * (x > 0)).tobytes()
         dy = rng.normal(size=(3, 4)).astype(np.float32)
         np.testing.assert_array_equal(relu_backward(dy, mask), dy * (x > 0))
+        z = x.copy()
+        assert relu(z)[0] is z
 
 
 class TestLinear:
