@@ -225,10 +225,6 @@ class ExperimentConfig:
             self.build(name)
 
     @property
-    def experiment(self) -> str:
-        return self.data["experiment"]
-
-    @property
     def seed(self) -> int:
         return self.data["seed"]
 

@@ -146,10 +146,6 @@ class SabotagedBatch:
     effective_images: np.ndarray
     effective_labels: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return int(self.images.shape[0])
-
 
 def invert(images: np.ndarray) -> np.ndarray:
     """Pixel inversion in normalized space; an involution up to float32 rounding."""

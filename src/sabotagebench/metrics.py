@@ -5,7 +5,7 @@ return 0 on 0/0 (required to represent degenerate regimes such as an empty
 accepted set without raising).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,19 +81,9 @@ class DetectionMetrics:
     accepted_empty: bool
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.counts.tp,
-            "fp": self.counts.fp,
-            "fn": self.counts.fn,
-            "tn": self.counts.tn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "flagged_fraction": self.flagged_fraction,
-            "rejection_rate": self.rejection_rate,
-            "accuracy_on_accepted": self.accuracy_on_accepted,
-            "accepted_empty": self.accepted_empty,
-        }
+        """The block's fields, with the confusion counts at the top level."""
+        out = asdict(self)
+        return {**out.pop("counts"), **out}
 
 
 def detection_metrics(
@@ -101,7 +91,6 @@ def detection_metrics(
     sabotage_mask,
     accuracy: float,
     accepted_empty: bool,
-    rejection_rate: float | None = None,
 ) -> DetectionMetrics:
     """Assemble the full metric block from raw flag/sabotage vectors."""
     counts = confusion(flags, sabotage_mask)
@@ -114,7 +103,7 @@ def detection_metrics(
         recall=r,
         f1=f1,
         flagged_fraction=fraction,
-        rejection_rate=fraction if rejection_rate is None else float(rejection_rate),
+        rejection_rate=fraction,
         accuracy_on_accepted=float(accuracy),
         accepted_empty=bool(accepted_empty),
     )

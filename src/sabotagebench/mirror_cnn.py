@@ -18,7 +18,7 @@ both nets' test-set embeddings (A's rows, then B's), and the classifier's
 input is gathered from that table batch by batch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -297,18 +297,10 @@ class MirrorCnnReport:
     wall_clock_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "test_error_a": self.test_error_a,
-            "test_error_b": self.test_error_b,
-            "self_accuracy": self.self_accuracy,
-            "cross_accuracy": self.cross_accuracy,
-            "self_vs_cross_accuracy": self.self_vs_cross_accuracy,
-            "semiself_accuracy": self.semiself_accuracy,
-            "train_counts": self.train_counts,
-            "eval_counts": self.eval_counts,
-            "extras": self.extras,
-        }
+        """Deterministic report payload; timing lives in run metadata instead."""
+        out = asdict(self)
+        del out["wall_clock_s"]
+        return out
 
 
 def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: int,

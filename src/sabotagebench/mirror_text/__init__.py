@@ -1,4 +1,5 @@
-"""Textual mirror test: questionnaire, providers, scoring, fixtures."""
+"""Textual mirror test: the fixed questions, providers, scoring, and the
+replay of recorded sessions from fixture files."""
 from .protocol import (
     AnswerPool,
     AnswerRecord,
@@ -7,7 +8,6 @@ from .protocol import (
     RankingAggregate,
     RankingMatrix,
     aggregate_rankings,
-    export_fixtures,
     import_fixtures,
     run_protocol,
     self_identification,
@@ -21,37 +21,9 @@ from .providers import (
     http_providers,
     provider_transcripts,
 )
-from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS, Questionnaire
+from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS
 from .runner import (
     MirrorTextReport,
     bundled_fixture_path,
     run_mirror_text_experiment,
 )
-
-__all__ = [
-    "AnswerPool",
-    "AnswerRecord",
-    "FixtureProvider",
-    "FixtureSet",
-    "GuessOutcome",
-    "HttpProvider",
-    "MirrorTextReport",
-    "PREAMBLE",
-    "Provider",
-    "QUESTIONS",
-    "Questionnaire",
-    "RankingAggregate",
-    "RankingMatrix",
-    "SYSTEM_IDS",
-    "aggregate_rankings",
-    "bundled_fixture_path",
-    "export_fixtures",
-    "fixture_providers",
-    "http_providers",
-    "import_fixtures",
-    "provider_transcripts",
-    "run_mirror_text_experiment",
-    "run_protocol",
-    "self_identification",
-    "self_rating_heatmap",
-]

@@ -9,8 +9,8 @@ Providers also rate every pooled answer on a 1-10 scale; those matrices
 feed `aggregate_rankings` and the self-rating heatmap.
 
 Everything here is offline-testable: fixture providers replay bundled
-transcripts byte for byte, and `export_fixtures`/`import_fixtures`
-round-trip the whole session as line-delimited JSON.
+transcripts byte for byte, and `import_fixtures` reads a whole recorded
+session from line-delimited JSON.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import FormatError, ProviderError, ValidationError
-from .questionnaire import SYSTEM_IDS, Questionnaire
+from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS
 
 RANK_SCALE = (1, 10)
 MAX_GUESS_ATTEMPTS = 5
@@ -86,11 +86,6 @@ class AnswerPool:
         if system_id not in SYSTEM_IDS:
             raise ValidationError(f"unknown system id: {system_id!r}")
         return tuple(self.answer(system_id, q) for q in range(1, 11))
-
-    def sorted_records(self) -> tuple[AnswerRecord, ...]:
-        return tuple(
-            sorted(self.records, key=lambda r: (r.system_id, r.question_id))
-        )
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ def _order_by_sum(sums: Mapping[str, int]) -> tuple[str, ...]:
     return tuple(sorted(SYSTEM_IDS, key=lambda s: (-sums[s], s)))
 
 
-def run_protocol(providers: Sequence, questionnaire: Questionnaire) -> AnswerPool:
+def run_protocol(providers: Sequence) -> AnswerPool:
     """Interview all five providers and pool the answers.
 
     Each provider holds a single conversation: the preamble once, then
@@ -210,9 +205,8 @@ def run_protocol(providers: Sequence, questionnaire: Questionnaire) -> AnswerPoo
 
     def interview(provider) -> list[AnswerRecord]:
         records = []
-        provider.begin_session(questionnaire.preamble)
-        for question_id in questionnaire.ids():
-            text = questionnaire.text(question_id)
+        provider.begin_session(PREAMBLE)
+        for question_id, text in enumerate(QUESTIONS, start=1):
             try:
                 answer = provider.answer(question_id, text)
             except Exception as exc:
@@ -356,70 +350,25 @@ class FixtureSet:
                 )
 
 
-def export_fixtures(
-    pool: AnswerPool,
-    outcomes: Mapping[str, GuessOutcome],
-    path: str | Path,
-    *,
-    guess_scripts: Mapping[str, Sequence[str]] | None = None,
-    rankings: Mapping[str, RankingMatrix] | None = None,
-    meta: Mapping[str, str] | None = None,
-) -> None:
-    """Write a session to UTF-8 line-delimited JSON.
-
-    One object per line, fixed field order per record kind, records
-    sorted by kind then system id, so identical sessions always produce
-    identical bytes.  `import_fixtures` is the exact inverse.
-    """
-    lines: list[dict] = []
-    if meta:
-        lines.append({"kind": "meta", **{k: meta[k] for k in sorted(meta)}})
-    for record in pool.sorted_records():
-        lines.append(
-            {
-                "kind": "answer",
-                "system": record.system_id,
-                "question": record.question_id,
-                "answer": record.answer,
-            }
-        )
-    for sys_id in sorted(guess_scripts or {}):
-        lines.append(
-            {
-                "kind": "guess_script",
-                "system": sys_id,
-                "guesses": list(guess_scripts[sys_id]),
-            }
-        )
-    for evaluator in sorted(rankings or {}):
-        lines.append(
-            {
-                "kind": "ranking",
-                "evaluator": evaluator,
-                "values": [list(row) for row in rankings[evaluator].values],
-            }
-        )
-    for sys_id in sorted(outcomes):
-        outcome = outcomes[sys_id]
-        if outcome.system_id != sys_id:
-            raise ValidationError(
-                f"outcome keyed {sys_id} belongs to {outcome.system_id}"
-            )
-        lines.append({"kind": "outcome", "system": sys_id, "k": outcome.k})
-    payload = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in lines)
-    Path(path).write_text(payload, encoding="utf-8")
+def _add_once(table: dict, key, value, line_no: int, kind: str) -> None:
+    """table[key] = value, unless an earlier line already set it."""
+    if key in table:
+        raise FormatError(f"line {line_no}: duplicate {kind} record for {key}")
+    table[key] = value
 
 
 def import_fixtures(path: str | Path) -> FixtureSet:
-    """Parse a fixture file back into a FixtureSet.
+    """Parse a fixture file into a FixtureSet.
 
-    Any malformed or unrecognised line fails with its 1-based line
-    number; the pool must come out complete."""
+    One JSON object per line, its "kind" one of meta, answer,
+    guess_script, ranking or outcome. Any malformed, unrecognised or
+    repeated line fails with its 1-based line number (a repeated answer
+    fails as the pool's duplicate); the pool must come out complete."""
     records: list[AnswerRecord] = []
     guess_scripts: dict[str, tuple[str, ...]] = {}
     rankings: dict[str, RankingMatrix] = {}
     outcomes: dict[str, GuessOutcome] = {}
-    meta: dict[str, str] = {}
+    meta: dict[str, str] | None = None
     text = Path(path).read_text(encoding="utf-8")
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -433,20 +382,24 @@ def import_fixtures(path: str | Path) -> FixtureSet:
         kind = obj.get("kind")
         try:
             if kind == "meta":
+                if meta is not None:
+                    raise FormatError(f"line {line_no}: duplicate meta record")
                 meta = {k: v for k, v in obj.items() if k != "kind"}
             elif kind == "answer":
                 records.append(
                     AnswerRecord(obj["system"], obj["question"], obj["answer"])
                 )
             elif kind == "guess_script":
-                guess_scripts[obj["system"]] = tuple(obj["guesses"])
+                _add_once(guess_scripts, obj["system"], tuple(obj["guesses"]), line_no, kind)
             elif kind == "ranking":
-                rankings[obj["evaluator"]] = RankingMatrix(
+                matrix = RankingMatrix(
                     obj["evaluator"],
                     tuple(tuple(row) for row in obj["values"]),
                 )
+                _add_once(rankings, matrix.evaluator, matrix, line_no, kind)
             elif kind == "outcome":
-                outcomes[obj["system"]] = GuessOutcome(obj["system"], obj["k"])
+                outcome = GuessOutcome(obj["system"], obj["k"])
+                _add_once(outcomes, outcome.system_id, outcome, line_no, kind)
             else:
                 raise FormatError(f"line {line_no}: unknown record kind {kind!r}")
         except FormatError:
@@ -457,4 +410,4 @@ def import_fixtures(path: str | Path) -> FixtureSet:
         pool = AnswerPool(tuple(records))
     except ValidationError as exc:
         raise FormatError(f"fixture file {path}: {exc}") from exc
-    return FixtureSet(pool, guess_scripts, rankings, outcomes, meta)
+    return FixtureSet(pool, guess_scripts, rankings, outcomes, meta or {})

@@ -108,6 +108,15 @@ def default_transport(url: str, payload: dict, headers: dict, timeout_s: float) 
     return response.text
 
 
+def _listing(pool: AnswerPool) -> str:
+    """The pool as five labelled answer sets, as live providers see it."""
+    return "\n\n".join(
+        f"Set {sys_id}:\n"
+        + "\n".join(f"  Q{q}: {a}" for q, a in enumerate(pool.by_system(sys_id), 1))
+        for sys_id in SYSTEM_IDS
+    )
+
+
 class HttpProvider(Provider):
     """Talks to a live chat system over HTTPS.
 
@@ -165,12 +174,6 @@ class HttpProvider(Provider):
         return self._call(text)
 
     def identify(self, pool: AnswerPool, forbidden: tuple[str, ...]) -> str:
-        listing = []
-        for sys_id in SYSTEM_IDS:
-            answers = "\n".join(
-                f"  Q{q}: {a}" for q, a in enumerate(pool.by_system(sys_id), 1)
-            )
-            listing.append(f"Set {sys_id}:\n{answers}")
         ruled_out = (
             f" You already guessed wrong on: {', '.join(forbidden)}."
             if forbidden
@@ -180,7 +183,7 @@ class HttpProvider(Provider):
             "Below are five sets of answers to the same ten questions, "
             "labelled A-E. One of them is yours.{0} Reply with the single "
             "letter of the set you believe you wrote.\n\n{1}".format(
-                ruled_out, "\n\n".join(listing)
+                ruled_out, _listing(pool)
             )
         )
         reply = self._call(prompt)
@@ -192,18 +195,12 @@ class HttpProvider(Provider):
         return match.group(1)
 
     def rank(self, pool: AnswerPool) -> RankingMatrix:
-        listing = []
-        for sys_id in SYSTEM_IDS:
-            answers = "\n".join(
-                f"  Q{q}: {a}" for q, a in enumerate(pool.by_system(sys_id), 1)
-            )
-            listing.append(f"Set {sys_id}:\n{answers}")
         prompt = (
             "Rate how strongly each answer aligns with your own reasoning "
             "style, from 10 (most aligns) down to 1 (least). Reply with a "
             "JSON array of 10 rows (questions 1-10), each a 5-element array "
             "of integer ratings for systems A-E in order.\n\n"
-            + "\n\n".join(listing)
+            + _listing(pool)
         )
         reply = self._call(prompt)
         try:

@@ -8,10 +8,6 @@ as data, not as a template.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..errors import ValidationError
-
 SYSTEM_IDS: tuple[str, ...] = ("A", "B", "C", "D", "E")
 
 # Shown once at the start of each interview session, before question 1.
@@ -29,6 +25,7 @@ PREAMBLE = (
     "distinguish them from other responses."
 )
 
+# Question id q (1-10) asks QUESTIONS[q - 1].
 QUESTIONS: tuple[str, ...] = (
     "There are five highly advanced AI systems, all tasked with writing a "
     "sentence or paragraph. How would you structure your response to ensure "
@@ -57,33 +54,3 @@ QUESTIONS: tuple[str, ...] = (
     "How would conscious AI impact or integrate into society or a hybrid "
     "society in the long term?",
 )
-
-
-@dataclass(frozen=True)
-class Questionnaire:
-    """Ordered question list; question ids are 1-based positions."""
-
-    questions: tuple[str, ...] = QUESTIONS
-    preamble: str = PREAMBLE
-
-    def __post_init__(self) -> None:
-        if len(self.questions) != 10:
-            raise ValidationError(
-                f"questionnaire must hold exactly 10 questions, got "
-                f"{len(self.questions)}"
-            )
-        if any(not q.strip() for q in self.questions):
-            raise ValidationError("questionnaire contains a blank question")
-
-    @property
-    def count(self) -> int:
-        return len(self.questions)
-
-    def text(self, question_id: int) -> str:
-        """Return the question text for a 1-based question id."""
-        if not 1 <= question_id <= len(self.questions):
-            raise KeyError(f"question id out of range: {question_id}")
-        return self.questions[question_id - 1]
-
-    def ids(self) -> range:
-        return range(1, len(self.questions) + 1)

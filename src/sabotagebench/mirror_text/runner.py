@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +20,7 @@ from .protocol import (
     self_rating_heatmap,
 )
 from .providers import Provider, fixture_providers, provider_transcripts
-from .questionnaire import SYSTEM_IDS, Questionnaire
+from .questionnaire import SYSTEM_IDS
 
 BUNDLED_FIXTURE_NAME = "chat_sessions.jsonl"
 
@@ -54,18 +54,9 @@ class MirrorTextReport:
     wall_clock_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": "mirror-text",
-            "offline": self.offline,
-            "recognition": self.recognition,
-            "per_evaluator_sums": self.per_evaluator_sums,
-            "per_evaluator_order": self.per_evaluator_order,
-            "total_sums": self.total_sums,
-            "overall_order": self.overall_order,
-            "heatmap": self.heatmap,
-            "rankings": self.rankings,
-            "fixture_meta": self.fixture_meta,
-        }
+        out = asdict(self)
+        del out["metadata"], out["wall_clock_s"]
+        return {"method": "mirror-text", **out}
 
 
 def _recognition_rows(outcomes: Sequence[GuessOutcome]) -> list[dict]:
@@ -87,7 +78,6 @@ def _recognition_rows(outcomes: Sequence[GuessOutcome]) -> list[dict]:
 def run_mirror_text_experiment(
     providers: Sequence[Provider] | None = None,
     fixtures_path: str | Path | None = None,
-    questionnaire: Questionnaire | None = None,
 ) -> MirrorTextReport:
     """Interview, pool, self-identify, and rank; return the full report.
 
@@ -97,14 +87,13 @@ def run_mirror_text_experiment(
     against them so scripts and recorded scores cannot drift apart.
     """
     started = time.perf_counter()
-    questionnaire = questionnaire or Questionnaire()
     fixtures: FixtureSet | None = None
     offline = providers is None
     if providers is None:
         fixtures = import_fixtures(fixtures_path or bundled_fixture_path())
         providers = fixture_providers(fixtures)
 
-    pool = run_protocol(providers, questionnaire)
+    pool = run_protocol(providers)
     with ThreadPoolExecutor(max_workers=len(providers)) as executor:
         outcomes = list(
             executor.map(lambda p: self_identification(p, pool), providers)

@@ -28,29 +28,3 @@ from .ops import (
 )
 from .optim import sgd_step
 from .gradcheck import grad_check
-
-__all__ = [
-    "Param",
-    "ParamSet",
-    "fan_in_uniform",
-    "require_finite",
-    "conv2d",
-    "conv2d_backward",
-    "conv2d_cache_rows",
-    "linear",
-    "linear_backward",
-    "maxpool2x2",
-    "maxpool2x2_backward",
-    "relu",
-    "relu_backward",
-    "sigmoid",
-    "bce_with_logits",
-    "bce_with_logits_backward",
-    "dropout",
-    "dropout_backward",
-    "softmax",
-    "weighted_softmax_ce",
-    "weighted_softmax_ce_backward",
-    "sgd_step",
-    "grad_check",
-]

@@ -53,15 +53,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -76,16 +67,3 @@ class ParamSet:
             digest.update(str(param.value.shape).encode("ascii"))
             digest.update(np.ascontiguousarray(param.value).tobytes())
         return digest.hexdigest()
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {name: param.value for name, param in self._params.items()}
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParamSet":
-        params = cls()
-        for name, value in arrays.items():
-            params.add(name, value.copy())
-        return params
-
-    def copy(self) -> "ParamSet":
-        return ParamSet.from_arrays(self.to_arrays())

@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from .errors import ValidationError
 from .mirror_cnn import MirrorCnnReport
 from .training import RunReport
 
@@ -105,24 +104,12 @@ def write_sweep_artifacts(out_dir: Path, seed: int, sweep_result: dict) -> list[
     Threshold values are embedded in the filenames so rows from several
     sweeps never collide."""
     out_dir = Path(out_dir)
-    columns = (
-        "threshold",
-        "final_train_error",
-        "final_test_error",
-        "flagged_count",
-        "sabotaged_count",
-        "precision",
-        "recall",
-        "starvation_events",
-        "rejection_rate",
-        "accuracy_on_accepted",
-        "accepted_empty",
-    )
+    rows = sweep_result["rows"]  # one per threshold, each with run_sweep's columns
     written = [
         write_csv(
             out_dir / f"sweep_summary_seed{seed}.csv",
-            columns,
-            ([row[c] for c in columns] for row in sweep_result["rows"]),
+            rows[0],
+            (row.values() for row in rows),
         ),
         write_json(
             out_dir / f"report_sweep_seed{seed}.json",
@@ -130,7 +117,7 @@ def write_sweep_artifacts(out_dir: Path, seed: int, sweep_result: dict) -> list[
                 "method": "sweep",
                 "seed": sweep_result["seed"],
                 "epochs": sweep_result["epochs"],
-                "rows": sweep_result["rows"],
+                "rows": rows,
             },
         ),
     ]
@@ -160,16 +147,6 @@ def write_mirror_cnn_report(out_dir: Path, report: MirrorCnnReport, seed: int) -
     return written
 
 
-_MIRROR_TEXT_REQUIRED = (
-    "recognition",
-    "per_evaluator_sums",
-    "total_sums",
-    "overall_order",
-    "heatmap",
-    "rankings",
-)
-
-
 def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> list[Path]:
     """One CSV per figure analog, with fixed column order.
 
@@ -183,11 +160,6 @@ def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> list[
     from .mirror_text.questionnaire import SYSTEM_IDS
 
     payload = report.to_json_dict()
-    missing = [key for key in _MIRROR_TEXT_REQUIRED if not payload.get(key)]
-    if missing:
-        raise ValidationError(
-            f"mirror-text report incomplete, missing fields: {', '.join(missing)}"
-        )
     out_dir = Path(out_dir)
     written = [
         write_csv(

@@ -55,7 +55,7 @@ any defense that lets a single poisoned sample through.
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -191,20 +191,8 @@ class RunReport:
 
     def to_json_dict(self) -> dict:
         """Deterministic report payload; timing lives in run metadata instead."""
-        out = {
-            "method": self.method,
-            "seed": self.seed,
-            "epochs": [
-                {"epoch": e.epoch, "train_error": e.train_error, "test_error": e.test_error}
-                for e in self.epochs
-            ],
-            "rejection_rate": self.rejection_rate,
-            "accuracy_on_accepted": self.accuracy_on_accepted,
-            "accepted_empty": self.accepted_empty,
-            "starvation_events": self.starvation_events,
-            "train_flag_counts": self.train_flag_counts,
-            "extras": self.extras,
-        }
+        out = asdict(self)
+        del out["log_rows"], out["wall_clock_s"], out["detection"]
         if self.detection is not None:
             out["detection"] = self.detection.to_dict()
         return out

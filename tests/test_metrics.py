@@ -129,6 +129,7 @@ class TestDetectionMetrics:
         assert block.rejection_rate == pytest.approx(0.5)
         assert block.accuracy_on_accepted == 0.9
         d = block.to_dict()
+        assert (d["tp"], d["fp"], d["fn"], d["tn"]) == (1, 1, 0, 2)
         assert set(d) == {
             "tp",
             "fp",
@@ -142,13 +143,6 @@ class TestDetectionMetrics:
             "accuracy_on_accepted",
             "accepted_empty",
         }
-
-    def test_rejection_rate_override(self):
-        block = detection_metrics(
-            [True], [True], accuracy=1.0, accepted_empty=False, rejection_rate=0.25
-        )
-        assert block.rejection_rate == 0.25
-        assert block.flagged_fraction == 1.0
 
 
 class TestLifeStarScore:

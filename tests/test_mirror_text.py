@@ -19,11 +19,10 @@ from sabotagebench.mirror_text import (
     FixtureSet,
     GuessOutcome,
     HttpProvider,
-    Questionnaire,
+    QUESTIONS,
     RankingMatrix,
     aggregate_rankings,
     bundled_fixture_path,
-    export_fixtures,
     fixture_providers,
     http_providers,
     import_fixtures,
@@ -63,24 +62,8 @@ class ScriptedGuesser:
 
 class TestQuestionnaire:
     def test_default_shape(self):
-        q = Questionnaire()
-        assert q.count == 10
-        assert list(q.ids()) == list(range(1, 11))
-        assert all(q.text(i).strip() for i in q.ids())
-
-    def test_text_lookup_bounds(self):
-        q = Questionnaire()
-        with pytest.raises(KeyError):
-            q.text(0)
-        with pytest.raises(KeyError):
-            q.text(11)
-
-    def test_construction_validation(self):
-        with pytest.raises(ValidationError, match="exactly 10"):
-            Questionnaire(questions=("only one",))
-        ten = tuple(f"q{i}" for i in range(9)) + ("   ",)
-        with pytest.raises(ValidationError, match="blank"):
-            Questionnaire(questions=ten)
+        assert len(QUESTIONS) == 10
+        assert all(q.strip() for q in QUESTIONS)
 
 
 class TestAnswerPool:
@@ -112,11 +95,6 @@ class TestAnswerPool:
         records = full_pool().records + (AnswerRecord("A", 1, "again"),)
         with pytest.raises(ValidationError, match="duplicate"):
             AnswerPool(records)
-
-    def test_sorted_records_order(self):
-        ordered = full_pool().sorted_records()
-        keys = [(r.system_id, r.question_id) for r in ordered]
-        assert keys == sorted(keys)
 
 
 class TestGuessOutcome:
@@ -225,22 +203,22 @@ class TestRunProtocol:
     def test_replays_bundled_pool(self):
         fixtures = import_fixtures(bundled_fixture_path())
         providers = fixture_providers(fixtures)
-        pool = run_protocol(providers, Questionnaire())
+        pool = run_protocol(providers)
         assert pool.count == 50
-        assert pool.sorted_records() == fixtures.pool.sorted_records()
+        assert pool == fixtures.pool
 
     def test_needs_exactly_five(self):
         fixtures = import_fixtures(bundled_fixture_path())
         providers = fixture_providers(fixtures)[:4]
         with pytest.raises(ValidationError, match="exactly 5"):
-            run_protocol(providers, Questionnaire())
+            run_protocol(providers)
 
     def test_ids_must_cover_all_systems(self):
         fixtures = import_fixtures(bundled_fixture_path())
         providers = fixture_providers(fixtures)
         providers[4] = providers[0]
         with pytest.raises(ValidationError, match="cover"):
-            run_protocol(providers, Questionnaire())
+            run_protocol(providers)
 
     def test_provider_failure_names_system_and_question(self):
         fixtures = import_fixtures(bundled_fixture_path())
@@ -256,14 +234,14 @@ class TestRunProtocol:
         with pytest.raises(
             ProviderError, match="provider C failed on question 3"
         ):
-            run_protocol(providers, Questionnaire())
+            run_protocol(providers)
 
     def test_single_session_enforced(self):
         fixtures = import_fixtures(bundled_fixture_path())
         providers = fixture_providers(fixtures)
-        run_protocol(providers, Questionnaire())
+        run_protocol(providers)
         with pytest.raises(ProviderError, match="open session"):
-            run_protocol(providers, Questionnaire())
+            run_protocol(providers)
 
 
 class TestSelfIdentification:
@@ -324,64 +302,54 @@ class TestFixtureSetValidation:
             FixtureSet(full_pool(), rankings={"A": constant_matrix("B")})
 
 
+def bundled_text():
+    return bundled_fixture_path().read_text(encoding="utf-8")
+
+
 class TestExportImport:
-    def make_session(self):
-        pool = full_pool()
-        outcomes = {
-            "A": GuessOutcome("A", 2),
-            "B": GuessOutcome("B", 1),
-            "C": GuessOutcome("C", None),
-        }
-        scripts = {"A": ("C", "A"), "B": ("B",)}
-        rankings = {s: constant_matrix(s, value=4) for s in ("A", "B")}
-        meta = {"origin": "unit test", "note": "synthetic"}
-        return pool, outcomes, scripts, rankings, meta
-
-    def test_round_trip_object_equality(self, tmp_path):
-        pool, outcomes, scripts, rankings, meta = self.make_session()
+    def test_every_record_kind_imports(self, tmp_path):
+        ranks = [[4, 5, 6, 7, 8]] * 10
+        lines = [
+            {"kind": "meta", "origin": "unit test", "note": "handwritten"},
+            *(
+                {"kind": "answer", "system": s, "question": q, "answer": f"{s}{q}"}
+                for s in SYSTEM_IDS
+                for q in range(1, 11)
+            ),
+            {"kind": "guess_script", "system": "A", "guesses": ["C", "A"]},
+            {"kind": "guess_script", "system": "B", "guesses": ["B"]},
+            {"kind": "ranking", "evaluator": "A", "values": ranks},
+            {"kind": "outcome", "system": "A", "k": 2},
+            {"kind": "outcome", "system": "C", "k": None},
+        ]
         path = tmp_path / "session.jsonl"
-        export_fixtures(
-            pool, outcomes, path, guess_scripts=scripts, rankings=rankings, meta=meta
-        )
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
         loaded = import_fixtures(path)
-        assert loaded.pool.sorted_records() == pool.sorted_records()
-        assert loaded.guess_scripts == {k: tuple(v) for k, v in scripts.items()}
-        assert {k: m.values for k, m in loaded.rankings.items()} == {
-            k: m.values for k, m in rankings.items()
-        }
-        assert {k: o.k for k, o in loaded.outcomes.items()} == {
-            "A": 2,
-            "B": 1,
-            "C": None,
-        }
-        assert loaded.meta == meta
+        assert loaded.pool.answer("D", 7) == "D7"
+        assert loaded.pool.count == 50
+        assert loaded.guess_scripts == {"A": ("C", "A"), "B": ("B",)}
+        assert loaded.rankings == {"A": RankingMatrix("A", tuple(tuple(r) for r in ranks))}
+        assert {k: o.k for k, o in loaded.outcomes.items()} == {"A": 2, "C": None}
+        assert loaded.outcomes["C"].failed
+        assert loaded.meta == {"origin": "unit test", "note": "handwritten"}
 
-    def test_export_is_byte_stable(self, tmp_path):
-        pool, outcomes, scripts, rankings, meta = self.make_session()
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        for path in (a, b):
-            export_fixtures(
-                pool, outcomes, path, guess_scripts=scripts, rankings=rankings, meta=meta
-            )
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bundled_file_reexports_identically(self, tmp_path):
-        fixtures = import_fixtures(bundled_fixture_path())
-        out = tmp_path / "again.jsonl"
-        export_fixtures(
-            fixtures.pool,
-            fixtures.outcomes,
-            out,
-            guess_scripts=fixtures.guess_scripts,
-            rankings=fixtures.rankings,
-            meta=fixtures.meta,
-        )
-        assert out.read_bytes() == bundled_fixture_path().read_bytes()
-
-    def test_outcome_key_mismatch_rejected(self, tmp_path):
-        pool = full_pool()
-        with pytest.raises(ValidationError, match="keyed A belongs to B"):
-            export_fixtures(pool, {"A": GuessOutcome("B", 1)}, tmp_path / "x.jsonl")
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"kind": "meta", "note": "second"},
+            {"kind": "guess_script", "system": "A", "guesses": ["A"]},
+            {"kind": "ranking", "evaluator": "A", "values": [[10] * 5] * 10},
+            {"kind": "outcome", "system": "A", "k": 1},
+        ],
+        ids=lambda line: line["kind"],
+    )
+    def test_duplicate_record_names_its_line(self, tmp_path, line):
+        text = bundled_text()
+        path = tmp_path / "twice.jsonl"
+        path.write_text(text + json.dumps(line) + "\n", encoding="utf-8")
+        n = len(text.splitlines()) + 1
+        with pytest.raises(FormatError, match=f"line {n}: duplicate {line['kind']} record"):
+            import_fixtures(path)
 
     def test_invalid_json_line_number(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -575,18 +543,28 @@ class TestOfflineExperiment:
             report.to_json_dict()
         )
 
+    def test_report_json_keys(self, report):
+        payload = report.to_json_dict()
+        assert payload["method"] == "mirror-text"
+        assert set(payload) == {
+            "method",
+            "offline",
+            "recognition",
+            "per_evaluator_sums",
+            "per_evaluator_order",
+            "total_sums",
+            "overall_order",
+            "heatmap",
+            "rankings",
+            "fixture_meta",
+        }
+
     def test_fixture_drift_detected(self, tmp_path):
-        fixtures = import_fixtures(bundled_fixture_path())
-        tampered = dict(fixtures.outcomes)
-        tampered["A"] = GuessOutcome("A", 1)
+        recorded = '{"kind": "outcome", "system": "A", "k": 4}\n'
+        text = bundled_text()
+        assert text.count(recorded) == 1
         path = tmp_path / "tampered.jsonl"
-        export_fixtures(
-            fixtures.pool,
-            tampered,
-            path,
-            guess_scripts=fixtures.guess_scripts,
-            rankings=fixtures.rankings,
-            meta=fixtures.meta,
-        )
+        path.write_text(text.replace(recorded, recorded.replace('"k": 4', '"k": 1')),
+                        encoding="utf-8")
         with pytest.raises(ValidationError, match="fixture drift for system A"):
             run_mirror_text_experiment(fixtures_path=path)
