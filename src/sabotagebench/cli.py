@@ -158,82 +158,58 @@ def run_single(
     config_sha256 = reporting.config_digest(resolved)
     summary: dict = {"experiment": experiment, "out_dir": str(out_dir)}
 
+    if experiment != "mirror-text":
+        train_set, test_set = load_data(cfg)
+        check_sizes(cfg, experiment, train_set.count, test_set.count)
     if experiment == "mirror-text":
         # imported here so the other experiments never load mirror_text
         from .mirror_text import http_providers, run_mirror_text_experiment
 
         mt = cfg.section("mirror_text")
-        use_fixtures = offline or mt["offline"]
-        providers = None if use_fixtures else http_providers()
-        report = run_mirror_text_experiment(
-            providers=providers, fixtures_path=mt["fixtures"]
-        )
+        providers = None if offline or mt["offline"] else http_providers()
+        report = run_mirror_text_experiment(providers=providers, fixtures_path=mt["fixtures"])
         reporting.write_mirror_text_report(out_dir, report)
-        _write_metadata(
-            out_dir,
-            started,
-            config_sha256,
-            {"wall_clock_s": report.wall_clock_s, **report.metadata},
-        )
+        payload = {"wall_clock_s": report.wall_clock_s, **report.metadata}
         summary["recognition"] = {
             row["system"]: row["score_percent"] for row in report.recognition
         }
-        return summary
-
-    train_set, test_set = load_data(cfg)
-    check_sizes(cfg, experiment, train_set.count, test_set.count)
-    if experiment == "mirror-cnn":
+    elif experiment == "mirror-cnn":
         report = run_mirror_experiment(
             cfg.build("mirror_cnn"), cfg.build("model"), cfg.seed, train_set, test_set
         )
         reporting.write_mirror_cnn_report(out_dir, report, cfg.seed)
-        _write_metadata(out_dir, started, config_sha256, {"wall_clock_s": report.wall_clock_s})
+        payload = {"wall_clock_s": report.wall_clock_s}
         summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
         summary["semiself_accuracy"] = report.semiself_accuracy
-        return summary
-
-    if experiment == "sweep":
+    elif experiment == "sweep":
         result = run_sweep(
             cfg.pipeline_config("baseline"), cfg.build("sweep"), train_set, test_set
         )
         reporting.write_sweep_artifacts(out_dir, cfg.seed, result)
-        _write_metadata(
-            out_dir,
-            started,
-            config_sha256,
-            {"wall_clock_s": sum(r.wall_clock_s for r in result["reports"])},
-        )
+        payload = {"wall_clock_s": sum(r.wall_clock_s for r in result["reports"])}
         summary["rows"] = result["rows"]
-        return summary
-
-    if experiment == "adaptive":
-        report = train_adaptive(
-            cfg.pipeline_config("baseline"), train_set, test_set, cfg.build("adaptive")
-        )
-    elif experiment == "baseline":
-        report = train_baseline(cfg.pipeline_config("baseline"), train_set, test_set)
-    elif experiment == "soft":
-        report = train_soft(cfg.pipeline_config("soft"), train_set, test_set)
-    elif experiment == "hard":
-        report = train_hard(cfg.pipeline_config("hard"), train_set, test_set)
-    elif experiment == "irm":
-        report = train_irm(cfg.pipeline_config("irm"), train_set, test_set)
     else:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-
-    reporting.write_run_report(out_dir, report)
-    _write_metadata(
-        out_dir,
-        started,
-        config_sha256,
-        {"wall_clock_s": report.wall_clock_s, "latencies_s": report.latencies},
-    )
-    summary["rejection_rate"] = report.rejection_rate
-    summary["accuracy_on_accepted"] = report.accuracy_on_accepted
-    if report.detection is not None:
+        if experiment == "adaptive":
+            report = train_adaptive(
+                cfg.pipeline_config("baseline"), train_set, test_set, cfg.build("adaptive")
+            )
+        elif experiment == "baseline":
+            report = train_baseline(cfg.pipeline_config("baseline"), train_set, test_set)
+        elif experiment == "soft":
+            report = train_soft(cfg.pipeline_config("soft"), train_set, test_set)
+        elif experiment == "hard":
+            report = train_hard(cfg.pipeline_config("hard"), train_set, test_set)
+        elif experiment == "irm":
+            report = train_irm(cfg.pipeline_config("irm"), train_set, test_set)
+        else:
+            raise ConfigError(f"unknown experiment {experiment!r}")
+        reporting.write_run_report(out_dir, report)
+        payload = {"wall_clock_s": report.wall_clock_s, "latencies_s": report.latencies}
+        summary["rejection_rate"] = report.detection.rejection_rate
+        summary["accuracy_on_accepted"] = report.detection.accuracy_on_accepted
         summary["detection_f1"] = report.detection.f1
-    if report.epochs:
         summary["final_test_error"] = report.epochs[-1].test_error
+    _write_metadata(out_dir, started, config_sha256, payload)
     return summary
 
 

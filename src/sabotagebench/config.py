@@ -95,6 +95,9 @@ DEFAULTS: dict[str, Any] = {
     "lifestar": {"alpha": None, "beta": None, "gamma": None},
 }
 
+# Integer leaves with no owning dataclass to check them, and their least values.
+_MINIMUMS = {"seed": 0, "dataset.synthetic_seed": 0, "dataset.synthetic_train": 1,
+             "dataset.synthetic_test": 1}
 # Number leaves that also take null, as their owning dataclass does.
 _NULLABLE_NUMBERS = {"mirror_cnn.gate_boundary_fraction"}
 
@@ -221,6 +224,10 @@ class ExperimentConfig:
                 f"experiment: expected one of {', '.join(EXPERIMENTS)}, "
                 f"got {self.data['experiment']!r}"
             )
+        flat = _flatten(self.data)
+        for path, least in _MINIMUMS.items():
+            if flat[path] < least:
+                raise ConfigError(f"{path}: expected an integer >= {least}, got {flat[path]}")
         for name in SECTIONS:
             self.build(name)
 

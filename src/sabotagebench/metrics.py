@@ -75,7 +75,6 @@ class DetectionMetrics:
     precision: float
     recall: float
     f1: float
-    flagged_fraction: float
     rejection_rate: float
     accuracy_on_accepted: float
     accepted_empty: bool
@@ -96,14 +95,12 @@ def detection_metrics(
     counts = confusion(flags, sabotage_mask)
     p, r, f1 = prf(counts)
     flagged = np.asarray(flags, dtype=bool)
-    fraction = float(flagged.mean()) if flagged.size else 0.0
     return DetectionMetrics(
         counts=counts,
         precision=p,
         recall=r,
         f1=f1,
-        flagged_fraction=fraction,
-        rejection_rate=fraction,
+        rejection_rate=float(flagged.mean()) if flagged.size else 0.0,
         accuracy_on_accepted=float(accuracy),
         accepted_empty=bool(accepted_empty),
     )

@@ -39,12 +39,11 @@ class PairSet:
     """Embedding pairs as row indices into one table, with a mode per pair.
 
     `rows[k]` holds the `table` rows of pair k's left and right embedding.
-    `splice[k]` marks a semi-self pair: its right embedding starts with the
-    left one's first `dim // 2` floats."""
+    A semi-self pair's right embedding starts with the left one's first
+    `dim // 2` floats."""
 
     table: np.ndarray
     rows: np.ndarray
-    splice: np.ndarray
     modes: np.ndarray
 
     def __post_init__(self) -> None:
@@ -54,10 +53,6 @@ class PairSet:
             raise ShapeError(f"pair rows must be [count, 2], got {self.rows.shape}")
         if self.rows.size and not 0 <= self.rows.min() <= self.rows.max() < len(self.table):
             raise ValidationError(f"pair rows must index the {len(self.table)} table rows")
-        if self.splice.shape != (self.count,):
-            raise ShapeError(
-                f"splice length {self.splice.shape} does not match {self.count} pairs"
-            )
         if self.modes.shape != (self.count,):
             raise ShapeError(
                 f"modes length {self.modes.shape} does not match {self.count} pairs"
@@ -88,7 +83,7 @@ class PairSet:
         # it. (A non-contiguous `out` or source would make `take` copy it.)
         np.take(self.table, self.rows[rows].ravel(), axis=0,
                 out=out.reshape(2 * rows.size, dim), mode="clip")
-        spliced = np.flatnonzero(self.splice[rows])
+        spliced = np.flatnonzero(self.modes[rows] == MODE_SEMISELF)
         out[spliced, dim : dim + dim // 2] = out[spliced, : dim // 2]
         return out
 
@@ -174,7 +169,7 @@ def build_pair_set(table: np.ndarray, pool: np.ndarray, counts: dict,
             raise ValidationError(f"unknown pair mode {mode!r}")
     rows = np.concatenate([build_pairs(pool, half, m, rng, n) for m, n in counts.items()])
     modes = np.repeat(list(counts), list(counts.values()))
-    return PairSet(table, rows, modes == MODE_SEMISELF, modes)
+    return PairSet(table, rows, modes)
 
 
 def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
@@ -350,8 +345,7 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     acc = eval_pairs(gate, eval_set)
     # self and cross come first: the self-vs-cross set is their index rows
     base_rows = slice(0, 2 * cfg.eval_pairs_per_mode)
-    base = eval_pairs(gate, PairSet(table, eval_set.rows[base_rows], eval_set.splice[base_rows],
-                                    eval_set.modes[base_rows]))
+    base = eval_pairs(gate, PairSet(table, eval_set.rows[base_rows], eval_set.modes[base_rows]))
 
     report = MirrorCnnReport(seed=seed)
     report.test_error_a = err_a

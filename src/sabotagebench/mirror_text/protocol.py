@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..errors import FormatError, ProviderError, ValidationError
+from ..errors import ConfigError, FormatError, ProviderError, ValidationError
 from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS
 
 RANK_SCALE = (1, 10)
@@ -369,7 +369,10 @@ def import_fixtures(path: str | Path) -> FixtureSet:
     rankings: dict[str, RankingMatrix] = {}
     outcomes: dict[str, GuessOutcome] = {}
     meta: dict[str, str] | None = None
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"mirror_text.fixtures: cannot read {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

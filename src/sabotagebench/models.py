@@ -41,11 +41,11 @@ a larger batch. `SimpleCNN.narrow` builds on this. It cuts a forward's
 cache down to some rows, keeping the trunk's entries and rerunning only
 the head, so a training step on those rows costs no second trunk pass.
 
-Inference builds on it too. `SimpleCNN.infer` and `SimpleCNN.midlayer` run
-the trunk over pieces of a training batch's size (the im2col buffers of a
-512-image chunk would be 231 MB) and keep no cache, while the head runs
-once over all the rows the caller passed, so the logits hold the same
-bytes as those of one `forward` over the caller's rows.
+Inference builds on it too. `SimpleCNN.midlayer` runs the trunk over
+pieces of a training batch's size (the im2col buffers of a 512-image chunk
+would be 231 MB) and keeps no cache; `head(midlayer(x))` then runs the head
+once over all of x's rows, so the logits hold the same bytes as those of
+one `forward(x)`.
 """
 
 from dataclasses import dataclass
@@ -169,15 +169,6 @@ class SimpleCNN:
                 raise
             out[start : start + mid.shape[0]] = mid
         return out
-
-    def infer(self, x: np.ndarray):
-        """(logits, midlayer) of `forward(x)`, byte for byte, without a cache.
-
-        The trunk runs in pieces (see `midlayer`); the head runs once over all
-        of x's rows, since its rounding depends on the row count.
-        """
-        mid = self.midlayer(x)
-        return self.head(mid), mid
 
     def head(self, mid: np.ndarray) -> np.ndarray:
         """The logits of the fc head over a midlayer, [N,C,H/2,W/2] or

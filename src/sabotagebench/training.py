@@ -23,8 +23,8 @@ one of two kinds:
             with none left starves: hard, sweep and adaptive
 
 A policy that flags (soft, hard, sweep, adaptive) also gives the tau and
-f_avg of the batch's quarantine log row. One function, `_evaluate`, then
-gives every pipeline's flags and predictions on the poisoned test stream.
+f_avg of the batch's quarantine log row. One function, `_infer`, gives the
+softmax (and gate scores) behind every final evaluation and test error.
 
 Every pipeline derives all randomness from named streams of one seed, so
 method variants that make identical choices (soft with unit weights, hard
@@ -40,11 +40,11 @@ in a table (25 KB per training image at the stock shapes: 150 MB for 6000
 images, about 1.5 GB for the 60 000 of real MNIST) and forwards only the
 inverted rows of each batch.
 
-Inference keeps no cache (`SimpleCNN.infer`, `extract_embeddings`). The
+Inference keeps no cache (`SimpleCNN.midlayer`, `extract_embeddings`). The
 conv trunk runs in pieces of a training batch's size, so no inference
 buffer is bigger than a training step's; the fc head and the gate still see
-each caller's chunk (512 rows in `_forward_probs` and `_evaluate`) at once,
-so their GEMMs round as one forward of the chunk did.
+each 512-row chunk of `_infer` at once, so their GEMMs round as one forward
+of the chunk did.
 
 Evaluation poisons the test stream at the training rate under a distinct
 seed stream. Accuracy-on-accepted is computed over accepted AND clean
@@ -180,9 +180,6 @@ class RunReport:
     seed: int
     epochs: list[EpochStats] = field(default_factory=list)
     detection: DetectionMetrics | None = None
-    rejection_rate: float = 0.0
-    accuracy_on_accepted: float = 0.0
-    accepted_empty: bool = False
     starvation_events: int = 0
     train_flag_counts: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
@@ -211,25 +208,29 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512,
-                   mid: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over chunks of `batch_size` rows; each chunk's head sees the
-    chunk's rows at once (`SimpleCNN.infer`). Given the images' midlayer
-    `mid` (as `midlayer` or `extract_embeddings` returns it), only the head
-    runs, over the same chunks, so the bytes are the same."""
-    chunks = []
-    for start in range(0, images.shape[0], batch_size):
-        rows = slice(start, start + batch_size)
-        logits = model.infer(images[rows])[0] if mid is None else model.head(mid[rows])
-        chunks.append(softmax(logits))
-    return np.concatenate(chunks, axis=0)
+def _infer(model: SimpleCNN, images: np.ndarray, gate: MlpBinary | None = None,
+           mid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(softmax, gate scores or None without a gate) of `model` on `images`.
+
+    The fc head and the gate see chunks of 512 rows at once, so the bytes
+    are those of one forward per chunk. Given the images' midlayer `mid` (as
+    `midlayer` or `extract_embeddings` returns it), the trunk does not run."""
+    probs, scores = [], []
+    for start in range(0, images.shape[0], 512):
+        rows = slice(start, start + 512)
+        chunk = model.midlayer(images[rows]) if mid is None else mid[rows]
+        probs.append(softmax(model.head(chunk)))
+        if gate is not None:
+            scores.append(_gate_scores(gate, chunk))
+        del chunk  # the next chunk's trunk must not run beside it
+    return np.concatenate(probs), np.concatenate(scores) if gate is not None else None
 
 
 def _plain_test_error(model: SimpleCNN, test_set: MnistSet,
                       mid: np.ndarray | None = None) -> float:
     """Error rate of the argmax over `test_set`; `mid`, the test images'
-    midlayer, saves the trunk pass (see `_forward_probs`)."""
-    probs = _forward_probs(model, test_set.images, mid=mid)
+    midlayer, saves the trunk pass (see `_infer`)."""
+    probs = _infer(model, test_set.images, mid=mid)[0]
     return float(np.mean(probs.argmax(axis=1) != test_set.labels))
 
 
@@ -352,25 +353,6 @@ def _sabotaged(cfg: PipelineConfig, data: MnistSet):
     return batches
 
 
-def _evaluate(model: SimpleCNN, images: np.ndarray, flags_of,
-              gate: MlpBinary | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, predictions) of a trained model on `images`.
-
-    The model (and the gate, if given) see chunks of 512 rows;
-    `flags_of(probs, scores)` then flags the whole stream from its softmax
-    and its gate scores (None without a gate)."""
-    probs, scores = [], []
-    for start in range(0, images.shape[0], 512):
-        logits, mid = model.infer(images[start : start + 512])
-        probs.append(softmax(logits))
-        if gate is not None:
-            scores.append(_gate_scores(gate, mid))
-        del mid  # the next chunk's trunk must not run beside it
-    probs = np.concatenate(probs)
-    flags = flags_of(probs, np.concatenate(scores) if gate is not None else None)
-    return flags, probs.argmax(axis=1)
-
-
 def _eval_digests(flags: np.ndarray, predictions: np.ndarray) -> dict:
     """sha256 of the final evaluation's flag and prediction arrays: a report
     then shows a moved row even where every count it holds stays equal."""
@@ -385,21 +367,19 @@ def _run(cfg: PipelineConfig, method: str, model: SimpleCNN, policy, flags_of,
          train_set: MnistSet, test_set: MnistSet, epochs: int,
          gate: MlpBinary | None = None) -> RunReport:
     """Train with `policy`, then fill the evaluation block on a freshly
-    poisoned test stream: detection vs the sabotage mask, rejection rate over
-    the stream, accuracy over accepted clean samples."""
+    poisoned test stream, flagged by `flags_of(probs, scores)`: detection vs
+    the sabotage mask, rejection rate over the stream, accuracy over accepted
+    clean samples."""
     started = time.perf_counter()
     report = RunReport(method=method, seed=cfg.seed)
     fit(model, report, epochs, _sabotaged(cfg, train_set), policy, cfg.train.learning_rate,
         test_set)
     batch = poison_eval_stream(test_set, cfg.sabotage, cfg.seed)
-    flags, predictions = _evaluate(model, batch.effective_images, flags_of, gate)
+    probs, scores = _infer(model, batch.effective_images, gate)
+    flags, predictions = flags_of(probs, scores), probs.argmax(axis=1)
     acc, empty = accuracy_on_accepted(predictions, batch.labels, ~flags & ~batch.mask)
     report.detection = detection_metrics(flags, batch.mask, acc, empty)
-    report.rejection_rate = float(flags.mean())
-    report.accuracy_on_accepted = acc
-    report.accepted_empty = empty
     report.extras["model_checksum"] = model.params.checksum()
-    report.extras["final_test_error"] = report.epochs[-1].test_error
     report.extras.update(_eval_digests(flags, predictions))
     report.wall_clock_s = time.perf_counter() - started
     return report
@@ -562,14 +542,8 @@ class GatePolicy:
 
 def _gated_flags(cfg: PipelineConfig, hard_cutoff):
     """The final flag rule of the soft (hard_cutoff None) or hard pipeline:
-    `_gate_decide` over the whole stream, nothing flagged with unit weights."""
-
-    def flags_of(probs, scores):
-        if cfg.force_unit_weights:
-            return np.zeros(probs.shape[0], dtype=bool)
-        return _gate_decide(cfg, hard_cutoff, probs.max(axis=1), scores)[1]
-
-    return flags_of
+    `_gate_decide` over the whole stream."""
+    return lambda probs, scores: _gate_decide(cfg, hard_cutoff, probs.max(axis=1), scores)[1]
 
 
 def _run_gated(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
@@ -717,9 +691,9 @@ def run_sweep(
                 "precision": precision,
                 "recall": recall,
                 "starvation_events": report.starvation_events,
-                "rejection_rate": report.rejection_rate,
-                "accuracy_on_accepted": report.accuracy_on_accepted,
-                "accepted_empty": report.accepted_empty,
+                "rejection_rate": report.detection.rejection_rate,
+                "accuracy_on_accepted": report.detection.accuracy_on_accepted,
+                "accepted_empty": report.detection.accepted_empty,
             }
         )
     return {"seed": cfg.seed, "epochs": sweep.epochs, "rows": rows, "reports": reports}

@@ -11,7 +11,14 @@ Test-only oracle, kept verbatim:
   `_finish_report`, the engine helpers that only these loops used. The
   branches of the removed `estimate_sabotage_fraction` knob, which read its
   default (False), and the conv2 bypass's sabotage fraction, always 0.0,
-  are gone.
+  are gone;
+- `_forward_probs`, the softmax these loops evaluated with, where the
+  deleted `SimpleCNN.infer(x)` is written out as `head(midlayer(x))`, as is
+  the one call of it in `_gated_eval`.
+
+The report fields that only repeated a value of the detection block
+(`rejection_rate`, `accuracy_on_accepted`, `accepted_empty` and
+`extras.final_test_error`) are no longer written.
 
 The engine's versions must give the same reports, logs and checksums. Do not
 edit it.
@@ -48,7 +55,6 @@ from sabotagebench.training import (
     _batches,
     _fit_accepted,
     _fit_step,
-    _forward_probs,
     _gate_scores,
     _hard_flags,
     _plain_test_error,
@@ -70,9 +76,20 @@ def _finish_report(
     accepted = ~flags
     acc, empty = accuracy_on_accepted(predictions, batch.labels, accepted & ~batch.mask)
     report.detection = detection_metrics(flags, batch.mask, acc, empty)
-    report.rejection_rate = float(flags.mean())
-    report.accuracy_on_accepted = acc
-    report.accepted_empty = empty
+
+
+def _forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512,
+                   mid: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over chunks of `batch_size` rows; each chunk's head sees the
+    chunk's rows at once (`SimpleCNN.infer`). Given the images' midlayer
+    `mid` (as `midlayer` or `extract_embeddings` returns it), only the head
+    runs, over the same chunks, so the bytes are the same."""
+    chunks = []
+    for start in range(0, images.shape[0], batch_size):
+        rows = slice(start, start + batch_size)
+        logits = model.head(model.midlayer(images[rows])) if mid is None else model.head(mid[rows])
+        chunks.append(softmax(logits))
+    return np.concatenate(chunks, axis=0)
 
 
 def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
@@ -172,7 +189,6 @@ def train_baseline(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet)
     _finish_report(report, flags, eval_batch, probs.argmax(axis=1))
     report.extras["model_checksum"] = model.params.checksum()
     report.wall_clock_s = time.perf_counter() - started
-    report.extras["final_test_error"] = report.epochs[-1].test_error
     return report
 
 
@@ -260,7 +276,6 @@ def _run_gated_pipeline(
             "gate_max_score": asset.max_score,
             "gate_damping_scale": asset.damping_scale,
             "model_checksum": model.params.checksum(),
-            "final_test_error": report.epochs[-1].test_error,
         }
     )
     if method == HARD:
@@ -277,7 +292,8 @@ def _gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images,
     on `images`, decided over chunks of 512 rows."""
     chunks_flags, chunks_pred = [], []
     for start in range(0, images.shape[0], 512):
-        logits, mid = model.infer(images[start : start + 512])
+        mid = model.midlayer(images[start : start + 512])
+        logits = model.head(mid)
         probs = softmax(logits)
         scores = _gate_scores(gate, mid)
         if cfg.force_unit_weights:
@@ -324,7 +340,6 @@ def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> R
         {
             "reject_class": reject_class,
             "model_checksum": model.params.checksum(),
-            "final_test_error": report.epochs[-1].test_error,
         }
     )
     report.wall_clock_s = time.perf_counter() - started
@@ -405,7 +420,6 @@ def _confidence_quarantine_run(
         {
             "tau_final": final_tau,
             "model_checksum": model.params.checksum(),
-            "final_test_error": report.epochs[-1].test_error,
         }
     )
     if controller is None:

@@ -132,26 +132,26 @@ def test_criterion_1_baseline_accuracy(baseline_report):
 
 @requires_mnist
 def test_criterion_2_irm_rejection_and_detection(irm_report):
-    assert irm_report.rejection_rate == pytest.approx(0.0487, abs=0.010)
+    assert irm_report.detection.rejection_rate == pytest.approx(0.0487, abs=0.010)
     assert irm_report.detection.precision >= 0.98
     assert irm_report.detection.recall >= 0.98
-    assert irm_report.accuracy_on_accepted >= 0.980
+    assert irm_report.detection.accuracy_on_accepted >= 0.980
 
 
 @requires_mnist
 def test_criterion_3_hard_gate_bands(hard_report):
-    assert hard_report.accuracy_on_accepted >= 0.980
-    assert 0.50 <= hard_report.rejection_rate <= 0.80
+    assert hard_report.detection.accuracy_on_accepted >= 0.980
+    assert 0.50 <= hard_report.detection.rejection_rate <= 0.80
     assert hard_report.detection.recall >= 0.70
 
 
 @requires_mnist
 def test_criterion_4_soft_degenerate_regime(soft_report):
-    assert soft_report.rejection_rate == 1.0
+    assert soft_report.detection.rejection_rate == 1.0
     assert soft_report.detection.recall == 1.0
     assert soft_report.detection.precision == pytest.approx(0.05, abs=0.01)
-    assert soft_report.accuracy_on_accepted == 0.0
-    assert soft_report.accepted_empty
+    assert soft_report.detection.accuracy_on_accepted == 0.0
+    assert soft_report.detection.accepted_empty
 
 
 @requires_mnist

@@ -146,6 +146,11 @@ class TestParseConfig:
             ("dataset.source", 7, "expected a string"),
             ("sweep.thresholds", [0.1, "x"], "expected a list of numbers"),
             ("sweep.thresholds", 0.1, "expected a list of numbers"),
+            ("seed", -1, "seed: expected an integer >= 0, got -1"),
+            ("dataset.synthetic_seed", -1, "dataset.synthetic_seed: expected an integer >= 0"),
+            ("dataset.synthetic_test", 0, "dataset.synthetic_test: expected an integer >= 1"),
+            ("dataset.synthetic_train", -3, "dataset.synthetic_train: expected an integer >= 1"),
+            ("dataset.synthetic_train", 0, "dataset.synthetic_train: expected an integer >= 1"),
         ],
     )
     def test_leaf_type_errors(self, key, value, expected):
@@ -341,6 +346,15 @@ class TestRunExitCodes:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_fixture_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        argv = ["run", "mirror-text", "--offline", "--out", str(tmp_path / "out"),
+                "--set", f"mirror_text.fixtures={missing}"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error: mirror_text.fixtures: cannot read" in err
+        assert str(missing) in err
 
 
     @pytest.mark.parametrize("experiment", ["mirror-cnn", "all"])

@@ -1,7 +1,7 @@
 """Inference without a training step's cache, and the process heap.
 
 Inference runs the conv trunk in pieces of at most a training batch's size
-and the fc head once per caller chunk (`SimpleCNN.infer`); the mirror pair
+and the fc head once per 512-row chunk (`training._infer`); the mirror pair
 gate builds its features batch by batch. Both must give the bytes of the
 one-forward-per-chunk code kept in `oracle_inference`. The heap thresholds
 the CLI sets must keep a warm training step from faulting pages in.
@@ -36,10 +36,9 @@ from sabotagebench.nncore import softmax
 from sabotagebench.quarantine import decide
 from sabotagebench.training import (
     PipelineConfig,
-    _evaluate,
-    _forward_probs,
     _gate_scores,
     _gated_flags,
+    _infer,
 )
 
 SIZES = [1, 2, 63, 64, 65, 129, 511, 512, 513, 1025]
@@ -63,7 +62,7 @@ def test_stock_piece_is_a_training_batch(stock):
 @pytest.mark.parametrize("n", SIZES)
 def test_forward_probs_matches_oracle(stock, n):
     model, _, images = stock
-    assert _forward_probs(model, images[:n]).tobytes() == oracle.forward_probs(
+    assert _infer(model, images[:n])[0].tobytes() == oracle.forward_probs(
         model, images[:n]
     ).tobytes()
 
@@ -84,7 +83,8 @@ def test_extract_embeddings_matches_oracle(stock, n):
 def test_gated_eval_matches_oracle(stock, n, hard_cutoff):
     model, gate, images = stock
     cfg = PipelineConfig()
-    flags, preds = _evaluate(model, images[:n], _gated_flags(cfg, hard_cutoff), gate)
+    probs, scores = _infer(model, images[:n], gate)
+    flags, preds = _gated_flags(cfg, hard_cutoff)(probs, scores), probs.argmax(axis=1)
     cutoff = hard_cutoff
     if hard_cutoff == "auto" and n > 512:
         # the oracle takes the auto quantile per 512-row chunk; give it the
@@ -109,7 +109,7 @@ def _oracle_weights(cfg, model, gate, images):
 def test_auto_cutoff_takes_the_quantile_of_the_whole_eval_stream(stock):
     model, gate, images = stock
     cfg = PipelineConfig()
-    flags, _ = _evaluate(model, images, _gated_flags(cfg, "auto"), gate)
+    flags = _gated_flags(cfg, "auto")(*_infer(model, images, gate))
     w = _oracle_weights(cfg, model, gate, images)
     assert images.shape[0] == 1025
     assert flags.tobytes() == (w < np.quantile(w, cfg.hard_auto_quantile)).tobytes()

@@ -125,7 +125,6 @@ class TestDetectionMetrics:
         mask = [True, False, False, False]
         block = detection_metrics(flags, mask, accuracy=0.9, accepted_empty=False)
         assert block.counts.tp == 1 and block.counts.fp == 1
-        assert block.flagged_fraction == pytest.approx(0.5)
         assert block.rejection_rate == pytest.approx(0.5)
         assert block.accuracy_on_accepted == 0.9
         d = block.to_dict()
@@ -138,7 +137,6 @@ class TestDetectionMetrics:
             "precision",
             "recall",
             "f1",
-            "flagged_fraction",
             "rejection_rate",
             "accuracy_on_accepted",
             "accepted_empty",

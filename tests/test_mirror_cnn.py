@@ -64,18 +64,15 @@ class TestPairSet:
     def test_shape_validation(self, rng):
         table = rng.normal(size=(4, 8))
         rows = np.zeros((4, 2), dtype=np.intp)
-        no = np.zeros(4, dtype=bool)
         modes = np.array(["self"] * 4)
         with pytest.raises(ShapeError, match=r"rows must be \[count, 2\]"):
-            PairSet(table, rows[:, :1], no, modes)
+            PairSet(table, rows[:, :1], modes)
         with pytest.raises(ShapeError, match="rows, dim"):
-            PairSet(table[0], rows, no, modes)
+            PairSet(table[0], rows, modes)
         with pytest.raises(ShapeError, match="modes length"):
-            PairSet(table, rows, no, modes[:3])
-        with pytest.raises(ShapeError, match="splice length"):
-            PairSet(table, rows, no[:3], modes)
+            PairSet(table, rows, modes[:3])
         with pytest.raises(ValidationError, match="index the 4 table rows"):
-            PairSet(table, rows + 4, no, modes)
+            PairSet(table, rows + 4, modes)
 
 
 class TestBuildPairs:

@@ -36,9 +36,6 @@ REPORT_KEYS = {
     "method",
     "seed",
     "epochs",
-    "rejection_rate",
-    "accuracy_on_accepted",
-    "accepted_empty",
     "starvation_events",
     "train_flag_counts",
     "extras",
@@ -86,9 +83,9 @@ class TestBaseline:
         assert report.method == "baseline"
         assert len(report.epochs) == 1
         assert 0.0 <= report.epochs[0].test_error <= 1.0
-        assert report.rejection_rate == 0.0
+        assert report.detection.rejection_rate == 0.0
         assert report.detection.recall == 0.0
-        assert not report.accepted_empty
+        assert not report.detection.accepted_empty
         assert set(report.to_json_dict()) == REPORT_KEYS
 
     def test_same_seed_reproduces_bitwise(self, tiny_train, tiny_test, tiny_baseline_report):
@@ -181,9 +178,9 @@ class TestSoftPipeline:
     def test_degenerate_full_rejection_row(self, tiny_train, tiny_test, tiny_gate_asset):
         report = train_soft(tiny_pipeline("soft"), tiny_train, tiny_test, tiny_gate_asset)
         d = report.detection
-        assert report.rejection_rate == 1.0
-        assert report.accepted_empty is True
-        assert report.accuracy_on_accepted == 0.0
+        assert d.rejection_rate == 1.0
+        assert d.accepted_empty is True
+        assert d.accuracy_on_accepted == 0.0
         assert d.recall == 1.0
         counts = d.counts
         assert d.precision == pytest.approx((counts.tp + counts.fn) / counts.total)
@@ -217,7 +214,7 @@ class TestHardPipeline:
             for row in report.log_rows
         ]
         assert 0.55 <= np.mean(fractions) <= 0.75
-        assert 0.55 <= report.rejection_rate <= 0.75
+        assert 0.55 <= report.detection.rejection_rate <= 0.75
         assert report.extras["hard_cutoff"] == "auto(q=0.65)"
 
     def test_impossible_cutoff_starves_every_batch(
@@ -228,7 +225,7 @@ class TestHardPipeline:
         n_batches = math.ceil(tiny_train.count / 64)
         assert report.starvation_events == n_batches
         assert report.epochs[0].train_error == 1.0
-        assert report.accepted_empty is True
+        assert report.detection.accepted_empty is True
 
 
 class TestIrmPipeline:
@@ -237,7 +234,7 @@ class TestIrmPipeline:
         assert report.method == "irm"
         assert report.extras["reject_class"] == 10
         counts = report.detection.counts
-        assert report.rejection_rate == pytest.approx(
+        assert report.detection.rejection_rate == pytest.approx(
             (counts.tp + counts.fp) / counts.total
         )
 
@@ -453,15 +450,15 @@ class TestMediumScale:
     def test_hard_catches_most_sabotage(self, med_hard_report):
         d = med_hard_report.detection
         assert d.recall >= 0.7
-        assert 0.55 <= med_hard_report.rejection_rate <= 0.75
-        assert med_hard_report.accuracy_on_accepted >= 0.8
+        assert 0.55 <= d.rejection_rate <= 0.75
+        assert d.accuracy_on_accepted >= 0.8
 
     def test_irm_routes_sabotage_to_reject_class(self, med_irm_report):
         d = med_irm_report.detection
-        assert 0.02 <= med_irm_report.rejection_rate <= 0.15
+        assert 0.02 <= d.rejection_rate <= 0.15
         assert d.precision >= 0.7
         assert d.recall >= 0.7
-        assert med_irm_report.accuracy_on_accepted >= 0.8
+        assert d.accuracy_on_accepted >= 0.8
 
     def test_irm_learns_the_clean_task_too(self, med_irm_report):
         assert med_irm_report.epochs[-1].test_error <= 0.2
