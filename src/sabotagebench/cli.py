@@ -7,10 +7,17 @@
 Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 3 self-check failure.
 
-`run all` executes every method; each method gets its own output
-subdirectory and a seed offset by its position in the method list, so
-the pipelines stay independent whether they run sequentially or (with
---parallel) as concurrent worker processes.
+The resolved config is the whole description of a run: `--seed`, `--out`
+and `--offline` are shorthands for `--set seed=N`, `--set out_dir=DIR` and
+`--set mirror_text.offline=true`, and land in the echoed config.json.
+
+`run all` reads the dataset once and executes every method on it; each
+method gets its own config tree, with an output subdirectory (its
+config.json names it as `out_dir`) and a seed offset by its position in
+the method list, so the pipelines stay independent whether they run
+sequentially or (with --parallel) as concurrent worker processes.
+The `resources` in each metadata.json count from the experiment's start,
+so loading the dataset is not included.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import numpy as np
 
 from . import reporting
 from .config import ALL_METHODS, EXPERIMENTS, ExperimentConfig, parse_config, parse_override
-from .dataset import MnistSet, invert, load_mnist_dir, synthetic_mnist_set
+from .dataset import MnistSet, invert, load_mnist_dir, mnist_files, synthetic_mnist_set
 from .errors import ConfigError, UnavailableMetricError, ValidationError, WorkbenchError
 from .heap import keep_heap
 from .metrics import (
@@ -64,7 +71,7 @@ def build_parser() -> _Parser:
     run.add_argument(
         "--offline",
         action="store_true",
-        help="force mirror-text to run from bundled fixtures",
+        help="shorthand for --set mirror_text.offline=true",
     )
     run.add_argument(
         "--parallel",
@@ -84,31 +91,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _mnist_available(mnist_dir: Path) -> bool:
-    stems = (
-        "train-images-idx3-ubyte",
-        "train-labels-idx1-ubyte",
-        "t10k-images-idx3-ubyte",
-        "t10k-labels-idx1-ubyte",
-    )
-    return all(
-        (mnist_dir / s).exists() or (mnist_dir / f"{s}.gz").exists() for s in stems
-    )
-
-
 def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
-    """Resolve the dataset section to (train, test) sets."""
+    """Resolve the dataset section to (train, test) sets, and check that the
+    mirror-cnn subsets fit them when the run includes mirror-cnn."""
     ds = cfg.section("dataset")
     source = ds["source"]
     mnist_dir = Path(ds["mnist_dir"])
     if source == "auto":
-        source = "mnist" if _mnist_available(mnist_dir) else "synthetic"
+        source = "mnist" if all(mnist_files(mnist_dir)) else "synthetic"
     if source == "mnist":
         try:
-            return load_mnist_dir(mnist_dir)
+            train, test = load_mnist_dir(mnist_dir)
         except WorkbenchError as exc:
             raise ConfigError(f"dataset.mnist_dir: {exc}") from exc
-    if source == "synthetic":
+    elif source == "synthetic":
         image_size = cfg.section("model")["image_size"]
         try:
             train = synthetic_mnist_set(
@@ -119,18 +115,18 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
             )
         except ValidationError as exc:
             raise ConfigError(f"model.image_size: {exc}") from exc
-        return train, test
-    raise ConfigError(
-        f"dataset.source: expected auto, mnist, or synthetic, got {source!r}"
-    )
+    else:
+        raise ConfigError(
+            f"dataset.source: expected auto, mnist, or synthetic, got {source!r}"
+        )
+    if cfg.data["experiment"] in ("mirror-cnn", "all"):
+        check_sizes(cfg, train.count, test.count)
+    return train, test
 
 
-def check_sizes(cfg: ExperimentConfig, experiment: str, train_count: int,
-                test_count: int) -> None:
-    """Raise ConfigError when the experiment's subsets do not fit the data,
-    before anything trains. Only mirror-cnn takes sized subsets."""
-    if experiment != "mirror-cnn":
-        return
+def check_sizes(cfg: ExperimentConfig, train_count: int, test_count: int) -> None:
+    """Raise ConfigError when the mirror-cnn subsets do not fit the data,
+    before anything trains."""
     mirror = cfg.build("mirror_cnn")
     if 2 * mirror.subset_size > train_count:
         raise ConfigError(
@@ -146,27 +142,22 @@ def check_sizes(cfg: ExperimentConfig, experiment: str, train_count: int,
         ) from exc
 
 
-def run_single(
-    cfg: ExperimentConfig, experiment: str, out_dir: Path, offline: bool
-) -> dict:
-    """Run one experiment, write its artifacts, return headline numbers."""
+def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) -> dict:
+    """Run the experiment `cfg` names on the (train, test) sets `data` (None
+    for mirror-text), write its artifacts to `cfg.out_dir`, return headline
+    numbers."""
     started = resource.getrusage(resource.RUSAGE_SELF)
-    out_dir = Path(out_dir)
+    experiment, out_dir = cfg.data["experiment"], cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = {**cfg.data, "experiment": experiment}
-    reporting.echo_config(out_dir, resolved)
-    config_sha256 = reporting.config_digest(resolved)
+    reporting.echo_config(out_dir, cfg.data)
     summary: dict = {"experiment": experiment, "out_dir": str(out_dir)}
 
-    if experiment != "mirror-text":
-        train_set, test_set = load_data(cfg)
-        check_sizes(cfg, experiment, train_set.count, test_set.count)
     if experiment == "mirror-text":
         # imported here so the other experiments never load mirror_text
         from .mirror_text import http_providers, run_mirror_text_experiment
 
         mt = cfg.section("mirror_text")
-        providers = None if offline or mt["offline"] else http_providers()
+        providers = None if mt["offline"] else http_providers()
         report = run_mirror_text_experiment(providers=providers, fixtures_path=mt["fixtures"])
         reporting.write_mirror_text_report(out_dir, report)
         payload = {"wall_clock_s": report.wall_clock_s, **report.metadata}
@@ -175,32 +166,27 @@ def run_single(
         }
     elif experiment == "mirror-cnn":
         report = run_mirror_experiment(
-            cfg.build("mirror_cnn"), cfg.build("model"), cfg.seed, train_set, test_set
+            cfg.build("mirror_cnn"), cfg.build("model"), cfg.seed, *data
         )
-        reporting.write_mirror_cnn_report(out_dir, report, cfg.seed)
+        reporting.write_mirror_cnn_report(out_dir, report)
         payload = {"wall_clock_s": report.wall_clock_s}
         summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
         summary["semiself_accuracy"] = report.semiself_accuracy
     elif experiment == "sweep":
-        result = run_sweep(
-            cfg.pipeline_config("baseline"), cfg.build("sweep"), train_set, test_set
-        )
-        reporting.write_sweep_artifacts(out_dir, cfg.seed, result)
+        result = run_sweep(cfg.pipeline_config("baseline"), cfg.build("sweep"), *data)
+        reporting.write_sweep_artifacts(out_dir, result)
         payload = {"wall_clock_s": sum(r.wall_clock_s for r in result["reports"])}
-        summary["rows"] = result["rows"]
     else:
         if experiment == "adaptive":
-            report = train_adaptive(
-                cfg.pipeline_config("baseline"), train_set, test_set, cfg.build("adaptive")
-            )
+            report = train_adaptive(cfg.pipeline_config("baseline"), *data, cfg.build("adaptive"))
         elif experiment == "baseline":
-            report = train_baseline(cfg.pipeline_config("baseline"), train_set, test_set)
+            report = train_baseline(cfg.pipeline_config("baseline"), *data)
         elif experiment == "soft":
-            report = train_soft(cfg.pipeline_config("soft"), train_set, test_set)
+            report = train_soft(cfg.pipeline_config("soft"), *data)
         elif experiment == "hard":
-            report = train_hard(cfg.pipeline_config("hard"), train_set, test_set)
+            report = train_hard(cfg.pipeline_config("hard"), *data)
         elif experiment == "irm":
-            report = train_irm(cfg.pipeline_config("irm"), train_set, test_set)
+            report = train_irm(cfg.pipeline_config("irm"), *data)
         else:
             raise ConfigError(f"unknown experiment {experiment!r}")
         reporting.write_run_report(out_dir, report)
@@ -209,12 +195,12 @@ def run_single(
         summary["accuracy_on_accepted"] = report.detection.accuracy_on_accepted
         summary["detection_f1"] = report.detection.f1
         summary["final_test_error"] = report.epochs[-1].test_error
-    _write_metadata(out_dir, started, config_sha256, payload)
+    _write_metadata(out_dir, started, cfg.data, payload)
     return summary
 
 
 def _write_metadata(
-    out_dir: Path, started: resource.struct_rusage, config_sha256: str, payload: dict
+    out_dir: Path, started: resource.struct_rusage, resolved: dict, payload: dict
 ) -> None:
     """metadata.json: `payload`, this process's resource use since `started`
     (faults and CPU seconds; peak RSS is the process's high-water mark), the
@@ -246,31 +232,27 @@ def _write_metadata(
                     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
                 },
             },
-            "config_sha256": config_sha256,
+            "config_sha256": reporting.config_digest(resolved),
         },
     )
 
 
-def _all_worker(payload: tuple) -> dict:
-    data, experiment, out_dir, offline = payload
-    return run_single(ExperimentConfig(data), experiment, Path(out_dir), offline)
-
-
-def run_all(cfg: ExperimentConfig, out_root: Path, offline: bool, parallel: bool) -> list[dict]:
-    # every job reads the same dataset section: check all of them before any starts
-    train_count, test_count = (data.count for data in load_data(cfg))
-    for experiment in ALL_METHODS:
-        check_sizes(cfg, experiment, train_count, test_count)
-    jobs = []
-    for index, experiment in enumerate(ALL_METHODS):
-        data = {**cfg.data, "seed": cfg.seed + index, "experiment": experiment}
-        jobs.append((data, experiment, str(out_root / experiment), offline))
+def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bool) -> list[dict]:
+    """Run every method on `data`, each on its own config tree: its seed
+    offset by its position in ALL_METHODS, its own experiment, and a
+    subdirectory of `cfg.out_dir` as its out_dir."""
+    out_root = cfg.out_dir
+    jobs = [
+        ExperimentConfig({**cfg.data, "seed": cfg.seed + index, "experiment": experiment,
+                          "out_dir": str(out_root / experiment)})
+        for index, experiment in enumerate(ALL_METHODS)
+    ]
     if parallel:
         # initializer, not fork inheritance: the start method may be spawn
         with ProcessPoolExecutor(max_workers=min(4, len(jobs)), initializer=keep_heap) as pool:
-            summaries = list(pool.map(_all_worker, jobs))
+            summaries = list(pool.map(run_single, jobs, [data] * len(jobs)))
     else:
-        summaries = [_all_worker(job) for job in jobs]
+        summaries = [run_single(job, data) for job in jobs]
 
     weights = cfg.lifestar_weights()
     if weights is not None:
@@ -302,17 +284,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
+    if args.offline:
+        overrides["mirror_text.offline"] = True
     overrides["experiment"] = args.experiment
     cfg = parse_config(args.config, overrides)
 
-    out_root = cfg.out_dir
+    data = None if args.experiment == "mirror-text" else load_data(cfg)
     if args.experiment == "all":
-        summaries = run_all(cfg, out_root, args.offline, args.parallel)
+        summaries = run_all(cfg, data, args.parallel)
     else:
-        summaries = [run_single(cfg, args.experiment, out_root, args.offline)]
+        summaries = [run_single(cfg, data)]
     for summary in summaries:
-        parts = [f"{k}={v}" for k, v in summary.items() if k not in ("rows",)]
-        print("done:", ", ".join(parts))
+        print("done:", ", ".join(f"{k}={v}" for k, v in summary.items()))
     return 0
 
 

@@ -11,6 +11,7 @@ claims about MNIST hold only for the real data.
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,12 @@ from .errors import FormatError, ValidationError
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
+MNIST_STEMS = (
+    "train-images-idx3-ubyte",
+    "train-labels-idx1-ubyte",
+    "t10k-images-idx3-ubyte",
+    "t10k-labels-idx1-ubyte",
+)
 
 RANDOM_LABEL = "random"
 REJECT_LABEL = "reject"
@@ -55,8 +62,11 @@ class MnistSet:
 def _read_payload(path) -> bytes:
     p = Path(path)
     if p.suffix == ".gz":
-        with gzip.open(p, "rb") as fh:
-            return fh.read()
+        try:
+            with gzip.open(p, "rb") as fh:
+                return fh.read()
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise FormatError(f"{p}: corrupt gzip file ({exc})") from exc
     return p.read_bytes()
 
 
@@ -101,19 +111,22 @@ def load_idx(images_path, labels_path) -> MnistSet:
     return MnistSet(images, labels)
 
 
-def load_mnist_dir(root) -> tuple[MnistSet, MnistSet]:
-    """Load the four standard MNIST files from a directory (.gz accepted)."""
+def mnist_files(root) -> list[Path | None]:
+    """Each MNIST_STEMS file under `root`, plain or `.gz`; None where neither exists."""
     root = Path(root)
+    return [
+        next((p for p in (root / stem, root / f"{stem}.gz") if p.exists()), None)
+        for stem in MNIST_STEMS
+    ]
 
-    def find(stem: str) -> Path:
-        for candidate in (root / stem, root / f"{stem}.gz"):
-            if candidate.exists():
-                return candidate
-        raise FormatError(f"missing MNIST file {stem}[.gz] under {root}")
 
-    train = load_idx(find("train-images-idx3-ubyte"), find("train-labels-idx1-ubyte"))
-    test = load_idx(find("t10k-images-idx3-ubyte"), find("t10k-labels-idx1-ubyte"))
-    return train, test
+def load_mnist_dir(root) -> tuple[MnistSet, MnistSet]:
+    """Load the four MNIST_STEMS files from a directory (.gz accepted)."""
+    paths = mnist_files(root)
+    for stem, path in zip(MNIST_STEMS, paths):
+        if path is None:
+            raise FormatError(f"missing MNIST file {stem}[.gz] under {root}")
+    return load_idx(*paths[:2]), load_idx(*paths[2:])
 
 
 # ------------------------------------------------------------- sabotage

@@ -81,73 +81,55 @@ def write_quarantine_log(path: Path, report: RunReport) -> Path:
     )
 
 
-def write_run_report(out_dir: Path, report: RunReport) -> list[Path]:
+def write_run_report(out_dir: Path, report: RunReport) -> None:
     """report_<method>_seed<N>.json + epoch and quarantine CSVs."""
     out_dir = Path(out_dir)
     tag = f"{report.method}_seed{report.seed}"
-    written = [write_json(out_dir / f"report_{tag}.json", report.to_json_dict())]
-    written.append(
-        write_csv(
-            out_dir / f"epochs_{tag}.csv",
-            ("epoch", "train_error", "test_error"),
-            ((e.epoch, e.train_error, e.test_error) for e in report.epochs),
-        )
+    write_json(out_dir / f"report_{tag}.json", report.to_json_dict())
+    write_csv(
+        out_dir / f"epochs_{tag}.csv",
+        ("epoch", "train_error", "test_error"),
+        ((e.epoch, e.train_error, e.test_error) for e in report.epochs),
     )
     if report.log_rows:
-        written.append(write_quarantine_log(out_dir / f"quarantine_log_{tag}.csv", report))
-    return written
+        write_quarantine_log(out_dir / f"quarantine_log_{tag}.csv", report)
 
 
-def write_sweep_artifacts(out_dir: Path, seed: int, sweep_result: dict) -> list[Path]:
+def write_sweep_artifacts(out_dir: Path, sweep_result: dict) -> None:
     """Summary table plus per-threshold reports and quarantine logs.
 
     Threshold values are embedded in the filenames so rows from several
     sweeps never collide."""
     out_dir = Path(out_dir)
+    seed = sweep_result["seed"]
     rows = sweep_result["rows"]  # one per threshold, each with run_sweep's columns
-    written = [
-        write_csv(
-            out_dir / f"sweep_summary_seed{seed}.csv",
-            rows[0],
-            (row.values() for row in rows),
-        ),
-        write_json(
-            out_dir / f"report_sweep_seed{seed}.json",
-            {
-                "method": "sweep",
-                "seed": sweep_result["seed"],
-                "epochs": sweep_result["epochs"],
-                "rows": rows,
-            },
-        ),
-    ]
+    write_csv(out_dir / f"sweep_summary_seed{seed}.csv", rows[0], (row.values() for row in rows))
+    write_json(
+        out_dir / f"report_sweep_seed{seed}.json",
+        {"method": "sweep", "seed": seed, "epochs": sweep_result["epochs"], "rows": rows},
+    )
     for report in sweep_result["reports"]:
         tau = report.extras["threshold"]
-        tag = f"sweep_tau{tau}_seed{seed}"
-        written.append(write_quarantine_log(out_dir / f"quarantine_log_{tag}.csv", report))
-    return written
+        write_quarantine_log(out_dir / f"quarantine_log_sweep_tau{tau}_seed{seed}.csv", report)
 
 
-def write_mirror_cnn_report(out_dir: Path, report: MirrorCnnReport, seed: int) -> list[Path]:
+def write_mirror_cnn_report(out_dir: Path, report: MirrorCnnReport) -> None:
     out_dir = Path(out_dir)
     payload = report.to_json_dict()
-    written = [write_json(out_dir / f"report_mirror-cnn_seed{seed}.json", payload)]
-    written.append(
-        write_csv(
-            out_dir / f"mirror_cnn_accuracies_seed{seed}.csv",
-            ("pair_mode", "accuracy"),
-            (
-                ("self", payload["self_accuracy"]),
-                ("cross", payload["cross_accuracy"]),
-                ("self_vs_cross", payload["self_vs_cross_accuracy"]),
-                ("semiself", payload["semiself_accuracy"]),
-            ),
-        )
+    write_json(out_dir / f"report_mirror-cnn_seed{report.seed}.json", payload)
+    write_csv(
+        out_dir / f"mirror_cnn_accuracies_seed{report.seed}.csv",
+        ("pair_mode", "accuracy"),
+        (
+            ("self", payload["self_accuracy"]),
+            ("cross", payload["cross_accuracy"]),
+            ("self_vs_cross", payload["self_vs_cross_accuracy"]),
+            ("semiself", payload["semiself_accuracy"]),
+        ),
     )
-    return written
 
 
-def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> list[Path]:
+def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> None:
     """One CSV per figure analog, with fixed column order.
 
     recognition_bar: 5 rows (system, score).  self_rating_heatmap: 10
@@ -161,45 +143,41 @@ def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> list[
 
     payload = report.to_json_dict()
     out_dir = Path(out_dir)
-    written = [
-        write_csv(
-            out_dir / "mirror_text_recognition_bar.csv",
-            ("system", "k", "score_percent"),
-            (
-                (row["system"], "" if row["k"] is None else row["k"], row["score_percent"])
-                for row in payload["recognition"]
-            ),
+    write_csv(
+        out_dir / "mirror_text_recognition_bar.csv",
+        ("system", "k", "score_percent"),
+        (
+            (row["system"], "" if row["k"] is None else row["k"], row["score_percent"])
+            for row in payload["recognition"]
         ),
-        write_csv(
-            out_dir / "mirror_text_self_rating_heatmap.csv",
-            ("question", *SYSTEM_IDS),
-            ((q + 1, *row) for q, row in enumerate(payload["heatmap"])),
+    )
+    write_csv(
+        out_dir / "mirror_text_self_rating_heatmap.csv",
+        ("question", *SYSTEM_IDS),
+        ((q + 1, *row) for q, row in enumerate(payload["heatmap"])),
+    )
+    write_csv(
+        out_dir / "mirror_text_rank_sums.csv",
+        ("evaluator", *SYSTEM_IDS),
+        [
+            (evaluator, *(payload["per_evaluator_sums"][evaluator][s] for s in SYSTEM_IDS))
+            for evaluator in SYSTEM_IDS
+        ]
+        + [("total", *(payload["total_sums"][s] for s in SYSTEM_IDS))],
+    )
+    write_csv(
+        out_dir / "mirror_text_rank_distribution.csv",
+        ("evaluator", "question", "system", "value"),
+        (
+            (evaluator, q + 1, system, payload["rankings"][evaluator][q][j])
+            for evaluator in SYSTEM_IDS
+            for q in range(10)
+            for j, system in enumerate(SYSTEM_IDS)
         ),
-        write_csv(
-            out_dir / "mirror_text_rank_sums.csv",
-            ("evaluator", *SYSTEM_IDS),
-            [
-                (evaluator, *(payload["per_evaluator_sums"][evaluator][s] for s in SYSTEM_IDS))
-                for evaluator in SYSTEM_IDS
-            ]
-            + [("total", *(payload["total_sums"][s] for s in SYSTEM_IDS))],
-        ),
-        write_csv(
-            out_dir / "mirror_text_rank_distribution.csv",
-            ("evaluator", "question", "system", "value"),
-            (
-                (evaluator, q + 1, system, payload["rankings"][evaluator][q][j])
-                for evaluator in SYSTEM_IDS
-                for q in range(10)
-                for j, system in enumerate(SYSTEM_IDS)
-            ),
-        ),
-    ]
-    return written
+    )
 
 
-def write_mirror_text_report(out_dir: Path, report: MirrorTextReport) -> list[Path]:
+def write_mirror_text_report(out_dir: Path, report: MirrorTextReport) -> None:
     out_dir = Path(out_dir)
-    written = [write_json(out_dir / "report_mirror-text.json", report.to_json_dict())]
-    written.extend(emit_mirror_text_plot_data(out_dir, report))
-    return written
+    write_json(out_dir / "report_mirror-text.json", report.to_json_dict())
+    emit_mirror_text_plot_data(out_dir, report)

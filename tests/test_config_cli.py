@@ -9,10 +9,12 @@ sizes so the whole file stays fast.
 from __future__ import annotations
 
 import copy
+import gzip
 import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -280,6 +282,31 @@ class TestLoadData:
             cli.load_data(cfg)
 
 
+# Each corruption raises a different exception inside gzip: BadGzipFile (an
+# OSError), EOFError and zlib.error.
+CORRUPT_GZ = {
+    "not_gzip": lambda gz: b"plain bytes, not gzip",
+    "truncated": lambda gz: gz[: len(gz) // 2],
+    "bad_deflate_body": lambda gz: gz[:10] + b"\xff" * 8 + gz[18:],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPT_GZ))
+def test_corrupt_mnist_gz_is_config_error(tmp_path, capsys, corruption):
+    labels = struct.pack(">II", 2049, 3) + bytes([0, 1, 2])
+    images = struct.pack(">IIII", 2051, 3, 8, 8) + bytes(3 * 64)
+    for stem, body in (("train-images-idx3-ubyte", images), ("train-labels-idx1-ubyte", labels),
+                       ("t10k-images-idx3-ubyte", images), ("t10k-labels-idx1-ubyte", labels)):
+        (tmp_path / f"{stem}.gz").write_bytes(gzip.compress(body))
+    broken = tmp_path / "train-images-idx3-ubyte.gz"
+    broken.write_bytes(CORRUPT_GZ[corruption](broken.read_bytes()))
+    argv = ["run", "baseline", "--out", str(tmp_path / "out"),
+            "--set", f"dataset.mnist_dir={tmp_path}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: dataset.mnist_dir: {broken}: corrupt gzip file")
+
+
 # ------------------------------------------------------------- self-check
 
 
@@ -448,12 +475,6 @@ TINY_TREE = {
 }
 
 
-# Stock settings whose mirror subsets fit the synthetic set (two disjoint
-# subsets of the stock 5000 need 10000 of its 6000 images, which `run all`
-# rejects before it starts any job), for run_all tests with stubbed runs.
-FITS_SYNTHETIC = {"mirror_cnn.subset_size": 3000}
-
-
 @pytest.fixture(scope="module")
 def tiny_config(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("cfg") / "tiny.json"
@@ -483,6 +504,29 @@ def all_dir(tiny_config, tmp_path_factory):
     args = ["run", "all", "--config", str(tiny_config), "--out", str(out)]
     assert run_cli(args + ["--offline", "--parallel"]) == 0
     return out
+
+
+def test_sequential_run_all_builds_the_dataset_once(tiny_config, tmp_path, monkeypatch):
+    """One train and one test set for all eight jobs."""
+    real, calls = cli.synthetic_mnist_set, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthetic_mnist_set", counted)
+    out = tmp_path / "out"
+    assert run_cli(["run", "all", "--config", str(tiny_config), "--out", str(out)]) == 0
+    assert len(calls) == 2
+
+
+def test_offline_flag_is_echoed_over_the_config_file(tmp_path):
+    config = tmp_path / "live.json"
+    config.write_text(json.dumps({"mirror_text": {"offline": False}}))
+    out = tmp_path / "out"
+    assert run_cli(["run", "mirror-text", "--offline", "--config", str(config),
+                    "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["mirror_text"]["offline"] is True
 
 
 # Runs in a fresh interpreter: the test process has already imported mirror_text.
@@ -556,7 +600,9 @@ class TestRunArtifacts:
 
     def test_every_method_gets_a_subdir(self, all_dir):
         for method in cli.ALL_METHODS:
-            assert (all_dir / method / "config.json").exists(), method
+            config = json.loads((all_dir / method / "config.json").read_text())
+            assert config["out_dir"] == str(all_dir / method), method
+            assert config["experiment"] == method
             assert (all_dir / method / "metadata.json").exists(), method
 
     def test_seed_offsets_follow_method_order(self, all_dir):
@@ -691,11 +737,11 @@ class TestRunMetadata:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return [{"experiment": job[1]} for job in jobs]
+            def map(self, fn, jobs, data):
+                return [{"experiment": job.data["experiment"]} for job in jobs]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-        cli.run_all(parse_config(None, FITS_SYNTHETIC), tmp_path, offline=True, parallel=True)
+        cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=True)
         assert made["initializer"] is keep_heap
 
 
@@ -703,9 +749,9 @@ class TestRunAllLifestar:
     """lifestar.json branches, with the per-method runs stubbed out."""
 
     @staticmethod
-    def fake_run_single(cfg, experiment, out_dir, offline):
+    def fake_run_single(cfg, data):
         return {
-            "experiment": experiment,
+            "experiment": cfg.data["experiment"],
             "detection_f1": 0.8,
             "self_vs_cross_accuracy": 0.9,
         }
@@ -715,11 +761,11 @@ class TestRunAllLifestar:
         cfg = parse_config(
             None,
             {
-                **FITS_SYNTHETIC,
+                "out_dir": str(tmp_path),
                 **{f"lifestar.{k}": v for k, v in zip(("alpha", "beta", "gamma"), weights)},
             },
         )
-        cli.run_all(cfg, tmp_path, offline=True, parallel=False)
+        cli.run_all(cfg, None, parallel=False)
         return json.loads((tmp_path / "lifestar.json").read_text())
 
     def test_score_computed_when_beta_zero(self, tmp_path, monkeypatch):
@@ -736,5 +782,5 @@ class TestRunAllLifestar:
 
     def test_no_weights_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_single", self.fake_run_single)
-        cli.run_all(parse_config(None, FITS_SYNTHETIC), tmp_path, offline=True, parallel=False)
+        cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=False)
         assert not (tmp_path / "lifestar.json").exists()
