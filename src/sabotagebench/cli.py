@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import reporting
+from . import blas, reporting
 from .config import ALL_METHODS, EXPERIMENTS, ExperimentConfig, parse_config, parse_override
 from .dataset import MnistSet, invert, load_mnist_dir, mnist_files, synthetic_mnist_set
 from .errors import ConfigError, UnavailableMetricError, ValidationError, WorkbenchError
@@ -205,13 +205,16 @@ def _write_metadata(
     """metadata.json: `payload`, this process's resource use since `started`
     (faults and CPU seconds; peak RSS is the process's high-water mark), the
     numpy/BLAS build with the BLAS thread settings as found in the
-    environment (None when unset), and the resolved config's digest."""
+    environment (None when unset), the OpenBLAS thread count in effect and
+    its core name (None without numpy's bundled OpenBLAS), and the resolved
+    config's digest."""
     now = resource.getrusage(resource.RUSAGE_SELF)
     rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes vs KiB
     try:
-        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        build = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy before 1.26 prints its config and takes no mode
-        blas = {}
+        build = {}
+    in_effect = blas.in_effect()
     reporting.write_metadata(
         out_dir,
         {
@@ -224,13 +227,15 @@ def _write_metadata(
             },
             "environment": {
                 "numpy": np.__version__,
-                "blas": blas.get("name"),
-                "blas_version": blas.get("version"),
-                "blas_config": blas.get("openblas configuration"),
+                "blas": build.get("name"),
+                "blas_version": build.get("version"),
+                "blas_config": build.get("openblas configuration"),
                 "blas_threads": {
                     name: os.environ.get(name)
                     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
                 },
+                "blas_threads_in_effect": in_effect["threads"],
+                "blas_core": in_effect["core"],
             },
             "config_sha256": reporting.config_digest(resolved),
         },
@@ -249,7 +254,7 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
     ]
     if parallel:
         # initializer, not fork inheritance: the start method may be spawn
-        with ProcessPoolExecutor(max_workers=min(4, len(jobs)), initializer=keep_heap) as pool:
+        with ProcessPoolExecutor(max_workers=min(4, len(jobs)), initializer=own_process) as pool:
             summaries = list(pool.map(run_single, jobs, [data] * len(jobs)))
     else:
         summaries = [run_single(job, data) for job in jobs]
@@ -375,8 +380,15 @@ def cmd_check(_: argparse.Namespace) -> int:
     return 3 if failures else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def own_process() -> None:
+    """Set up a process that trains: glibc's heap thresholds fixed and
+    OpenBLAS on one thread (see heap.py and blas.py)."""
     keep_heap()
+    blas.one_thread()
+
+
+def main(argv: list[str] | None = None) -> int:
+    own_process()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,7 +1,8 @@
 """Fixed glibc heap thresholds for a process that trains.
 
-A stock training step (batch 64) allocates and frees about 90 MiB of
-transient buffers; the largest is conv2's im2col `cols`, 27.6 MiB. With
+A stock training step (batch 64) allocates and frees about 65 MiB of
+transient buffers; the largest is the training forward's im2col `cols` of
+conv2, 27.6 MiB, kept for the backward's weight gradient. With
 glibc's dynamic thresholds, freeing such a buffer raises the trim threshold
 to twice its size, and the top of the heap is then handed back to the
 kernel after every step and faulted in again, zeroed, on the next one: about
@@ -17,8 +18,9 @@ adjustment off, so both are set:
                   of the heap stays mapped.
 
 The program never holds a buffer bigger than a training step's for long:
-inference runs the conv trunk in pieces sized by `MMAP_THRESHOLD` (see
-`models.SimpleCNN.midlayer`), so the kept heap does not raise peak memory.
+inference runs the conv trunk in pieces of a training batch and builds no
+full im2col matrix (see `models.SimpleCNN.midlayer`), so the kept heap does
+not raise peak memory.
 
 Only the process owner calls `keep_heap` (the CLI's `main`, its worker
 processes, the test session); importing this module changes nothing.

@@ -42,10 +42,12 @@ cache down to some rows, keeping the trunk's entries and rerunning only
 the head, so a training step on those rows costs no second trunk pass.
 
 Inference builds on it too. `SimpleCNN.midlayer` runs the trunk over
-pieces of a training batch's size (the im2col buffers of a 512-image chunk
-would be 231 MB) and keeps no cache; `head(midlayer(x))` then runs the head
-once over all of x's rows, so the logits hold the same bytes as those of
-one `forward(x)`.
+pieces of a training batch's size and keeps no cache: its convs fill their
+im2col columns one block of images at a time (`conv2d(..., keep_cols=False)`),
+so a 64-image piece peaks at about 16 MiB, where a 512-image chunk in one
+piece would hold 49 MiB in conv2's output alone. `head(midlayer(x))` then
+runs the head once over all of x's rows, so the logits hold the same bytes
+as those of one `forward(x)`.
 """
 
 from dataclasses import dataclass
@@ -151,9 +153,10 @@ class SimpleCNN:
         """The midlayer of `forward(x)`, byte for byte, without a cache.
 
         The trunk runs over pieces of `piece` images (by default
-        `trunk_piece`, 64 at the stock shapes), so inference never holds a
-        buffer bigger than a training step's. Each piece's cache is dropped
-        before the next piece runs.
+        `trunk_piece`, 64 at the stock shapes) and builds no full im2col
+        matrix, so inference never holds a buffer bigger than a training
+        step's. Each piece's activations are dropped before the next piece
+        runs.
         """
         cfg = self.cfg
         if piece is None:
@@ -161,7 +164,7 @@ class SimpleCNN:
         dtype = np.result_type(x.dtype, self.params["conv1_w"].value.dtype)
         out = np.empty((x.shape[0], cfg.conv2_channels, cfg.pooled_size, cfg.pooled_size), dtype)
         for start in range(0, x.shape[0], piece):
-            mid, h1, h2 = self._trunk(x[start : start + piece])[:3]
+            mid, h1, h2 = self._trunk(x[start : start + piece], keep_cols=False)[:3]
             try:
                 require_finite("pool", mid)
             except NumericsError:
@@ -176,13 +179,17 @@ class SimpleCNN:
         return self._head(mid)[0]
 
     def trunk_piece(self, dtype) -> int:
-        """Images per inference trunk piece: the largest power of two whose
-        biggest im2col buffer fits in `heap.MMAP_THRESHOLD`.
+        """Images per inference trunk piece: the largest power of two of
+        images whose training step keeps its biggest buffer, the training
+        forward's im2col matrix, under `heap.MMAP_THRESHOLD`.
 
-        A power of two, not simply the most that fit (74 at the stock
-        shapes): 64 images is a stock training batch, so the pieces reuse the
-        heap blocks a training step frees, where 74-image columns (31.9 MiB)
-        would need blocks of their own.
+        Inference builds no such matrix itself (see `midlayer`); the rule
+        sizes a piece like the largest training batch whose buffers all come
+        from the kept heap, so a piece's activations (conv outputs, ReLU
+        masks, pooling) have a training step's sizes and reuse the heap
+        blocks a step frees. A power of two, not simply the most that fit
+        (74 at the stock shapes), because 64 images is a stock training
+        batch, and a 74-image piece's activations would match no step's.
         """
         cfg = self.cfg
         taps = cfg.kernel_size * cfg.kernel_size * cfg.image_size * cfg.image_size
@@ -190,17 +197,19 @@ class SimpleCNN:
         fits = max(1, MMAP_THRESHOLD // per_image)
         return 1 << (fits.bit_length() - 1)
 
-    def _trunk(self, x: np.ndarray):
+    def _trunk(self, x: np.ndarray, keep_cols: bool = True):
         """conv1 -> ReLU -> conv2 -> pool -> ReLU; returns (mid [N,C,H/2,W/2],
         h1 (conv1's output, rectified in place), h2 (conv2's output), trunk
-        cache). h1 and h2 are [N,H,W,C]."""
+        cache). h1 and h2 are [N,H,W,C]. With keep_cols False the convs keep
+        no im2col columns, and the cache holds None for them."""
         if x.ndim != 4:
             raise ShapeError(f"images must be [N,C,H,W], got shape {tuple(x.shape)}")
         p = self.params
         x = x.transpose(0, 2, 3, 1)
-        h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, self.cfg.padding)
+        pad = self.cfg.padding
+        h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, pad, keep_cols=keep_cols)
         h1, m_relu1 = relu(h1)
-        h2, c_conv2 = conv2d(h1, p["conv2_w"].value, p["conv2_b"].value, self.cfg.padding)
+        h2, c_conv2 = conv2d(h1, p["conv2_w"].value, p["conv2_b"].value, pad, keep_cols=keep_cols)
         pooled, idx_pool = maxpool2x2(h2)
         pooled, m_relu2 = relu(pooled)
         mid = np.ascontiguousarray(pooled.transpose(0, 3, 1, 2))

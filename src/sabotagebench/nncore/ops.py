@@ -8,7 +8,7 @@ Conventions:
   - float dtype follows the inputs (float32 in training, float64 in grad
     checks); loss scalars accumulate in float64
 
-conv2d is im2col plus one GEMM, the bias added into the GEMM's output in
+conv2d is im2col plus a GEMM, the bias added into the GEMM's output in
 place. `cols` is [N*Ho*Wo, C*kh*kw] with columns in (c, kh, kw) order; it
 is filled by one copy per kernel tap from the channels-last (padded) input,
 and conv2d_backward adds dcols back tap by tap, in (kh, kw) order, into a
@@ -21,6 +21,26 @@ im2col version, so results are bit-identical to it. The K-major layout
 ([C*kh*kw, N*Ho*Wo], `wmat @ cols`) is cheaper to fill but swaps or
 transposes the GEMM operands; on small shapes NumPy and OpenBLAS then pick
 other kernels (GEMV, small-matrix GEMM) that round differently.
+
+Two of the GEMMs run one block of images at a time, so the full-size
+matrix is never allocated (conv2's is 27.6 MiB at the stock batch of 64):
+  - conv2d with keep_cols False (every inference pass) fills one block's
+    columns into one reused buffer and multiplies it into its rows of `y`;
+  - conv2d_backward computes dcols a block at a time and adds each block
+    into dx while it is still in cache.
+The training forward keeps one GEMM over the full `cols`, which its
+backward needs for dw; dw and db stay one GEMM and one sum over all rows.
+A row of a GEMM's output depends only on that row of its left operand, so
+a block of rows holds the bytes of the same rows of the whole GEMM as long
+as OpenBLAS runs the same kernel for both. It does at one thread (see
+blas.py) when M stays large: every block holds at least `_BLOCK_BYTES` of
+columns, the remainder folded into the last block, so only a batch smaller
+than one block step runs as a shorter block, and then as the very call the
+unblocked code made. At small shapes the kernel can change with M (the
+small-matrix and M-edge kernels), and a block's bytes can differ from the
+whole GEMM's; the stock shapes, and every SimpleCNN config tried, keep
+them, and the tests check the stock shapes at batches that fold a
+remainder.
 
 maxpool2x2 takes np.maximum over the four strided quarters of each 2x2
 window. The index is the first maximum in (0,0), (0,1), (1,0), (1,1) order,
@@ -54,20 +74,48 @@ def _check_image_batch(name: str, x: np.ndarray) -> None:
 
 # ---------------------------------------------------------------- conv2d
 
-# im2col and its scatter run over blocks of images whose columns fit in L2
+# im2col, its scatter and the blocked GEMMs run over blocks of images whose
+# columns take about _BLOCK_BYTES, so a block's columns are still in L2 when
+# the next step reads them
 _BLOCK_BYTES = 1 << 20
 
 
 def _image_blocks(n: int, image_bytes: int) -> list[slice]:
+    """Consecutive blocks of images that tile [0, n) in order. Every block
+    holds at least `step` images, the remainder folded into the last one, so
+    only a batch smaller than one step gives a shorter block (the whole
+    batch)."""
     step = max(1, _BLOCK_BYTES // max(1, image_bytes))
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    starts = list(range(0, max(1, n - step + 1), step))
+    return [slice(start, end) for start, end in zip(starts, starts[1:] + [n])]
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
+def _fill_cols(dst: np.ndarray, src: np.ndarray) -> None:
+    """im2col of a block: dst [B,Ho,Wo,C,kh,kw] from the padded src
+    [B,Hp,Wp,C], one copy per kernel tap."""
+    _, ho, wo, _, kh, kw = dst.shape
+    for i in range(kh):
+        for j in range(kw):
+            dst[..., i, j] = src[:, i : i + ho, j : j + wo]
+
+
+def _add_cols(dst: np.ndarray, src: np.ndarray) -> None:
+    """The adjoint of _fill_cols: add src [B,Ho,Wo,C,kh,kw] into the padded
+    dst [B,Hp,Wp,C], tap by tap in (kh, kw) order."""
+    _, ho, wo, _, kh, kw = src.shape
+    for i in range(kh):
+        for j in range(kw):
+            dst[:, i : i + ho, j : j + wo] += src[..., i, j]
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0,
+           keep_cols: bool = True):
     """Stride-1 2-D convolution (cross-correlation) with symmetric padding.
 
     x: [N,H,W,C], w: [K,C,kh,kw], b: [K] -> y: [N,H',W',K] where
-    H' = H + 2*padding - kh + 1.
+    H' = H + 2*padding - kh + 1. With keep_cols False the full im2col matrix
+    is never built (one block of images at a time goes through one reused
+    buffer) and the cache is None: a forward that no backward follows.
     """
     _check_image_batch("conv2d input", x)
     if w.ndim != 4:
@@ -84,24 +132,31 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
             f"conv2d kernel {kh}x{kw} larger than padded input {hp}x{wp}"
         )
     ho, wo = hp - kh + 1, wp - kw + 1
-    # cols: [N,Ho,Wo,C,kh,kw] -> [N*Ho*Wo, C*kh*kw], one copy per kernel tap
-    # from the padded input, a cache-sized block of images at a time
     if padding:
         xh = np.zeros((n, hp, wp, c), dtype=x.dtype)
         xh[:, padding : padding + h, padding : padding + wd] = x
     else:
         xh = x
-    cols = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
-    for blk in _image_blocks(n, cols[:1].nbytes):
-        dst, src = cols[blk], xh[blk]
-        for i in range(kh):
-            for j in range(kw):
-                dst[..., i, j] = src[:, i : i + ho, j : j + wo]
-    cols = cols.reshape(n * ho * wo, c * kh * kw)
     wmat = w.reshape(k, c * kh * kw)
-    y = cols @ wmat.T
+    # cols: [N,Ho,Wo,C,kh,kw] -> [N*Ho*Wo, C*kh*kw]
+    blocks = _image_blocks(n, ho * wo * c * kh * kw * x.dtype.itemsize)
+    if keep_cols:
+        cols = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
+        for blk in blocks:
+            _fill_cols(cols[blk], xh[blk])
+        cols = cols.reshape(n * ho * wo, c * kh * kw)
+        y = cols @ wmat.T
+        cache = (cols, wmat, w.shape, x.shape, padding)
+    else:
+        y = np.empty((n * ho * wo, k), dtype=np.result_type(x, w))
+        buf = np.empty((blocks[-1].stop - blocks[-1].start, ho, wo, c, kh, kw), dtype=x.dtype)
+        for blk in blocks:
+            cols = buf[: blk.stop - blk.start]
+            _fill_cols(cols, xh[blk])
+            rows = slice(blk.start * ho * wo, blk.stop * ho * wo)
+            np.matmul(cols.reshape(-1, c * kh * kw), wmat.T, out=y[rows])
+        cache = None
     y += b
-    cache = (cols, wmat, w.shape, x.shape, padding)
     return y.reshape(n, ho, wo, k), cache
 
 
@@ -110,7 +165,7 @@ def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
 
     dy and dx are channels-last like conv2d's output and input; with padding,
     dx is a view into the padded gradient buffer. With input_grad False, dx
-    is None and its GEMM and scatter are skipped; dw and db are the same
+    is None and its GEMMs and scatter are skipped; dw and db are the same
     bytes either way.
     """
     cols, wmat, wshape, xshape, padding = cache
@@ -123,15 +178,16 @@ def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
     dw = (dy2.T @ cols).reshape(wshape)
     if not input_grad:
         return None, dw, db
-    # dcols: [N,Ho,Wo,C,kh,kw]; each tap adds into the padded input gradient,
-    # a cache-sized block of images at a time
-    dcols = (dy2 @ wmat).reshape(n, ho, wo, c, kh, kw)
+    # dcols of one block of images at a time, [B*Ho*Wo, C*kh*kw] in one
+    # reused buffer, added into the padded input gradient while in cache
     dxh = np.zeros((n, hp, wp, c), dtype=dy.dtype)
-    for blk in _image_blocks(n, dcols[:1].nbytes):
-        dst, src = dxh[blk], dcols[blk]
-        for i in range(kh):
-            for j in range(kw):
-                dst[:, i : i + ho, j : j + wo] += src[..., i, j]
+    blocks = _image_blocks(n, ho * wo * c * kh * kw * dy.dtype.itemsize)
+    buf = np.empty(((blocks[-1].stop - blocks[-1].start) * ho * wo, c * kh * kw),
+                   dtype=np.result_type(dy, wmat))
+    for blk in blocks:
+        rows = slice(blk.start * ho * wo, blk.stop * ho * wo)
+        dcols = np.matmul(dy2[rows], wmat, out=buf[: rows.stop - rows.start])
+        _add_cols(dxh[blk], dcols.reshape(-1, ho, wo, c, kh, kw))
     return dxh[:, padding : padding + h, padding : padding + wd], dw, db
 
 

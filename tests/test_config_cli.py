@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sabotagebench import cli, reporting
+from sabotagebench import blas, cli, reporting
 from sabotagebench.config import (
     DEFAULTS,
     EXPERIMENTS,
@@ -32,7 +32,6 @@ from sabotagebench.config import (
     parse_override,
 )
 from sabotagebench.errors import ConfigError
-from sabotagebench.heap import keep_heap
 
 
 # --------------------------------------------------------------- overrides
@@ -676,7 +675,8 @@ class TestRunMetadata:
     reports stay byte-identical."""
 
     RESOURCES = {"peak_rss_mb", "minor_faults", "user_s", "sys_s"}
-    ENVIRONMENT = {"numpy", "blas", "blas_version", "blas_config", "blas_threads"}
+    ENVIRONMENT = {"numpy", "blas", "blas_version", "blas_config", "blas_threads",
+                   "blas_threads_in_effect", "blas_core"}
     THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
     def test_keys_and_report_bytes(self, baseline_dirs):
@@ -742,7 +742,70 @@ class TestRunMetadata:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=True)
-        assert made["initializer"] is keep_heap
+        assert made["initializer"] is cli.own_process
+        called = []
+        monkeypatch.setattr(cli, "keep_heap", lambda: called.append("heap"))
+        monkeypatch.setattr(cli.blas, "one_thread", lambda: called.append("blas"))
+        made["initializer"]()
+        assert called == ["heap", "blas"]
+
+
+# Runs in a fresh interpreter, since OpenBLAS reads OPENBLAS_NUM_THREADS
+# when it loads.
+_RUN = "import sys; from sabotagebench.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# Where the thread count showed: at two threads this run wrote another
+# model_checksum than at one
+_HARD_SEED_31 = [
+    "run", "hard", "--seed", "31",
+    "--set", "dataset.source=synthetic",
+    "--set", "dataset.synthetic_seed=31",
+    "--set", "dataset.synthetic_train=1024",
+    "--set", "dataset.synthetic_test=256",
+    "--set", "train.epochs=1",
+    "--set", "train.learning_rate=0.1",
+    "--set", "gate.epochs=1",
+]
+
+
+class TestBlasThreads:
+    """The CLI runs OpenBLAS on one thread, whatever OPENBLAS_NUM_THREADS
+    says, so the variable does not change a run's artifacts."""
+
+    def test_thread_variable_leaves_the_artifacts(self, tmp_path):
+        src = Path(cli.__file__).resolve().parent.parent
+        found = {}
+        for threads in ("2", "1"):
+            out = tmp_path / threads
+            env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+            subprocess.run(
+                [sys.executable, "-c", _RUN, *_HARD_SEED_31, "--out", str(out)],
+                env=dict(env, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                timeout=300,
+                check=True,
+            )
+            environment = json.loads((out / "metadata.json").read_text())["environment"]
+            assert environment["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+            if blas.in_effect()["threads"] is not None:
+                assert environment["blas_threads_in_effect"] == 1
+            found[threads] = _artifacts(out)
+            config = json.loads(found[threads].pop("config.json"))
+            assert config.pop("out_dir") == str(out)
+            found[threads]["config.json"] = config
+        assert found["2"] == found["1"]
+
+    def test_the_session_runs_one_thread(self):
+        effect = blas.in_effect()
+        if effect["threads"] is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        assert effect["threads"] == 1
+        assert isinstance(effect["core"], str) and effect["core"]
+
+    def test_nothing_to_set_without_a_bundled_openblas(self, monkeypatch):
+        monkeypatch.setattr(blas, "_library", lambda: None)
+        assert blas.one_thread() is False
+        assert blas.in_effect() == {"threads": None, "core": None}
 
 
 class TestRunAllLifestar:

@@ -141,9 +141,9 @@ class TestEngineMatchesOracle:
 def _channels_last_oracle():
     """The NCHW oracle ops behind the engine's channels-last call convention."""
 
-    def conv2d(x, w, b, padding=0):
+    def conv2d(x, w, b, padding=0, keep_cols=True):
         y, cache = oracle_ops.conv2d(nchw(x), w, b, padding)
-        return nhwc(y), cache
+        return nhwc(y), cache if keep_cols else None
 
     def conv2d_backward(dy, cache, input_grad=True):
         # the oracle always computes dx; models skips conv1's, which it discards

@@ -14,7 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_ops as oracle
-from sabotagebench.nncore.ops import conv2d, conv2d_backward, maxpool2x2, maxpool2x2_backward
+from sabotagebench.nncore.ops import (
+    _BLOCK_BYTES,
+    _image_blocks,
+    conv2d,
+    conv2d_backward,
+    maxpool2x2,
+    maxpool2x2_backward,
+)
 
 from conftest import nchw, nhwc
 
@@ -167,3 +174,51 @@ class TestPoolAgainstOracle:
         check_pool(x, dy)
         _, idx = maxpool2x2(nhwc(x))
         assert (nchw(idx) == tied[..., 0]).all()
+
+
+# conv1 and conv2 of the stock SimpleCNN: (C, K); 3x3 kernels, padding 1
+STOCK_CONVS = {"conv1": (1, 16), "conv2": (16, 32)}
+
+
+class TestBlockedConv:
+    """The GEMMs that run one block of images at a time (conv2d without
+    kept columns, the input gradient of conv2d_backward) keep the bytes of
+    one GEMM over the batch, at the stock shapes and at batch sizes that
+    leave a remainder to fold into the last block. Batches 1 and 64 are
+    covered by TestConvAgainstOracle.test_default_model_shapes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 65, 129])
+    @pytest.mark.parametrize("layer", sorted(STOCK_CONVS))
+    def test_forward_without_cols_keeps_the_bytes(self, rng, layer, n):
+        c, k = STOCK_CONVS[layer]
+        x = nhwc(relu(rng.normal(size=(n, c, 28, 28))).astype(np.float32))
+        kernel = rng.normal(size=(k, c, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=k).astype(np.float32)
+        y, cache = conv2d(x, kernel, bias, 1)
+        y_blocked, no_cache = conv2d(x, kernel, bias, 1, keep_cols=False)
+        assert no_cache is None
+        assert_same_bytes(y_blocked, y)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 65, 129])
+    def test_backward_matches_oracle(self, rng, n):
+        c, k = STOCK_CONVS["conv2"]
+        x = relu(rng.normal(size=(n, c, 28, 28))).astype(np.float32)
+        kernel = rng.normal(size=(k, c, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=k).astype(np.float32)
+        check_conv(x, kernel, bias, 1, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), image_bytes=st.integers(1, 3 * _BLOCK_BYTES))
+def test_image_blocks_tile_the_batch(n, image_bytes):
+    step = max(1, _BLOCK_BYTES // image_bytes)
+    blocks = _image_blocks(n, image_bytes)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [blk.stop - blk.start for blk in blocks]
+    if len(blocks) == 1:
+        assert sizes[0] == n
+    else:
+        # every block a full step, the remainder folded into the last one
+        assert sizes[:-1] == [step] * (len(blocks) - 1)
+        assert step <= sizes[-1] < 2 * step
