@@ -1,19 +1,12 @@
 """One OpenBLAS thread per process.
 
 OpenBLAS splits a large GEMM over its threads, and the split changes how
-the GEMM's sums round: a `run hard` at one thread and at two wrote
-different model checksums. "Same seed and config in, byte-identical
-reports out" therefore holds only at a fixed thread count, so every process
-that trains runs one thread, whatever OPENBLAS_NUM_THREADS says. One thread
-is also the count whose row-blocked GEMMs `nncore.ops` checks byte for
-byte.
-
-The count is set through numpy's bundled OpenBLAS (`libscipy_openblas64_`,
-in `numpy.libs` or `numpy/.dylibs`), whose exported `ctypes` symbols read
-and set it at run time. Where numpy bundles no such library, `one_thread`
-does nothing and `in_effect` reports None, as `heap.keep_heap` does off
-glibc.
-
+its sums round: a `run hard` at one thread and at two wrote different model
+checksums. So every process that trains runs one thread, whatever
+OPENBLAS_NUM_THREADS says, and its reports keep their bytes. The count is
+set through the `ctypes` symbols of numpy's bundled OpenBLAS
+(`libscipy_openblas64_`); where numpy bundles none, `one_thread` does
+nothing and `in_effect` reports None, as `heap.keep_heap` does off glibc.
 Only the process owner calls `one_thread` (the CLI's `main`, its worker
 processes, the test session); importing this module changes nothing.
 """

@@ -22,25 +22,22 @@ im2col version, so results are bit-identical to it. The K-major layout
 transposes the GEMM operands; on small shapes NumPy and OpenBLAS then pick
 other kernels (GEMV, small-matrix GEMM) that round differently.
 
-Two of the GEMMs run one block of images at a time, so the full-size
-matrix is never allocated (conv2's is 27.6 MiB at the stock batch of 64):
-  - conv2d with keep_cols False (every inference pass) fills one block's
-    columns into one reused buffer and multiplies it into its rows of `y`;
-  - conv2d_backward computes dcols a block at a time and adds each block
-    into dx while it is still in cache.
-The training forward keeps one GEMM over the full `cols`, which its
-backward needs for dw; dw and db stay one GEMM and one sum over all rows.
-A row of a GEMM's output depends only on that row of its left operand, so
-a block of rows holds the bytes of the same rows of the whole GEMM as long
-as OpenBLAS runs the same kernel for both. It does at one thread (see
-blas.py) when M stays large: every block holds at least `_BLOCK_BYTES` of
-columns, the remainder folded into the last block, so only a batch smaller
-than one block step runs as a shorter block, and then as the very call the
-unblocked code made. At small shapes the kernel can change with M (the
-small-matrix and M-edge kernels), and a block's bytes can differ from the
-whole GEMM's; the stock shapes, and every SimpleCNN config tried, keep
-them, and the tests check the stock shapes at batches that fold a
-remainder.
+Two GEMMs run one block of images at a time, so their full-size matrix
+(conv2's is 27.6 MiB at batch 64) is never allocated: conv2d with
+keep_cols False (every inference pass) fills one block's columns into a
+reused buffer and multiplies it into its rows of `y`, and conv2d_backward
+computes dcols a block at a time and adds each into dx while it is in
+cache. The training forward keeps one GEMM over the full `cols`, which dw
+reads; dw and db stay one GEMM and one sum over all rows. A GEMM's output
+row depends only on its row of the left operand, so a block keeps the
+bytes of the whole GEMM's rows as long as OpenBLAS runs the same kernel
+for both. At one thread (see blas.py) it does while M stays large: each
+block holds at least `_BLOCK_BYTES` of columns, the remainder folded into
+the last block, so only a batch smaller than one step runs shorter, and
+then as the one unblocked call. At small shapes OpenBLAS's small-matrix
+and M-edge kernels can round a block differently; the stock shapes and
+every SimpleCNN config tried keep their bytes, and the tests check the
+stock shapes at batches that fold a remainder.
 
 maxpool2x2 takes np.maximum over the four strided quarters of each 2x2
 window. The index is the first maximum in (0,0), (0,1), (1,0), (1,1) order,
