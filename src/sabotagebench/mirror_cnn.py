@@ -211,11 +211,17 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
             gate.backward(bce_with_logits_backward(probs, t).astype(np.float32), cache)
             sgd_step(gate.params, learning_rate)
     if boundary_fraction is not None:
+        # Score in chunks of a training batch, whose features reuse the heap
+        # blocks that training freed (512-pair chunks needed 25.7 MB each at
+        # the stock shapes). The chunk is even, as the pair count is
+        # (balanced modes), so no chunk has 1 row: a 1-row GEMM runs through
+        # GEMV, which rounds differently from the same row of a larger chunk.
+        chunk = batch_size + batch_size % 2
         chunks = []
-        for start in range(0, pairs.count, 512):
+        for start in range(0, pairs.count, chunk):
             # index, not unpack: a cache bound to a name would hold this
-            # chunk's features (25.7 MB at 512 stock pairs) through the next
-            logits = gate.forward(pairs.features(slice(start, start + 512)), train=False)[1]
+            # chunk's features through the next
+            logits = gate.forward(pairs.features(slice(start, start + chunk)), train=False)[1]
             chunks.append(logits)
         logits = np.concatenate(chunks)
         self_mean = logits[targets == 1.0].mean()
@@ -225,8 +231,11 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
     return gate
 
 
-def eval_pairs(gate: MlpBinary, pairs: PairSet, batch_size: int = 256) -> dict:
-    """Accuracy per mode (score >= 0.5 reads as self) plus overall."""
+def eval_pairs(gate: MlpBinary, pairs: PairSet, batch_size: int = 256,
+               joint: tuple[str, ...] = ()) -> dict:
+    """Accuracy per mode (score >= 0.5 reads as self) plus overall; with
+    `joint` modes, also "joint": the accuracy over those modes' pairs
+    together, from the same scores."""
     scores = []
     for start in range(0, pairs.count, batch_size):
         scores.append(gate.forward(pairs.features(slice(start, start + batch_size)))[0])
@@ -235,6 +244,8 @@ def eval_pairs(gate: MlpBinary, pairs: PairSet, batch_size: int = 256) -> dict:
     out = {"overall": float(correct.mean())}
     for mode in np.unique(pairs.modes):
         out[str(mode)] = float(correct[pairs.modes == mode].mean())
+    if joint:
+        out["joint"] = float(correct[np.isin(pairs.modes, joint)].mean())
     return out
 
 
@@ -324,6 +335,8 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     err_a = _plain_test_error(net_a, test_set, emb_a)
     emb_b = extract_embeddings(net_b, test_set.images)
     err_b = _plain_test_error(net_b, test_set, emb_b)
+    checksum_a, checksum_b = net_a.params.checksum(), net_b.params.checksum()
+    del net_a, net_b  # the pair gate trains without the nets' 12.8 MB
     table = pair_table(emb_a, emb_b)
     del emb_a, emb_b  # the table holds copies; the pair gate trains without these
     perm = stream(seed, "mirror/pools").permutation(test_set.count)
@@ -342,23 +355,20 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
                    MODE_SEMISELF: cfg.eval_pairs_per_mode}
     eval_set = build_pair_set(table, eval_pool, eval_counts,
                               stream(seed, "mirror/pairs/eval"))
-    acc = eval_pairs(gate, eval_set)
-    # self and cross come first: the self-vs-cross set is their index rows
-    base_rows = slice(0, 2 * cfg.eval_pairs_per_mode)
-    base = eval_pairs(gate, PairSet(table, eval_set.rows[base_rows], eval_set.modes[base_rows]))
+    acc = eval_pairs(gate, eval_set, joint=(MODE_SELF, MODE_CROSS))
 
     report = MirrorCnnReport(seed=seed)
     report.test_error_a = err_a
     report.test_error_b = err_b
     report.self_accuracy = acc[MODE_SELF]
     report.cross_accuracy = acc[MODE_CROSS]
-    report.self_vs_cross_accuracy = base["overall"]
+    report.self_vs_cross_accuracy = acc["joint"]
     report.semiself_accuracy = acc[MODE_SEMISELF]
     report.train_counts = train_pairs.counts
     report.eval_counts = eval_counts
     report.extras = {
-        "net_a_checksum": net_a.params.checksum(),
-        "net_b_checksum": net_b.params.checksum(),
+        "net_a_checksum": checksum_a,
+        "net_b_checksum": checksum_b,
         "embedding_dim": int(table.shape[1]),
         "train_pool_size": int(train_pool.size),
         "eval_pool_size": int(eval_pool.size),

@@ -13,11 +13,11 @@ window whose entries are all negative pools to -0.0 either way (max * 0
 here, the ReLU's -0.0 entries there). Only the index of such a window moves,
 from the first of four tied zeros to the first raw maximum. Its gradient is
 dy * 0 either way, a zero with dy's sign, now at another position of
-conv2's gradient; a zero's sign only shows in a sum of zeros, and `grad +=`
-into the zeroed gradient buffers turns such a -0.0 into +0.0, so every
-parameter keeps its bytes. (A conv2 output of exactly +0.0 next to
-negatives would pool to +0.0 here and to -0.0 there; no later sum sees the
-sign.)
+conv2's gradient; a zero's sign only shows in a sum of zeros, and the conv
+layers' `grad +=` into the zeroed gradient buffers turns such a -0.0 into
++0.0, so every parameter keeps its bytes. (A conv2 output of exactly +0.0
+next to negatives would pool to +0.0 here and to -0.0 there; no later sum
+sees the sign.)
 
 Each ReLU writes over its input (nncore.relu), so the first overwrites
 conv1's output: `x * mask` keeps the -0.0 of a negative value and keeps a
@@ -112,7 +112,7 @@ class SimpleCNN:
 
     `n_outputs` defaults to the class count; the integrated rejection model
     passes n_classes + 1. Forward is pure (cache returned to the caller);
-    backward accumulates gradients into the ParamSet.
+    backward fills the ParamSet's zeroed gradient buffers (see ParamSet).
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, n_outputs: int | None = None):
@@ -263,14 +263,12 @@ class SimpleCNN:
         return logits
 
     def backward(self, dlogits: np.ndarray, cache) -> None:
-        """Accumulate parameter gradients for one forward pass."""
+        """Fill the zeroed gradient buffers for one forward pass."""
         p = self.params
-        da3, dw, db = linear_backward(dlogits, cache["fc2"])
-        p["fc2_w"].grad += dw
+        da3, _, db = linear_backward(dlogits, cache["fc2"], dw_out=p["fc2_w"].grad)
         p["fc2_b"].grad += db
         df1 = relu_backward(da3, cache["relu3"])
-        dflat, dw, db = linear_backward(df1, cache["fc1"])
-        p["fc1_w"].grad += dw
+        dflat, _, db = linear_backward(df1, cache["fc1"], dw_out=p["fc1_w"].grad)
         p["fc1_b"].grad += db
         dmid = dflat.reshape(cache["mid_shape"]).transpose(0, 2, 3, 1)
         dpooled = relu_backward(dmid, cache["relu2"])
@@ -349,11 +347,9 @@ class MlpBinary:
     def backward(self, dlogits: np.ndarray, cache) -> None:
         p = self.params
         dz = dlogits[:, None]
-        dd, dw, db = linear_backward(dz, cache["fc2"])
-        p["w2"].grad += dw
+        dd, _, db = linear_backward(dz, cache["fc2"], dw_out=p["w2"].grad)
         p["b2"].grad += db
         da = dropout_backward(dd, cache["drop"])
         dh = relu_backward(da, cache["relu"])
-        _, dw, db = linear_backward(dh, cache["fc1"], input_grad=False)
-        p["w1"].grad += dw
+        _, _, db = linear_backward(dh, cache["fc1"], input_grad=False, dw_out=p["w1"].grad)
         p["b1"].grad += db

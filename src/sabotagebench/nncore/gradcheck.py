@@ -17,8 +17,8 @@ def grad_check(loss_fn, params: ParamSet, epsilon: float = 1e-5) -> float:
     """Return the worst relative error between analytic and numeric gradients.
 
     `loss_fn(backward: bool) -> float` must compute the scalar loss from the
-    current parameter values, accumulating gradients into `params` only when
-    `backward` is True. Relative error per element is
+    current parameter values, filling the zeroed gradients of `params` only
+    when `backward` is True. Relative error per element is
     |a - n| / max(1, |a|, |n|), so near-zero gradients are compared absolutely.
     """
     if not 1e-6 <= epsilon <= 1e-3:

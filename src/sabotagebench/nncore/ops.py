@@ -282,12 +282,15 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return x @ w + b, (x, w)
 
 
-def linear_backward(dy: np.ndarray, cache, input_grad: bool = True):
+def linear_backward(dy: np.ndarray, cache, input_grad: bool = True,
+                    dw_out: np.ndarray | None = None):
     """Gradients of linear: returns (dx, dw, db); dx is None, and not
-    computed, when input_grad is False."""
+    computed, when input_grad is False. With `dw_out`, the weight gradient's
+    GEMM writes into that buffer, which is returned as dw, and allocates no
+    weight-sized array."""
     x, w = cache
     dx = dy @ w.T if input_grad else None
-    dw = x.T @ dy
+    dw = np.matmul(x.T, dy, out=dw_out)
     db = dy.sum(axis=0, dtype=dy.dtype)
     return dx, dw, db
 

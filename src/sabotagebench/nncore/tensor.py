@@ -25,7 +25,7 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float3
 
 @dataclass
 class Param:
-    """One named tensor plus its gradient accumulator of identical shape."""
+    """One named tensor plus its gradient buffer of identical shape."""
 
     value: np.ndarray
     grad: np.ndarray
@@ -34,9 +34,14 @@ class Param:
 class ParamSet:
     """Ordered, named collection of parameters with gradient buffers.
 
-    Gradients accumulate (+=) during backward passes and are zeroed by the
-    optimizer step; `checksum()` hashes names, shapes and raw bytes so frozen
-    phases can prove bit-identity.
+    A backward pass expects zeroed gradient buffers, as the optimizer step
+    and `zero_grads` leave them, and fills them with one pass's gradients:
+    the linear layers' weight gradients are written (their GEMM's output
+    buffer), the rest are added (+=). So two backward passes before a step
+    do not sum. A written gradient keeps a -0.0 that the add would make
+    +0.0; `sgd_step` says why no parameter sees the difference.
+    `checksum()` hashes names, shapes and raw bytes so frozen phases can
+    prove bit-identity.
     """
 
     def __init__(self) -> None:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle_backward
 import oracle_inference as oracle
 import oracle_pairs
 from sabotagebench import heap
@@ -26,13 +27,14 @@ from sabotagebench.mirror_cnn import (
     MODE_CROSS,
     MODE_SELF,
     MODE_SEMISELF,
+    PairSet,
     build_pair_set,
     eval_pairs,
     pair_table,
     train_pair_gate,
 )
 from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings
-from sabotagebench.nncore import softmax
+from sabotagebench.nncore import relu, softmax
 from sabotagebench.quarantine import decide
 from sabotagebench.training import (
     PipelineConfig,
@@ -182,6 +184,88 @@ def test_pair_gate_matches_oracle(per_mode, boundary_fraction):
     held = _pairs(np.random.default_rng(per_mode + 1), per_mode + 100)
     assert eval_pairs(gate, held) == oracle.eval_pairs(expected, held)
     assert eval_pairs(gate, held, batch_size=7) == oracle.eval_pairs(expected, held, batch_size=7)
+
+
+@pytest.mark.parametrize("per_mode", [1, 133, 300])
+def test_joint_accuracy_equals_scoring_those_modes_alone(per_mode):
+    # self and cross come first in an eval set, as in run_mirror_experiment;
+    # scoring their rows as a set of their own ends in another chunk layout
+    # (133 per mode: a 10-row last chunk there, 143 rows here)
+    held = _pairs(np.random.default_rng(per_mode), per_mode)
+    gate = train_pair_gate(_pairs(np.random.default_rng(7), 20, semiself=False),
+                           seed=5, hidden=16, epochs=1)
+    rows = slice(0, 2 * per_mode)
+    base = PairSet(held.table, held.rows[rows], held.modes[rows])
+    for batch_size in (256, 7):
+        got = eval_pairs(gate, held, batch_size, joint=(MODE_SELF, MODE_CROSS))
+        assert got["joint"] == eval_pairs(gate, base, batch_size)["overall"]
+        assert {k: v for k, v in got.items() if k != "joint"} == eval_pairs(gate, held, batch_size)
+
+
+def _relu_pairs(rng, n_per_mode, dim, dead):
+    """Self and cross pairs of ReLU'd embeddings whose first `dead` features
+    are 0 in every row; the ReLU keeps the -0.0 of a negative input, as the
+    midlayer's does."""
+    emb_a, emb_b = (relu(rng.normal(size=(30, dim)).astype(np.float32))[0] for _ in "ab")
+    emb_a[:, :dead] = 0.0
+    emb_b[:, :dead] = -0.0
+    return build_pair_set(pair_table(emb_a, emb_b), np.arange(30),
+                          _counts(n_per_mode, semiself=False), rng)
+
+
+@pytest.mark.parametrize("batch_size", [64, 63])
+def test_pair_gate_matches_the_adding_backward(monkeypatch, batch_size):
+    # dead features and dead hidden units make rows of zeros in the weight
+    # gradients, where a GEMM may write -0.0 and `grad +=` made +0.0
+    # (OpenBLAS's sgemm writes +0.0 there; test_nncore_ops steps a written
+    # -0.0). The oracle also scores the boundary in 512-pair chunks. 289
+    # pairs per mode leave a short last chunk at either chunk size.
+    train = _relu_pairs(np.random.default_rng(3), 289, 40, dead=10)
+    kwargs = dict(seed=5, hidden=16, epochs=2, batch_size=batch_size)
+    gate = train_pair_gate(train, **kwargs)
+    monkeypatch.setattr(oracle, "MlpBinary", oracle_backward.AddingMlp)
+    expected = oracle.train_pair_gate(train, **kwargs)
+    assert type(expected) is oracle_backward.AddingMlp
+    assert gate.params.checksum() == expected.params.checksum()
+
+
+@pytest.mark.parametrize("per_mode", [32, 289])
+@pytest.mark.parametrize("batch_size", [1, 63, 64])
+def test_boundary_chunks_never_hold_one_pair(monkeypatch, per_mode, batch_size):
+    # A balanced pair count is even and the boundary chunk is rounded up to
+    # an even size, so the last chunk is never a lone pair, whose 1-row GEMM
+    # would run through GEMV and round differently (64 pairs in chunks of 63
+    # would leave one).
+    sizes = []
+    forward = MlpBinary.forward
+
+    def spy(gate, x, train=False, rng=None):
+        if not train:
+            sizes.append(x.shape[0])
+        return forward(gate, x, train, rng)
+
+    monkeypatch.setattr(MlpBinary, "forward", spy)
+    pairs = _pairs(np.random.default_rng(per_mode), per_mode, semiself=False)
+    train_pair_gate(pairs, seed=5, hidden=8, epochs=1, batch_size=batch_size)
+    assert sum(sizes) == pairs.count
+    assert min(sizes) >= 2 and max(sizes) <= batch_size + 1
+
+
+@pytest.mark.parametrize("count", [578, 2000])
+def test_boundary_logits_do_not_depend_on_the_chunk(count):
+    # stock width: 6272 floats per embedding, the stock 256 hidden units
+    rng = np.random.default_rng(count)
+    table = relu(rng.normal(size=(2 * 50, 6272)).astype(np.float32))[0]
+    pairs = build_pair_set(table, np.arange(50), _counts(count // 2, semiself=False), rng)
+    gate = MlpBinary(GateConfig(2 * 6272, 256, dropout=0.0), np.random.default_rng(1))
+
+    def logits(chunk):
+        return np.concatenate([
+            gate.forward(pairs.features(slice(start, start + chunk)))[1]
+            for start in range(0, pairs.count, chunk)
+        ])
+
+    assert logits(64).tobytes() == logits(512).tobytes()
 
 
 # -------------------------------------------------------------------- heap

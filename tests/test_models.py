@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_ops
+from oracle_backward import AddingCNN
 from oracle_training import _train_step
 from oracle_trunk import ReluThenPoolCNN
 from sabotagebench import models
@@ -257,6 +258,23 @@ class TestPoolBeforeReluMatchesOracle:
         moved = cache["pool_idx"] != o_cache["pool_idx"]
         assert moved.mean() > 0.05
         assert (mid == 0).mean() > 0.2
+
+
+class TestWrittenGradientsMatchOracle:
+    """Writing the linear layers' weight gradients into the zeroed buffers
+    leaves the parameters of the adding backward (`oracle_backward`) after a
+    stock step, at a full batch and at one row, whose weight gradients are
+    outer products."""
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_stock_step(self, n):
+        x, labels = _stock_batch(21, n)
+        models_ = [cls(ModelConfig(), np.random.default_rng(11)) for cls in (SimpleCNN, AddingCNN)]
+        for model in models_:
+            logits, _, cache = model.forward(x)
+            _fit_step(model, logits, cache, labels, np.ones(n), lr=0.1)
+        engine, oracle = models_
+        assert engine.params.checksum() == oracle.params.checksum()
 
 
 class TestNarrowedCache:

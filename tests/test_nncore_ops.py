@@ -201,6 +201,20 @@ class TestWithoutInputGrad:
         assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
 
 
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_linear_weight_gradient_written_into_a_buffer(self, rng, n):
+        x = rng.normal(size=(n, 300)).astype(np.float32)
+        w = rng.normal(size=(300, 16)).astype(np.float32)
+        _, cache = linear(x, w, np.zeros(16, dtype=np.float32))
+        dy = rng.normal(size=(n, 16)).astype(np.float32)
+        dx, dw, db = linear_backward(dy, cache)
+        buffer = np.full_like(w, np.nan)
+        dx_out, dw_out, db_out = linear_backward(dy, cache, dw_out=buffer)
+        assert dw_out is buffer
+        for got, expected in ((dx_out, dx), (dw_out, dw), (db_out, db)):
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestSoftmaxCrossEntropy:
     def test_softmax_rows_sum_to_one(self, rng):
         p = softmax(rng.normal(size=(6, 10)).astype(np.float32))
@@ -339,6 +353,26 @@ class TestOptimizer:
         sgd_step(params, 0.1)
         np.testing.assert_allclose(params["w"].value, 0.8)
         np.testing.assert_array_equal(params["w"].grad, 0.0)
+
+    def test_written_gradient_steps_like_an_added_one(self, rng):
+        # a written gradient keeps a -0.0 that `grad +=` into the zeroed
+        # buffer turned into +0.0; the step leaves every parameter the same
+        value = fan_in_uniform(rng, (60,), 60)
+        value[:6] = 0.0
+        dw = rng.normal(size=60).astype(np.float32)
+        dw[::3] = -0.0
+        dw[1::4] = 0.0
+        written, added = ParamSet(), ParamSet()
+        for params in (written, added):
+            params.add("w", value.copy())
+        written["w"].grad[...] = dw
+        added["w"].grad += dw
+        assert np.signbit(written["w"].grad).sum() > np.signbit(added["w"].grad).sum()
+        sgd_step(written, 0.1)
+        sgd_step(added, 0.1)
+        assert written.checksum() == added.checksum()
+        unmoved = (value == 0) & (dw == 0)
+        assert unmoved.sum() >= 2 and not np.signbit(written["w"].value[unmoved]).any()
 
     def test_nonfinite_gradient_rejected(self):
         params = ParamSet()

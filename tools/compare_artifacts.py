@@ -2,7 +2,7 @@
 the artifacts of the two runs.
 
     python3 tools/compare_artifacts.py REV EXPERIMENT [--seed N] [--set key=value ...]
-    python3 tools/compare_artifacts.py REV --workload NAME --seed N [--set key=value ...]
+    python3 tools/compare_artifacts.py REV --workload NAME|all --seed N [--set key=value ...]
 
 REV (a commit, branch or tag) is exported with `git archive` into a
 temporary directory. Each tree then runs
@@ -20,6 +20,8 @@ their own names.
 With --workload, the experiment and its settings are those of the named
 benchmark workload (`bench.workloads.WORKLOADS`), run as the benchmark
 runs it at seed N; --set items are applied after the workload's own.
+`--workload all` runs every workload in turn, and names each artifact
+`<workload>: <file>`.
 
 For each differing `.json` artifact, the dotted keys whose values differ
 follow the list, one per line (`report_hard_seed5.json: extras.model_checksum`;
@@ -107,8 +109,8 @@ def main(args: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment", nargs="?", help="experiment name or `all`, as for `sabotagebench run`"
     )
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        help="run a benchmark workload instead of EXPERIMENT")
+    parser.add_argument("--workload", choices=[*sorted(WORKLOADS), "all"],
+                        help="run a benchmark workload (or all of them) instead of EXPERIMENT")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     opts = parser.parse_args(args)
@@ -117,9 +119,9 @@ def main(args: list[str] | None = None) -> int:
     if opts.workload is not None and opts.seed is None:
         parser.error("--workload needs --seed")
 
-    def argv(out: Path) -> list[str]:
-        if opts.workload is not None:
-            cli_argv = WORKLOADS[opts.workload].argv(opts.seed, out)
+    def argv(workload: str | None, out: Path) -> list[str]:
+        if workload is not None:
+            cli_argv = WORKLOADS[workload].argv(opts.seed, out)
         else:
             cli_argv = ["run", opts.experiment, "--out", str(out)]
             if opts.seed is not None:
@@ -128,32 +130,39 @@ def main(args: list[str] | None = None) -> int:
             cli_argv += ["--set", item]
         return cli_argv
 
+    workloads = sorted(WORKLOADS) if opts.workload == "all" else [opts.workload]
     with tempfile.TemporaryDirectory(prefix="compare_artifacts_") as tmp:
         tmp = Path(tmp)
         old_tree = tmp / "tree"
         old_tree.mkdir()
         export(opts.rev, old_tree)
-        found, outs = {}, []
-        for label, tree in ((opts.rev, old_tree), ("working tree", ROOT)):
-            out = tmp / f"out_{len(found)}"
-            cli_argv = argv(out)
-            code = run(tree, cli_argv)
-            if code != 0:
-                print(f"{label}: `sabotagebench {' '.join(cli_argv)}` exited with {code}")
-                return 2
-            found[label] = tree_digests(out)
-            outs.append(out)
+        differ_total = total = 0
+        for workload in workloads:
+            prefix = "" if len(workloads) == 1 else f"{workload}: "
+            found, outs = {}, []
+            for label, tree in ((opts.rev, old_tree), ("working tree", ROOT)):
+                out = tmp / f"out_{workload}_{len(found)}"
+                cli_argv = argv(workload, out)
+                code = run(tree, cli_argv)
+                if code != 0:
+                    print(f"{label}: `sabotagebench {' '.join(cli_argv)}` exited with {code}")
+                    return 2
+                found[label] = tree_digests(out)
+                outs.append(out)
 
-        old, new = found.values()
-        differ = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
-        for name in sorted(old.keys() | new.keys()):
-            print(f"{'DIFFERS' if name in differ else 'same   '} {name}")
-        print(f"{len(differ)} of {len(old.keys() | new.keys())} artifacts differ")
-        for name in differ:
-            if name.endswith(".json") and name in old and name in new:
-                for key in json_keys(name, *outs):
-                    print(f"{name}: {key}")
-    return 1 if differ else 0
+            old, new = found.values()
+            names = sorted(old.keys() | new.keys())
+            differ = [name for name in names if old.get(name) != new.get(name)]
+            for name in names:
+                print(f"{'DIFFERS' if name in differ else 'same   '} {prefix}{name}")
+            for name in differ:
+                if name.endswith(".json") and name in old and name in new:
+                    for key in json_keys(name, *outs):
+                        print(f"{prefix}{name}: {key}")
+            differ_total += len(differ)
+            total += len(names)
+        print(f"{differ_total} of {total} artifacts differ")
+    return 1 if differ_total else 0
 
 
 if __name__ == "__main__":
