@@ -369,6 +369,7 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     report.extras = {
         "net_a_checksum": checksum_a,
         "net_b_checksum": checksum_b,
+        "pair_gate_checksum": gate.params.checksum(),
         "embedding_dim": int(table.shape[1]),
         "train_pool_size": int(train_pool.size),
         "eval_pool_size": int(eval_pool.size),

@@ -309,6 +309,22 @@ class TestConfigAndReport:
             "extras",
         }
 
+    def test_report_carries_the_pair_gate_checksum(self):
+        # a change to the gate's weights shows even where no decision flips
+        train = synthetic_mnist_set(120, seed=30, image_size=8)
+        test = synthetic_mnist_set(40, seed=31, image_size=8)
+        model = ModelConfig(**TINY_MODEL, image_size=8)
+        extras = [
+            run_mirror_experiment(
+                MirrorCnnConfig(subset_size=50, train_pairs_per_mode=20, eval_pairs_per_mode=10,
+                                gate_learning_rate=lr), model, 0, train, test).extras
+            for lr in (0.05, 0.06)
+        ]
+        assert len(extras[0]["pair_gate_checksum"]) == 64
+        assert extras[0]["pair_gate_checksum"] != extras[1]["pair_gate_checksum"]
+        assert extras[0]["net_a_checksum"] == extras[1]["net_a_checksum"]
+        assert extras[0]["net_b_checksum"] == extras[1]["net_b_checksum"]
+
     def test_degenerate_pool_split_rejected(self):
         train = synthetic_mnist_set(4, seed=30, image_size=8)
         test = synthetic_mnist_set(1, seed=31, image_size=8)
