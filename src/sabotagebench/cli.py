@@ -25,7 +25,6 @@ import argparse
 import os
 import resource
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +252,10 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
         for index, experiment in enumerate(ALL_METHODS)
     ]
     if parallel:
+        # imported here: every other run would pay for loading the process
+        # pool and multiprocessing at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         # initializer, not fork inheritance: the start method may be spawn
         with ProcessPoolExecutor(max_workers=min(4, len(jobs)), initializer=own_process) as pool:
             summaries = list(pool.map(run_single, jobs, [data] * len(jobs)))

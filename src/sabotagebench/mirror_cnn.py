@@ -109,29 +109,6 @@ def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
     return net
 
 
-def pair_table(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
-    """One [2T, dim] table of two nets' embeddings of the same T inputs:
-    A's rows, then B's."""
-    if emb_a.ndim != 2 or emb_b.ndim != 2:
-        raise ShapeError("embedding tables must be [count, dim]")
-    if emb_a.shape[1] != emb_b.shape[1]:
-        raise ShapeError(
-            f"embedding dims differ: {emb_a.shape[1]} vs {emb_b.shape[1]}"
-        )
-    if emb_a.shape[0] == 0 or emb_b.shape[0] == 0:
-        raise ValidationError("embedding tables must be nonempty")
-    if emb_a.shape[0] != emb_b.shape[0]:
-        raise ShapeError(
-            f"embedding tables must embed the same inputs, got {emb_a.shape[0]} "
-            f"and {emb_b.shape[0]} rows"
-        )
-    if emb_a.dtype != emb_b.dtype:
-        raise ValidationError(
-            f"embedding tables must share one dtype, got {emb_a.dtype} and {emb_b.dtype}"
-        )
-    return np.concatenate([emb_a, emb_b])
-
-
 def build_pairs(pool: np.ndarray, b_offset: int, mode: str,
                 rng: np.random.Generator, count: int) -> np.ndarray:
     """Table rows, [count, 2], of `count` pairs of one mode drawn from `pool`.
@@ -153,7 +130,7 @@ def build_pair_set(table: np.ndarray, pool: np.ndarray, counts: dict,
                    rng: np.random.Generator) -> PairSet:
     """Pairs of several modes, `counts[mode]` of each, in the dict's order.
 
-    `table` is a `pair_table`: net A's embeddings of T inputs, then net
+    `table`, [2T, dim], holds net A's embeddings of T inputs, then net
     B's. `pool` holds the inputs (0 <= pool < T) that the pairs draw from."""
     if table.ndim != 2 or table.shape[0] % 2:
         raise ShapeError(f"pair table must be [2T, dim], got {table.shape}")
@@ -210,6 +187,7 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
             _, probs = bce_with_logits(logits, t)
             gate.backward(bce_with_logits_backward(probs, t).astype(np.float32), cache)
             sgd_step(gate.params, learning_rate)
+    gate.params.drop_grads()
     if boundary_fraction is not None:
         # Score in chunks of a training batch, whose features reuse the heap
         # blocks that training freed (512-pair chunks needed 25.7 MB each at
@@ -275,6 +253,12 @@ class MirrorCnnConfig:
     def __post_init__(self) -> None:
         if self.subset_size < 1:
             raise ValidationError("subset_size must be >= 1")
+        for name in ("epochs", "batch_size", "gate_hidden", "gate_epochs"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("learning_rate", "gate_learning_rate"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0 < self.train_pool_fraction < 1:
             raise ValidationError(
                 f"train_pool_fraction must lie in (0, 1), got {self.train_pool_fraction}"
@@ -326,19 +310,23 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     )
     net_a = train_partial(sub_a, model_cfg, seed, "A", cfg.epochs,
                           cfg.batch_size, cfg.learning_rate)
+    del sub_a  # net B trains without subset A's images
     net_b = train_partial(sub_b, model_cfg, seed, "B", cfg.epochs,
                           cfg.batch_size, cfg.learning_rate)
+    del sub_b
 
-    # one trunk pass over the test set per net gives both its embeddings and
-    # its test error (the head over the embeddings)
-    emb_a = extract_embeddings(net_a, test_set.images)
-    err_a = _plain_test_error(net_a, test_set, emb_a)
-    emb_b = extract_embeddings(net_b, test_set.images)
-    err_b = _plain_test_error(net_b, test_set, emb_b)
+    # One trunk pass over the test set per net writes its embeddings into
+    # its half of the pair table (A's rows, then B's) and gives its test
+    # error (the head over that half).
+    count = test_set.count
+    dtype = np.result_type(test_set.images.dtype, net_a.params["conv1_w"].value.dtype)
+    table = np.empty((2 * count, model_cfg.feature_dim), dtype)
+    err_a = _plain_test_error(
+        net_a, test_set, extract_embeddings(net_a, test_set.images, out=table[:count]))
+    err_b = _plain_test_error(
+        net_b, test_set, extract_embeddings(net_b, test_set.images, out=table[count:]))
     checksum_a, checksum_b = net_a.params.checksum(), net_b.params.checksum()
-    del net_a, net_b  # the pair gate trains without the nets' 12.8 MB
-    table = pair_table(emb_a, emb_b)
-    del emb_a, emb_b  # the table holds copies; the pair gate trains without these
+    del net_a, net_b  # the pair gate trains without the nets' 6.4 MB
     perm = stream(seed, "mirror/pools").permutation(test_set.count)
     cut = pool_split(test_set.count, cfg.train_pool_fraction)
     train_pool, eval_pool = perm[:cut], perm[cut:]

@@ -149,20 +149,27 @@ class SimpleCNN:
         cache.update(head)
         return logits, mid, cache
 
-    def midlayer(self, x: np.ndarray, piece: int | None = None) -> np.ndarray:
+    def midlayer(self, x: np.ndarray, piece: int | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """The midlayer of `forward(x)`, byte for byte, without a cache.
 
         The trunk runs over pieces of `piece` images (by default
         `trunk_piece`, 64 at the stock shapes) and builds no full im2col
         matrix, so inference never holds a buffer bigger than a training
         step's. Each piece's activations are dropped before the next piece
-        runs.
+        runs. Each piece's midlayer is written into `out` when given (of the
+        result's shape and dtype), else into a new array.
         """
         cfg = self.cfg
         if piece is None:
             piece = self.trunk_piece(x.dtype)
         dtype = np.result_type(x.dtype, self.params["conv1_w"].value.dtype)
-        out = np.empty((x.shape[0], cfg.conv2_channels, cfg.pooled_size, cfg.pooled_size), dtype)
+        shape = (x.shape[0], cfg.conv2_channels, cfg.pooled_size, cfg.pooled_size)
+        if out is None:
+            out = np.empty(shape, dtype)
+        elif out.shape != shape or out.dtype != dtype:
+            raise ShapeError(f"midlayer output must be {dtype} {shape}, got "
+                             f"{out.dtype} {out.shape}")
         for start in range(0, x.shape[0], piece):
             mid, h1, h2 = self._trunk(x[start : start + piece], keep_cols=False)[:3]
             try:
@@ -288,14 +295,25 @@ def make_irm_model(cfg: ModelConfig, rng: np.random.Generator) -> SimpleCNN:
 
 
 def extract_embeddings(model: SimpleCNN, images: np.ndarray,
-                       batch_size: int | None = None) -> np.ndarray:
+                       batch_size: int | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Flattened post-pool mid-layer activations; never mutates parameters.
 
     The trunk runs in pieces of `batch_size` images (by default as in
-    `SimpleCNN.midlayer`); the head is not run.
+    `SimpleCNN.midlayer`); the head is not run. Given `out`, a C-contiguous
+    [N, feature_dim] array, the embeddings are written into it and it is
+    returned.
     """
-    mid = model.midlayer(images, piece=batch_size)
-    return mid.reshape(images.shape[0], model.cfg.feature_dim)
+    n, dim = images.shape[0], model.cfg.feature_dim
+    if out is not None:
+        if out.shape != (n, dim) or not out.flags.c_contiguous:
+            raise ShapeError(f"embedding output must be a contiguous [{n}, {dim}] array, "
+                             f"got {out.shape}")
+        size = model.cfg.pooled_size
+        model.midlayer(images, piece=batch_size,
+                       out=out.reshape(n, model.cfg.conv2_channels, size, size))
+        return out
+    return model.midlayer(images, piece=batch_size).reshape(n, dim)
 
 
 # -------------------------------------------------------------------- gate

@@ -1,7 +1,6 @@
 """Parameter containers and small tensor helpers."""
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +22,27 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float3
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-@dataclass
 class Param:
-    """One named tensor plus its gradient buffer of identical shape."""
+    """One named tensor plus its gradient buffer of identical shape, until
+    `ParamSet.drop_grads` drops the buffer; reading `grad` after that
+    raises ValidationError naming the parameter."""
 
-    value: np.ndarray
-    grad: np.ndarray
+    def __init__(self, name: str, value: np.ndarray) -> None:
+        self.name = name
+        self.value = value
+        self._grad = np.zeros_like(value)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            raise ValidationError(
+                f"parameter '{self.name}' has no gradient buffer: its training has ended"
+            )
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray | None) -> None:
+        self._grad = grad
 
 
 class ParamSet:
@@ -42,6 +56,10 @@ class ParamSet:
     +0.0; `sgd_step` says why no parameter sees the difference.
     `checksum()` hashes names, shapes and raw bytes so frozen phases can
     prove bit-identity.
+
+    When a set's training ends, `drop_grads` frees its gradient buffers:
+    a frozen or finished network needs only its values, and a later
+    backward pass or SGD step on it raises instead of training it.
     """
 
     def __init__(self) -> None:
@@ -50,8 +68,7 @@ class ParamSet:
     def add(self, name: str, value: np.ndarray) -> Param:
         if name in self._params:
             raise ValidationError(f"duplicate parameter name '{name}'")
-        value = np.ascontiguousarray(value)
-        param = Param(value=value, grad=np.zeros_like(value))
+        param = Param(name, np.ascontiguousarray(value))
         self._params[name] = param
         return param
 
@@ -64,6 +81,10 @@ class ParamSet:
     def zero_grads(self) -> None:
         for param in self._params.values():
             param.grad[...] = 0
+
+    def drop_grads(self) -> None:
+        for param in self._params.values():
+            param.grad = None
 
     def checksum(self) -> str:
         digest = hashlib.sha256()

@@ -305,7 +305,8 @@ def fit(model: SimpleCNN, report: RunReport, epochs: int, batches, policy, lr: f
     `Decision`). A logged policy adds a quarantine log row per batch and a
     flag-vs-sabotage confusion count per epoch. Each epoch appends its train
     error over the rows trained and, given a `test_set`, its plain test
-    error (NaN without one).
+    error (NaN without one). The model's training ends here, so its
+    gradient buffers are dropped on return.
     """
     for epoch in range(epochs):
         correct = trained = 0
@@ -337,6 +338,7 @@ def fit(model: SimpleCNN, report: RunReport, epochs: int, batches, policy, lr: f
             report.train_flag_counts.append({"epoch": epoch, "tp": tp, "fp": fp, "fn": fn, "tn": tn})
         test_error = float("nan") if test_set is None else _plain_test_error(model, test_set)
         report.epochs.append(EpochStats(epoch, 1.0 - correct / max(trained, 1), test_error))
+    model.params.drop_grads()
 
 
 def _sabotaged(cfg: PipelineConfig, data: MnistSet):
@@ -453,6 +455,7 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
             _, probs = bce_with_logits(logits, targets)
             gate.backward(bce_with_logits_backward(probs, targets).astype(np.float32), cache)
             sgd_step(gate.params, cfg.gate.learning_rate)
+    gate.params.drop_grads()
     if body.params.checksum() != frozen_checksum:
         raise WorkbenchError("frozen body parameters changed during gate pre-training")
 

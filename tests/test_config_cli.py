@@ -8,6 +8,7 @@ sizes so the whole file stays fast.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import gzip
 import hashlib
@@ -410,6 +411,22 @@ class TestRunExitCodes:
         assert "config error: mirror_cnn: gate_boundary_fraction" in capsys.readouterr().err
         assert not list(tmp_path.rglob("report_*"))
 
+    @pytest.mark.parametrize("leaf,value", [
+        ("batch_size", 0), ("epochs", 0), ("gate_epochs", 0), ("gate_hidden", 0),
+        ("learning_rate", -0.1), ("learning_rate", 0.0), ("gate_learning_rate", 0.0),
+    ])
+    def test_bad_mirror_leaf_fails_before_data_loads(self, tmp_path, capsys, monkeypatch,
+                                                     leaf, value):
+        def load_data(cfg):
+            raise AssertionError("data loaded for a bad config")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
+        argv = ["run", "mirror-cnn", "--out", str(tmp_path / "out"),
+                "--set", f"mirror_cnn.{leaf}={value}"]
+        assert cli.main(argv) == 1
+        assert f"config error: mirror_cnn: {leaf} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_null_boundary_fraction_is_accepted(self):
         cfg = parse_config(None, {"mirror_cnn.gate_boundary_fraction": None})
         assert cfg.section("mirror_cnn")["gate_boundary_fraction"] is None
@@ -740,7 +757,8 @@ class TestRunMetadata:
             def map(self, fn, jobs, data):
                 return [{"experiment": job.data["experiment"]} for job in jobs]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # run_all imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=True)
         assert made["initializer"] is cli.own_process
         called = []
@@ -748,6 +766,18 @@ class TestRunMetadata:
         monkeypatch.setattr(cli.blas, "one_thread", lambda: called.append("blas"))
         made["initializer"]()
         assert called == ["heap", "blas"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only `run all --parallel` needs one; every run would pay for its import
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sabotagebench.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 # Runs in a fresh interpreter, since OpenBLAS reads OPENBLAS_NUM_THREADS

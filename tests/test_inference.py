@@ -21,6 +21,7 @@ import pytest
 import oracle_backward
 import oracle_inference as oracle
 import oracle_pairs
+from oracle_table import pair_table
 from sabotagebench import heap
 from sabotagebench.errors import NumericsError
 from sabotagebench.mirror_cnn import (
@@ -30,7 +31,6 @@ from sabotagebench.mirror_cnn import (
     PairSet,
     build_pair_set,
     eval_pairs,
-    pair_table,
     train_pair_gate,
 )
 from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings

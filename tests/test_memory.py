@@ -15,14 +15,29 @@ w1-sized temporary; the peak, 36.8 MiB, is `fan_in_uniform`'s float64 draw
 of w1 (24.5 MiB) beside its float32 copy. With a fresh w1 gradient per step
 and 512-pair boundary chunks (25.7 MB of features each) it was 53.5 MiB.
 As the draw hides the step's buffers, one step of a gate built beforehand
-is bounded on its own: 3.1 MiB, 12.5 MiB with a fresh w1 gradient.
+is bounded on its own: 0.24 MiB, 3.1 MiB with a finiteness mask of the
+whole w1 gradient in `sgd_step`, 12.5 MiB with a fresh w1 gradient.
+
+The mirror experiment writes each net's test-set embeddings straight into
+its half of the pair table; with two embedding tables and their
+concatenated copy, the phase from the second net's training to the first
+pair set held twice the table.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sabotagebench.mirror_cnn import MODE_CROSS, MODE_SELF, build_pair_set, train_pair_gate
+from sabotagebench import mirror_cnn
+from sabotagebench.dataset import synthetic_mnist_set
+from sabotagebench.mirror_cnn import (
+    MODE_CROSS,
+    MODE_SELF,
+    MirrorCnnConfig,
+    build_pair_set,
+    run_mirror_experiment,
+    train_pair_gate,
+)
 from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN
 from sabotagebench.nncore import bce_with_logits, bce_with_logits_backward, sgd_step
 from sabotagebench.training import _fit_step
@@ -64,8 +79,8 @@ def test_training_step_builds_no_full_input_gradient_columns(stock_batch):
 
 def test_pair_gate_step_allocates_no_weight_gradient():
     # one 64-pair step at the stock widths, the gate and its batch built
-    # beforehand: 3.1 MiB (sgd_step's finiteness mask of w1's gradient),
-    # 12.5 MiB with a fresh w1 gradient
+    # beforehand: 0.24 MiB; 3.1 MiB with sgd_step's finiteness mask of the
+    # whole w1 gradient, 12.5 MiB with a fresh w1 gradient
     rng = np.random.default_rng(6)
     gate = MlpBinary(GateConfig(2 * 6272, 256, dropout=0.0), rng)
     x = np.maximum(rng.normal(size=(64, 2 * 6272)).astype(np.float32), 0)
@@ -77,7 +92,7 @@ def test_pair_gate_step_allocates_no_weight_gradient():
         gate.backward(bce_with_logits_backward(probs, targets).astype(np.float32), cache)
         sgd_step(gate.params, 0.05)
 
-    assert _peak_mib(step) < 8
+    assert _peak_mib(step) < 1
 
 
 def test_pair_gate_holds_no_weight_sized_temporaries():
@@ -86,3 +101,39 @@ def test_pair_gate_holds_no_weight_sized_temporaries():
     table = np.maximum(rng.normal(size=(2 * 64, 6272)).astype(np.float32), 0)
     pairs = build_pair_set(table, np.arange(64), {MODE_SELF: 512, MODE_CROSS: 512}, rng)
     assert _peak_mib(lambda: train_pair_gate(pairs, seed=5, hidden=256, epochs=1)) < 45
+
+
+def test_mirror_embeddings_fill_one_pair_table(monkeypatch):
+    # From the second net's training to the first pair set, the traced
+    # memory grows by the [2T, 6272] table and one trunk piece's activations
+    # (under 24 MiB, see test_midlayer_builds_no_full_im2col): 120.6 MiB at
+    # T = 2000, with a 95.7 MiB table. With two embedding tables and their
+    # concatenation it grew by 179.1 MiB.
+    train, test = synthetic_mnist_set(128, 30), synthetic_mnist_set(2000, 31)
+    cfg = MirrorCnnConfig(subset_size=64, train_pairs_per_mode=8, eval_pairs_per_mode=8,
+                          gate_hidden=4, gate_epochs=1)
+    train_partial, build = mirror_cnn.train_partial, mirror_cnn.build_pair_set
+    phase = {}
+
+    def trained(*args):
+        net = train_partial(*args)
+        phase["nets"] = phase.get("nets", 0) + 1
+        if phase["nets"] == 2:
+            phase["start"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return net
+
+    def paired(table, *args):
+        phase.setdefault("growth", tracemalloc.get_traced_memory()[1] - phase["start"])
+        phase["table"] = table.nbytes
+        return build(table, *args)
+
+    monkeypatch.setattr(mirror_cnn, "train_partial", trained)
+    monkeypatch.setattr(mirror_cnn, "build_pair_set", paired)
+    tracemalloc.start()
+    try:
+        run_mirror_experiment(cfg, ModelConfig(), 0, train, test)
+    finally:
+        tracemalloc.stop()
+    assert phase["table"] == 2 * 2000 * 6272 * 4
+    assert phase["growth"] < phase["table"] + 40 * MIB, phase

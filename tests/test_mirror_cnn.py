@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_pairs as oracle
+from oracle_table import pair_table
+from sabotagebench import mirror_cnn
 from sabotagebench.dataset import synthetic_mnist_set
 from sabotagebench.errors import ShapeError, ValidationError
 from sabotagebench.mirror_cnn import (
@@ -25,11 +27,11 @@ from sabotagebench.mirror_cnn import (
     PairSet,
     build_pair_set,
     eval_pairs,
-    pair_table,
     run_mirror_experiment,
     train_pair_gate,
 )
-from sabotagebench.models import ModelConfig, SimpleCNN
+from sabotagebench.models import ModelConfig, SimpleCNN, extract_embeddings
+from sabotagebench.training import _plain_test_error
 
 from conftest import TINY_MODEL
 
@@ -342,13 +344,42 @@ class TestTrunkPasses:
         rows = []
         midlayer = SimpleCNN.midlayer
 
-        def counted(self, x, piece=None):
+        def counted(self, x, piece=None, out=None):
             rows.append(x.shape[0])
-            return midlayer(self, x, piece)
+            return midlayer(self, x, piece, out)
 
         monkeypatch.setattr(SimpleCNN, "midlayer", counted)
         run_mirror_experiment(cfg, ModelConfig(**TINY_MODEL, image_size=8), 0, train, test)
         assert rows == [test.count, test.count]
+
+
+class TestPairTable:
+    def test_filled_in_place_equals_the_concatenated_embeddings(self, monkeypatch):
+        # stock shapes; 130 test images end each net's pass in a partial piece
+        train = synthetic_mnist_set(128, seed=30)
+        test = synthetic_mnist_set(130, seed=31)
+        cfg = MirrorCnnConfig(subset_size=64, train_pairs_per_mode=8, eval_pairs_per_mode=8,
+                              gate_hidden=4, gate_epochs=1)
+        nets, tables = [], []
+        train_partial, build = mirror_cnn.train_partial, mirror_cnn.build_pair_set
+
+        def trained(*args):
+            nets.append(train_partial(*args))
+            return nets[-1]
+
+        def paired(table, *args):
+            tables.append(table)
+            return build(table, *args)
+
+        monkeypatch.setattr(mirror_cnn, "train_partial", trained)
+        monkeypatch.setattr(mirror_cnn, "build_pair_set", paired)
+        report = run_mirror_experiment(cfg, ModelConfig(), 0, train, test)
+        expected = pair_table(*(extract_embeddings(net, test.images) for net in nets))
+        assert tables[0] is tables[1]
+        assert tables[0].dtype == expected.dtype and tables[0].tobytes() == expected.tobytes()
+        assert [report.test_error_a, report.test_error_b] == [
+            _plain_test_error(net, test) for net in nets
+        ]
 
 
 @pytest.mark.slow

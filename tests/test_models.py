@@ -10,7 +10,7 @@ from oracle_backward import AddingCNN
 from oracle_training import _train_step
 from oracle_trunk import ReluThenPoolCNN
 from sabotagebench import models
-from sabotagebench.errors import NumericsError, ValidationError
+from sabotagebench.errors import NumericsError, ShapeError, ValidationError
 from sabotagebench.models import (
     GateConfig,
     MlpBinary,
@@ -356,6 +356,21 @@ class TestEmbeddings:
         emb = extract_embeddings(model, x, batch_size=128)
         assert emb.dtype == mid.dtype
         assert emb.tobytes() == mid.reshape(300, -1).tobytes()
+
+    def test_written_into_a_given_table(self, rng):
+        model, cfg = tiny_model()
+        x = rng.random((7, 1, 8, 8)).astype(np.float32)
+        table = np.full((9, cfg.feature_dim), np.nan, dtype=np.float32)
+        half = table[2:]
+        assert extract_embeddings(model, x, batch_size=3, out=half) is half
+        assert half.tobytes() == extract_embeddings(model, x, batch_size=3).tobytes()
+        assert np.isnan(table[:2]).all()
+        with pytest.raises(ShapeError, match="contiguous"):
+            extract_embeddings(model, x, out=np.empty((7, 2 * cfg.feature_dim), np.float32)[:, ::2])
+        with pytest.raises(ShapeError, match="contiguous"):
+            extract_embeddings(model, x, out=table[1:])
+        with pytest.raises(ShapeError, match="float32"):
+            extract_embeddings(model, x, out=np.empty((7, cfg.feature_dim)))
 
     def test_does_not_mutate_params(self, rng):
         model, _ = tiny_model()

@@ -381,6 +381,32 @@ class TestOptimizer:
         with pytest.raises(NumericsError):
             sgd_step(params, 0.1)
 
+    @pytest.mark.parametrize("at", [0, (1 << 16) - 1, 1 << 16, 3 << 16, (3 << 16) + 6])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_found_in_any_slice(self, at, bad):
+        # the check reads the gradient 65536 entries at a time
+        params = ParamSet()
+        params.add("b", np.ones(3, dtype=np.float32))
+        params.add("w", np.ones((3 << 16) + 7, dtype=np.float32))
+        params["b"].grad += 1.0
+        params["w"].grad[at] = bad
+        with pytest.raises(NumericsError, match="'w'"):
+            sgd_step(params, 0.5)
+        np.testing.assert_array_equal(params["b"].value, 0.5)
+        np.testing.assert_array_equal(params["w"].value, 1.0)
+
+    def test_dropped_gradients_refuse_a_step(self):
+        params = ParamSet()
+        params.add("w", np.ones(2, dtype=np.float32))
+        params.add("b", np.ones(1, dtype=np.float32))
+        checksum = params.checksum()
+        params.drop_grads()
+        with pytest.raises(ValidationError, match="parameter 'w' has no gradient buffer"):
+            sgd_step(params, 0.1)
+        with pytest.raises(ValidationError, match="'b'"):
+            params["b"].grad
+        assert params.checksum() == checksum
+
 
 class TestInit:
     def test_fan_in_uniform_bounds_and_determinism(self):

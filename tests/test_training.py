@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 import oracle_training
+from sabotagebench import training
 from sabotagebench.dataset import SabotageConfig, synthetic_mnist_set
 from sabotagebench.errors import ValidationError
-from sabotagebench.mirror_cnn import train_partial
+from sabotagebench.mirror_cnn import (
+    MODE_CROSS,
+    MODE_SELF,
+    build_pair_set,
+    train_pair_gate,
+    train_partial,
+)
 from sabotagebench.models import ModelConfig, extract_embeddings
+from sabotagebench.nncore import sgd_step
 from sabotagebench.quarantine import AdaptiveControllerState
 from sabotagebench.training import (
     GateTrainConfig,
@@ -421,6 +429,69 @@ class TestPipelinesMatchOracle:
             assert error == expected_error
         else:
             assert math.isnan(expected_error)
+
+
+# --------------------------------------------------------------- lifetimes
+
+
+def _spy_fit(monkeypatch) -> list:
+    """The models that `fit` calls train, in call order."""
+    models = []
+    fit = training.fit
+
+    def spied(model, *args, **kwargs):
+        fit(model, *args, **kwargs)
+        models.append(model)
+
+    monkeypatch.setattr(training, "fit", spied)
+    return models
+
+
+def _assert_training_ended(net, x):
+    """`net` holds no gradient buffer, and an SGD step or a backward pass
+    over a forward of `x` raises ValidationError naming a parameter, with
+    every parameter left as it was."""
+    params = dict(net.params.items())
+    assert all(param._grad is None for param in params.values())
+    checksum = net.params.checksum()
+    with pytest.raises(ValidationError, match=f"'{next(iter(params))}' has no gradient buffer"):
+        sgd_step(net.params, 0.1)
+    out, _, cache = net.forward(x)
+    with pytest.raises(ValidationError, match="' has no gradient buffer: its training has ended"):
+        net.backward(np.ones_like(out), cache)
+    assert net.params.checksum() == checksum
+
+
+class TestTrainingDropsGradients:
+    """Whatever trains drops its gradient buffers when its training ends;
+    the frozen and finished networks keep only their values."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return synthetic_mnist_set(96, 41), synthetic_mnist_set(40, 42)
+
+    def test_pipeline_model(self, small, monkeypatch):
+        models = _spy_fit(monkeypatch)
+        train_baseline(tiny_pipeline("baseline"), *small)
+        (model,) = models
+        _assert_training_ended(model, small[1].images[:4])
+
+    def test_gate_body_and_gate(self, small, monkeypatch):
+        models = _spy_fit(monkeypatch)
+        asset = pretrain_gate(tiny_pipeline("hard"), small[0])
+        (body,) = models
+        _assert_training_ended(body, small[0].images[:4])
+        _assert_training_ended(asset.gate, extract_embeddings(body, small[0].images[:4]))
+
+    def test_mirror_net(self, small):
+        net = train_partial(small[0], ModelConfig(**ORACLE_MODEL), 6, "A", 1, 16, 0.1)
+        _assert_training_ended(net, small[1].images[:4])
+
+    def test_pair_gate(self, rng):
+        table = rng.normal(size=(40, 8)).astype(np.float32)
+        pairs = build_pair_set(table, np.arange(20), {MODE_SELF: 8, MODE_CROSS: 8}, rng)
+        gate = train_pair_gate(pairs, seed=0, hidden=4, epochs=1)
+        _assert_training_ended(gate, pairs.features(np.arange(4)))
 
 
 # ---------------------------------------------------------------- medium
