@@ -457,7 +457,7 @@ def _assert_training_ended(net, x):
     with pytest.raises(ValidationError, match=f"'{next(iter(params))}' has no gradient buffer"):
         sgd_step(net.params, 0.1)
     out, _, cache = net.forward(x)
-    with pytest.raises(ValidationError, match="' has no gradient buffer: its training has ended"):
+    with pytest.raises(ValidationError, match=r"parameter '\w+' has no gradient buffer"):
         net.backward(np.ones_like(out), cache)
     assert net.params.checksum() == checksum
 
