@@ -7,7 +7,7 @@ from .tensor import ParamSet
 
 # Gradient elements per finiteness check, so the check's bool mask is 64 KiB
 # whatever the parameter's size (a whole-gradient mask of the mirror pair
-# gate's first layer was 3.1 MiB).
+# gate's first layer would take 3.1 MiB).
 _FINITE_SLICE = 1 << 16
 
 
