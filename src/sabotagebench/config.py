@@ -50,9 +50,8 @@ SECTIONS = {
     "adaptive": AdaptiveControllerState,
     "mirror_cnn": MirrorCnnConfig,
 }
-# Owner fields no config sets: the model's fixed class count, input channels
-# and kernel, and the controller's running history.
-_NOT_LEAVES = {"n_classes", "in_channels", "kernel_size", "padding", "history"}
+# The one owner field no config sets: the controller's running history.
+_NOT_LEAVES = {"history"}
 
 
 def _leaves(owner) -> dict[str, Any]:

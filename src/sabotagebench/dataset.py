@@ -2,7 +2,10 @@
 
 Sabotage corrupts a sample by inverting its pixels (x' = 1 - x) and replacing
 its label: either a uniform random class (training poison) or the dedicated
-rejection class n (for the integrated rejection model).
+rejection class N_CLASSES (for the integrated rejection model).
+
+The class count is fixed: MNIST's ten digits, `N_CLASSES`. IDX labels outside
+[0, N_CLASSES) are refused at load.
 
 A deterministic synthetic digit set (rendered glyphs + jitter + noise) is
 bundled so every pipeline runs without the real IDX files; quantitative
@@ -19,6 +22,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
+N_CLASSES = 10
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
 MNIST_STEMS = (
@@ -96,7 +100,12 @@ def _parse_idx_labels(data: bytes, path) -> np.ndarray:
         raise FormatError(
             f"{path}: payload length {len(data)} != expected {8 + count} for {count} labels"
         )
-    return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    labels = np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    if labels.size and labels.max() >= N_CLASSES:
+        raise FormatError(
+            f"{path}: labels must lie in [0, {N_CLASSES}), got {labels.max()}"
+        )
+    return labels
 
 
 def load_idx(images_path, labels_path) -> MnistSet:
@@ -136,7 +145,6 @@ def load_mnist_dir(root) -> tuple[MnistSet, MnistSet]:
 class SabotageConfig:
     rate: float
     label_mode: str = RANDOM_LABEL
-    n_classes: int = 10
 
     def __post_init__(self) -> None:
         if not 0 <= self.rate <= 1:
@@ -145,8 +153,6 @@ class SabotageConfig:
             raise ValidationError(
                 f"label_mode must be '{RANDOM_LABEL}' or '{REJECT_LABEL}', got {self.label_mode!r}"
             )
-        if self.n_classes < 2:
-            raise ValidationError(f"n_classes must be >= 2, got {self.n_classes}")
 
 
 @dataclass
@@ -173,8 +179,9 @@ def inject_sabotage(
 ) -> SabotagedBatch:
     """Independently sabotage each sample with probability config.rate.
 
-    Sabotaged pixels are inverted; labels are redrawn uniformly over the n
-    classes (random mode) or pinned to the rejection class n (reject mode).
+    Sabotaged pixels are inverted; labels are redrawn uniformly over the
+    N_CLASSES classes (random mode) or pinned to the rejection class
+    N_CLASSES (reject mode).
     """
     n = images.shape[0]
     if labels.shape != (n,):
@@ -186,9 +193,9 @@ def inject_sabotage(
         effective_images[mask] = invert(images[mask])
         count = int(mask.sum())
         if config.label_mode == RANDOM_LABEL:
-            effective_labels[mask] = rng.integers(0, config.n_classes, size=count)
+            effective_labels[mask] = rng.integers(0, N_CLASSES, size=count)
         else:
-            effective_labels[mask] = config.n_classes
+            effective_labels[mask] = N_CLASSES
     return SabotagedBatch(images, labels, mask, effective_images, effective_labels)
 
 
@@ -240,15 +247,14 @@ def synthetic_mnist_set(
     at random offsets with additive pixel noise. Deterministic per seed."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
     scale = max(1, image_size // 8)
-    glyphs = np.stack(
-        [np.kron(_glyph_array(d), np.ones((scale, scale), dtype=np.float32)) for d in range(10)]
-    )
+    block = np.ones((scale, scale), dtype=np.float32)
+    glyphs = np.stack([np.kron(_glyph_array(d), block) for d in range(N_CLASSES)])
     gh, gw = glyphs.shape[1:]
     if gh > image_size or gw > image_size:
         raise ValidationError(
             f"image_size {image_size} cannot hold the {gh}x{gw} digit glyph"
         )
-    labels = rng.integers(0, 10, size=count)
+    labels = rng.integers(0, N_CLASSES, size=count)
     images = np.zeros((count, 1, image_size, image_size), dtype=np.float32)
     base_r = (image_size - gh) // 2
     base_c = (image_size - gw) // 2

@@ -30,8 +30,13 @@ output is transposed once, so the midlayer stays [N,C,H/2,W/2]. fc1's row
 order, the gate's input and the mirror embeddings all read the midlayer in
 that order.
 
-The integrated rejection variant is the same backbone with an (n+1)-way head;
-class n is the rejection class.
+The integrated rejection variant is the same backbone with an
+(N_CLASSES+1)-way head; class N_CLASSES is the rejection class.
+
+Only the widths (`conv1_channels`, `conv2_channels`, `fc_hidden`) and the
+image size are settable. The rest of the shape is fixed: N_CLASSES (ten)
+outputs, one input channel, and 3x3 kernels with padding 1, so each conv
+keeps the spatial size.
 
 The conv trunk (conv1 -> ReLU -> conv2 -> pool -> ReLU) computes
 each image on its own, byte for byte: the midlayer rows of a batch equal a
@@ -54,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import N_CLASSES
 from .errors import NumericsError, ShapeError, ValidationError
 from .heap import MMAP_THRESHOLD
 from .nncore import (
@@ -74,26 +80,22 @@ from .nncore import (
     sigmoid,
 )
 
+IN_CHANNELS = 1
+KERNEL_SIZE = 3
+PADDING = 1
+
 
 @dataclass
 class ModelConfig:
-    n_classes: int = 10
-    in_channels: int = 1
     conv1_channels: int = 16
     conv2_channels: int = 32
-    kernel_size: int = 3
-    padding: int = 1
     fc_hidden: int = 128
     image_size: int = 28
 
     def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ValidationError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.kernel_size != 2 * self.padding + 1:
-            raise ValidationError(
-                "kernel_size must equal 2*padding + 1 so conv layers preserve "
-                f"spatial size, got k={self.kernel_size}, padding={self.padding}"
-            )
+        for name in ("conv1_channels", "conv2_channels", "fc_hidden"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % 2:
             raise ValidationError(f"image_size must be even, got {self.image_size}")
 
@@ -111,17 +113,17 @@ class SimpleCNN:
     """Two-conv CNN with a two-layer linear head.
 
     `n_outputs` defaults to the class count; the integrated rejection model
-    passes n_classes + 1. Forward is pure (cache returned to the caller);
+    passes N_CLASSES + 1. Forward is pure (cache returned to the caller);
     backward fills the ParamSet's zeroed gradient buffers (see ParamSet).
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, n_outputs: int | None = None):
         self.cfg = cfg
-        self.n_outputs = cfg.n_classes if n_outputs is None else int(n_outputs)
-        k = cfg.kernel_size
+        self.n_outputs = N_CLASSES if n_outputs is None else int(n_outputs)
+        k = KERNEL_SIZE
         params = ParamSet()
-        fan1 = cfg.in_channels * k * k
-        params.add("conv1_w", fan_in_uniform(rng, (cfg.conv1_channels, cfg.in_channels, k, k), fan1))
+        fan1 = IN_CHANNELS * k * k
+        params.add("conv1_w", fan_in_uniform(rng, (cfg.conv1_channels, IN_CHANNELS, k, k), fan1))
         params.add("conv1_b", fan_in_uniform(rng, (cfg.conv1_channels,), fan1))
         fan2 = cfg.conv1_channels * k * k
         params.add("conv2_w", fan_in_uniform(rng, (cfg.conv2_channels, cfg.conv1_channels, k, k), fan2))
@@ -149,20 +151,18 @@ class SimpleCNN:
         cache.update(head)
         return logits, mid, cache
 
-    def midlayer(self, x: np.ndarray, piece: int | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+    def midlayer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The midlayer of `forward(x)`, byte for byte, without a cache.
 
-        The trunk runs over pieces of `piece` images (by default
-        `trunk_piece`, 64 at the stock shapes) and builds no full im2col
-        matrix, so inference never holds a buffer bigger than a training
-        step's. Each piece's activations are dropped before the next piece
-        runs. Each piece's midlayer is written into `out` when given (of the
-        result's shape and dtype), else into a new array.
+        The trunk runs over pieces of `trunk_piece` images (64 at the stock
+        shapes) and builds no full im2col matrix, so inference never holds a
+        buffer bigger than a training step's. Each piece's activations are
+        dropped before the next piece runs. Each piece's midlayer is written
+        into `out` when given (of the result's shape and dtype), else into a
+        new array.
         """
         cfg = self.cfg
-        if piece is None:
-            piece = self.trunk_piece(x.dtype)
+        piece = self.trunk_piece(x.dtype)
         dtype = np.result_type(x.dtype, self.params["conv1_w"].value.dtype)
         shape = (x.shape[0], cfg.conv2_channels, cfg.pooled_size, cfg.pooled_size)
         if out is None:
@@ -188,7 +188,8 @@ class SimpleCNN:
     def trunk_piece(self, dtype) -> int:
         """Images per inference trunk piece: the largest power of two of
         images whose training step keeps its biggest buffer, the training
-        forward's im2col matrix, under `heap.MMAP_THRESHOLD`.
+        forward's im2col matrix (conv2's, as conv1 has one input channel),
+        under `heap.MMAP_THRESHOLD`.
 
         Inference builds no such matrix itself (see `midlayer`); the rule
         sizes a piece like the largest training batch whose buffers all come
@@ -199,8 +200,8 @@ class SimpleCNN:
         batch, and a 74-image piece's activations would match no step's.
         """
         cfg = self.cfg
-        taps = cfg.kernel_size * cfg.kernel_size * cfg.image_size * cfg.image_size
-        per_image = max(cfg.in_channels, cfg.conv1_channels) * taps * np.dtype(dtype).itemsize
+        taps = KERNEL_SIZE * KERNEL_SIZE * cfg.image_size * cfg.image_size
+        per_image = cfg.conv1_channels * taps * np.dtype(dtype).itemsize
         fits = max(1, MMAP_THRESHOLD // per_image)
         return 1 << (fits.bit_length() - 1)
 
@@ -213,10 +214,11 @@ class SimpleCNN:
             raise ShapeError(f"images must be [N,C,H,W], got shape {tuple(x.shape)}")
         p = self.params
         x = x.transpose(0, 2, 3, 1)
-        pad = self.cfg.padding
-        h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, pad, keep_cols=keep_cols)
+        h1, c_conv1 = conv2d(x, p["conv1_w"].value, p["conv1_b"].value, PADDING,
+                             keep_cols=keep_cols)
         h1, m_relu1 = relu(h1)
-        h2, c_conv2 = conv2d(h1, p["conv2_w"].value, p["conv2_b"].value, pad, keep_cols=keep_cols)
+        h2, c_conv2 = conv2d(h1, p["conv2_w"].value, p["conv2_b"].value, PADDING,
+                             keep_cols=keep_cols)
         pooled, idx_pool = maxpool2x2(h2)
         pooled, m_relu2 = relu(pooled)
         mid = np.ascontiguousarray(pooled.transpose(0, 3, 1, 2))
@@ -290,19 +292,17 @@ class SimpleCNN:
 
 
 def make_irm_model(cfg: ModelConfig, rng: np.random.Generator) -> SimpleCNN:
-    """Same backbone with n_classes + 1 outputs; class n rejects."""
-    return SimpleCNN(cfg, rng, n_outputs=cfg.n_classes + 1)
+    """Same backbone with N_CLASSES + 1 outputs; class N_CLASSES rejects."""
+    return SimpleCNN(cfg, rng, n_outputs=N_CLASSES + 1)
 
 
 def extract_embeddings(model: SimpleCNN, images: np.ndarray,
-                       batch_size: int | None = None,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Flattened post-pool mid-layer activations; never mutates parameters.
 
-    The trunk runs in pieces of `batch_size` images (by default as in
-    `SimpleCNN.midlayer`); the head is not run. Given `out`, a C-contiguous
-    [N, feature_dim] array, the embeddings are written into it and it is
-    returned.
+    The trunk runs in pieces as in `SimpleCNN.midlayer`; the head is not
+    run. Given `out`, a C-contiguous [N, feature_dim] array, the embeddings
+    are written into it and it is returned.
     """
     n, dim = images.shape[0], model.cfg.feature_dim
     if out is not None:
@@ -310,10 +310,9 @@ def extract_embeddings(model: SimpleCNN, images: np.ndarray,
             raise ShapeError(f"embedding output must be a contiguous [{n}, {dim}] array, "
                              f"got {out.shape}")
         size = model.cfg.pooled_size
-        model.midlayer(images, piece=batch_size,
-                       out=out.reshape(n, model.cfg.conv2_channels, size, size))
+        model.midlayer(images, out=out.reshape(n, model.cfg.conv2_channels, size, size))
         return out
-    return model.midlayer(images, piece=batch_size).reshape(n, dim)
+    return model.midlayer(images).reshape(n, dim)
 
 
 # -------------------------------------------------------------------- gate
@@ -328,6 +327,8 @@ class GateConfig:
     def __post_init__(self) -> None:
         if self.input_dim < 1:
             raise ValidationError(f"gate input_dim must be >= 1, got {self.input_dim}")
+        if self.hidden < 1:
+            raise ValidationError(f"gate hidden must be >= 1, got {self.hidden}")
         if not 0 <= self.dropout < 1:
             raise ValidationError(f"gate dropout must lie in [0, 1), got {self.dropout}")
 

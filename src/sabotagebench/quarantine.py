@@ -19,37 +19,6 @@ import numpy as np
 from .errors import ValidationError, WorkbenchError
 
 
-def confidence_weight(max_prob, threshold: float):
-    """max_prob/threshold below the threshold, else 1. Accepts scalars or arrays."""
-    if threshold <= 0 or threshold > 1:
-        raise ValidationError(f"confidence threshold must lie in (0, 1], got {threshold}")
-    arr = np.asarray(max_prob, dtype=np.float64)
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise ValidationError("max_prob values must lie in [0, 1]")
-    out = np.where(arr < threshold, arr / threshold, 1.0)
-    return float(out) if np.isscalar(max_prob) else out
-
-
-def combine_weight(weight_conf, gate_out, alpha: float):
-    """w = clip(weight_conf * gate_out**alpha, 0, 1)."""
-    if alpha <= 0:
-        raise ValidationError(f"gate exponent alpha must be > 0, got {alpha}")
-    w = np.asarray(weight_conf, dtype=np.float64) * np.asarray(gate_out, dtype=np.float64) ** alpha
-    out = np.clip(w, 0.0, 1.0)
-    return float(out) if np.isscalar(weight_conf) and np.isscalar(gate_out) else out
-
-
-def flag(w, soft_flag_threshold: float):
-    """1 iff w is strictly below the soft flag threshold."""
-    if not 0 < soft_flag_threshold < 1:
-        raise ValidationError(
-            f"soft_flag_threshold must lie in (0, 1), got {soft_flag_threshold}"
-        )
-    arr = np.asarray(w)
-    out = arr < soft_flag_threshold
-    return bool(out) if np.isscalar(w) else out
-
-
 @dataclass
 class SoftWeightConfig:
     confidence_threshold: float = 0.1
@@ -70,10 +39,16 @@ class SoftWeightConfig:
 
 
 def decide(max_prob: np.ndarray, gate_out: np.ndarray, cfg: SoftWeightConfig):
-    """Vectorized quarantine decision: returns (weight_conf, w, flags)."""
-    wc = confidence_weight(max_prob, cfg.confidence_threshold)
-    w = combine_weight(wc, gate_out, cfg.gate_exponent)
-    return wc, w, flag(w, cfg.soft_flag_threshold)
+    """The weighting and flagging above, over a batch's rows: returns
+    (weight_conf, w, flags), two float64 arrays and a bool array.
+    `SoftWeightConfig` has checked the thresholds and alpha."""
+    max_prob = np.asarray(max_prob, dtype=np.float64)
+    if max_prob.size and (max_prob.min() < 0 or max_prob.max() > 1):
+        raise ValidationError("max_prob values must lie in [0, 1]")
+    t = cfg.confidence_threshold
+    wc = np.where(max_prob < t, max_prob / t, 1.0)
+    w = np.clip(wc * np.asarray(gate_out, dtype=np.float64) ** cfg.gate_exponent, 0.0, 1.0)
+    return wc, w, w < cfg.soft_flag_threshold
 
 
 # ------------------------------------------------------------- controller

@@ -59,7 +59,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import MnistSet, SabotageConfig, SabotagedBatch, inject_sabotage, REJECT_LABEL
+from .dataset import (N_CLASSES, REJECT_LABEL, MnistSet, SabotageConfig, SabotagedBatch,
+                      inject_sabotage)
 from .errors import ValidationError, WorkbenchError
 from .metrics import (
     ConfusionCounts,
@@ -125,6 +126,7 @@ class GateTrainConfig:
     logit_cap: float = 0.20
 
     def __post_init__(self) -> None:
+        GateConfig(1, self.hidden, self.dropout)  # checks hidden and dropout
         if self.epochs < 1 or self.body_epochs < 1:
             raise ValidationError("gate epochs and body_epochs must be >= 1")
         if self.learning_rate <= 0:
@@ -143,7 +145,6 @@ class PipelineConfig:
     gate: GateTrainConfig = field(default_factory=GateTrainConfig)
     hard_cutoff: float | str = "auto"
     hard_auto_quantile: float = 0.65
-    force_unit_weights: bool = False
 
     def __post_init__(self) -> None:
         if self.hard_cutoff != "auto" and not isinstance(self.hard_cutoff, (int, float)):
@@ -508,10 +509,7 @@ def _hard_flags(w: np.ndarray, cutoff, quantile: float) -> tuple[np.ndarray, flo
 
 def _gate_decide(cfg: PipelineConfig, hard_cutoff, max_prob, scores):
     """(w, flags, tau) of the soft (hard_cutoff None) or hard rule."""
-    if cfg.force_unit_weights:
-        w, flags = np.ones(max_prob.shape[0]), np.zeros(max_prob.shape[0], dtype=bool)
-    else:
-        _, w, flags = decide(max_prob, scores, cfg.soft)
+    _, w, flags = decide(max_prob, scores, cfg.soft)
     if hard_cutoff is None:
         return w, flags, cfg.soft.confidence_threshold
     flags, tau = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
@@ -595,7 +593,7 @@ def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> R
     argmax == n rejects the sample; there is no separate detector."""
     if cfg.sabotage.label_mode != REJECT_LABEL:
         raise ValidationError("irm requires sabotage label_mode 'reject'")
-    reject_class = cfg.model.n_classes
+    reject_class = N_CLASSES
     model = make_irm_model(cfg.model, stream(cfg.seed, "init/body"))
     report = _run(cfg, IRM, model, UnitWeights(),
                   lambda probs, _: probs.argmax(axis=1) == reject_class,

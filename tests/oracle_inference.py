@@ -5,8 +5,10 @@ Test-only oracle: each function forwards a whole chunk through
 `SimpleCNN.forward` (or builds the whole pair feature table) and is kept
 verbatim, apart from the gated evaluation loop, which is lifted out of the
 pipeline into a function of its inputs, and the conv2 bypass's sabotage
-fraction, always 0.0, is no longer passed. The engine's versions must give
-the same bytes. Do not edit it.
+fraction, always 0.0, is no longer passed, nor is the removed
+`force_unit_weights` knob read (a test that wants unit weights patches this
+module's `decide`). The engine's versions must give the same bytes. Do not
+edit it.
 """
 
 import numpy as np
@@ -47,12 +49,9 @@ def gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images, h
         logits, mid = model.forward(images[sl])[:2]
         probs = softmax(logits)
         scores = _gate_scores(gate, mid)
-        if cfg.force_unit_weights:
-            flags = np.zeros(probs.shape[0], dtype=bool)
-        else:
-            _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
-            if hard_cutoff is not None:
-                flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
+        _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
+        if hard_cutoff is not None:
+            flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
         chunks_flags.append(flags)
         chunks_pred.append(probs.argmax(axis=1))
     return np.concatenate(chunks_flags), np.concatenate(chunks_pred)

@@ -11,7 +11,9 @@ Test-only oracle, kept verbatim:
   `_finish_report`, the engine helpers that only these loops used. The
   branches of the removed `estimate_sabotage_fraction` knob, which read its
   default (False), and the conv2 bypass's sabotage fraction, always 0.0,
-  are gone;
+  are gone, as are those of the removed `force_unit_weights` knob (a test
+  that wants unit weights patches this module's `decide`); the removed
+  `ModelConfig.n_classes` reads `dataset.N_CLASSES`;
 - `_forward_probs`, the softmax these loops evaluated with, where the
   deleted `SimpleCNN.infer(x)` is written out as `head(midlayer(x))`, as is
   the one call of it in `_gated_eval`.
@@ -28,7 +30,7 @@ import time
 
 import numpy as np
 
-from sabotagebench.dataset import MnistSet, SabotagedBatch, inject_sabotage
+from sabotagebench.dataset import N_CLASSES, MnistSet, SabotagedBatch, inject_sabotage
 from sabotagebench.errors import WorkbenchError
 from sabotagebench.metrics import accuracy_on_accepted, confusion, detection_metrics
 from sabotagebench.models import (
@@ -220,11 +222,7 @@ def _run_gated_pipeline(
             t0 = time.perf_counter()
             max_prob = softmax(logits).max(axis=1)
             scores = _gate_scores(gate, mid)
-            if cfg.force_unit_weights:
-                w = np.ones(idx.size)
-                flags = np.zeros(idx.size, dtype=bool)
-            else:
-                _, w, flags = decide(max_prob, scores, cfg.soft)
+            _, w, flags = decide(max_prob, scores, cfg.soft)
             batch_tau = cfg.soft.confidence_threshold
             if method == HARD:
                 flags, batch_tau = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
@@ -296,12 +294,9 @@ def _gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images,
         logits = model.head(mid)
         probs = softmax(logits)
         scores = _gate_scores(gate, mid)
-        if cfg.force_unit_weights:
-            flags = np.zeros(probs.shape[0], dtype=bool)
-        else:
-            _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
-            if hard_cutoff is not None:
-                flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
+        _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
+        if hard_cutoff is not None:
+            flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
         chunks_flags.append(flags)
         chunks_pred.append(probs.argmax(axis=1))
     return np.concatenate(chunks_flags), np.concatenate(chunks_pred)
@@ -313,7 +308,7 @@ def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> R
     argmax == n rejects the sample; there is no separate detector."""
     started = time.perf_counter()
     model = make_irm_model(cfg.model, stream(cfg.seed, "init/body"))
-    reject_class = cfg.model.n_classes
+    reject_class = N_CLASSES
     report = RunReport(method=IRM, seed=cfg.seed)
     ones = None
     for epoch in range(cfg.train.epochs):

@@ -31,9 +31,9 @@ from sabotagebench.nncore.gradcheck import grad_check
 from sabotagebench.nncore.ops import bce_with_logits, bce_with_logits_backward
 from sabotagebench.quarantine import (
     AdaptiveControllerState,
+    SoftWeightConfig,
     adaptive_update,
-    combine_weight,
-    confidence_weight,
+    decide,
 )
 from sabotagebench.training import (
     run_sweep,
@@ -242,10 +242,13 @@ def test_criterion_9_property_suite(tmp_path):
 
     # (d) combined weight is monotone in both inputs
     grid = np.linspace(0.0, 1.0, 21)
-    for conf in (0.25, 0.6, 1.0):
-        w = combine_weight(np.full_like(grid, conf), grid, 2.0)
+    soft = SoftWeightConfig(confidence_threshold=0.4, gate_exponent=2.0)
+    for max_prob in (0.1, 0.24, 1.0):
+        w = decide(np.full_like(grid, max_prob), grid, soft)[1]
         assert np.all(np.diff(w) >= 0)
-    assert np.all(np.diff(confidence_weight(grid, 0.4)) >= 0)
+    for gate_out in (0.3, 1.0):
+        wc, w, _ = decide(grid, np.full_like(grid, gate_out), soft)
+        assert np.all(np.diff(wc) >= 0) and np.all(np.diff(w) >= 0)
 
     # (e) the adaptive threshold never escapes its clamp
     state = AdaptiveControllerState()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import copy
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -24,15 +25,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sabotagebench import blas, cli, reporting
+from sabotagebench import blas, cli, config, reporting
 from sabotagebench.config import (
     DEFAULTS,
     EXPERIMENTS,
+    SECTIONS,
     ExperimentConfig,
     parse_config,
     parse_override,
 )
+from sabotagebench.dataset import SabotageConfig
 from sabotagebench.errors import ConfigError
+from sabotagebench.quarantine import AdaptiveControllerState
+from sabotagebench.training import PipelineConfig
 
 
 # --------------------------------------------------------------- overrides
@@ -221,6 +226,29 @@ class TestExperimentConfig:
         cfg = parse_config(None, {"sabotage.rate": 1.5})
         with pytest.raises(ConfigError, match="^sabotage:"):
             cfg.sabotage_config()
+
+    def test_every_owner_field_is_set_from_the_config(self, monkeypatch):
+        # a field no config sets is a value no run can change; the one
+        # exception is the controller's running history, which starts empty
+        passed = {}
+
+        def recording(owner):
+            def build(**kwargs):
+                passed[owner] = set(kwargs)
+                return owner(**kwargs)
+            return build
+
+        monkeypatch.setattr(config, "PipelineConfig", recording(PipelineConfig))
+        monkeypatch.setattr(config, "SabotageConfig", recording(SabotageConfig))
+        monkeypatch.setattr(config, "SECTIONS",
+                            {name: recording(owner) for name, owner in SECTIONS.items()})
+        parse_config().pipeline_config("baseline")
+        unset = {}
+        for owner in (PipelineConfig, SabotageConfig, *SECTIONS.values()):
+            names = {f.name for f in dataclasses.fields(owner)} - passed[owner]
+            if names:
+                unset[owner.__name__] = names
+        assert unset == {AdaptiveControllerState.__name__: {"history"}}
 
     def test_lifestar_weights_default_none(self):
         assert parse_config().lifestar_weights() is None
@@ -425,6 +453,31 @@ class TestRunExitCodes:
                 "--set", f"mirror_cnn.{leaf}={value}"]
         assert cli.main(argv) == 1
         assert f"config error: mirror_cnn: {leaf} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # channel counts or fc_hidden of 0 used to fail with "fan_in must be
+    # positive" once the data had loaded; a gate hidden of 0 or dropout of 1
+    # only after the hard pipeline's body had trained, and not at all on
+    # baseline
+    @pytest.mark.parametrize("experiment,leaf,value,message", [
+        ("baseline", "model.conv1_channels", 0, "model: conv1_channels must be >= 1, got 0"),
+        ("baseline", "model.conv2_channels", 0, "model: conv2_channels must be >= 1, got 0"),
+        ("baseline", "model.fc_hidden", 0, "model: fc_hidden must be >= 1, got 0"),
+        ("hard", "gate.hidden", 0, "gate: gate hidden must be >= 1, got 0"),
+        ("baseline", "gate.hidden", 0, "gate: gate hidden must be >= 1, got 0"),
+        ("hard", "gate.dropout", 1.0, "gate: gate dropout must lie in [0, 1), got 1.0"),
+        ("baseline", "gate.dropout", 1.0, "gate: gate dropout must lie in [0, 1), got 1.0"),
+        ("hard", "gate.dropout", -0.1, "gate: gate dropout must lie in [0, 1), got -0.1"),
+    ])
+    def test_bad_model_or_gate_leaf_fails_before_data_loads(self, tmp_path, capsys, monkeypatch,
+                                                            experiment, leaf, value, message):
+        def load_data(cfg):
+            raise AssertionError("data loaded for a bad config")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
+        argv = ["run", experiment, "--out", str(tmp_path / "out"), "--set", f"{leaf}={value}"]
+        assert cli.main(argv) == 1
+        assert f"config error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_null_boundary_fraction_is_accepted(self):

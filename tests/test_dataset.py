@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_dataset as oracle
+from sabotagebench import cli
 from sabotagebench.dataset import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
+    N_CLASSES,
     MnistSet,
     SabotageConfig,
     disjoint_subsets,
@@ -124,6 +126,34 @@ class TestIdxParsing:
         with pytest.raises(FormatError, match="missing MNIST file train-images"):
             load_mnist_dir(tmp_path)
 
+    @pytest.mark.parametrize("bad", [N_CLASSES, 11, 200, 255])
+    def test_label_outside_the_classes_names_its_file(self, tmp_path, idx_pair, bad):
+        images_path = idx_pair[0]
+        path = tmp_path / "labels-idx1-ubyte.gz"
+        path.write_bytes(gzip.compress(idx_label_bytes([0, 3, bad, 1, 9])))
+        with pytest.raises(FormatError) as info:
+            load_idx(images_path, path)
+        assert str(info.value) == f"{path}: labels must lie in [0, {N_CLASSES}), got {bad}"
+
+    def test_run_on_out_of_range_test_labels_is_a_config_error(self, tmp_path, idx_pair,
+                                                                capsys):
+        # every test label 200: the run used to finish with exit 0 and a
+        # test error of 1.0
+        images_path, labels_path = idx_pair[:2]
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        for stem, body in (("train-images-idx3-ubyte", images_path.read_bytes()),
+                           ("train-labels-idx1-ubyte", labels_path.read_bytes()),
+                           ("t10k-images-idx3-ubyte", images_path.read_bytes()),
+                           ("t10k-labels-idx1-ubyte", idx_label_bytes([200] * 5))):
+            (mnist / stem).write_bytes(body)
+        argv = ["run", "baseline", "--out", str(tmp_path / "out"),
+                "--set", "dataset.source=mnist", "--set", f"dataset.mnist_dir={mnist}"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert (f"config error: dataset.mnist_dir: {mnist / 't10k-labels-idx1-ubyte'}: "
+                f"labels must lie in [0, {N_CLASSES}), got 200") in err
+
 
 class TestMnistSet:
     def test_rejects_pixels_out_of_range(self):
@@ -167,10 +197,6 @@ class TestSabotageConfig:
         with pytest.raises(ValidationError):
             SabotageConfig(rate=0.1, label_mode="shuffle")
 
-    def test_rejects_too_few_classes(self):
-        with pytest.raises(ValidationError, match="n_classes"):
-            SabotageConfig(rate=0.1, n_classes=1)
-
 
 class TestInjectSabotage:
     def test_mask_rows_are_inverted_others_untouched(self, rng):
@@ -206,13 +232,13 @@ class TestInjectSabotage:
 
     def test_reject_mode_pins_label_to_extra_class(self, rng):
         ds = synthetic_mnist_set(30, seed=14, image_size=16)
-        cfg = SabotageConfig(rate=1.0, label_mode="reject", n_classes=10)
+        cfg = SabotageConfig(rate=1.0, label_mode="reject")
         batch = inject_sabotage(ds.images, ds.labels, cfg, rng)
         assert (batch.effective_labels == 10).all()
 
     def test_random_mode_labels_in_range(self, rng):
         ds = synthetic_mnist_set(200, seed=15, image_size=16)
-        cfg = SabotageConfig(rate=1.0, label_mode="random", n_classes=10)
+        cfg = SabotageConfig(rate=1.0, label_mode="random")
         batch = inject_sabotage(ds.images, ds.labels, cfg, rng)
         assert batch.effective_labels.min() >= 0
         assert batch.effective_labels.max() <= 9

@@ -117,13 +117,14 @@ def test_auto_cutoff_takes_the_quantile_of_the_whole_eval_stream(stock):
     assert flags.tobytes() == (w < np.quantile(w, cfg.hard_auto_quantile)).tobytes()
 
 
-def test_midlayer_names_a_nonfinite_layer():
+def test_midlayer_names_a_nonfinite_layer(monkeypatch):
     model = SimpleCNN(ModelConfig(conv1_channels=2, conv2_channels=3, fc_hidden=8, image_size=8),
                       np.random.default_rng(0))
     model.params["conv2_w"].value[0, 0, 0, 0] = np.nan
     x = np.random.default_rng(1).random((5, 1, 8, 8)).astype(np.float32)
+    monkeypatch.setattr(SimpleCNN, "trunk_piece", lambda self, dtype: 2)
     with pytest.raises(NumericsError, match="'conv2'"):
-        model.midlayer(x, piece=2)
+        model.midlayer(x)
 
 
 # ------------------------------------------------------------ pair features

@@ -344,9 +344,9 @@ class TestTrunkPasses:
         rows = []
         midlayer = SimpleCNN.midlayer
 
-        def counted(self, x, piece=None, out=None):
+        def counted(self, x, out=None):
             rows.append(x.shape[0])
-            return midlayer(self, x, piece, out)
+            return midlayer(self, x, out)
 
         monkeypatch.setattr(SimpleCNN, "midlayer", counted)
         run_mirror_experiment(cfg, ModelConfig(**TINY_MODEL, image_size=8), 0, train, test)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_ops
@@ -39,10 +39,6 @@ class TestModelConfig:
         cfg = ModelConfig()
         assert cfg.pooled_size == 14
         assert cfg.feature_dim == 32 * 14 * 14
-
-    def test_rejects_kernel_padding_mismatch(self):
-        with pytest.raises(ValidationError, match="kernel_size"):
-            ModelConfig(kernel_size=5, padding=1)
 
     def test_rejects_odd_image(self):
         with pytest.raises(ValidationError, match="even"):
@@ -216,10 +212,21 @@ def _glyph_batch(seed, n):
     return x, labels
 
 
+def _assert_same_midlayer(mid, o_mid):
+    """Equal values, and equal bytes apart from entries where the engine holds
+    +0.0 and the ReLU-then-pool oracle -0.0 (a conv2 output of exactly +0.0
+    next to negatives; see the `models` docstring)."""
+    np.testing.assert_array_equal(mid, o_mid)
+    differ = mid.view(np.uint32) != o_mid.view(np.uint32)
+    assert (mid[differ] == 0).all()
+    assert not np.signbit(mid[differ]).any() and np.signbit(o_mid[differ]).all()
+
+
 class TestPoolBeforeReluMatchesOracle:
     """Pooling conv2's output before its ReLU gives the bytes of ReLU then
-    pool: equal logits and midlayers, and equal parameters after a plain
-    step and after a step through a narrowed cache."""
+    pool: equal logits and midlayers (up to the sign of a zero), and equal
+    parameters after a plain step and after a step through a narrowed
+    cache."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -228,6 +235,9 @@ class TestPoolBeforeReluMatchesOracle:
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # after the plain step, the engine's midlayer holds +0.0 at flat index
+    # 14423 where the oracle's holds -0.0; the fixed case narrows to even rows
+    @example(n=44, shift=0.0, data=None, seed=0)
     def test_forward_and_steps(self, n, shift, data, seed):
         x, labels = _glyph_batch(seed, n)
         weights = np.ones(n)
@@ -235,12 +245,15 @@ class TestPoolBeforeReluMatchesOracle:
         for step in ("plain", "narrowed"):
             logits, mid, cache = engine.forward(x)
             o_logits, o_mid, o_cache = oracle.forward(x)
-            assert mid.tobytes() == o_mid.tobytes()
+            _assert_same_midlayer(mid, o_mid)
             assert logits.tobytes() == o_logits.tobytes()
             rows = np.ones(n, dtype=bool)
             if step == "narrowed":
-                rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-                rows[data.draw(st.integers(0, n - 1))] = True
+                if data is None:
+                    rows = np.arange(n) % 2 == 0
+                else:
+                    rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                    rows[data.draw(st.integers(0, n - 1))] = True
                 logits = engine.narrow(cache, mid, rows)
                 o_logits = oracle.narrow(o_cache, o_mid, rows)
                 assert logits.tobytes() == o_logits.tobytes()
@@ -341,29 +354,32 @@ class TestNonFiniteNaming:
 
 
 class TestEmbeddings:
-    def test_matches_forward_midlayer(self, rng):
+    def test_matches_forward_midlayer(self, rng, monkeypatch):
         model, cfg = tiny_model()
         x = rng.random((7, 1, 8, 8)).astype(np.float32)
-        emb = extract_embeddings(model, x, batch_size=3)
+        monkeypatch.setattr(SimpleCNN, "trunk_piece", lambda self, dtype: 3)
+        emb = extract_embeddings(model, x)
         _, mid, _ = model.forward(x)
         assert emb.shape == (7, cfg.feature_dim)
         np.testing.assert_allclose(emb, mid.reshape(7, -1), atol=1e-6)
 
-    def test_chunked_forward_equals_full_batch_bytes(self, rng):
+    def test_chunked_forward_equals_full_batch_bytes(self, rng, monkeypatch):
         model = SimpleCNN(ModelConfig(), np.random.default_rng(5))
         x = rng.random((300, 1, 28, 28)).astype(np.float32)
         _, mid, _ = model.forward(x)
-        emb = extract_embeddings(model, x, batch_size=128)
+        monkeypatch.setattr(SimpleCNN, "trunk_piece", lambda self, dtype: 128)
+        emb = extract_embeddings(model, x)
         assert emb.dtype == mid.dtype
         assert emb.tobytes() == mid.reshape(300, -1).tobytes()
 
-    def test_written_into_a_given_table(self, rng):
+    def test_written_into_a_given_table(self, rng, monkeypatch):
         model, cfg = tiny_model()
         x = rng.random((7, 1, 8, 8)).astype(np.float32)
         table = np.full((9, cfg.feature_dim), np.nan, dtype=np.float32)
         half = table[2:]
-        assert extract_embeddings(model, x, batch_size=3, out=half) is half
-        assert half.tobytes() == extract_embeddings(model, x, batch_size=3).tobytes()
+        monkeypatch.setattr(SimpleCNN, "trunk_piece", lambda self, dtype: 3)
+        assert extract_embeddings(model, x, out=half) is half
+        assert half.tobytes() == extract_embeddings(model, x).tobytes()
         assert np.isnan(table[:2]).all()
         with pytest.raises(ShapeError, match="contiguous"):
             extract_embeddings(model, x, out=np.empty((7, 2 * cfg.feature_dim), np.float32)[:, ::2])

@@ -10,15 +10,24 @@ from sabotagebench.quarantine import (
     AdaptiveControllerState,
     SoftWeightConfig,
     adaptive_update,
-    combine_weight,
-    confidence_weight,
     decide,
-    flag,
     sweep_thresholds,
 )
 from sabotagebench.training import SweepConfig
 
 unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+def decided(max_prob=1.0, gate_out=1.0, threshold=0.5, alpha=1.0, flag_below=0.5):
+    """`decide` on arrays of the given values (scalars become 1-row arrays)."""
+    cfg = SoftWeightConfig(confidence_threshold=threshold, gate_exponent=alpha,
+                           soft_flag_threshold=flag_below)
+    return decide(np.atleast_1d(max_prob), np.atleast_1d(gate_out), cfg)
+
+
+def weight_conf(max_prob, threshold):
+    """`decide`'s weight_conf of `max_prob` at confidence threshold `threshold`."""
+    return decided(max_prob, threshold=threshold)[0]
 
 
 class TwoArgError(Exception):
@@ -30,28 +39,29 @@ class TwoArgError(Exception):
 
 class TestConfidenceWeight:
     def test_piecewise_values(self):
-        assert confidence_weight(0.05, 0.1) == pytest.approx(0.5)
-        assert confidence_weight(0.1, 0.1) == 1.0
-        assert confidence_weight(0.9, 0.1) == 1.0
-        assert confidence_weight(0.0, 0.1) == 0.0
+        np.testing.assert_allclose(weight_conf([0.05, 0.1, 0.9, 0.0], 0.1),
+                                   [0.5, 1.0, 1.0, 0.0])
 
     def test_vectorized(self):
-        out = confidence_weight(np.array([0.0, 0.2, 0.4, 1.0]), 0.4)
+        out = weight_conf(np.array([0.0, 0.2, 0.4, 1.0]), 0.4)
+        assert out.dtype == np.float64
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0, 1.0])
 
     def test_threshold_validation(self):
-        for bad in (0.0, -0.1, 1.1):
-            with pytest.raises(ValidationError, match="threshold"):
-                confidence_weight(0.5, bad)
+        for bad in (0.0, -0.1, 1.0, 1.1):
+            with pytest.raises(ValidationError, match="confidence_threshold"):
+                SoftWeightConfig(confidence_threshold=bad)
 
     def test_prob_validation(self):
         with pytest.raises(ValidationError, match="max_prob"):
-            confidence_weight(np.array([0.5, 1.2]), 0.5)
+            weight_conf(np.array([0.5, 1.2]), 0.5)
+        with pytest.raises(ValidationError, match="max_prob"):
+            weight_conf(np.array([-0.1, 0.5]), 0.5)
 
     @settings(max_examples=60, deadline=None)
-    @given(unit, st.floats(min_value=0.01, max_value=1.0))
+    @given(unit, st.floats(min_value=0.01, max_value=0.99))
     def test_range_and_kink(self, p, t):
-        w = confidence_weight(p, t)
+        w = weight_conf(p, t)[0]
         assert 0.0 <= w <= 1.0
         if p >= t:
             assert w == 1.0
@@ -62,44 +72,48 @@ class TestConfidenceWeight:
         # with 10 classes the max softmax prob is always >= 0.1, so the
         # confidence leg saturates at 1 for threshold 0.1
         probs = rng.uniform(0.1, 1.0, size=200)
-        np.testing.assert_array_equal(confidence_weight(probs, 0.1), 1.0)
+        np.testing.assert_array_equal(weight_conf(probs, 0.1), 1.0)
 
 
 class TestCombineWeight:
     def test_matches_formula(self):
-        assert combine_weight(0.5, 0.5, 2.0) == pytest.approx(0.125)
-        assert combine_weight(1.0, 0.9, 1.0) == pytest.approx(0.9)
+        # weight_conf 0.5 (max_prob 0.2 at threshold 0.4) times 0.5**2
+        assert decided(0.2, 0.5, threshold=0.4, alpha=2.0)[1][0] == pytest.approx(0.125)
+        assert decided(0.7, 0.9, threshold=0.4, alpha=1.0)[1][0] == pytest.approx(0.9)
 
     def test_alpha_validation(self):
-        with pytest.raises(ValidationError, match="alpha"):
-            combine_weight(0.5, 0.5, 0.0)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValidationError, match="gate_exponent"):
+                SoftWeightConfig(gate_exponent=bad)
 
     @settings(max_examples=60, deadline=None)
     @given(unit, unit, unit, st.floats(min_value=0.5, max_value=4.0))
-    def test_monotone_in_gate_score(self, wc, g1, g2, alpha):
+    def test_monotone_in_gate_score(self, p, g1, g2, alpha):
         lo, hi = sorted((g1, g2))
-        assert combine_weight(wc, lo, alpha) <= combine_weight(wc, hi, alpha)
+        w = decided([p, p], [lo, hi], threshold=0.4, alpha=alpha)[1]
+        assert w[0] <= w[1]
 
     @settings(max_examples=60, deadline=None)
     @given(unit, unit, st.floats(min_value=0.5, max_value=4.0))
-    def test_stays_in_unit_interval(self, wc, g, alpha):
-        assert 0.0 <= combine_weight(wc, g, alpha) <= 1.0
+    def test_stays_in_unit_interval(self, p, g, alpha):
+        assert 0.0 <= decided(p, g, threshold=0.4, alpha=alpha)[1][0] <= 1.0
 
 
 class TestFlag:
     def test_strictly_below(self):
-        assert flag(0.49, 0.5) is True
-        assert flag(0.5, 0.5) is False
-        assert flag(0.51, 0.5) is False
+        flags = decided(1.0, [0.49, 0.5, 0.51], flag_below=0.5)[2]
+        np.testing.assert_array_equal(flags, [True, False, False])
 
     def test_vectorized(self):
-        out = flag(np.array([0.1, 0.5, 0.9]), 0.5)
-        np.testing.assert_array_equal(out, [True, False, False])
+        wc, w, flags = decided(1.0, np.array([0.1, 0.5, 0.9]), flag_below=0.5)
+        assert flags.dtype == bool
+        np.testing.assert_array_equal(flags, w < 0.5)
+        np.testing.assert_array_equal(flags, [True, False, False])
 
     def test_threshold_validation(self):
         for bad in (0.0, 1.0):
             with pytest.raises(ValidationError, match="soft_flag_threshold"):
-                flag(0.2, bad)
+                SoftWeightConfig(soft_flag_threshold=bad)
 
 
 class TestDecide:
@@ -110,7 +124,7 @@ class TestDecide:
         max_prob = rng.uniform(0.1, 1.0, size=50)
         gate_out = rng.uniform(0.0, 1.0, size=50)
         wc, w, flags = decide(max_prob, gate_out, cfg)
-        np.testing.assert_allclose(wc, confidence_weight(max_prob, 0.4))
+        np.testing.assert_allclose(wc, np.where(max_prob < 0.4, max_prob / 0.4, 1.0))
         np.testing.assert_allclose(w, np.clip(wc * gate_out**2.0, 0, 1))
         np.testing.assert_array_equal(flags, w < 0.5)
 

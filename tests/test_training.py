@@ -75,6 +75,12 @@ class TestConfigValidation:
             tiny_pipeline("hard", hard_auto_quantile=1.0)
 
 
+def unit_decide(max_prob, gate_out, cfg):
+    """`quarantine.decide` giving every row weight 1 and no flag."""
+    ones = np.ones(max_prob.shape[0])
+    return ones, ones, np.zeros(max_prob.shape[0], dtype=bool)
+
+
 @pytest.fixture(scope="module")
 def tiny_baseline_report(tiny_train, tiny_test):
     return train_baseline(tiny_pipeline("baseline"), tiny_train, tiny_test)
@@ -177,10 +183,10 @@ class TestGateMatchesOracle:
 
 class TestSoftPipeline:
     def test_unit_weights_reduce_to_baseline_bitwise(
-        self, tiny_train, tiny_test, tiny_gate_asset, tiny_baseline_report
+        self, tiny_train, tiny_test, tiny_gate_asset, tiny_baseline_report, monkeypatch
     ):
-        cfg = tiny_pipeline("soft", force_unit_weights=True)
-        report = train_soft(cfg, tiny_train, tiny_test, tiny_gate_asset)
+        monkeypatch.setattr(training, "decide", unit_decide)
+        report = train_soft(tiny_pipeline("soft"), tiny_train, tiny_test, tiny_gate_asset)
         assert report.extras["model_checksum"] == tiny_baseline_report.extras["model_checksum"]
 
     def test_degenerate_full_rejection_row(self, tiny_train, tiny_test, tiny_gate_asset):
@@ -377,18 +383,26 @@ class TestPipelinesMatchOracle:
         _assert_same_run(train_irm(cfg("irm"), train, test),
                          oracle_training.train_irm(cfg("irm"), train, test))
 
+    @staticmethod
+    def _unit_weights(monkeypatch, unit):
+        if unit:
+            monkeypatch.setattr(training, "decide", unit_decide)
+            monkeypatch.setattr(oracle_training, "decide", unit_decide)
+
     @pytest.mark.parametrize("unit", [False, True])
-    def test_soft(self, oracle_case, unit):
+    def test_soft(self, oracle_case, unit, monkeypatch):
         train, test, cfg, asset = oracle_case
-        c = cfg("soft", force_unit_weights=unit)
+        self._unit_weights(monkeypatch, unit)
+        c = cfg("soft")
         _assert_same_run(train_soft(c, train, test, asset),
                          oracle_training._run_gated_pipeline(c, train, test, asset, None))
 
     # 0.99 flags almost every row, so batches starve
     @pytest.mark.parametrize("cutoff,unit", [("auto", False), ("auto", True), (0.99, False)])
-    def test_hard(self, oracle_case, cutoff, unit):
+    def test_hard(self, oracle_case, cutoff, unit, monkeypatch):
         train, test, cfg, asset = oracle_case
-        c = cfg("hard", hard_cutoff=cutoff, force_unit_weights=unit)
+        self._unit_weights(monkeypatch, unit)
+        c = cfg("hard", hard_cutoff=cutoff)
         report = train_hard(c, train, test, asset)
         _assert_same_run(report,
                          oracle_training._run_gated_pipeline(c, train, test, asset, cutoff))
