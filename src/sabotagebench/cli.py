@@ -16,8 +16,8 @@ method gets its own config tree, with an output subdirectory (its
 config.json names it as `out_dir`) and a seed offset by its position in
 the method list, so the pipelines stay independent whether they run
 sequentially or (with --parallel) as concurrent worker processes.
-The `resources` in each metadata.json count from the experiment's start,
-so loading the dataset is not included.
+The `wall_clock_s` and `resources` in each metadata.json count from the
+experiment's start, so loading the dataset is not included.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import argparse
 import os
 import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,9 @@ import numpy as np
 from . import blas, reporting
 from .config import ALL_METHODS, EXPERIMENTS, ExperimentConfig, parse_config, parse_override
 from .dataset import MnistSet, invert, load_mnist_dir, mnist_files, synthetic_mnist_set
-from .errors import ConfigError, UnavailableMetricError, ValidationError, WorkbenchError
+from .errors import ConfigError, ValidationError, WorkbenchError
 from .heap import keep_heap
-from .metrics import (
-    LifeStarInputs,
-    lifestar_score,
-    self_maint_component,
-    self_recog_component,
-)
+from .metrics import lifestar
 from .mirror_cnn import pool_split, run_mirror_experiment
 from .training import (
     run_sweep,
@@ -91,11 +87,13 @@ def build_parser() -> _Parser:
 
 
 def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
-    """Resolve the dataset section to (train, test) sets, and check that the
-    mirror-cnn subsets fit them when the run includes mirror-cnn."""
+    """Resolve the dataset section to (train, test) sets, and check that
+    their images are `model.image_size` square and that the mirror-cnn
+    subsets fit them when the run includes mirror-cnn."""
     ds = cfg.section("dataset")
     source = ds["source"]
     mnist_dir = Path(ds["mnist_dir"])
+    image_size = cfg.section("model")["image_size"]
     if source == "auto":
         source = "mnist" if all(mnist_files(mnist_dir)) else "synthetic"
     if source == "mnist":
@@ -103,8 +101,12 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
             train, test = load_mnist_dir(mnist_dir)
         except WorkbenchError as exc:
             raise ConfigError(f"dataset.mnist_dir: {exc}") from exc
+        for part in (train, test):
+            rows, cols = part.images.shape[2:]
+            if rows != image_size or cols != image_size:
+                raise ConfigError(f"model.image_size: {image_size} does not match the "
+                                  f"{rows}x{cols} images under {mnist_dir}")
     elif source == "synthetic":
-        image_size = cfg.section("model")["image_size"]
         try:
             train = synthetic_mnist_set(
                 ds["synthetic_train"], ds["synthetic_seed"], image_size=image_size
@@ -145,11 +147,12 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
     """Run the experiment `cfg` names on the (train, test) sets `data` (None
     for mirror-text), write its artifacts to `cfg.out_dir`, return headline
     numbers."""
-    started = resource.getrusage(resource.RUSAGE_SELF)
+    started, clock = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     experiment, out_dir = cfg.data["experiment"], cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     reporting.echo_config(out_dir, cfg.data)
     summary: dict = {"experiment": experiment, "out_dir": str(out_dir)}
+    payload: dict = {}
 
     if experiment == "mirror-text":
         # imported here so the other experiments never load mirror_text
@@ -159,7 +162,7 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
         providers = None if mt["offline"] else http_providers()
         report = run_mirror_text_experiment(providers=providers, fixtures_path=mt["fixtures"])
         reporting.write_mirror_text_report(out_dir, report)
-        payload = {"wall_clock_s": report.wall_clock_s, **report.metadata}
+        payload = report.metadata
         summary["recognition"] = {
             row["system"]: row["score_percent"] for row in report.recognition
         }
@@ -168,13 +171,11 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
             cfg.build("mirror_cnn"), cfg.build("model"), cfg.seed, *data
         )
         reporting.write_mirror_cnn_report(out_dir, report)
-        payload = {"wall_clock_s": report.wall_clock_s}
         summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
         summary["semiself_accuracy"] = report.semiself_accuracy
     elif experiment == "sweep":
         result = run_sweep(cfg.pipeline_config("baseline"), cfg.build("sweep"), *data)
         reporting.write_sweep_artifacts(out_dir, result)
-        payload = {"wall_clock_s": sum(r.wall_clock_s for r in result["reports"])}
     else:
         if experiment == "adaptive":
             report = train_adaptive(cfg.pipeline_config("baseline"), *data, cfg.build("adaptive"))
@@ -189,25 +190,25 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
         else:
             raise ConfigError(f"unknown experiment {experiment!r}")
         reporting.write_run_report(out_dir, report)
-        payload = {"wall_clock_s": report.wall_clock_s, "latencies_s": report.latencies}
+        payload = {"latencies_s": report.latencies}
         summary["rejection_rate"] = report.detection.rejection_rate
         summary["accuracy_on_accepted"] = report.detection.accuracy_on_accepted
         summary["detection_f1"] = report.detection.f1
         summary["final_test_error"] = report.epochs[-1].test_error
-    _write_metadata(out_dir, started, cfg.data, payload)
+    _write_metadata(out_dir, started, clock, cfg.data, payload)
     return summary
 
 
-def _write_metadata(
-    out_dir: Path, started: resource.struct_rusage, resolved: dict, payload: dict
-) -> None:
-    """metadata.json: `payload`, this process's resource use since `started`
-    (faults and CPU seconds; peak RSS is the process's high-water mark), the
+def _write_metadata(out_dir: Path, started: resource.struct_rusage, clock: float,
+                    resolved: dict, payload: dict) -> None:
+    """metadata.json: the seconds since `clock` as `wall_clock_s`, `payload`,
+    this process's resource use since `started` (faults and CPU seconds;
+    peak RSS is the process's high-water mark), the
     numpy/BLAS build with the BLAS thread settings as found in the
     environment (None when unset), the OpenBLAS thread count in effect and
     its core name (None without numpy's bundled OpenBLAS), and the resolved
     config's digest."""
-    now = resource.getrusage(resource.RUSAGE_SELF)
+    wall_clock_s, now = time.perf_counter() - clock, resource.getrusage(resource.RUSAGE_SELF)
     rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes vs KiB
     try:
         build = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
@@ -217,6 +218,7 @@ def _write_metadata(
     reporting.write_metadata(
         out_dir,
         {
+            "wall_clock_s": wall_clock_s,
             **payload,
             "resources": {
                 "peak_rss_mb": now.ru_maxrss * rss_unit / 2**20,
@@ -265,24 +267,9 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
     weights = cfg.lifestar_weights()
     if weights is not None:
         by_name = {s["experiment"]: s for s in summaries}
-        alpha, beta, gamma = weights
-        payload: dict = {"alpha": alpha, "beta": beta, "gamma": gamma}
-        try:
-            inputs = LifeStarInputs(
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-                self_maint=self_maint_component(by_name["irm"]["detection_f1"]),
-                self_recog=self_recog_component(
-                    by_name["mirror-cnn"]["self_vs_cross_accuracy"]
-                ),
-            )
-            payload["score"] = lifestar_score(inputs)
-            payload["self_maint"] = inputs.self_maint
-            payload["self_recog"] = inputs.self_recog
-        except UnavailableMetricError as exc:
-            payload["error"] = str(exc)
-        reporting.write_json(out_root / "lifestar.json", payload)
+        reporting.write_json(out_root / "lifestar.json", lifestar(
+            weights, by_name["irm"]["detection_f1"],
+            by_name["mirror-cnn"]["self_vs_cross_accuracy"]))
     return summaries
 
 

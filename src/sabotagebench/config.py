@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -123,10 +124,9 @@ def _check_leaf(path: str, default: Any, value: Any) -> Any:
         )
         if not ok:
             raise ConfigError(f"{path}: expected {_SPECIAL_LEAVES[path]}, got {value!r}")
-        return value
-    if value is None and path in _NULLABLE_NUMBERS:
+    elif value is None and path in _NULLABLE_NUMBERS:
         return None
-    if isinstance(default, bool):
+    elif isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean, got {value!r}")
     elif isinstance(default, int):
@@ -143,6 +143,11 @@ def _check_leaf(path: str, default: Any, value: Any) -> Any:
         if not isinstance(value, list) or not all(_is_number(v) for v in value):
             raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
         value = [float(v) for v in value]
+    # JSON's NaN and Infinity tokens parse; no leaf takes them, and the
+    # echoed config.json could not hold them
+    if any(isinstance(v, float) and not math.isfinite(v)
+           for v in (value if isinstance(value, list) else [value])):
+        raise ConfigError(f"{path}: expected finite numbers, got {value!r}")
     return value
 
 
@@ -211,8 +216,9 @@ class ExperimentConfig:
     Builders hand sub-sections to the dataclasses that own their
     validation; any rejection is re-raised as a ConfigError carrying the
     section name so the CLI exits with the config status code. Every
-    `SECTIONS` owner is built once here, so a bad value fails at parse
-    time, before any data loads or any experiment of `run all` trains.
+    `SECTIONS` owner, the pipeline with its `sabotage` and `hard` leaves,
+    and the Life* weights are checked once here, so a bad value fails at
+    parse time, before any data loads or any experiment of `run all` trains.
     """
 
     data: dict[str, Any]
@@ -229,6 +235,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: expected an integer >= {least}, got {flat[path]}")
         for name in SECTIONS:
             self.build(name)
+        self.pipeline_config("baseline")
+        weights = self.section("lifestar").values()
+        if None in weights and any(v is not None for v in weights):
+            raise ConfigError("lifestar: alpha, beta, gamma must be given together")
+        if any(v is not None and v < 0 for v in weights):
+            raise ConfigError(f"lifestar: weights must be >= 0, got {list(weights)}")
 
     @property
     def seed(self) -> int:
@@ -268,7 +280,7 @@ class ExperimentConfig:
         label_mode = "reject" if method == "irm" else None
         hard = self.section("hard")
         return self._build(
-            "pipeline",
+            "hard",
             PipelineConfig,
             seed=self.seed,
             sabotage=self.sabotage_config(label_mode=label_mode),
@@ -281,15 +293,11 @@ class ExperimentConfig:
         )
 
     def lifestar_weights(self) -> tuple[float, float, float] | None:
+        """(alpha, beta, gamma), or None when no Life* score is asked for."""
         ls = self.section("lifestar")
-        values = (ls["alpha"], ls["beta"], ls["gamma"])
-        if all(v is None for v in values):
+        if ls["alpha"] is None:
             return None
-        if any(v is None for v in values):
-            raise ConfigError(
-                "lifestar: alpha, beta, gamma must be given together"
-            )
-        return tuple(float(v) for v in values)
+        return float(ls["alpha"]), float(ls["beta"]), float(ls["gamma"])
 
 
 def parse_config(

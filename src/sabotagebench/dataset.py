@@ -268,6 +268,10 @@ def synthetic_mnist_set(
     )
     windows[np.arange(count), r, c] = glyphs[labels]
     if noise:
-        images += rng.uniform(0, noise, size=images.shape).astype(np.float32)
+        # The generator fills values in order, so 512-row draws equal one
+        # draw of the whole set, without its float64 array.
+        for start in range(0, count, 512):
+            block = images[start:start + 512]
+            block += rng.uniform(0, noise, size=block.shape).astype(np.float32)
         np.clip(images, 0.0, 1.0, out=images)
     return MnistSet(images, labels)

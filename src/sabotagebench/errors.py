@@ -31,7 +31,3 @@ class ConfigError(WorkbenchError):
 
 class ProviderError(WorkbenchError):
     """A chat provider failed to produce a usable response."""
-
-
-class UnavailableMetricError(WorkbenchError):
-    """A score component was requested but has no computable value."""

@@ -1,15 +1,20 @@
-"""Detection metrics and the Life* aggregates.
+"""Detection metrics and the Life* score.
 
 Division conventions: precision, recall, F1 and accuracy-on-accepted all
 return 0 on 0/0 (required to represent degenerate regimes such as an empty
 accepted set without raising).
+
+The paper's Life* checklist holds for a system that meets the Oxford
+definition without being purely carbon-based, the NASA definition through
+functional analogs, or Koshland's criteria minus energy; `lifestar`
+scores only the weighted sum built on it.
 """
 
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import UnavailableMetricError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -109,77 +114,29 @@ def detection_metrics(
 # ---------------------------------------------------------------- Life*
 
 
-@dataclass(frozen=True)
-class LifeStarInputs:
-    alpha: float
-    beta: float
-    gamma: float
-    self_maint: float
-    self_recog: float
-    emerg_comp: float | None = None
+def lifestar(weights: tuple[float, float, float], detection_f1: float,
+             pair_accuracy: float) -> dict:
+    """The lifestar.json payload for weights (alpha, beta, gamma), already
+    checked (all >= 0) at parse time.
 
-    def __post_init__(self) -> None:
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValidationError("Life* weights must be >= 0")
-        for name, value in (("self_maint", self.self_maint), ("self_recog", self.self_recog)):
-            if not 0 <= value <= 1:
-                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-        if self.emerg_comp is not None and not 0 <= self.emerg_comp <= 1:
-            raise ValidationError(f"emerg_comp must lie in [0, 1], got {self.emerg_comp}")
-
-
-def lifestar_score(inputs: LifeStarInputs) -> float:
-    """alpha*SelfMaint + beta*EmergComp + gamma*SelfRecog.
-
-    EmergComp has no computable definition in this workbench; weighting an
-    unavailable component is an explicit error, never a silent zero.
+    Score = alpha*SelfMaint + beta*EmergComp + gamma*SelfRecog, with
+    SelfMaint the detection F1 and SelfRecog the mirror pair accuracy above
+    chance, (accuracy - 0.5) / 0.5 clipped to [0, 1]. EmergComp has no
+    computable value in this workbench, so a beta > 0 gives an error entry
+    in place of the score, never a silent zero.
     """
-    if inputs.emerg_comp is None:
-        if inputs.beta > 0:
-            raise UnavailableMetricError(
-                "EmergComp has no computable value; set beta to 0 or supply emerg_comp"
-            )
-        emerg = 0.0
-    else:
-        emerg = inputs.emerg_comp
-    return (
-        inputs.alpha * inputs.self_maint
-        + inputs.beta * emerg
-        + inputs.gamma * inputs.self_recog
-    )
-
-
-@dataclass(frozen=True)
-class LifeStarChecklist:
-    """Boolean criteria; every field must be set explicitly. Kept with no
-    caller: it states the paper's Life* checklist (Oxford, NASA, Koshland)."""
-
-    oxford: bool
-    purely_carbon: bool
-    nasa: bool
-    functional_analogs: bool
-    koshland_minus_energy: bool
-
-
-def lifestar_predicate(c: LifeStarChecklist) -> bool:
-    """The paper's Life* predicate over the checklist; kept with
-    LifeStarChecklist, as the definition the Life* score builds on."""
-    return (
-        (c.oxford and not c.purely_carbon)
-        or (c.nasa and c.functional_analogs)
-        or c.koshland_minus_energy
-    )
-
-
-def self_maint_component(detection_f1: float) -> float:
-    """Mapping convention: self-maintenance score = detection F1."""
-    if not 0 <= detection_f1 <= 1:
-        raise ValidationError(f"F1 must lie in [0, 1], got {detection_f1}")
-    return float(detection_f1)
-
-
-def self_recog_component(pair_accuracy: float) -> float:
-    """Mapping convention: (pair accuracy - 0.5) / 0.5, clipped to [0, 1]."""
-    if not 0 <= pair_accuracy <= 1:
-        raise ValidationError(f"pair accuracy must lie in [0, 1], got {pair_accuracy}")
-    return float(min(max((pair_accuracy - 0.5) / 0.5, 0.0), 1.0))
+    for name, value in (("F1", detection_f1), ("pair accuracy", pair_accuracy)):
+        if not 0 <= value <= 1:
+            raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+    alpha, beta, gamma = weights
+    payload: dict = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    if beta > 0:
+        payload["error"] = "EmergComp has no computable value; set beta to 0"
+        return payload
+    self_maint = float(detection_f1)
+    self_recog = float(min(max((pair_accuracy - 0.5) / 0.5, 0.0), 1.0))
+    emerg_comp = 0.0  # weighted by beta == 0
+    payload["score"] = alpha * self_maint + beta * emerg_comp + gamma * self_recog
+    payload["self_maint"] = self_maint
+    payload["self_recog"] = self_recog
+    return payload

@@ -18,7 +18,7 @@ both nets' test-set embeddings (A's rows, then B's), and the classifier's
 input is gathered from that table batch by batch.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -284,13 +284,6 @@ class MirrorCnnReport:
     train_counts: dict = field(default_factory=dict)
     eval_counts: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        """Deterministic report payload; timing lives in run metadata instead."""
-        out = asdict(self)
-        del out["wall_clock_s"]
-        return out
 
 
 def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: int,
@@ -300,11 +293,8 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     The pair classifier trains on pairs drawn from one slice of the test-set
     index pool and is evaluated on pairs from the remaining indices, so the
     two stages never see the same embedding row."""
-    import time
-
     from .training import _plain_test_error
 
-    started = time.perf_counter()
     sub_a, sub_b = disjoint_subsets(
         train_set, (cfg.subset_size, cfg.subset_size), stream(seed, "mirror/subsets")
     )
@@ -362,5 +352,4 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
         "train_pool_size": int(train_pool.size),
         "eval_pool_size": int(eval_pool.size),
     }
-    report.wall_clock_s = time.perf_counter() - started
     return report

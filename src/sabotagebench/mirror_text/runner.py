@@ -1,7 +1,6 @@
 """End-to-end driver for the textual self-recognition experiment."""
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -36,9 +35,8 @@ def bundled_fixture_path() -> Path:
 class MirrorTextReport:
     """Deterministic results plus side-channel metadata.
 
-    `to_json_dict` carries only replay-stable values; transcripts and
-    timing live in `metadata` so two runs of the same fixtures stay
-    byte-identical.
+    `to_json_dict` carries only replay-stable values; transcripts live in
+    `metadata` so two runs of the same fixtures stay byte-identical.
     """
 
     offline: bool
@@ -51,11 +49,10 @@ class MirrorTextReport:
     rankings: dict[str, list[list[int]]]
     fixture_meta: dict[str, str]
     metadata: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
-        del out["metadata"], out["wall_clock_s"]
+        del out["metadata"]
         return {"method": "mirror-text", **out}
 
 
@@ -86,7 +83,6 @@ def run_mirror_text_experiment(
     fixture file also records past outcomes, the replay is checked
     against them so scripts and recorded scores cannot drift apart.
     """
-    started = time.perf_counter()
     fixtures: FixtureSet | None = None
     offline = providers is None
     if providers is None:
@@ -132,5 +128,4 @@ def run_mirror_text_experiment(
         "transcripts": provider_transcripts(providers),
         "pool_size": pool.count,
     }
-    report.wall_clock_s = time.perf_counter() - started
     return report

@@ -12,24 +12,15 @@ import csv
 import hashlib
 import json
 import time
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .mirror_cnn import MirrorCnnReport
-from .training import RunReport
+from .training import LogRow, RunReport
 
 if TYPE_CHECKING:  # mirror_text loads only for mirror-text runs
     from .mirror_text.runner import MirrorTextReport
-
-QUARANTINE_COLUMNS = (
-    "epoch",
-    "batch",
-    "tau",
-    "flagged_count",
-    "sabotaged_count",
-    "f_avg",
-    "latency_s",
-)
 
 
 def canonical_json(payload: Any) -> str:
@@ -73,11 +64,9 @@ def write_metadata(out_dir: Path, payload: dict) -> Path:
 
 
 def write_quarantine_log(path: Path, report: RunReport) -> Path:
-    """One QUARANTINE_COLUMNS row per training batch of `report`."""
+    """One row per training batch of `report`, a column per `LogRow` field."""
     return write_csv(
-        path,
-        QUARANTINE_COLUMNS,
-        ((getattr(row, column) for column in QUARANTINE_COLUMNS) for row in report.log_rows),
+        path, (f.name for f in fields(LogRow)), (astuple(row) for row in report.log_rows)
     )
 
 
@@ -115,7 +104,7 @@ def write_sweep_artifacts(out_dir: Path, sweep_result: dict) -> None:
 
 def write_mirror_cnn_report(out_dir: Path, report: MirrorCnnReport) -> None:
     out_dir = Path(out_dir)
-    payload = report.to_json_dict()
+    payload = asdict(report)
     write_json(out_dir / f"report_mirror-cnn_seed{report.seed}.json", payload)
     write_csv(
         out_dir / f"mirror_cnn_accuracies_seed{report.seed}.csv",

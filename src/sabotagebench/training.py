@@ -185,12 +185,11 @@ class RunReport:
     train_flag_counts: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     log_rows: list[LogRow] = field(default_factory=list)
-    wall_clock_s: float = 0.0
 
     def to_json_dict(self) -> dict:
         """Deterministic report payload; timing lives in run metadata instead."""
         out = asdict(self)
-        del out["log_rows"], out["wall_clock_s"], out["detection"]
+        del out["log_rows"], out["detection"]
         if self.detection is not None:
             out["detection"] = self.detection.to_dict()
         return out
@@ -373,7 +372,6 @@ def _run(cfg: PipelineConfig, method: str, model: SimpleCNN, policy, flags_of,
     poisoned test stream, flagged by `flags_of(probs, scores)`: detection vs
     the sabotage mask, rejection rate over the stream, accuracy over accepted
     clean samples."""
-    started = time.perf_counter()
     report = RunReport(method=method, seed=cfg.seed)
     fit(model, report, epochs, _sabotaged(cfg, train_set), policy, cfg.train.learning_rate,
         test_set)
@@ -384,7 +382,6 @@ def _run(cfg: PipelineConfig, method: str, model: SimpleCNN, policy, flags_of,
     report.detection = detection_metrics(flags, batch.mask, acc, empty)
     report.extras["model_checksum"] = model.params.checksum()
     report.extras.update(_eval_digests(flags, predictions))
-    report.wall_clock_s = time.perf_counter() - started
     return report
 
 

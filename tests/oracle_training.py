@@ -168,7 +168,6 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
 
 def train_baseline(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> RunReport:
     """Standard n-class classifier on the poisoned stream, no defense."""
-    started = time.perf_counter()
     model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
     report = RunReport(method=BASELINE, seed=cfg.seed)
     ones = None
@@ -190,7 +189,6 @@ def train_baseline(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet)
     flags = np.zeros(test_set.count, dtype=bool)
     _finish_report(report, flags, eval_batch, probs.argmax(axis=1))
     report.extras["model_checksum"] = model.params.checksum()
-    report.wall_clock_s = time.perf_counter() - started
     return report
 
 
@@ -202,7 +200,6 @@ def _run_gated_pipeline(
     hard_cutoff,
 ) -> RunReport:
     """Shared trainer for the soft (hard_cutoff None) and hard pipelines."""
-    started = time.perf_counter()
     method = SOFT if hard_cutoff is None else HARD
     model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
     gate = asset.gate
@@ -280,7 +277,6 @@ def _run_gated_pipeline(
         report.extras["hard_cutoff"] = (
             f"auto(q={cfg.hard_auto_quantile})" if hard_cutoff == "auto" else float(hard_cutoff)
         )
-    report.wall_clock_s = time.perf_counter() - started
     return report
 
 
@@ -306,7 +302,6 @@ def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> R
     """Integrated rejection: sabotaged samples are relabeled to the extra
     class n and the network learns to route them there. At inference,
     argmax == n rejects the sample; there is no separate detector."""
-    started = time.perf_counter()
     model = make_irm_model(cfg.model, stream(cfg.seed, "init/body"))
     reject_class = N_CLASSES
     report = RunReport(method=IRM, seed=cfg.seed)
@@ -337,7 +332,6 @@ def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> R
             "model_checksum": model.params.checksum(),
         }
     )
-    report.wall_clock_s = time.perf_counter() - started
     return report
 
 
@@ -353,7 +347,6 @@ def _confidence_quarantine_run(
     runs. Flags are confidence-only (max prob below tau, no gate) and flagged
     samples are excluded from the loss. Stream names do not depend on tau, so
     every sweep threshold sees identical shuffles and sabotage masks."""
-    started = time.perf_counter()
     method = "adaptive" if controller is not None else "sweep"
     model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
     report = RunReport(method=method, seed=cfg.seed)
@@ -419,7 +412,6 @@ def _confidence_quarantine_run(
     )
     if controller is None:
         report.extras["threshold"] = tau
-    report.wall_clock_s = time.perf_counter() - started
     return report
 
 

@@ -185,8 +185,11 @@ class TestParseConfig:
             parse_config(None, {"mirror_text.fixtures": 3})
 
     def test_lifestar_leaves_accept_number_or_null(self):
-        cfg = parse_config(None, {"lifestar.beta": 0.3})
+        cfg = parse_config(
+            None, {"lifestar.alpha": 0.5, "lifestar.beta": 0.3, "lifestar.gamma": 0.2}
+        )
         assert cfg.section("lifestar")["beta"] == 0.3
+        assert parse_config(None, {"lifestar.beta": None}).section("lifestar")["beta"] is None
         with pytest.raises(ConfigError, match="lifestar.alpha"):
             parse_config(None, {"lifestar.alpha": "half"})
 
@@ -222,10 +225,9 @@ class TestExperimentConfig:
     def test_builder_rejection_becomes_config_error(self):
         # 1.5 passes the leaf type check (a number) but fails the
         # dataclass range validation; the builder must surface that as a
-        # ConfigError naming the section.
-        cfg = parse_config(None, {"sabotage.rate": 1.5})
+        # ConfigError naming the section, at parse time.
         with pytest.raises(ConfigError, match="^sabotage:"):
-            cfg.sabotage_config()
+            parse_config(None, {"sabotage.rate": 1.5})
 
     def test_every_owner_field_is_set_from_the_config(self, monkeypatch):
         # a field no config sets is a value no run can change; the one
@@ -254,9 +256,8 @@ class TestExperimentConfig:
         assert parse_config().lifestar_weights() is None
 
     def test_lifestar_weights_all_or_nothing(self):
-        cfg = parse_config(None, {"lifestar.alpha": 0.5})
         with pytest.raises(ConfigError, match="together"):
-            cfg.lifestar_weights()
+            parse_config(None, {"lifestar.alpha": 0.5})
 
     def test_lifestar_weights_full_triplet(self):
         cfg = parse_config(
@@ -307,6 +308,37 @@ class TestLoadData:
     def test_unknown_source_rejected(self):
         cfg = parse_config(None, {"dataset.source": "imagenet"})
         with pytest.raises(ConfigError, match="dataset.source"):
+            cli.load_data(cfg)
+
+
+def write_idx(root: Path, train_size: int, test_size: int) -> None:
+    """Four plain IDX files under `root`: three blank images of each side
+    length, labelled 0, 1 and 2."""
+    for prefix, size in (("train", train_size), ("t10k", test_size)):
+        (root / f"{prefix}-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 2051, 3, size, size) + bytes(3 * size * size))
+        (root / f"{prefix}-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 2049, 3) + bytes([0, 1, 2]))
+
+
+@pytest.mark.parametrize("train_size,test_size", [(12, 12), (28, 12)])
+def test_image_size_must_match_the_idx_images(tmp_path, capsys, train_size, test_size):
+    # used to load and then exit 2 from the first linear layer:
+    # "linear inner dims disagree", naming no leaf
+    write_idx(tmp_path, train_size, test_size)
+    argv = ["run", "baseline", "--out", str(tmp_path / "out"),
+            "--set", "dataset.source=mnist", "--set", f"dataset.mnist_dir={tmp_path}"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: model.image_size: 28 does not match the 12x12 images under {tmp_path}\n")
+    assert not (tmp_path / "out").exists()
+    cfg = parse_config(None, {"dataset.source": "mnist", "dataset.mnist_dir": str(tmp_path),
+                              "model.image_size": 12})
+    if train_size == test_size:
+        train, test = cli.load_data(cfg)
+        assert train.images.shape == test.images.shape == (3, 1, 12, 12)
+    else:
+        with pytest.raises(ConfigError, match="model.image_size: 12 does not match the 28x28"):
             cli.load_data(cfg)
 
 
@@ -478,6 +510,63 @@ class TestRunExitCodes:
         argv = ["run", experiment, "--out", str(tmp_path / "out"), "--set", f"{leaf}={value}"]
         assert cli.main(argv) == 1
         assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # Each of these exited 1 or 2 only after the data had loaded (NaN and
+    # Infinity with a traceback from the config echo), and a sabotage rate
+    # of 5 not at all on mirror-cnn, which does not sabotage.
+    @pytest.mark.parametrize("via", ["set", "file"])
+    @pytest.mark.parametrize("experiment,leaf,text,message", [
+        ("baseline", "train.learning_rate", "NaN", "train.learning_rate: expected finite"),
+        ("baseline", "sabotage.rate", "Infinity", "sabotage.rate: expected finite"),
+        ("mirror-cnn", "mirror_cnn.gate_boundary_fraction", "NaN",
+         "mirror_cnn.gate_boundary_fraction: expected finite"),
+        ("hard", "hard.cutoff", "-Infinity", "hard.cutoff: expected finite"),
+        ("sweep", "sweep.thresholds", "[0.1, NaN]", "sweep.thresholds: expected finite"),
+        ("all", "lifestar.gamma", "Infinity", "lifestar.gamma: expected finite"),
+        ("baseline", "sabotage.rate", "5", "sabotage: sabotage rate must lie in [0, 1], got 5.0"),
+        ("mirror-cnn", "sabotage.rate", "5", "sabotage: sabotage rate must lie in [0, 1]"),
+        ("mirror-cnn", "sabotage.label_mode", '"flip"', "sabotage: label_mode must be"),
+        ("baseline", "hard.auto_quantile", "1.5",
+         "hard: hard_auto_quantile must lie in (0, 1), got 1.5"),
+    ])
+    def test_bad_number_fails_at_parse_time(self, tmp_path, capsys, monkeypatch, via,
+                                             experiment, leaf, text, message):
+        def load_data(cfg):
+            raise AssertionError("data loaded for a bad config")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
+        argv = ["run", experiment, "--out", str(tmp_path / "out")]
+        if via == "set":
+            argv += ["--set", f"{leaf}={text}"]
+        else:
+            section, key = leaf.split(".")
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({section: {key: json.loads(text)}}))
+            argv += ["--config", str(path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["baseline", "all"])
+    @pytest.mark.parametrize("weights,message", [
+        ({"alpha": 0.5}, "lifestar: alpha, beta, gamma must be given together"),
+        ({"alpha": 0.5, "gamma": 0.5}, "lifestar: alpha, beta, gamma must be given together"),
+        ({"alpha": -0.5, "beta": 0, "gamma": 0.5}, "lifestar: weights must be >= 0"),
+    ])
+    def test_bad_lifestar_triplet_fails_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                          experiment, weights, message):
+        # both used to surface only after every experiment of `run all` had
+        # written its output, the negative weight with exit 2
+        def load_data(cfg):
+            raise AssertionError("data loaded for a bad config")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
+        argv = ["run", experiment, "--offline", "--out", str(tmp_path / "out")]
+        for key, value in weights.items():
+            argv += ["--set", f"lifestar.{key}={value}"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_null_boundary_fraction_is_accepted(self):

@@ -5,6 +5,7 @@ Pairs are row indices into one embedding table; their classifier input,
 `PairSet.features`, must give the bytes of the copied left/right tables
 kept in `oracle_pairs`, from the same draws."""
 
+import dataclasses
 import statistics
 import tracemalloc
 
@@ -297,8 +298,9 @@ class TestConfigAndReport:
             MirrorCnnConfig(eval_pairs_per_mode=0)
 
     def test_report_json_keys(self):
+        # the report is written as `asdict(report)`, so its fields are the keys
         report = MirrorCnnReport(seed=1)
-        assert set(report.to_json_dict()) == {
+        assert set(dataclasses.asdict(report)) == {
             "seed",
             "test_error_a",
             "test_error_b",
