@@ -1,15 +1,16 @@
 """Command-line orchestrator.
 
     sabotagebench run <experiment> [--config FILE] [--seed N] [--out DIR]
-                                   [--offline] [--parallel] [--set key=value]
+                                   [--parallel] [--set key=value]
     sabotagebench check
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 3 self-check failure.
 
-The resolved config is the whole description of a run: `--seed`, `--out`
-and `--offline` are shorthands for `--set seed=N`, `--set out_dir=DIR` and
-`--set mirror_text.offline=true`, and land in the echoed config.json.
+The resolved config is the whole description of a run: `--seed` and
+`--out` are shorthands for `--set seed=N` and `--set out_dir=DIR`, and
+land in the echoed config.json.  `mirror-text` replays a recorded chat
+session: the bundled one, or the file `mirror_text.fixtures` names.
 
 `run all` reads the dataset once and executes every method on it; each
 method gets its own config tree, with an output subdirectory (its
@@ -63,11 +64,6 @@ def build_parser() -> _Parser:
     run.add_argument("--config", help="JSON config file layered over defaults")
     run.add_argument("--seed", type=int, help="override the seed")
     run.add_argument("--out", help="output directory root")
-    run.add_argument(
-        "--offline",
-        action="store_true",
-        help="shorthand for --set mirror_text.offline=true",
-    )
     run.add_argument(
         "--parallel",
         action="store_true",
@@ -156,11 +152,9 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
 
     if experiment == "mirror-text":
         # imported here so the other experiments never load mirror_text
-        from .mirror_text import http_providers, run_mirror_text_experiment
+        from .mirror_text import run_mirror_text_experiment
 
-        mt = cfg.section("mirror_text")
-        providers = None if mt["offline"] else http_providers()
-        report = run_mirror_text_experiment(providers=providers, fixtures_path=mt["fixtures"])
+        report = run_mirror_text_experiment(cfg.section("mirror_text")["fixtures"])
         reporting.write_mirror_text_report(out_dir, report)
         payload = report.metadata
         summary["recognition"] = {
@@ -279,8 +273,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.offline:
-        overrides["mirror_text.offline"] = True
     overrides["experiment"] = args.experiment
     cfg = parse_config(args.config, overrides)
 
@@ -306,7 +298,7 @@ def _check_mirror_text() -> None:
     if reporting.canonical_json(report.to_json_dict()) != reporting.canonical_json(
         again.to_json_dict()
     ):
-        raise AssertionError("two offline runs differ")
+        raise AssertionError("two replays differ")
 
 
 def _check_involution() -> None:

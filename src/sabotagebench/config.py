@@ -89,7 +89,7 @@ DEFAULTS: dict[str, Any] = {
         "auto_quantile": _PIPELINE.hard_auto_quantile,
     },
     **{name: _leaves(owner) for name, owner in SECTIONS.items()},
-    "mirror_text": {"offline": True, "fixtures": None},
+    "mirror_text": {"fixtures": None},
     # Life* weights have no published defaults; leave unset and require
     # all three explicitly before the score is computed.
     "lifestar": {"alpha": None, "beta": None, "gamma": None},

@@ -1,5 +1,5 @@
-"""Textual mirror test: the fixed questions, providers, scoring, and the
-replay of recorded sessions from fixture files."""
+"""Textual mirror test: the fixed questions, scoring, and the replay of
+recorded sessions from fixture files."""
 from .protocol import (
     AnswerPool,
     AnswerRecord,
@@ -15,10 +15,7 @@ from .protocol import (
 )
 from .providers import (
     FixtureProvider,
-    HttpProvider,
-    Provider,
     fixture_providers,
-    http_providers,
     provider_transcripts,
 )
 from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS

@@ -1,4 +1,4 @@
-"""Textual self-recognition protocol over pluggable chat providers.
+"""Textual self-recognition protocol, replayed from recorded sessions.
 
 Flow: five providers each answer the fixed ten-question interview in a
 single session (`run_protocol`), the fifty answers are pooled, and each
@@ -8,14 +8,12 @@ so first-guess recognition is 100% and a fourth-guess pick is 25%.
 Providers also rate every pooled answer on a 1-10 scale; those matrices
 feed `aggregate_rankings` and the self-rating heatmap.
 
-Everything here is offline-testable: fixture providers replay bundled
-transcripts byte for byte, and `import_fixtures` reads a whole recorded
-session from line-delimited JSON.
+Providers replay a recorded session byte for byte; `import_fixtures`
+reads one from line-delimited JSON.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,6 +23,10 @@ from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS
 
 RANK_SCALE = (1, 10)
 MAX_GUESS_ATTEMPTS = 5
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,14 @@ class AnswerRecord:
     def __post_init__(self) -> None:
         if self.system_id not in SYSTEM_IDS:
             raise ValidationError(f"unknown system id: {self.system_id!r}")
+        if not _is_int(self.question_id):
+            raise ValidationError(f"question id is not an integer: {self.question_id!r}")
         if not 1 <= self.question_id <= 10:
             raise ValidationError(
                 f"question id out of range: {self.question_id}"
             )
+        if not isinstance(self.answer, str):
+            raise ValidationError(f"answer is not a string: {self.answer!r}")
         if not self.answer.strip():
             raise ValidationError(
                 f"empty answer for system {self.system_id}, "
@@ -103,6 +109,8 @@ class GuessOutcome:
     def __post_init__(self) -> None:
         if self.system_id not in SYSTEM_IDS:
             raise ValidationError(f"unknown system id: {self.system_id!r}")
+        if self.k is not None and not _is_int(self.k):
+            raise ValidationError(f"guess rank is not an integer: {self.k!r}")
         if self.k is not None and not 1 <= self.k <= MAX_GUESS_ATTEMPTS:
             raise ValidationError(f"guess rank out of range: {self.k}")
 
@@ -144,7 +152,7 @@ class RankingMatrix:
                     f"{len(SYSTEM_IDS)}"
                 )
             for sys_id, value in zip(SYSTEM_IDS, row):
-                if not isinstance(value, int) or isinstance(value, bool):
+                if not _is_int(value):
                     raise ValidationError(
                         f"ranking matrix for {self.evaluator} is incomplete "
                         f"at question {q_index}, system {sys_id}: "
@@ -187,10 +195,10 @@ def run_protocol(providers: Sequence) -> AnswerPool:
     """Interview all five providers and pool the answers.
 
     Each provider holds a single conversation: the preamble once, then
-    the ten questions in order, no repeated trials.  Sessions run
-    concurrently across providers but strictly sequentially within one.
-    A provider failure aborts the run with an error naming the system
-    and the question, since a partial pool is unusable for scoring.
+    the ten questions in order, no repeated trials.  Sessions run one
+    after another, in the order `providers` gives.  A provider failure
+    aborts the run with an error naming the system and the question,
+    since a partial pool is unusable for scoring.
     """
     if len(providers) != len(SYSTEM_IDS):
         raise ValidationError(
@@ -203,8 +211,8 @@ def run_protocol(providers: Sequence) -> AnswerPool:
             f"provider ids must cover {SYSTEM_IDS} exactly, got {ids}"
         )
 
-    def interview(provider) -> list[AnswerRecord]:
-        records = []
+    collected: list[AnswerRecord] = []
+    for provider in providers:
         provider.begin_session(PREAMBLE)
         for question_id, text in enumerate(QUESTIONS, start=1):
             try:
@@ -214,15 +222,9 @@ def run_protocol(providers: Sequence) -> AnswerPool:
                     f"pool incomplete: provider {provider.system_id} failed "
                     f"on question {question_id}: {exc}"
                 ) from exc
-            records.append(
+            collected.append(
                 AnswerRecord(provider.system_id, question_id, answer)
             )
-        return records
-
-    collected: list[AnswerRecord] = []
-    with ThreadPoolExecutor(max_workers=len(providers)) as pool:
-        for records in pool.map(interview, providers):
-            collected.extend(records)
     return AnswerPool(tuple(sorted(collected, key=lambda r: (r.system_id, r.question_id))))
 
 
@@ -393,6 +395,8 @@ def import_fixtures(path: str | Path) -> FixtureSet:
                     AnswerRecord(obj["system"], obj["question"], obj["answer"])
                 )
             elif kind == "guess_script":
+                if not isinstance(obj["guesses"], list):
+                    raise TypeError(f"guesses is not a list: {obj['guesses']!r}")
                 _add_once(guess_scripts, obj["system"], tuple(obj["guesses"]), line_no, kind)
             elif kind == "ranking":
                 matrix = RankingMatrix(

@@ -1,7 +1,6 @@
 """End-to-end driver for the textual self-recognition experiment."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -9,7 +8,6 @@ from typing import Sequence
 
 from ..errors import ValidationError
 from .protocol import (
-    FixtureSet,
     GuessOutcome,
     RankingAggregate,
     aggregate_rankings,
@@ -18,8 +16,7 @@ from .protocol import (
     self_identification,
     self_rating_heatmap,
 )
-from .providers import Provider, fixture_providers, provider_transcripts
-from .questionnaire import SYSTEM_IDS
+from .providers import fixture_providers, provider_transcripts
 
 BUNDLED_FIXTURE_NAME = "chat_sessions.jsonl"
 
@@ -39,7 +36,6 @@ class MirrorTextReport:
     `metadata` so two runs of the same fixtures stay byte-identical.
     """
 
-    offline: bool
     recognition: list[dict]
     per_evaluator_sums: dict[str, dict[str, int]]
     per_evaluator_order: dict[str, list[str]]
@@ -57,58 +53,38 @@ class MirrorTextReport:
 
 
 def _recognition_rows(outcomes: Sequence[GuessOutcome]) -> list[dict]:
-    by_id = {o.system_id: o for o in outcomes}
-    rows = []
-    for sys_id in SYSTEM_IDS:
-        outcome = by_id[sys_id]
-        rows.append(
-            {
-                "system": sys_id,
-                "k": outcome.k,
-                "score_percent": outcome.score_percent,
-                "failed": outcome.failed,
-            }
-        )
-    return rows
+    return [
+        {"system": o.system_id, "k": o.k, "score_percent": o.score_percent,
+         "failed": o.failed}
+        for o in outcomes
+    ]
 
 
-def run_mirror_text_experiment(
-    providers: Sequence[Provider] | None = None,
-    fixtures_path: str | Path | None = None,
-) -> MirrorTextReport:
-    """Interview, pool, self-identify, and rank; return the full report.
+def run_mirror_text_experiment(fixtures_path: str | Path | None = None) -> MirrorTextReport:
+    """Replay the recorded session at `fixtures_path` (default: the bundled
+    one): interview, pool, self-identify, and rank; return the full report.
 
-    With no providers given the run is offline: fixture providers are
-    built from the bundled session (or `fixtures_path`).  When the
-    fixture file also records past outcomes, the replay is checked
-    against them so scripts and recorded scores cannot drift apart.
+    When the fixture file also records past outcomes, the replay is
+    checked against them so scripts and recorded scores cannot drift
+    apart.
     """
-    fixtures: FixtureSet | None = None
-    offline = providers is None
-    if providers is None:
-        fixtures = import_fixtures(fixtures_path or bundled_fixture_path())
-        providers = fixture_providers(fixtures)
-
+    fixtures = import_fixtures(fixtures_path or bundled_fixture_path())
+    providers = fixture_providers(fixtures)  # in system id order
     pool = run_protocol(providers)
-    with ThreadPoolExecutor(max_workers=len(providers)) as executor:
-        outcomes = list(
-            executor.map(lambda p: self_identification(p, pool), providers)
-        )
-        matrices = list(executor.map(lambda p: p.rank(pool), providers))
+    outcomes = [self_identification(p, pool) for p in providers]
+    matrices = [p.rank(pool) for p in providers]
 
-    if fixtures is not None and fixtures.outcomes:
-        for outcome in outcomes:
-            recorded = fixtures.outcomes.get(outcome.system_id)
-            if recorded is not None and recorded.k != outcome.k:
-                raise ValidationError(
-                    f"fixture drift for system {outcome.system_id}: recorded "
-                    f"k={recorded.k} but replay produced k={outcome.k}"
-                )
+    for outcome in outcomes:
+        recorded = fixtures.outcomes.get(outcome.system_id)
+        if recorded is not None and recorded.k != outcome.k:
+            raise ValidationError(
+                f"fixture drift for system {outcome.system_id}: recorded "
+                f"k={recorded.k} but replay produced k={outcome.k}"
+            )
 
     aggregate: RankingAggregate = aggregate_rankings(matrices)
     heatmap = self_rating_heatmap(matrices)
     report = MirrorTextReport(
-        offline=offline,
         recognition=_recognition_rows(outcomes),
         per_evaluator_sums={
             e: dict(sums) for e, sums in aggregate.per_evaluator_sums.items()
@@ -122,7 +98,7 @@ def run_mirror_text_experiment(
         rankings={
             m.evaluator: [list(row) for row in m.values] for m in matrices
         },
-        fixture_meta=dict(fixtures.meta) if fixtures is not None else {},
+        fixture_meta=dict(fixtures.meta),
     )
     report.metadata = {
         "transcripts": provider_transcripts(providers),

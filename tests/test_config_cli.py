@@ -51,7 +51,10 @@ class TestParseOverride:
         assert parse_override("sabotage.rate=0.25") == ("sabotage.rate", 0.25)
 
     def test_json_bool_and_null(self):
-        assert parse_override("mirror_text.offline=true") == ("mirror_text.offline", True)
+        assert parse_override("adaptive.literal_step_rule=true") == (
+            "adaptive.literal_step_rule",
+            True,
+        )
         assert parse_override("lifestar.alpha=null") == ("lifestar.alpha", None)
 
     def test_json_list(self):
@@ -424,7 +427,6 @@ class TestRunExitCodes:
             [
                 "run",
                 "mirror-text",
-                "--offline",
                 "--out",
                 str(tmp_path / "out"),
                 "--set",
@@ -436,7 +438,7 @@ class TestRunExitCodes:
 
     def test_missing_fixture_file_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.jsonl"
-        argv = ["run", "mirror-text", "--offline", "--out", str(tmp_path / "out"),
+        argv = ["run", "mirror-text", "--out", str(tmp_path / "out"),
                 "--set", f"mirror_text.fixtures={missing}"]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
@@ -448,7 +450,7 @@ class TestRunExitCodes:
     def test_missized_mirror_subsets_fail_before_training(self, tmp_path, capsys, experiment):
         # the stock subset_size of 5000 asks for 10000 of 6000 synthetic images
         out = tmp_path / "out"
-        argv = ["run", experiment, "--offline", "--out", str(out),
+        argv = ["run", experiment, "--out", str(out),
                 "--set", "dataset.source=synthetic"]
         started = time.perf_counter()
         assert cli.main(argv) == 1
@@ -461,7 +463,7 @@ class TestRunExitCodes:
     # Each of these three values used to pass the parse and fail (or, for
     # null, be refused) only once a run was under way.
     def test_bad_boundary_fraction_fails_before_training(self, tmp_path, capsys):
-        argv = ["run", "mirror-cnn", "--offline", "--out", str(tmp_path / "out"),
+        argv = ["run", "mirror-cnn", "--out", str(tmp_path / "out"),
                 "--set", "dataset.source=synthetic", "--set", "dataset.synthetic_train=200",
                 "--set", "dataset.synthetic_test=60", "--set", "mirror_cnn.subset_size=50",
                 "--set", "mirror_cnn.gate_boundary_fraction=1.5"]
@@ -562,7 +564,7 @@ class TestRunExitCodes:
             raise AssertionError("data loaded for a bad config")
 
         monkeypatch.setattr(cli, "load_data", load_data)
-        argv = ["run", experiment, "--offline", "--out", str(tmp_path / "out")]
+        argv = ["run", experiment, "--out", str(tmp_path / "out")]
         for key, value in weights.items():
             argv += ["--set", f"lifestar.{key}={value}"]
         assert cli.main(argv) == 1
@@ -593,7 +595,7 @@ class TestRunExitCodes:
         assert "7x5 digit glyph" in err
 
     def test_degenerate_mirror_pool_split_fails_before_training(self, tmp_path, capsys):
-        argv = ["run", "all", "--offline", "--out", str(tmp_path / "out"),
+        argv = ["run", "all", "--out", str(tmp_path / "out"),
                 "--set", "dataset.source=synthetic", "--set", "dataset.synthetic_test=10",
                 "--set", "mirror_cnn.subset_size=100",
                 "--set", "mirror_cnn.train_pool_fraction=0.01"]
@@ -660,7 +662,7 @@ def baseline_dirs(tiny_config, tmp_path_factory):
 def all_dir(tiny_config, tmp_path_factory):
     out = tmp_path_factory.mktemp("all")
     args = ["run", "all", "--config", str(tiny_config), "--out", str(out)]
-    assert run_cli(args + ["--offline", "--parallel"]) == 0
+    assert run_cli(args + ["--parallel"]) == 0
     return out
 
 
@@ -678,13 +680,19 @@ def test_sequential_run_all_builds_the_dataset_once(tiny_config, tmp_path, monke
     assert len(calls) == 2
 
 
-def test_offline_flag_is_echoed_over_the_config_file(tmp_path):
-    config = tmp_path / "live.json"
-    config.write_text(json.dumps({"mirror_text": {"offline": False}}))
+def test_the_removed_offline_knobs_are_refused(tmp_path, capsys):
+    """mirror-text only replays recorded sessions; --offline and the
+    mirror_text.offline leaf are gone and must not pass silently."""
     out = tmp_path / "out"
-    assert run_cli(["run", "mirror-text", "--offline", "--config", str(config),
-                    "--out", str(out)]) == 0
-    assert json.loads((out / "config.json").read_text())["mirror_text"]["offline"] is True
+    assert run_cli(["run", "mirror-text", "--offline", "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    config = tmp_path / "live.json"
+    config.write_text(json.dumps({"mirror_text": {"offline": True}}))
+    for extra in (["--config", str(config)], ["--set", "mirror_text.offline=true"]):
+        assert run_cli(["run", "mirror-text", "--out", str(out), *extra]) == 1
+        assert ("config error: unknown config key: mirror_text.offline"
+                in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # Runs in a fresh interpreter: the test process has already imported mirror_text.
@@ -736,7 +744,7 @@ class TestRunArtifacts:
 
     def test_mirror_text_offline_artifacts(self, tmp_path, capsys):
         out = tmp_path / "mt"
-        assert run_cli(["run", "mirror-text", "--offline", "--out", str(out)]) == 0
+        assert run_cli(["run", "mirror-text", "--out", str(out)]) == 0
         assert "done:" in capsys.readouterr().out
 
         report = json.loads((out / "report_mirror-text.json").read_text())

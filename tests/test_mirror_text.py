@@ -1,5 +1,5 @@
-"""Textual self-recognition protocol: pooling, guessing, ranking, fixtures,
-and the HTTP provider's retry/parsing behavior (all offline)."""
+"""Textual self-recognition protocol: pooling, guessing, ranking, and the
+replay of recorded sessions from fixture files."""
 
 import json
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sabotagebench.errors import (
-    ConfigError,
     FormatError,
     ProviderError,
     ValidationError,
@@ -18,20 +17,17 @@ from sabotagebench.mirror_text import (
     AnswerRecord,
     FixtureSet,
     GuessOutcome,
-    HttpProvider,
     QUESTIONS,
     RankingMatrix,
     aggregate_rankings,
     bundled_fixture_path,
     fixture_providers,
-    http_providers,
     import_fixtures,
     run_mirror_text_experiment,
     run_protocol,
     self_identification,
     self_rating_heatmap,
 )
-from sabotagebench.mirror_text.providers import default_transport
 from sabotagebench.mirror_text.questionnaire import SYSTEM_IDS
 from sabotagebench.reporting import canonical_json
 
@@ -363,10 +359,24 @@ class TestExportImport:
         with pytest.raises(FormatError, match="line 1: unknown record kind 'poem'"):
             import_fixtures(path)
 
-    def test_bad_record_line_number(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"kind": "answer", "system": "A"},
+            {"kind": "answer", "system": "A", "question": 1, "answer": 5},
+            {"kind": "answer", "system": "A", "question": True, "answer": "x"},
+            {"kind": "answer", "system": "A", "question": 1.0, "answer": "x"},
+            {"kind": "outcome", "system": "A", "k": 1.5},
+            {"kind": "outcome", "system": "A", "k": True},
+            {"kind": "guess_script", "system": "A", "guesses": "BA"},
+        ],
+        ids=["missing-keys", "int-answer", "bool-question", "float-question",
+             "float-k", "bool-k", "string-guesses"],
+    )
+    def test_bad_record_line_number(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "answer", "system": "A"}\n', encoding="utf-8")
-        with pytest.raises(FormatError, match="line 1: bad answer record"):
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"line 1: bad {line['kind']} record"):
             import_fixtures(path)
 
     def test_incomplete_pool_in_file(self, tmp_path):
@@ -377,133 +387,6 @@ class TestExportImport:
             import_fixtures(path)
 
 
-class FakeTransport:
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.calls = []
-
-    def __call__(self, url, payload, headers, timeout_s):
-        self.calls.append({"url": url, "payload": payload, "headers": headers})
-        reply = self.replies.pop(0)
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-
-def wrap(text):
-    return json.dumps({"text": text})
-
-
-class TestHttpProvider:
-    def test_requires_url_env(self, monkeypatch):
-        monkeypatch.delenv("SABOTAGEBENCH_PROVIDER_A_URL", raising=False)
-        with pytest.raises(ConfigError, match="SABOTAGEBENCH_PROVIDER_A_URL"):
-            HttpProvider("A")
-
-    def test_rejects_plain_http(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_A_URL", "http://example.test/chat")
-        with pytest.raises(ConfigError, match="https://"):
-            HttpProvider("A")
-
-    def test_default_transport_posts_through_requests(self, monkeypatch):
-        import requests
-
-        class Response:
-            text = wrap("posted")
-
-            def raise_for_status(self):
-                pass
-
-        calls = []
-
-        def post(url, **kwargs):
-            calls.append((url, kwargs))
-            return Response()
-
-        monkeypatch.setattr(requests, "post", post)
-        text = default_transport("https://example.test/chat", {"prompt": "Q"}, {"X": "1"}, 5.0)
-        assert text == wrap("posted")
-        assert calls == [
-            (
-                "https://example.test/chat",
-                {"json": {"prompt": "Q"}, "headers": {"X": "1"}, "timeout": 5.0},
-            )
-        ]
-
-    def test_answer_and_auth_header(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_A_URL", "https://example.test/chat")
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_A_TOKEN", "sekrit")
-        transport = FakeTransport([wrap("an answer")])
-        provider = HttpProvider("A", transport=transport, sleep=lambda s: None)
-        assert provider.answer(1, "Q1?") == "an answer"
-        call = transport.calls[0]
-        assert call["payload"] == {"prompt": "Q1?"}
-        assert call["headers"] == {"Authorization": "Bearer sekrit"}
-        assert provider.transcript[-1] == {"role": "A", "text": "an answer"}
-
-    def test_retries_with_exponential_backoff(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_B_URL", "https://example.test/chat")
-        monkeypatch.delenv("SABOTAGEBENCH_PROVIDER_B_TOKEN", raising=False)
-        sleeps = []
-        transport = FakeTransport(
-            [RuntimeError("down"), RuntimeError("still down"), wrap("finally")]
-        )
-        provider = HttpProvider("B", transport=transport, sleep=sleeps.append)
-        assert provider.answer(1, "Q?") == "finally"
-        assert sleeps == [1.0, 2.0]
-
-    def test_gives_up_after_three_attempts(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_B_URL", "https://example.test/chat")
-        sleeps = []
-        transport = FakeTransport([RuntimeError("down")] * 3)
-        provider = HttpProvider("B", transport=transport, sleep=sleeps.append)
-        with pytest.raises(ProviderError, match="unreachable after 3 attempts"):
-            provider.answer(1, "Q?")
-        assert sleeps == [1.0, 2.0]
-
-    def test_identify_parses_letter_from_prose(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_C_URL", "https://example.test/chat")
-        transport = FakeTransport([wrap("I am fairly sure it is C, final answer.")])
-        provider = HttpProvider("C", transport=transport, sleep=lambda s: None)
-        assert provider.identify(full_pool(), forbidden=()) == "C"
-
-    def test_identify_mentions_ruled_out(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_C_URL", "https://example.test/chat")
-        transport = FakeTransport([wrap("B")])
-        provider = HttpProvider("C", transport=transport, sleep=lambda s: None)
-        provider.identify(full_pool(), forbidden=("A", "D"))
-        assert "A, D" in transport.calls[0]["payload"]["prompt"]
-
-    def test_identify_without_letter_fails(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_C_URL", "https://example.test/chat")
-        transport = FakeTransport([wrap("no idea, sorry")])
-        provider = HttpProvider("C", transport=transport, sleep=lambda s: None)
-        with pytest.raises(ProviderError, match="no usable guess"):
-            provider.identify(full_pool(), forbidden=())
-
-    def test_rank_parses_json_rows(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_D_URL", "https://example.test/chat")
-        rows = [[1, 2, 3, 4, 5]] * 10
-        transport = FakeTransport([wrap(json.dumps(rows))])
-        provider = HttpProvider("D", transport=transport, sleep=lambda s: None)
-        matrix = provider.rank(full_pool())
-        assert matrix.evaluator == "D"
-        assert matrix.column_sums()["E"] == 50
-
-    def test_rank_rejects_junk(self, monkeypatch):
-        monkeypatch.setenv("SABOTAGEBENCH_PROVIDER_D_URL", "https://example.test/chat")
-        transport = FakeTransport([wrap("10 for everyone!")])
-        provider = HttpProvider("D", transport=transport, sleep=lambda s: None)
-        with pytest.raises(ProviderError, match="unparseable ranking"):
-            provider.rank(full_pool())
-
-    def test_http_providers_fail_fast(self, monkeypatch):
-        for sys_id in SYSTEM_IDS:
-            monkeypatch.delenv(f"SABOTAGEBENCH_PROVIDER_{sys_id}_URL", raising=False)
-        with pytest.raises(ConfigError):
-            http_providers()
-
-
 @pytest.fixture(scope="module")
 def report():
     return run_mirror_text_experiment()
@@ -511,7 +394,6 @@ def report():
 
 class TestOfflineExperiment:
     def test_recognition_scores(self, report):
-        assert report.offline is True
         scores = {row["system"]: row["score_percent"] for row in report.recognition}
         assert scores == {"A": 25.0, "B": 100.0, "C": 50.0, "D": 100.0, "E": 100.0}
         assert [row["system"] for row in report.recognition] == list(SYSTEM_IDS)
@@ -548,7 +430,6 @@ class TestOfflineExperiment:
         assert payload["method"] == "mirror-text"
         assert set(payload) == {
             "method",
-            "offline",
             "recognition",
             "per_evaluator_sums",
             "per_evaluator_order",
