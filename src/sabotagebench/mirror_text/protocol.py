@@ -317,7 +317,7 @@ def self_rating_heatmap(matrices: Iterable[RankingMatrix]) -> tuple[tuple[int, .
 @dataclass(frozen=True)
 class FixtureSet:
     """One full recorded session: answers, guess scripts, rankings,
-    recorded outcomes, free-form metadata.
+    recorded outcomes, free-text metadata.
 
     Guess scripts are the ordered id sequences a replayed provider will
     emit during self-identification; outcomes are what a past run
@@ -390,6 +390,8 @@ def import_fixtures(path: str | Path) -> FixtureSet:
                 if meta is not None:
                     raise FormatError(f"line {line_no}: duplicate meta record")
                 meta = {k: v for k, v in obj.items() if k != "kind"}
+                if not all(isinstance(v, str) for v in meta.values()):
+                    raise TypeError(f"values must be strings: {meta!r}")
             elif kind == "answer":
                 records.append(
                     AnswerRecord(obj["system"], obj["question"], obj["answer"])

@@ -1,6 +1,7 @@
 """Textual self-recognition protocol: pooling, guessing, ranking, and the
 replay of recorded sessions from fixture files."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,14 +16,17 @@ from sabotagebench.errors import (
 from sabotagebench.mirror_text import (
     AnswerPool,
     AnswerRecord,
+    FixtureProvider,
     FixtureSet,
     GuessOutcome,
+    PREAMBLE,
     QUESTIONS,
     RankingMatrix,
     aggregate_rankings,
     bundled_fixture_path,
     fixture_providers,
     import_fixtures,
+    provider_transcripts,
     run_mirror_text_experiment,
     run_protocol,
     self_identification,
@@ -239,6 +243,68 @@ class TestRunProtocol:
         with pytest.raises(ProviderError, match="open session"):
             run_protocol(providers)
 
+    def test_sessions_run_whole_in_the_given_order(self):
+        fixtures = import_fixtures(bundled_fixture_path())
+        calls = []
+
+        class Recording(FixtureProvider):
+            def begin_session(self, preamble):
+                calls.append((self.system_id, 0))
+                super().begin_session(preamble)
+
+            def answer(self, question_id, text):
+                calls.append((self.system_id, question_id))
+                return super().answer(question_id, text)
+
+        order = ["E", "C", "A", "D", "B"]
+        pool = run_protocol([Recording(s, fixtures) for s in order])
+        assert calls == [(s, q) for s in order for q in range(11)]
+        assert pool == fixtures.pool
+
+
+class TestFixtureProvider:
+    @pytest.mark.parametrize(
+        "system_id, drop, message",
+        [
+            ("Z", None, "unknown system id"),
+            ("B", "guess_scripts", "no guess script for system B"),
+            ("B", "rankings", "no ranking matrix for system B"),
+        ],
+        ids=["unknown-id", "no-guess-script", "no-ranking"],
+    )
+    def test_needs_the_whole_recorded_session(self, system_id, drop, message):
+        fixtures = import_fixtures(bundled_fixture_path())
+        if drop is not None:
+            kept = {k: v for k, v in getattr(fixtures, drop).items() if k != system_id}
+            fixtures = dataclasses.replace(fixtures, **{drop: kept})
+        with pytest.raises(ValidationError, match=message):
+            FixtureProvider(system_id, fixtures)
+
+    def test_transcript_is_one_replayed_conversation(self):
+        fixtures = import_fixtures(bundled_fixture_path())
+        providers = fixture_providers(fixtures)
+        pool = run_protocol(providers)
+        outcome = self_identification(providers[2], pool)
+        assert outcome.k == fixtures.outcomes["C"].k
+        expected = [{"role": "interviewer", "text": PREAMBLE}]
+        for q, text in enumerate(QUESTIONS, start=1):
+            expected += [
+                {"role": "interviewer", "text": text},
+                {"role": "C", "text": fixtures.pool.answer("C", q)},
+            ]
+        expected += [
+            {"role": "C", "text": f"guess: {g}"}
+            for g in fixtures.guess_scripts["C"][: outcome.k]
+        ]
+        transcripts = provider_transcripts(providers)
+        assert list(transcripts) == list(SYSTEM_IDS)
+        assert transcripts["C"] == expected
+
+    def test_rank_returns_the_recorded_matrix(self):
+        fixtures = import_fixtures(bundled_fixture_path())
+        for provider in fixture_providers(fixtures):
+            assert provider.rank(fixtures.pool) is fixtures.rankings[provider.system_id]
+
 
 class TestSelfIdentification:
     def test_k_is_attempt_index(self):
@@ -369,9 +435,11 @@ class TestExportImport:
             {"kind": "outcome", "system": "A", "k": 1.5},
             {"kind": "outcome", "system": "A", "k": True},
             {"kind": "guess_script", "system": "A", "guesses": "BA"},
+            {"kind": "meta", "note": "x", "extra": [1, 2]},
+            {"kind": "meta", "version": 2},
         ],
         ids=["missing-keys", "int-answer", "bool-question", "float-question",
-             "float-k", "bool-k", "string-guesses"],
+             "float-k", "bool-k", "string-guesses", "list-meta", "int-meta"],
     )
     def test_bad_record_line_number(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
