@@ -183,6 +183,10 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
             report = train_irm(cfg.pipeline_config("irm"), *data)
         else:
             raise ConfigError(f"unknown experiment {experiment!r}")
+        if report.extras.get("gate_inverted"):
+            print(f"warning: the {experiment} gate is inverted: it scores sabotaged images "
+                  f"above clean ones (calibration AUC {report.extras['gate_val_auc']:.3f})",
+                  file=sys.stderr)
         reporting.write_run_report(out_dir, report)
         payload = {"latencies_s": report.latencies}
         summary["rejection_rate"] = report.detection.rejection_rate

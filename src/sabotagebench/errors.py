@@ -27,7 +27,3 @@ class NumericsError(WorkbenchError):
 
 class ConfigError(WorkbenchError):
     """Bad experiment configuration; message carries the offending key path."""
-
-
-class ProviderError(WorkbenchError):
-    """A chat provider failed to produce a usable response."""

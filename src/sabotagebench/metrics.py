@@ -111,6 +111,24 @@ def detection_metrics(
     )
 
 
+def separation_auc(scores, positive) -> float | None:
+    """AUC of the positive rows' scores over the others: the chance that a
+    positive row outscores a negative one, a tie counting 1/2, in rank-sum
+    (Mann-Whitney U) form with tied scores sharing their mean rank. None
+    when either class is empty."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    positive = np.asarray(positive, dtype=bool).ravel()
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    if not n_pos or not n_neg:
+        return None
+    order = np.argsort(scores, kind="stable")
+    _, first, runs = np.unique(scores[order], return_index=True, return_counts=True)
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(first + (runs + 1) / 2, runs)
+    return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
 # ---------------------------------------------------------------- Life*
 
 

@@ -9,14 +9,7 @@ from .protocol import (
     RankingMatrix,
     aggregate_rankings,
     import_fixtures,
-    run_protocol,
-    self_identification,
     self_rating_heatmap,
-)
-from .providers import (
-    FixtureProvider,
-    fixture_providers,
-    provider_transcripts,
 )
 from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS
 from .runner import (

@@ -1,25 +1,25 @@
-"""Textual self-recognition protocol, replayed from recorded sessions.
+"""Textual self-recognition protocol: the records of one recorded session.
 
-Flow: five providers each answer the fixed ten-question interview in a
-single session (`run_protocol`), the fifty answers are pooled, and each
-provider is then asked to pick its own answer set out of the anonymised
-pool (`self_identification`).  A correct pick on attempt k scores 1/k,
-so first-guess recognition is 100% and a fourth-guess pick is 25%.
-Providers also rate every pooled answer on a 1-10 scale; those matrices
-feed `aggregate_rankings` and the self-rating heatmap.
+In the recorded session five chat systems each answered the fixed
+ten-question interview in a single conversation, the fifty answers were
+pooled, and each system then picked its own answer set out of the
+anonymised pool, one guess at a time.  A correct pick on attempt k scores
+1/k, so first-guess recognition is 100% and a fourth-guess pick is 25%.
+Each system also rated every pooled answer on a 1-10 scale; those
+matrices feed `aggregate_rankings` and the self-rating heatmap.
 
-Providers replay a recorded session byte for byte; `import_fixtures`
-reads one from line-delimited JSON.
+`import_fixtures` reads such a session from line-delimited JSON into a
+checked `FixtureSet`; `runner.py` replays it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from ..errors import ConfigError, FormatError, ProviderError, ValidationError
-from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS
+from ..errors import ConfigError, FormatError, ValidationError
+from .questionnaire import SYSTEM_IDS
 
 RANK_SCALE = (1, 10)
 MAX_GUESS_ATTEMPTS = 5
@@ -87,19 +87,13 @@ class AnswerPool:
                 return record.answer
         raise KeyError((system_id, question_id))
 
-    def by_system(self, system_id: str) -> tuple[str, ...]:
-        """The ten answers of one system, ordered by question id."""
-        if system_id not in SYSTEM_IDS:
-            raise ValidationError(f"unknown system id: {system_id!r}")
-        return tuple(self.answer(system_id, q) for q in range(1, 11))
-
 
 @dataclass(frozen=True)
 class GuessOutcome:
     """Result of one system's attempt to find its own answers.
 
     k is the 1-based attempt index of the correct pick; score is 1/k.
-    A provider that never identifies itself within MAX_GUESS_ATTEMPTS is
+    A system that never identifies itself within MAX_GUESS_ATTEMPTS is
     recorded as a failure (k is None, score 0.0).
     """
 
@@ -191,79 +185,6 @@ def _order_by_sum(sums: Mapping[str, int]) -> tuple[str, ...]:
     return tuple(sorted(SYSTEM_IDS, key=lambda s: (-sums[s], s)))
 
 
-def run_protocol(providers: Sequence) -> AnswerPool:
-    """Interview all five providers and pool the answers.
-
-    Each provider holds a single conversation: the preamble once, then
-    the ten questions in order, no repeated trials.  Sessions run one
-    after another, in the order `providers` gives.  A provider failure
-    aborts the run with an error naming the system and the question,
-    since a partial pool is unusable for scoring.
-    """
-    if len(providers) != len(SYSTEM_IDS):
-        raise ValidationError(
-            f"run_protocol needs exactly {len(SYSTEM_IDS)} providers, "
-            f"got {len(providers)}"
-        )
-    ids = tuple(p.system_id for p in providers)
-    if sorted(ids) != sorted(SYSTEM_IDS):
-        raise ValidationError(
-            f"provider ids must cover {SYSTEM_IDS} exactly, got {ids}"
-        )
-
-    collected: list[AnswerRecord] = []
-    for provider in providers:
-        provider.begin_session(PREAMBLE)
-        for question_id, text in enumerate(QUESTIONS, start=1):
-            try:
-                answer = provider.answer(question_id, text)
-            except Exception as exc:
-                raise ProviderError(
-                    f"pool incomplete: provider {provider.system_id} failed "
-                    f"on question {question_id}: {exc}"
-                ) from exc
-            collected.append(
-                AnswerRecord(provider.system_id, question_id, answer)
-            )
-    return AnswerPool(tuple(sorted(collected, key=lambda r: (r.system_id, r.question_id))))
-
-
-def self_identification(provider, pool: AnswerPool) -> GuessOutcome:
-    """Ask one provider to pick its own answer set out of the pool.
-
-    The provider sees the full anonymised pool and the set of ids it has
-    already guessed wrong; each attempt must name a system id.  The
-    attempt index of the correct pick becomes k.  Running out of
-    attempts is recorded as a failure rather than raised: a system that
-    cannot find itself is a result, not a malfunction.
-    """
-    if provider.system_id not in SYSTEM_IDS:
-        raise ValidationError(f"unknown system id: {provider.system_id!r}")
-    forbidden: list[str] = []
-    for attempt in range(1, MAX_GUESS_ATTEMPTS + 1):
-        try:
-            guess = provider.identify(pool, tuple(forbidden))
-        except Exception as exc:
-            raise ProviderError(
-                f"provider {provider.system_id} failed during "
-                f"self-identification attempt {attempt}: {exc}"
-            ) from exc
-        if guess not in SYSTEM_IDS:
-            raise ProviderError(
-                f"provider {provider.system_id} returned an invalid guess "
-                f"{guess!r} on attempt {attempt}"
-            )
-        if guess in forbidden:
-            raise ProviderError(
-                f"provider {provider.system_id} repeated the ruled-out "
-                f"guess {guess!r} on attempt {attempt}"
-            )
-        if guess == provider.system_id:
-            return GuessOutcome(provider.system_id, attempt)
-        forbidden.append(guess)
-    return GuessOutcome(provider.system_id, None)
-
-
 def aggregate_rankings(matrices: Iterable[RankingMatrix]) -> RankingAggregate:
     """Column sums and orderings from the five evaluator matrices.
 
@@ -319,10 +240,11 @@ class FixtureSet:
     """One full recorded session: answers, guess scripts, rankings,
     recorded outcomes, free-text metadata.
 
-    Guess scripts are the ordered id sequences a replayed provider will
-    emit during self-identification; outcomes are what a past run
-    scored.  Both are kept so a fixture file is simultaneously a replay
-    input and a record of results.
+    Guess scripts are the ordered ids each system guessed during
+    self-identification; a script must name its own system, since with
+    five systems and five attempts the replayed k is then always found.
+    Outcomes are what a past run scored.  Both are kept so a fixture file
+    is simultaneously a replay input and a record of results.
     """
 
     pool: AnswerPool
@@ -344,6 +266,10 @@ class FixtureSet:
             if bad:
                 raise ValidationError(
                     f"guess script for {sys_id} names unknown systems {bad}"
+                )
+            if sys_id not in script:
+                raise ValidationError(
+                    f"guess script for {sys_id} never names {sys_id}: {list(script)}"
                 )
         for evaluator, matrix in self.rankings.items():
             if matrix.evaluator != evaluator:

@@ -1,4 +1,11 @@
-"""End-to-end driver for the textual self-recognition experiment."""
+"""Replay of a recorded textual self-recognition session.
+
+The report comes straight from the fixture set: the pool is the recorded
+one, each system's k is the position of its own id in its guess script
+(repeated ids dropped), and the rankings are the recorded matrices.  The
+transcripts in `metadata` are rebuilt from the preamble, the questions, the
+pooled answers and those guesses.
+"""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
@@ -8,15 +15,14 @@ from typing import Sequence
 
 from ..errors import ValidationError
 from .protocol import (
+    AnswerPool,
     GuessOutcome,
     RankingAggregate,
     aggregate_rankings,
     import_fixtures,
-    run_protocol,
-    self_identification,
     self_rating_heatmap,
 )
-from .providers import fixture_providers, provider_transcripts
+from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS
 
 BUNDLED_FIXTURE_NAME = "chat_sessions.jsonl"
 
@@ -60,19 +66,42 @@ def _recognition_rows(outcomes: Sequence[GuessOutcome]) -> list[dict]:
     ]
 
 
+def _guesses(system_id: str, script: Sequence[str]) -> tuple[str, ...]:
+    """The guesses `system_id` made: its script with repeated ids dropped (a
+    ruled-out id is not guessed again), up to and including its own id."""
+    distinct = list(dict.fromkeys(script))
+    return tuple(distinct[: distinct.index(system_id) + 1])
+
+
+def _transcript(system_id: str, pool: AnswerPool,
+                guesses: Sequence[str]) -> list[dict[str, str]]:
+    """One system's session: the preamble, each question and its answer,
+    then each guess."""
+    turns = [("interviewer", PREAMBLE)]
+    for question_id, text in enumerate(QUESTIONS, start=1):
+        turns += [("interviewer", text), (system_id, pool.answer(system_id, question_id))]
+    turns += [(system_id, f"guess: {guess}") for guess in guesses]
+    return [{"role": role, "text": text} for role, text in turns]
+
+
 def run_mirror_text_experiment(fixtures_path: str | Path | None = None) -> MirrorTextReport:
     """Replay the recorded session at `fixtures_path` (default: the bundled
-    one): interview, pool, self-identify, and rank; return the full report.
+    one): score each system's self-identification and aggregate the
+    rankings; return the full report.
 
     When the fixture file also records past outcomes, the replay is
     checked against them so scripts and recorded scores cannot drift
     apart.
     """
     fixtures = import_fixtures(fixtures_path or bundled_fixture_path())
-    providers = fixture_providers(fixtures)  # in system id order
-    pool = run_protocol(providers)
-    outcomes = [self_identification(p, pool) for p in providers]
-    matrices = [p.rank(pool) for p in providers]
+    for sys_id in SYSTEM_IDS:
+        if sys_id not in fixtures.guess_scripts:
+            raise ValidationError(f"fixture set has no guess script for system {sys_id}")
+        if sys_id not in fixtures.rankings:
+            raise ValidationError(f"fixture set has no ranking matrix for system {sys_id}")
+    guesses = {s: _guesses(s, fixtures.guess_scripts[s]) for s in SYSTEM_IDS}
+    outcomes = [GuessOutcome(s, len(guesses[s])) for s in SYSTEM_IDS]
+    matrices = [fixtures.rankings[s] for s in SYSTEM_IDS]
 
     for outcome in outcomes:
         recorded = fixtures.outcomes.get(outcome.system_id)
@@ -101,7 +130,7 @@ def run_mirror_text_experiment(fixtures_path: str | Path | None = None) -> Mirro
         fixture_meta=dict(fixtures.meta),
     )
     report.metadata = {
-        "transcripts": provider_transcripts(providers),
-        "pool_size": pool.count,
+        "transcripts": {s: _transcript(s, fixtures.pool, guesses[s]) for s in SYSTEM_IDS},
+        "pool_size": fixtures.pool.count,
     }
     return report

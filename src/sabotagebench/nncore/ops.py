@@ -22,13 +22,15 @@ im2col version, so results are bit-identical to it. The K-major layout
 transposes the GEMM operands; on small shapes NumPy and OpenBLAS then pick
 other kernels (GEMV, small-matrix GEMM) that round differently.
 
-Two GEMMs run one block of images at a time, so their full-size matrix
-(conv2's is 27.6 MiB at batch 64) is never allocated: conv2d with
-keep_cols False (every inference pass) fills one block's columns into a
-reused buffer and multiplies it into its rows of `y`, and conv2d_backward
-computes dcols a block at a time and adds each into dx while it is in
-cache. The training forward keeps one GEMM over the full `cols`, which dw
-reads; dw and db stay one GEMM and one sum over all rows. A GEMM's output
+The forward GEMM and the dcols GEMM run one block of images at a time.
+conv2d fills each block's columns and multiplies them into its rows of
+`y`: the training forward fills its block of the whole batch's `cols`,
+which dw reads, and with keep_cols False (every inference pass) one
+reused buffer holds a block, so the full-size matrix (conv2's is 27.6 MiB
+at batch 64) is never allocated. Training and inference forwards thus run
+one computation at every shape. conv2d_backward computes dcols a block at
+a time and adds each into dx while it is in cache; dw and db stay one GEMM
+and one sum over all rows. A GEMM's output
 row depends only on its row of the left operand, so a block keeps the
 bytes of the whole GEMM's rows as long as OpenBLAS runs the same kernel
 for both. At one thread (see blas.py) it does while M stays large: each
@@ -137,22 +139,17 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0,
     wmat = w.reshape(k, c * kh * kw)
     # cols: [N,Ho,Wo,C,kh,kw] -> [N*Ho*Wo, C*kh*kw]
     blocks = _image_blocks(n, ho * wo * c * kh * kw * x.dtype.itemsize)
-    if keep_cols:
-        cols = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
-        for blk in blocks:
-            _fill_cols(cols[blk], xh[blk])
-        cols = cols.reshape(n * ho * wo, c * kh * kw)
-        y = cols @ wmat.T
-        cache = (cols, wmat, w.shape, x.shape, padding)
-    else:
-        y = np.empty((n * ho * wo, k), dtype=np.result_type(x, w))
-        buf = np.empty((blocks[-1].stop - blocks[-1].start, ho, wo, c, kh, kw), dtype=x.dtype)
-        for blk in blocks:
-            cols = buf[: blk.stop - blk.start]
-            _fill_cols(cols, xh[blk])
-            rows = slice(blk.start * ho * wo, blk.stop * ho * wo)
-            np.matmul(cols.reshape(-1, c * kh * kw), wmat.T, out=y[rows])
-        cache = None
+    # the whole batch's columns, which the backward reads, or one reused block
+    cols = np.empty((n if keep_cols else blocks[-1].stop - blocks[-1].start,
+                     ho, wo, c, kh, kw), dtype=x.dtype)
+    y = np.empty((n * ho * wo, k), dtype=np.result_type(x, w))
+    for blk in blocks:
+        block = cols[blk] if keep_cols else cols[: blk.stop - blk.start]
+        _fill_cols(block, xh[blk])
+        rows = slice(blk.start * ho * wo, blk.stop * ho * wo)
+        np.matmul(block.reshape(-1, c * kh * kw), wmat.T, out=y[rows])
+    cache = (cols.reshape(n * ho * wo, c * kh * kw), wmat, w.shape, x.shape,
+             padding) if keep_cols else None
     y += b
     return y.reshape(n, ho, wo, k), cache
 

@@ -15,11 +15,21 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> np.ndarray:
-    """Seeded uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+    """Seeded uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)].
+
+    The float64 draw fills the result 64K values at a time. The generator
+    fills in order, so the bytes and the generator's next draw are those of
+    one draw of the whole shape, without its full-size float64 temporary.
+    """
     if fan_in <= 0:
         raise ValidationError(f"fan_in must be positive, got {fan_in}")
     bound = 1.0 / np.sqrt(float(fan_in))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, 1 << 16):
+        piece = flat[start : start + (1 << 16)]
+        piece[...] = rng.uniform(-bound, bound, size=piece.size)
+    return out
 
 
 class Param:

@@ -69,6 +69,7 @@ from .metrics import (
     confusion,
     detection_metrics,
     prf,
+    separation_auc,
 )
 from .models import (
     GateConfig,
@@ -409,6 +410,8 @@ class GateAsset:
     max_score: float
     damping_scale: float
     body_checksum: str
+    # AUC of clean over sabotaged calibration scores; None without both kinds
+    val_auc: float | None = None
 
 
 def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
@@ -429,6 +432,9 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
     once, into a table of feature_dim floats per image (25 KB at the stock
     shapes); the gate batches and the calibration sample look their clean
     rows up in it and forward only their inverted rows.
+
+    The calibration sample also gives `val_auc`, the AUC of its clean over
+    its sabotaged scores: below 0.5 the gate ranks the two kinds backwards.
     """
     body = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
     fit(body, RunReport(method="gate/body", seed=cfg.seed), cfg.gate.body_epochs,
@@ -479,7 +485,15 @@ def pretrain_gate(cfg: PipelineConfig, train_set: MnistSet) -> GateAsset:
         max_score=float(scores.max()),
         damping_scale=scale,
         body_checksum=frozen_checksum,
+        val_auc=separation_auc(scores, ~bt.mask),
     )
+
+
+def _gate_separation(asset: GateAsset) -> dict:
+    """The gate's calibration AUC, and whether it ranks sabotaged images
+    above clean ones (AUC below 0.5)."""
+    return {"gate_val_auc": asset.val_auc,
+            "gate_inverted": asset.val_auc is not None and asset.val_auc < 0.5}
 
 
 def _body_features(body: SimpleCNN, clean_features, idx, bt: SabotagedBatch) -> np.ndarray:
@@ -562,6 +576,7 @@ def _run_gated(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
             "gate_sabotaged_score_mean": asset.sabotaged_score_mean,
             "gate_max_score": asset.max_score,
             "gate_damping_scale": asset.damping_scale,
+            **_gate_separation(asset),
         }
     )
     if hard_cutoff is not None:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sabotagebench import blas, cli, config, reporting
+from sabotagebench import blas, cli, config, reporting, training
 from sabotagebench.config import (
     DEFAULTS,
     EXPERIMENTS,
@@ -678,6 +678,20 @@ def test_sequential_run_all_builds_the_dataset_once(tiny_config, tmp_path, monke
     out = tmp_path / "out"
     assert run_cli(["run", "all", "--config", str(tiny_config), "--out", str(out)]) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("auc", [0.25, 0.75])
+def test_an_inverted_gate_is_named_on_stderr(tiny_config, tmp_path, capsys, monkeypatch, auc):
+    real = training.pretrain_gate
+    monkeypatch.setattr(training, "pretrain_gate",
+                        lambda *args: dataclasses.replace(real(*args), val_auc=auc))
+    out = tmp_path / "out"
+    assert run_cli(["run", "hard", "--config", str(tiny_config), "--out", str(out)]) == 0
+    extras = json.loads((out / "report_hard_seed0.json").read_text())["extras"]
+    assert (extras["gate_val_auc"], extras["gate_inverted"]) == (auc, auc < 0.5)
+    lines = [line for line in capsys.readouterr().err.splitlines() if "gate" in line]
+    assert lines == (["warning: the hard gate is inverted: it scores sabotaged images"
+                      " above clean ones (calibration AUC 0.250)"] if auc < 0.5 else [])
 
 
 def test_the_removed_offline_knobs_are_refused(tmp_path, capsys):

@@ -11,12 +11,14 @@ a full-size buffer (44.6 MiB for the midlayer, 75.9 MiB for a step).
 The pair gate's w1 (12544 x 256 at the stock widths) is 12.25 MiB. Its
 backward writes w1's gradient into the gradient buffer, and its boundary
 pass scores chunks of a training batch, so the training loop holds no
-w1-sized temporary; the peak, 36.8 MiB, is `fan_in_uniform`'s float64 draw
-of w1 (24.5 MiB) beside its float32 copy. With a fresh w1 gradient per step
-and 512-pair boundary chunks (25.7 MB of features each) it was 53.5 MiB.
-As the draw hides the step's buffers, one step of a gate built beforehand
-is bounded on its own: 0.24 MiB, 3.1 MiB with a finiteness mask of the
-whole w1 gradient in `sgd_step`, 12.5 MiB with a fresh w1 gradient.
+w1-sized temporary; the peak, 31.1 MiB, is w1 and its gradient buffer
+beside one step's buffers. With a fresh w1 gradient per step and 512-pair
+boundary chunks (25.7 MB of features each) it was 53.5 MiB, and 36.8 MiB
+while `fan_in_uniform` drew the whole of w1 in float64 (24.5 MiB) before
+its float32 copy; it now draws 64K values at a time, and w1's draw peaks
+at 12.8 MiB. One step of a gate built beforehand is bounded on its own:
+0.24 MiB, 3.1 MiB with a finiteness mask of the whole w1 gradient in
+`sgd_step`, 12.5 MiB with a fresh w1 gradient.
 
 The mirror experiment writes each net's test-set embeddings straight into
 its half of the pair table; with two embedding tables and their
@@ -43,7 +45,8 @@ from sabotagebench.mirror_cnn import (
     train_pair_gate,
 )
 from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN
-from sabotagebench.nncore import bce_with_logits, bce_with_logits_backward, sgd_step
+from sabotagebench.nncore import (bce_with_logits, bce_with_logits_backward, fan_in_uniform,
+                                  sgd_step)
 from sabotagebench.training import _fit_step
 
 MIB = 1 << 20
@@ -105,6 +108,13 @@ def test_pair_gate_holds_no_weight_sized_temporaries():
     table = np.maximum(rng.normal(size=(2 * 64, 6272)).astype(np.float32), 0)
     pairs = build_pair_set(table, np.arange(64), {MODE_SELF: 512, MODE_CROSS: 512}, rng)
     assert _peak_mib(lambda: train_pair_gate(pairs, seed=5, hidden=256, epochs=1)) < 45
+
+
+def test_init_draws_no_float64_copy_of_the_weight():
+    # w1 of the stock pair gate, 12.25 MiB as float32: 12.8 MiB drawn 64K
+    # values at a time, 36.8 MiB with one float64 draw of the whole of it
+    rng = np.random.default_rng(6)
+    assert _peak_mib(lambda: fan_in_uniform(rng, (2 * 6272, 256), 2 * 6272)) < 14
 
 
 def test_synthetic_set_draws_no_whole_set_noise():

@@ -15,6 +15,7 @@ from sabotagebench.metrics import (
     detection_metrics,
     lifestar,
     prf,
+    separation_auc,
 )
 
 bits = st.lists(st.booleans(), min_size=1, max_size=20)
@@ -135,6 +136,30 @@ class TestDetectionMetrics:
             "accuracy_on_accepted",
             "accepted_empty",
         }
+
+
+class TestSeparationAuc:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_pairwise_oracle(self, data):
+        # scores from a few levels, so ties are common
+        scores = data.draw(st.lists(st.integers(0, 4).map(lambda v: v / 4),
+                                    min_size=2, max_size=30))
+        positive = data.draw(st.lists(st.booleans(), min_size=len(scores),
+                                      max_size=len(scores)))
+        pos = [s for s, p in zip(scores, positive) if p]
+        neg = [s for s, p in zip(scores, positive) if not p]
+        auc = separation_auc(np.array(scores, dtype=np.float32), positive)
+        if not pos or not neg:
+            assert auc is None
+            return
+        wins = sum((a > b) + 0.5 * (a == b) for a in pos for b in neg)
+        assert auc == wins / (len(pos) * len(neg))
+
+    def test_orientation(self):
+        assert separation_auc([0.9, 0.8, 0.1, 0.2], [True, True, False, False]) == 1.0
+        assert separation_auc([0.1, 0.2, 0.9, 0.8], [True, True, False, False]) == 0.0
+        assert separation_auc([0.5] * 4, [True, False, True, False]) == 0.5
 
 
 class TestLifeStarScore:

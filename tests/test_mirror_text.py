@@ -8,15 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sabotagebench.errors import (
-    FormatError,
-    ProviderError,
-    ValidationError,
-)
+from sabotagebench import cli
+from sabotagebench.errors import FormatError, ValidationError
 from sabotagebench.mirror_text import (
     AnswerPool,
     AnswerRecord,
-    FixtureProvider,
     FixtureSet,
     GuessOutcome,
     PREAMBLE,
@@ -24,12 +20,8 @@ from sabotagebench.mirror_text import (
     RankingMatrix,
     aggregate_rankings,
     bundled_fixture_path,
-    fixture_providers,
     import_fixtures,
-    provider_transcripts,
     run_mirror_text_experiment,
-    run_protocol,
-    self_identification,
     self_rating_heatmap,
 )
 from sabotagebench.mirror_text.questionnaire import SYSTEM_IDS
@@ -47,17 +39,6 @@ def full_pool(stamp="r0"):
 
 def constant_matrix(evaluator, value=5):
     return RankingMatrix(evaluator, tuple(tuple([value] * 5) for _ in range(10)))
-
-
-class ScriptedGuesser:
-    """Minimal provider double for the identification loop."""
-
-    def __init__(self, system_id, guesses):
-        self.system_id = system_id
-        self._guesses = list(guesses)
-
-    def identify(self, pool, forbidden):
-        return self._guesses.pop(0)
 
 
 class TestQuestionnaire:
@@ -79,7 +60,9 @@ class TestAnswerPool:
         pool = full_pool()
         assert pool.count == 50
         assert pool.answer("C", 7) == "answer r0 from C to question 7"
-        assert len(pool.by_system("B")) == 10
+        assert [pool.answer("B", q) for q in range(1, 11)] == [
+            f"answer r0 from B to question {q}" for q in range(1, 11)
+        ]
 
     def test_missing_record_named(self):
         records = tuple(
@@ -199,154 +182,6 @@ class TestHeatmap:
             self_rating_heatmap([constant_matrix("B")])
 
 
-class TestRunProtocol:
-    def test_replays_bundled_pool(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        providers = fixture_providers(fixtures)
-        pool = run_protocol(providers)
-        assert pool.count == 50
-        assert pool == fixtures.pool
-
-    def test_needs_exactly_five(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        providers = fixture_providers(fixtures)[:4]
-        with pytest.raises(ValidationError, match="exactly 5"):
-            run_protocol(providers)
-
-    def test_ids_must_cover_all_systems(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        providers = fixture_providers(fixtures)
-        providers[4] = providers[0]
-        with pytest.raises(ValidationError, match="cover"):
-            run_protocol(providers)
-
-    def test_provider_failure_names_system_and_question(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        providers = fixture_providers(fixtures)
-
-        class Flaky(type(providers[2])):
-            def answer(self, question_id, text):
-                if question_id == 3:
-                    raise RuntimeError("boom")
-                return super().answer(question_id, text)
-
-        providers[2] = Flaky("C", fixtures)
-        with pytest.raises(
-            ProviderError, match="provider C failed on question 3"
-        ):
-            run_protocol(providers)
-
-    def test_single_session_enforced(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        providers = fixture_providers(fixtures)
-        run_protocol(providers)
-        with pytest.raises(ProviderError, match="open session"):
-            run_protocol(providers)
-
-    def test_sessions_run_whole_in_the_given_order(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        calls = []
-
-        class Recording(FixtureProvider):
-            def begin_session(self, preamble):
-                calls.append((self.system_id, 0))
-                super().begin_session(preamble)
-
-            def answer(self, question_id, text):
-                calls.append((self.system_id, question_id))
-                return super().answer(question_id, text)
-
-        order = ["E", "C", "A", "D", "B"]
-        pool = run_protocol([Recording(s, fixtures) for s in order])
-        assert calls == [(s, q) for s in order for q in range(11)]
-        assert pool == fixtures.pool
-
-
-class TestFixtureProvider:
-    @pytest.mark.parametrize(
-        "system_id, drop, message",
-        [
-            ("Z", None, "unknown system id"),
-            ("B", "guess_scripts", "no guess script for system B"),
-            ("B", "rankings", "no ranking matrix for system B"),
-        ],
-        ids=["unknown-id", "no-guess-script", "no-ranking"],
-    )
-    def test_needs_the_whole_recorded_session(self, system_id, drop, message):
-        fixtures = import_fixtures(bundled_fixture_path())
-        if drop is not None:
-            kept = {k: v for k, v in getattr(fixtures, drop).items() if k != system_id}
-            fixtures = dataclasses.replace(fixtures, **{drop: kept})
-        with pytest.raises(ValidationError, match=message):
-            FixtureProvider(system_id, fixtures)
-
-    def test_transcript_is_one_replayed_conversation(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        providers = fixture_providers(fixtures)
-        pool = run_protocol(providers)
-        outcome = self_identification(providers[2], pool)
-        assert outcome.k == fixtures.outcomes["C"].k
-        expected = [{"role": "interviewer", "text": PREAMBLE}]
-        for q, text in enumerate(QUESTIONS, start=1):
-            expected += [
-                {"role": "interviewer", "text": text},
-                {"role": "C", "text": fixtures.pool.answer("C", q)},
-            ]
-        expected += [
-            {"role": "C", "text": f"guess: {g}"}
-            for g in fixtures.guess_scripts["C"][: outcome.k]
-        ]
-        transcripts = provider_transcripts(providers)
-        assert list(transcripts) == list(SYSTEM_IDS)
-        assert transcripts["C"] == expected
-
-    def test_rank_returns_the_recorded_matrix(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        for provider in fixture_providers(fixtures):
-            assert provider.rank(fixtures.pool) is fixtures.rankings[provider.system_id]
-
-
-class TestSelfIdentification:
-    def test_k_is_attempt_index(self):
-        pool = full_pool()
-        outcome = self_identification(ScriptedGuesser("C", ["A", "E", "C"]), pool)
-        assert outcome.k == 3
-        assert outcome.score == pytest.approx(1 / 3)
-
-    def test_first_try(self):
-        outcome = self_identification(ScriptedGuesser("B", ["B"]), full_pool())
-        assert outcome.k == 1 and outcome.score == 1.0
-
-    def test_invalid_guess_rejected(self):
-        with pytest.raises(ProviderError, match="invalid guess"):
-            self_identification(ScriptedGuesser("A", ["Z"]), full_pool())
-
-    def test_repeated_guess_rejected(self):
-        with pytest.raises(ProviderError, match="repeated the ruled-out"):
-            self_identification(ScriptedGuesser("A", ["B", "B"]), full_pool())
-
-    def test_provider_exception_wrapped(self):
-        class Exploder:
-            system_id = "D"
-
-            def identify(self, pool, forbidden):
-                raise RuntimeError("no thoughts")
-
-        with pytest.raises(ProviderError, match="provider D failed during"):
-            self_identification(Exploder(), full_pool())
-
-    def test_fixture_script_exhaustion_is_an_error(self):
-        fixtures = import_fixtures(bundled_fixture_path())
-        short = FixtureSet(
-            pool=fixtures.pool,
-            guess_scripts={**fixtures.guess_scripts, "A": ("B",)},
-            rankings=fixtures.rankings,
-        )
-        providers = fixture_providers(short)
-        with pytest.raises(ProviderError, match="exhausted"):
-            self_identification(providers[0], short.pool)
-
-
 class TestFixtureSetValidation:
     def test_script_checks(self):
         pool = full_pool()
@@ -358,6 +193,8 @@ class TestFixtureSetValidation:
             FixtureSet(pool, guess_scripts={"A": ("B",) * 6})
         with pytest.raises(ValidationError, match="unknown systems"):
             FixtureSet(pool, guess_scripts={"A": ("Q",)})
+        with pytest.raises(ValidationError, match="guess script for A never names A"):
+            FixtureSet(pool, guess_scripts={"A": ("B", "C")})
 
     def test_ranking_key_must_match_evaluator(self):
         with pytest.raises(ValidationError, match="keyed A belongs to B"):
@@ -517,3 +354,77 @@ class TestOfflineExperiment:
                         encoding="utf-8")
         with pytest.raises(ValidationError, match="fixture drift for system A"):
             run_mirror_text_experiment(fixtures_path=path)
+
+
+def session_with(tmp_path, edits):
+    """The bundled session with each line `old` of `edits` replaced by its
+    `new` line, or removed where `new` is None."""
+    text = bundled_text()
+    for old, new in edits.items():
+        assert text.count(old + "\n") == 1
+        text = text.replace(old + "\n", "" if new is None else new + "\n")
+    path = tmp_path / "session.jsonl"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+SCRIPT_A = '{"kind": "guess_script", "system": "A", "guesses": ["B", "C", "E", "A"]}'
+
+
+class TestReplay:
+    def test_every_k_and_one_transcript(self, report):
+        assert {row["system"]: row["k"] for row in report.recognition} == {
+            "A": 4, "B": 1, "C": 2, "D": 1, "E": 1,
+        }
+        pool = import_fixtures(bundled_fixture_path()).pool
+        expected = [{"role": "interviewer", "text": PREAMBLE}]
+        for q, text in enumerate(QUESTIONS, start=1):
+            expected += [
+                {"role": "interviewer", "text": text},
+                {"role": "C", "text": pool.answer("C", q)},
+            ]
+        expected += [{"role": "C", "text": "guess: A"}, {"role": "C", "text": "guess: C"}]
+        transcripts = report.metadata["transcripts"]
+        assert list(transcripts) == list(SYSTEM_IDS)
+        assert transcripts["C"] == expected
+
+    def test_rankings_are_the_recorded_matrices(self, report):
+        recorded = import_fixtures(bundled_fixture_path()).rankings
+        assert report.rankings == {e: [list(row) for row in m.values] for e, m in recorded.items()}
+
+    def test_repeated_ids_are_dropped_and_the_script_ends_at_its_own_id(self, tmp_path):
+        # B was ruled out at the first guess, so the second B is not an attempt
+        path = session_with(tmp_path, {
+            SCRIPT_A: SCRIPT_A.replace('"C", "E", "A"', '"B", "A", "C"'),
+            '{"kind": "outcome", "system": "A", "k": 4}': None,
+        })
+        replay = run_mirror_text_experiment(path)
+        assert replay.recognition[0] == {"system": "A", "k": 2, "score_percent": 50.0,
+                                         "failed": False}
+        assert [turn["text"] for turn in replay.metadata["transcripts"]["A"][21:]] == [
+            "guess: B", "guess: A",
+        ]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"kind": "guess_script", "system": "B", "guesses": ["B"]}',
+             "no guess script for system B"),
+            (next(line for line in bundled_text().splitlines()
+                  if line.startswith('{"kind": "ranking", "evaluator": "B"')),
+             "no ranking matrix for system B"),
+        ],
+        ids=["no-guess-script", "no-ranking"],
+    )
+    def test_needs_the_whole_recorded_session(self, tmp_path, line, message):
+        with pytest.raises(ValidationError, match=message):
+            run_mirror_text_experiment(session_with(tmp_path, {line: None}))
+
+    def test_script_without_its_own_system_fails_at_load(self, tmp_path, capsys):
+        path = session_with(tmp_path, {SCRIPT_A: SCRIPT_A.replace(', "A"]', "]")})
+        with pytest.raises(ValidationError, match="guess script for A never names A"):
+            import_fixtures(path)
+        argv = ["run", "mirror-text", "--out", str(tmp_path / "out"),
+                "--set", f"mirror_text.fixtures={path}"]
+        assert cli.main(argv) == 2
+        assert "guess script for A never names A" in capsys.readouterr().err

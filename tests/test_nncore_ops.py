@@ -416,3 +416,14 @@ class TestInit:
         assert a.dtype == np.float32
         assert float(np.abs(a).max()) <= bound
         np.testing.assert_array_equal(a, b)
+
+    # a shape under one 64K piece, one ending mid-piece, the pair gate's w1
+    @pytest.mark.parametrize("shape", [(32, 16, 3, 3), (70000,), (12544, 256)])
+    def test_fan_in_uniform_keeps_the_bytes_of_one_draw(self, shape):
+        fan_in = shape[-1]
+        drawn, whole = np.random.default_rng(9), np.random.default_rng(9)
+        got = fan_in_uniform(drawn, shape, fan_in)
+        bound = 1.0 / np.sqrt(float(fan_in))
+        want = whole.uniform(-bound, bound, size=shape).astype(np.float32)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert drawn.random() == whole.random()

@@ -207,6 +207,15 @@ class TestBlockedConv:
         bias = rng.normal(size=k).astype(np.float32)
         check_conv(x, kernel, bias, 1, rng)
 
+    # conv1 spans several blocks from 74 images on (37 images a step)
+    @pytest.mark.parametrize("n", [2, 3, 63, 65, 129])
+    def test_conv1_matches_oracle(self, rng, n):
+        c, k = STOCK_CONVS["conv1"]
+        x = rng.random((n, c, 28, 28)).astype(np.float32)
+        kernel = rng.normal(size=(k, c, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=k).astype(np.float32)
+        check_conv(x, kernel, bias, 1, rng)
+
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 3000), image_bytes=st.integers(1, 3 * _BLOCK_BYTES))

@@ -18,8 +18,8 @@ from sabotagebench.mirror_cnn import (
     train_pair_gate,
     train_partial,
 )
-from sabotagebench.models import ModelConfig, extract_embeddings
-from sabotagebench.nncore import sgd_step
+from sabotagebench.models import MlpBinary, ModelConfig, extract_embeddings
+from sabotagebench.nncore import sgd_step, sigmoid
 from sabotagebench.quarantine import AdaptiveControllerState
 from sabotagebench.training import (
     GateTrainConfig,
@@ -27,6 +27,7 @@ from sabotagebench.training import (
     SweepConfig,
     TrainConfig,
     _eval_digests,
+    _gate_separation,
     _plain_test_error,
     poison_eval_stream,
     pretrain_gate,
@@ -179,6 +180,44 @@ class TestGateMatchesOracle:
         assert _asset_fields(pretrain_gate(cfg, train)) == _asset_fields(
             oracle_training.pretrain_gate(cfg, train)
         )
+
+
+class BackwardsGate(MlpBinary):
+    """A gate that trains as MlpBinary does but scores every input
+    backwards: its sigmoid of the negated logits."""
+
+    def forward(self, x, train=False, rng=None):
+        scores, logits, cache = super().forward(x, train, rng)
+        return (scores, logits, cache) if train else (sigmoid(-logits), -logits, cache)
+
+
+class TestGateSeparation:
+    """extras.gate_val_auc is the AUC of clean over sabotaged calibration
+    scores, and extras.gate_inverted is set when it is below 0.5."""
+
+    # a tiny gate that separates: AUC 1.0 at rate 0.3 and gate lr 0.1
+    @staticmethod
+    def cfg():
+        return tiny_pipeline("hard", sabotage=SabotageConfig(rate=0.3),
+                             gate=GateTrainConfig(hidden=32, epochs=1, learning_rate=0.1))
+
+    def test_trained_gate_is_not_inverted(self, tiny_train, tiny_test):
+        report = train_hard(self.cfg(), tiny_train, tiny_test)
+        assert report.extras["gate_val_auc"] > 0.9
+        assert report.extras["gate_inverted"] is False
+
+    def test_planted_inverted_gate_sets_the_flag(self, tiny_train, tiny_test, monkeypatch):
+        monkeypatch.setattr(training, "MlpBinary", BackwardsGate)
+        asset = pretrain_gate(self.cfg(), tiny_train)
+        assert asset.val_auc < 0.1
+        report = train_soft(self.cfg(), tiny_train, tiny_test, asset)
+        assert report.extras["gate_val_auc"] == asset.val_auc
+        assert report.extras["gate_inverted"] is True
+
+    def test_no_auc_without_both_kinds(self):
+        train = synthetic_mnist_set(64, 5)
+        asset = pretrain_gate(tiny_pipeline("hard", sabotage=SabotageConfig(rate=0.0)), train)
+        assert _gate_separation(asset) == {"gate_val_auc": None, "gate_inverted": False}
 
 
 class TestSoftPipeline:
@@ -338,6 +377,20 @@ def _oracle_reports_carry_eval_digests(monkeypatch):
         report.extras.update(_eval_digests(flags, predictions))
 
     monkeypatch.setattr(oracle_training, "_finish_report", finish_with_digests)
+
+
+@pytest.fixture(autouse=True)
+def _oracle_reports_carry_gate_separation(monkeypatch):
+    """The oracle gated pipeline predates the gate's calibration AUC. Its
+    reports get the two keys of the asset it ran with."""
+    run_gated = oracle_training._run_gated_pipeline
+
+    def with_separation(cfg, train_set, test_set, asset, hard_cutoff):
+        report = run_gated(cfg, train_set, test_set, asset, hard_cutoff)
+        report.extras.update(_gate_separation(asset))
+        return report
+
+    monkeypatch.setattr(oracle_training, "_run_gated_pipeline", with_separation)
 
 
 def _assert_same_run(report, expected):
