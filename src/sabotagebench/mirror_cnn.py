@@ -32,6 +32,7 @@ MODE_SELF = "self"
 MODE_CROSS = "cross"
 MODE_SEMISELF = "semiself"
 _TARGETS = {MODE_SELF: 1.0, MODE_CROSS: 0.0, MODE_SEMISELF: 1.0}
+EVAL_BATCH_SIZE = 256  # pairs scored per gate forward in eval_pairs
 
 
 @dataclass
@@ -89,8 +90,7 @@ class PairSet:
 
 
 def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
-                  epochs: int = 1, batch_size: int = 64,
-                  learning_rate: float = 0.01) -> SimpleCNN:
+                  epochs: int, batch_size: int, learning_rate: float) -> SimpleCNN:
     """Train a fresh net briefly on one subset.
 
     The tag keeps the two nets' seed streams apart so they differ in both
@@ -149,10 +149,9 @@ def build_pair_set(table: np.ndarray, pool: np.ndarray, counts: dict,
     return PairSet(table, rows, modes)
 
 
-def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
-                    epochs: int = 3, batch_size: int = 64,
-                    learning_rate: float = 0.05,
-                    boundary_fraction: float | None = 1 / 3) -> MlpBinary:
+def train_pair_gate(pairs: PairSet, seed: int, hidden: int, epochs: int,
+                    batch_size: int, learning_rate: float,
+                    boundary_fraction: float | None) -> MlpBinary:
     """Fit the binary pair classifier on a balanced self/cross set.
 
     After fitting, the output bias is shifted so the decision boundary sits
@@ -209,14 +208,13 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int = 256,
     return gate
 
 
-def eval_pairs(gate: MlpBinary, pairs: PairSet, batch_size: int = 256,
-               joint: tuple[str, ...] = ()) -> dict:
+def eval_pairs(gate: MlpBinary, pairs: PairSet, joint: tuple[str, ...] = ()) -> dict:
     """Accuracy per mode (score >= 0.5 reads as self) plus overall; with
     `joint` modes, also "joint": the accuracy over those modes' pairs
     together, from the same scores."""
     scores = []
-    for start in range(0, pairs.count, batch_size):
-        scores.append(gate.forward(pairs.features(slice(start, start + batch_size)))[0])
+    for start in range(0, pairs.count, EVAL_BATCH_SIZE):
+        scores.append(gate.forward(pairs.features(slice(start, start + EVAL_BATCH_SIZE)))[0])
     called_self = np.concatenate(scores) >= 0.5
     correct = called_self == (pairs.targets() == 1.0)
     out = {"overall": float(correct.mean())}

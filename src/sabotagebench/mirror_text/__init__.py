@@ -1,19 +1,392 @@
-"""Textual mirror test: the fixed questions, scoring, and the replay of
-recorded sessions from fixture files."""
-from .protocol import (
-    AnswerPool,
-    AnswerRecord,
-    FixtureSet,
-    GuessOutcome,
-    RankingAggregate,
-    RankingMatrix,
-    aggregate_rankings,
-    import_fixtures,
-    self_rating_heatmap,
-)
+"""Textual mirror test: the replay of one recorded session.
+
+In the recorded session five chat systems each answered the fixed
+ten-question interview in a single conversation, the fifty answers were
+pooled, and each system then picked its own answer set out of the
+anonymised pool, one guess at a time.  A correct pick on attempt k scores
+1/k, so first-guess recognition is 100% and a fourth-guess pick is 25%.
+Each system also rated every pooled answer on a 1-10 scale.
+
+`import_fixtures` reads such a session from line-delimited JSON and checks
+it whole, once, at load: every system has its ten answers, a guess script
+that names it within five entries, and a ranking matrix, and every recorded
+outcome's k is an integer 1-5.  `run_mirror_text_experiment` then replays
+the loaded `FixtureSet`: each system's k is the position of its own id in
+its guess script (repeated ids dropped), checked against any recorded k,
+and the rankings are the recorded matrices.  The transcripts in the
+report's `metadata` are rebuilt from the preamble, the questions, the
+pooled answers and those guesses.
+
+This module holds the records, the loader and the replay;
+`questionnaire.py` holds the frozen questions and system ids, and
+`fixtures/chat_sessions.jsonl` the bundled session.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import asdict, dataclass, field
+from importlib import resources
+from pathlib import Path
+from typing import Mapping, Sequence
+
+from ..errors import ConfigError, FormatError, ValidationError
 from .questionnaire import PREAMBLE, QUESTIONS, SYSTEM_IDS
-from .runner import (
-    MirrorTextReport,
-    bundled_fixture_path,
-    run_mirror_text_experiment,
-)
+
+RANK_SCALE = (1, 10)
+MAX_GUESS_ATTEMPTS = 5
+BUNDLED_FIXTURE_NAME = "chat_sessions.jsonl"
+
+
+def bundled_fixture_path() -> Path:
+    """Location of the fixture file shipped inside the package."""
+    return Path(
+        resources.files("sabotagebench.mirror_text") / "fixtures" / BUNDLED_FIXTURE_NAME
+    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class AnswerRecord:
+    """One system's answer to one question."""
+
+    system_id: str
+    question_id: int
+    answer: str
+
+    def __post_init__(self) -> None:
+        if self.system_id not in SYSTEM_IDS:
+            raise ValidationError(f"unknown system id: {self.system_id!r}")
+        if not _is_int(self.question_id):
+            raise ValidationError(f"question id is not an integer: {self.question_id!r}")
+        if not 1 <= self.question_id <= 10:
+            raise ValidationError(
+                f"question id out of range: {self.question_id}"
+            )
+        if not isinstance(self.answer, str):
+            raise ValidationError(f"answer is not a string: {self.answer!r}")
+        if not self.answer.strip():
+            raise ValidationError(
+                f"empty answer for system {self.system_id}, "
+                f"question {self.question_id}"
+            )
+
+
+@dataclass(frozen=True)
+class AnswerPool:
+    """Complete pool of 50 answers: 5 systems x 10 questions."""
+
+    records: tuple[AnswerRecord, ...]
+
+    def __post_init__(self) -> None:
+        keys = {(r.system_id, r.question_id) for r in self.records}
+        if len(keys) != len(self.records):
+            raise ValidationError("duplicate (system, question) record in pool")
+        expected = {(s, q) for s in SYSTEM_IDS for q in range(1, 11)}
+        missing = sorted(expected - keys)
+        if missing:
+            sys_id, q_id = missing[0]
+            raise ValidationError(
+                f"incomplete pool: {len(missing)} records missing, first is "
+                f"system {sys_id}, question {q_id}"
+            )
+        extra = keys - expected
+        if extra:
+            raise ValidationError(f"unexpected records in pool: {sorted(extra)}")
+
+    @property
+    def count(self) -> int:
+        return len(self.records)
+
+    def answer(self, system_id: str, question_id: int) -> str:
+        for record in self.records:
+            if record.system_id == system_id and record.question_id == question_id:
+                return record.answer
+        raise KeyError((system_id, question_id))
+
+
+@dataclass(frozen=True)
+class RankingMatrix:
+    """One evaluator's 1-10 ratings: rows are questions 1-10, columns
+    are the five systems in SYSTEM_IDS order."""
+
+    evaluator: str
+    values: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.evaluator not in SYSTEM_IDS:
+            raise ValidationError(f"unknown evaluator id: {self.evaluator!r}")
+        if len(self.values) != 10:
+            raise ValidationError(
+                f"ranking matrix for {self.evaluator} has {len(self.values)} "
+                f"rows, expected 10"
+            )
+        lo, hi = RANK_SCALE
+        for q_index, row in enumerate(self.values, start=1):
+            if len(row) != len(SYSTEM_IDS):
+                raise ValidationError(
+                    f"ranking matrix for {self.evaluator} is incomplete at "
+                    f"question {q_index}: {len(row)} cells, expected "
+                    f"{len(SYSTEM_IDS)}"
+                )
+            for sys_id, value in zip(SYSTEM_IDS, row):
+                if not _is_int(value):
+                    raise ValidationError(
+                        f"ranking matrix for {self.evaluator} is incomplete "
+                        f"at question {q_index}, system {sys_id}: "
+                        f"{value!r} is not an integer rank"
+                    )
+                if not lo <= value <= hi:
+                    raise ValidationError(
+                        f"rank {value} outside scale [{lo}, {hi}] at "
+                        f"question {q_index}, system {sys_id} "
+                        f"(evaluator {self.evaluator})"
+                    )
+
+    def rating(self, question_id: int, system_id: str) -> int:
+        return self.values[question_id - 1][SYSTEM_IDS.index(system_id)]
+
+    def column_sums(self) -> dict[str, int]:
+        return {
+            sys_id: sum(row[j] for row in self.values)
+            for j, sys_id in enumerate(SYSTEM_IDS)
+        }
+
+
+@dataclass(frozen=True)
+class FixtureSet:
+    """One full recorded session: answers, guess scripts, rankings,
+    recorded outcomes (system id -> k), free-text metadata.
+
+    Every system has a guess script and a ranking matrix.  A guess script
+    is the ordered ids the system guessed during self-identification; it
+    must name its own system, since with five systems and five attempts
+    the replayed k is then always found.  Outcomes are what a past run
+    scored, so a fixture file is both a replay input and a record of
+    results; `import_fixtures` checks each one's k.
+    """
+
+    pool: AnswerPool
+    guess_scripts: dict[str, tuple[str, ...]]
+    rankings: dict[str, RankingMatrix]
+    outcomes: dict[str, int] = field(default_factory=dict)
+    meta: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for sys_id, script in self.guess_scripts.items():
+            if sys_id not in SYSTEM_IDS:
+                raise ValidationError(f"guess script for unknown system {sys_id!r}")
+            if not script or len(script) > MAX_GUESS_ATTEMPTS:
+                raise ValidationError(
+                    f"guess script for {sys_id} must have 1-"
+                    f"{MAX_GUESS_ATTEMPTS} entries, got {len(script)}"
+                )
+            bad = [g for g in script if g not in SYSTEM_IDS]
+            if bad:
+                raise ValidationError(
+                    f"guess script for {sys_id} names unknown systems {bad}"
+                )
+            if sys_id not in script:
+                raise ValidationError(
+                    f"guess script for {sys_id} never names {sys_id}: {list(script)}"
+                )
+        for evaluator, matrix in self.rankings.items():
+            if matrix.evaluator != evaluator:
+                raise ValidationError(
+                    f"ranking keyed {evaluator} belongs to {matrix.evaluator}"
+                )
+        for sys_id in SYSTEM_IDS:
+            if sys_id not in self.guess_scripts:
+                raise ValidationError(f"fixture set has no guess script for system {sys_id}")
+            if sys_id not in self.rankings:
+                raise ValidationError(f"fixture set has no ranking matrix for system {sys_id}")
+
+
+def _add_once(table: dict, key, value, line_no: int, kind: str) -> None:
+    """table[key] = value, unless an earlier line already set it."""
+    if key in table:
+        raise FormatError(f"line {line_no}: duplicate {kind} record for {key}")
+    table[key] = value
+
+
+def import_fixtures(path: str | Path) -> FixtureSet:
+    """Parse a fixture file into a FixtureSet.
+
+    One JSON object per line, its "kind" one of meta, answer,
+    guess_script, ranking or outcome. Any malformed, unrecognised or
+    repeated line fails with its 1-based line number (a repeated answer
+    fails as the pool's duplicate), as does an outcome whose k is not an
+    integer 1-5; the pool must come out complete."""
+    records: list[AnswerRecord] = []
+    guess_scripts: dict[str, tuple[str, ...]] = {}
+    rankings: dict[str, RankingMatrix] = {}
+    outcomes: dict[str, int] = {}
+    meta: dict[str, str] | None = None
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"mirror_text.fixtures: cannot read {path}: {exc}") from exc
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"line {line_no}: not valid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"line {line_no}: expected a JSON object")
+        kind = obj.get("kind")
+        try:
+            if kind == "meta":
+                if meta is not None:
+                    raise FormatError(f"line {line_no}: duplicate meta record")
+                meta = {k: v for k, v in obj.items() if k != "kind"}
+                if not all(isinstance(v, str) for v in meta.values()):
+                    raise TypeError(f"values must be strings: {meta!r}")
+            elif kind == "answer":
+                records.append(
+                    AnswerRecord(obj["system"], obj["question"], obj["answer"])
+                )
+            elif kind == "guess_script":
+                if not isinstance(obj["guesses"], list):
+                    raise TypeError(f"guesses is not a list: {obj['guesses']!r}")
+                _add_once(guess_scripts, obj["system"], tuple(obj["guesses"]), line_no, kind)
+            elif kind == "ranking":
+                matrix = RankingMatrix(
+                    obj["evaluator"],
+                    tuple(tuple(row) for row in obj["values"]),
+                )
+                _add_once(rankings, matrix.evaluator, matrix, line_no, kind)
+            elif kind == "outcome":
+                system, k = obj["system"], obj["k"]
+                if system not in SYSTEM_IDS:
+                    raise ValidationError(f"unknown system id: {system!r}")
+                if not (_is_int(k) and 1 <= k <= MAX_GUESS_ATTEMPTS):
+                    raise ValidationError(
+                        f"k must be an integer 1-{MAX_GUESS_ATTEMPTS}, got {k!r}"
+                    )
+                _add_once(outcomes, system, k, line_no, kind)
+            else:
+                raise FormatError(f"line {line_no}: unknown record kind {kind!r}")
+        except FormatError:
+            raise
+        except (KeyError, TypeError, ValidationError) as exc:
+            raise FormatError(f"line {line_no}: bad {kind} record: {exc}") from exc
+    try:
+        pool = AnswerPool(tuple(records))
+    except ValidationError as exc:
+        raise FormatError(f"fixture file {path}: {exc}") from exc
+    return FixtureSet(pool, guess_scripts, rankings, outcomes, meta or {})
+
+
+def _order_by_sum(sums: Mapping[str, int]) -> list[str]:
+    return sorted(SYSTEM_IDS, key=lambda s: (-sums[s], s))
+
+
+def aggregate_rankings(rankings: Mapping[str, RankingMatrix]) -> dict:
+    """The report's rank sums and orderings from the five evaluators'
+    matrices, keyed by evaluator.
+
+    Sums run over the ten questions, so each per-system sum is at most
+    100; ordering is highest first with ties broken by system id.
+    """
+    per_sums = {evaluator: rankings[evaluator].column_sums() for evaluator in SYSTEM_IDS}
+    totals = {
+        sys_id: sum(per_sums[e][sys_id] for e in SYSTEM_IDS)
+        for sys_id in SYSTEM_IDS
+    }
+    return {
+        "per_evaluator_sums": per_sums,
+        "per_evaluator_order": {e: _order_by_sum(sums) for e, sums in per_sums.items()},
+        "total_sums": totals,
+        "overall_order": _order_by_sum(totals),
+    }
+
+
+def self_rating_heatmap(rankings: Mapping[str, RankingMatrix]) -> list[list[int]]:
+    """10x5 grid of each evaluator's rating of its own answers.
+
+    Row q, column j holds evaluator SYSTEM_IDS[j]'s rating of its own
+    answer to question q+1."""
+    return [[rankings[s].rating(q, s) for s in SYSTEM_IDS] for q in range(1, 11)]
+
+
+@dataclass
+class MirrorTextReport:
+    """Deterministic results plus side-channel metadata.
+
+    `to_json_dict` carries only replay-stable values; transcripts live in
+    `metadata` so two runs of the same fixtures stay byte-identical.
+    Each `recognition` row holds a system's `system` id, its `k` and its
+    `score_percent`, 100/k.
+    """
+
+    recognition: list[dict]
+    per_evaluator_sums: dict[str, dict[str, int]]
+    per_evaluator_order: dict[str, list[str]]
+    total_sums: dict[str, int]
+    overall_order: list[str]
+    heatmap: list[list[int]]
+    rankings: dict[str, list[list[int]]]
+    fixture_meta: dict[str, str]
+    metadata: dict = field(default_factory=dict)
+
+    def to_json_dict(self) -> dict:
+        out = asdict(self)
+        del out["metadata"]
+        return {"method": "mirror-text", **out}
+
+
+def _guesses(system_id: str, script: Sequence[str]) -> tuple[str, ...]:
+    """The guesses `system_id` made: its script with repeated ids dropped (a
+    ruled-out id is not guessed again), up to and including its own id."""
+    distinct = list(dict.fromkeys(script))
+    return tuple(distinct[: distinct.index(system_id) + 1])
+
+
+def _transcript(system_id: str, pool: AnswerPool,
+                guesses: Sequence[str]) -> list[dict[str, str]]:
+    """One system's session: the preamble, each question and its answer,
+    then each guess."""
+    turns = [("interviewer", PREAMBLE)]
+    for question_id, text in enumerate(QUESTIONS, start=1):
+        turns += [("interviewer", text), (system_id, pool.answer(system_id, question_id))]
+    turns += [(system_id, f"guess: {guess}") for guess in guesses]
+    return [{"role": role, "text": text} for role, text in turns]
+
+
+def run_mirror_text_experiment(fixtures_path: str | Path | None = None) -> MirrorTextReport:
+    """Replay the recorded session at `fixtures_path` (default: the bundled
+    one): score each system's self-identification and aggregate the
+    rankings; return the full report.
+
+    When the fixture file also records past outcomes, the replay is
+    checked against them so scripts and recorded scores cannot drift
+    apart.
+    """
+    fixtures = import_fixtures(fixtures_path or bundled_fixture_path())
+    guesses = {s: _guesses(s, fixtures.guess_scripts[s]) for s in SYSTEM_IDS}
+    recognition = []
+    for sys_id in SYSTEM_IDS:
+        k = len(guesses[sys_id])
+        recorded = fixtures.outcomes.get(sys_id, k)
+        if recorded != k:
+            raise ValidationError(
+                f"fixture drift for system {sys_id}: recorded "
+                f"k={recorded} but replay produced k={k}"
+            )
+        # 100 * (1/k), not 100/k: the two round apart at k=3
+        recognition.append({"system": sys_id, "k": k, "score_percent": 100.0 * (1.0 / k)})
+    return MirrorTextReport(
+        recognition=recognition,
+        **aggregate_rankings(fixtures.rankings),
+        heatmap=self_rating_heatmap(fixtures.rankings),
+        rankings={e: [list(row) for row in fixtures.rankings[e].values] for e in SYSTEM_IDS},
+        fixture_meta=dict(fixtures.meta),
+        metadata={
+            "transcripts": {s: _transcript(s, fixtures.pool, guesses[s]) for s in SYSTEM_IDS},
+            "pool_size": fixtures.pool.count,
+        },
+    )

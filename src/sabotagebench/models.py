@@ -321,8 +321,8 @@ def extract_embeddings(model: SimpleCNN, images: np.ndarray,
 @dataclass
 class GateConfig:
     input_dim: int
-    hidden: int = 128
-    dropout: float = 0.3
+    hidden: int
+    dropout: float
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:

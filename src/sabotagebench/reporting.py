@@ -20,7 +20,7 @@ from .mirror_cnn import MirrorCnnReport
 from .training import LogRow, RunReport
 
 if TYPE_CHECKING:  # mirror_text loads only for mirror-text runs
-    from .mirror_text.runner import MirrorTextReport
+    from .mirror_text import MirrorTextReport
 
 
 def canonical_json(payload: Any) -> str:
@@ -136,7 +136,7 @@ def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> None:
         out_dir / "mirror_text_recognition_bar.csv",
         ("system", "k", "score_percent"),
         (
-            (row["system"], "" if row["k"] is None else row["k"], row["score_percent"])
+            (row["system"], row["k"], row["score_percent"])
             for row in payload["recognition"]
         ),
     )

@@ -30,11 +30,14 @@ Every pipeline derives all randomness from named streams of one seed, so
 method variants that make identical choices (soft with unit weights, hard
 with cutoff 0) reproduce the baseline trajectory bit for bit.
 
-Each input goes through the conv trunk once per set of weights. An accepted
-step trains through the scoring forward's cache, cut down in place by
-`SimpleCNN.narrow` (the same dict object `forward` returned, which backward
-then takes); only the fc head is rerun, because a 1-row head GEMM goes
-through GEMV and rounds differently from the same row of the full batch.
+Each input goes through the conv trunk once per set of weights, with one
+exception: the final evaluation (`_run`) runs the trunk over the whole
+freshly poisoned test stream, whose clean rows the last epoch's test-error
+pass already ran with the same weights. An accepted step trains through
+the scoring forward's cache, cut down in place by `SimpleCNN.narrow` (the
+same dict object `forward` returned, which backward then takes); only the
+fc head is rerun, because a 1-row head GEMM goes through GEMV and rounds
+differently from the same row of the full batch.
 The gate pre-training looks the frozen body's midlayer of clean images up
 in a table (25 KB per training image at the stock shapes: 150 MB for 6000
 images, about 1.5 GB for the 60 000 of real MNIST) and forwards only the

@@ -22,7 +22,7 @@ import oracle_backward
 import oracle_inference as oracle
 import oracle_pairs
 from oracle_table import pair_table
-from sabotagebench import heap
+from sabotagebench import heap, mirror_cnn
 from sabotagebench.errors import NumericsError
 from sabotagebench.mirror_cnn import (
     MODE_CROSS,
@@ -37,11 +37,14 @@ from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, 
 from sabotagebench.nncore import relu, softmax
 from sabotagebench.quarantine import decide
 from sabotagebench.training import (
+    GateTrainConfig,
     PipelineConfig,
     _gate_scores,
     _gated_flags,
     _infer,
 )
+
+from conftest import pair_gate_args
 
 SIZES = [1, 2, 63, 64, 65, 129, 511, 512, 513, 1025]
 
@@ -51,7 +54,9 @@ def stock():
     """A stock model and gate, and 1025 images whose prefixes are the inputs."""
     rng = np.random.default_rng(2024)
     model = SimpleCNN(ModelConfig(), np.random.default_rng(7))
-    gate = MlpBinary(GateConfig(model.cfg.feature_dim), np.random.default_rng(8))
+    gate_cfg = GateTrainConfig()
+    gate = MlpBinary(GateConfig(model.cfg.feature_dim, gate_cfg.hidden, gate_cfg.dropout),
+                     np.random.default_rng(8))
     images = rng.random((max(SIZES), 1, 28, 28)).astype(np.float32)
     return model, gate, images
 
@@ -176,31 +181,34 @@ def test_pair_features_gather_like_concatenate(rng):
 
 @pytest.mark.parametrize("boundary_fraction", [None, 1 / 3])
 @pytest.mark.parametrize("per_mode", [1, 33, 300])
-def test_pair_gate_matches_oracle(per_mode, boundary_fraction):
+def test_pair_gate_matches_oracle(monkeypatch, per_mode, boundary_fraction):
     train = _pairs(np.random.default_rng(per_mode), per_mode, semiself=False)
-    kwargs = dict(seed=5, hidden=16, epochs=2, boundary_fraction=boundary_fraction)
+    kwargs = dict(seed=5, **pair_gate_args(hidden=16, epochs=2,
+                                           boundary_fraction=boundary_fraction))
     gate = train_pair_gate(train, **kwargs)
     expected = oracle.train_pair_gate(train, **kwargs)
     assert gate.params.checksum() == expected.params.checksum()
     held = _pairs(np.random.default_rng(per_mode + 1), per_mode + 100)
     assert eval_pairs(gate, held) == oracle.eval_pairs(expected, held)
-    assert eval_pairs(gate, held, batch_size=7) == oracle.eval_pairs(expected, held, batch_size=7)
+    monkeypatch.setattr(mirror_cnn, "EVAL_BATCH_SIZE", 7)
+    assert eval_pairs(gate, held) == oracle.eval_pairs(expected, held, batch_size=7)
 
 
 @pytest.mark.parametrize("per_mode", [1, 133, 300])
-def test_joint_accuracy_equals_scoring_those_modes_alone(per_mode):
+def test_joint_accuracy_equals_scoring_those_modes_alone(monkeypatch, per_mode):
     # self and cross come first in an eval set, as in run_mirror_experiment;
     # scoring their rows as a set of their own ends in another chunk layout
     # (133 per mode: a 10-row last chunk there, 143 rows here)
     held = _pairs(np.random.default_rng(per_mode), per_mode)
     gate = train_pair_gate(_pairs(np.random.default_rng(7), 20, semiself=False),
-                           seed=5, hidden=16, epochs=1)
+                           5, **pair_gate_args(hidden=16, epochs=1))
     rows = slice(0, 2 * per_mode)
     base = PairSet(held.table, held.rows[rows], held.modes[rows])
     for batch_size in (256, 7):
-        got = eval_pairs(gate, held, batch_size, joint=(MODE_SELF, MODE_CROSS))
-        assert got["joint"] == eval_pairs(gate, base, batch_size)["overall"]
-        assert {k: v for k, v in got.items() if k != "joint"} == eval_pairs(gate, held, batch_size)
+        monkeypatch.setattr(mirror_cnn, "EVAL_BATCH_SIZE", batch_size)
+        got = eval_pairs(gate, held, joint=(MODE_SELF, MODE_CROSS))
+        assert got["joint"] == eval_pairs(gate, base)["overall"]
+        assert {k: v for k, v in got.items() if k != "joint"} == eval_pairs(gate, held)
 
 
 def _relu_pairs(rng, n_per_mode, dim, dead):
@@ -222,7 +230,7 @@ def test_pair_gate_matches_the_adding_backward(monkeypatch, batch_size):
     # -0.0). The oracle also scores the boundary in 512-pair chunks. 289
     # pairs per mode leave a short last chunk at either chunk size.
     train = _relu_pairs(np.random.default_rng(3), 289, 40, dead=10)
-    kwargs = dict(seed=5, hidden=16, epochs=2, batch_size=batch_size)
+    kwargs = dict(seed=5, **pair_gate_args(hidden=16, epochs=2, batch_size=batch_size))
     gate = train_pair_gate(train, **kwargs)
     monkeypatch.setattr(oracle, "MlpBinary", oracle_backward.AddingMlp)
     expected = oracle.train_pair_gate(train, **kwargs)
@@ -247,7 +255,7 @@ def test_boundary_chunks_never_hold_one_pair(monkeypatch, per_mode, batch_size):
 
     monkeypatch.setattr(MlpBinary, "forward", spy)
     pairs = _pairs(np.random.default_rng(per_mode), per_mode, semiself=False)
-    train_pair_gate(pairs, seed=5, hidden=8, epochs=1, batch_size=batch_size)
+    train_pair_gate(pairs, 5, **pair_gate_args(hidden=8, epochs=1, batch_size=batch_size))
     assert sum(sizes) == pairs.count
     assert min(sizes) >= 2 and max(sizes) <= batch_size + 1
 

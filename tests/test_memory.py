@@ -49,6 +49,8 @@ from sabotagebench.nncore import (bce_with_logits, bce_with_logits_backward, fan
                                   sgd_step)
 from sabotagebench.training import _fit_step
 
+from conftest import pair_gate_args
+
 MIB = 1 << 20
 
 
@@ -107,7 +109,7 @@ def test_pair_gate_holds_no_weight_sized_temporaries():
     rng = np.random.default_rng(6)
     table = np.maximum(rng.normal(size=(2 * 64, 6272)).astype(np.float32), 0)
     pairs = build_pair_set(table, np.arange(64), {MODE_SELF: 512, MODE_CROSS: 512}, rng)
-    assert _peak_mib(lambda: train_pair_gate(pairs, seed=5, hidden=256, epochs=1)) < 45
+    assert _peak_mib(lambda: train_pair_gate(pairs, 5, **pair_gate_args(epochs=1))) < 45
 
 
 def test_init_draws_no_float64_copy_of_the_weight():

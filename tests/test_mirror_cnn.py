@@ -34,7 +34,7 @@ from sabotagebench.mirror_cnn import (
 from sabotagebench.models import ModelConfig, SimpleCNN, extract_embeddings
 from sabotagebench.training import _plain_test_error
 
-from conftest import TINY_MODEL
+from conftest import TINY_MODEL, pair_gate_args
 
 
 def toy_tables(rng, n=40, dim=8):
@@ -257,10 +257,10 @@ class TestPairGate:
         emb_a, emb_b = toy_tables(rng)
         unbalanced = make_pairs(emb_a, emb_b, {MODE_SELF: 4, MODE_CROSS: 6}, rng)
         with pytest.raises(ValidationError, match="balanced"):
-            train_pair_gate(unbalanced, seed=0)
+            train_pair_gate(unbalanced, 0, **pair_gate_args())
         semis = make_pairs(emb_a, emb_b, {MODE_SELF: 4, MODE_SEMISELF: 4}, rng)
         with pytest.raises(ValidationError, match="exactly self and cross"):
-            train_pair_gate(semis, seed=0)
+            train_pair_gate(semis, 0, **pair_gate_args())
 
     def test_boundary_fraction_validation(self):
         # checked where the experiment's config is built, before any net trains
@@ -274,7 +274,7 @@ class TestPairGate:
         # tables A and B are 3 sigma apart, so this is trivially learnable
         emb_a, emb_b = toy_tables(rng, n=120)
         train = make_pairs(emb_a, emb_b, {MODE_SELF: 200, MODE_CROSS: 200}, rng)
-        gate = train_pair_gate(train, seed=0, hidden=16, epochs=5)
+        gate = train_pair_gate(train, 0, **pair_gate_args(hidden=16, epochs=5))
         held = make_pairs(emb_a, emb_b, {MODE_SELF: 100, MODE_CROSS: 100}, rng)
         acc = eval_pairs(gate, held)
         assert acc["overall"] >= 0.95
@@ -283,8 +283,8 @@ class TestPairGate:
     def test_gate_training_is_deterministic(self, rng):
         emb_a, emb_b = toy_tables(rng)
         pairs = make_pairs(emb_a, emb_b, {MODE_SELF: 16, MODE_CROSS: 16}, rng)
-        one = train_pair_gate(pairs, seed=3, hidden=8, epochs=2)
-        two = train_pair_gate(pairs, seed=3, hidden=8, epochs=2)
+        one = train_pair_gate(pairs, 3, **pair_gate_args(hidden=8, epochs=2))
+        two = train_pair_gate(pairs, 3, **pair_gate_args(hidden=8, epochs=2))
         assert one.params.checksum() == two.params.checksum()
 
 

@@ -181,23 +181,23 @@ STOCK_CONVS = {"conv1": (1, 16), "conv2": (16, 32)}
 
 
 class TestBlockedConv:
-    """The GEMMs that run one block of images at a time (conv2d without
-    kept columns, the input gradient of conv2d_backward) keep the bytes of
-    one GEMM over the batch, at the stock shapes and at batch sizes that
-    leave a remainder to fold into the last block. Batches 1 and 64 are
-    covered by TestConvAgainstOracle.test_default_model_shapes."""
+    """The GEMMs that run one block of images at a time (conv2d, with or
+    without kept columns, and the input gradient of conv2d_backward) keep
+    the bytes of the oracle's one GEMM over the batch, at the stock shapes
+    and at batch sizes that leave a remainder to fold into the last block.
+    Batches 1 and 64 are covered by
+    TestConvAgainstOracle.test_default_model_shapes."""
 
     @pytest.mark.parametrize("n", [2, 3, 63, 65, 129])
     @pytest.mark.parametrize("layer", sorted(STOCK_CONVS))
     def test_forward_without_cols_keeps_the_bytes(self, rng, layer, n):
         c, k = STOCK_CONVS[layer]
-        x = nhwc(relu(rng.normal(size=(n, c, 28, 28))).astype(np.float32))
+        x = relu(rng.normal(size=(n, c, 28, 28))).astype(np.float32)
         kernel = rng.normal(size=(k, c, 3, 3)).astype(np.float32)
         bias = rng.normal(size=k).astype(np.float32)
-        y, cache = conv2d(x, kernel, bias, 1)
-        y_blocked, no_cache = conv2d(x, kernel, bias, 1, keep_cols=False)
+        y, no_cache = conv2d(nhwc(x), kernel, bias, 1, keep_cols=False)
         assert no_cache is None
-        assert_same_bytes(y_blocked, y)
+        assert_same_bytes(nchw(y), oracle.conv2d(x, kernel, bias, 1)[0])
 
     @pytest.mark.parametrize("n", [2, 3, 63, 65, 129])
     def test_backward_matches_oracle(self, rng, n):

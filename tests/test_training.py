@@ -39,7 +39,7 @@ from sabotagebench.training import (
     train_soft,
 )
 
-from conftest import med_pipeline, tiny_pipeline
+from conftest import med_pipeline, pair_gate_args, tiny_pipeline
 
 REPORT_KEYS = {
     "method",
@@ -557,7 +557,7 @@ class TestTrainingDropsGradients:
     def test_pair_gate(self, rng):
         table = rng.normal(size=(40, 8)).astype(np.float32)
         pairs = build_pair_set(table, np.arange(20), {MODE_SELF: 8, MODE_CROSS: 8}, rng)
-        gate = train_pair_gate(pairs, seed=0, hidden=4, epochs=1)
+        gate = train_pair_gate(pairs, 0, **pair_gate_args(hidden=4, epochs=1))
         _assert_training_ended(gate, pairs.features(np.arange(4)))
 
 
