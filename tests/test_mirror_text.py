@@ -325,11 +325,14 @@ class TestRecognitionScore:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return run_mirror_text_experiment(path).recognition
 
-    def test_score_is_reciprocal_rank(self, ladder):
-        assert [row["k"] for row in ladder] == [1, 2, 3, 4, 5]
-        # 100 * (1/3) is 33.33333333333333; 100/3 would end in 6
-        assert [row["score_percent"] for row in ladder] == [
-            100.0, 50.0, 33.33333333333333, 25.0, 20.0]
+    # 100 * (1/3) is 33.33333333333333; 100/3 would end in 6
+    @pytest.mark.parametrize("k,score_percent", [
+        (1, 100.0), (2, 50.0), (3, 33.33333333333333), (4, 25.0), (5, 20.0)])
+    def test_score_is_reciprocal_rank(self, ladder, k, score_percent):
+        row = ladder[k - 1]
+        assert row["system"] == SYSTEM_IDS[k - 1]
+        assert row["k"] == k
+        assert row["score_percent"] == score_percent
 
     def test_score_strictly_decreasing_in_k(self, ladder):
         scores = [row["score_percent"] for row in ladder]
