@@ -27,6 +27,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +87,8 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
     """Resolve the dataset section to (train, test) sets, and check that
     their images are `model.image_size` square and that the mirror-cnn
     subsets fit them when the run includes mirror-cnn."""
-    ds = cfg.section("dataset")
-    source = ds["source"]
-    mnist_dir = Path(ds["mnist_dir"])
+    ds = cfg.build("dataset")
+    source, mnist_dir = ds.source, Path(ds.mnist_dir)
     image_size = cfg.section("model")["image_size"]
     if source == "auto":
         source = "mnist" if all(mnist_files(mnist_dir)) else "synthetic"
@@ -102,20 +102,14 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
             if rows != image_size or cols != image_size:
                 raise ConfigError(f"model.image_size: {image_size} does not match the "
                                   f"{rows}x{cols} images under {mnist_dir}")
-    elif source == "synthetic":
+    else:
         try:
-            train = synthetic_mnist_set(
-                ds["synthetic_train"], ds["synthetic_seed"], image_size=image_size
-            )
-            test = synthetic_mnist_set(
-                ds["synthetic_test"], ds["synthetic_seed"] + 1, image_size=image_size
-            )
+            train = synthetic_mnist_set(ds.synthetic_train, ds.synthetic_seed,
+                                        image_size=image_size)
+            test = synthetic_mnist_set(ds.synthetic_test, ds.synthetic_seed + 1,
+                                       image_size=image_size)
         except ValidationError as exc:
             raise ConfigError(f"model.image_size: {exc}") from exc
-    else:
-        raise ConfigError(
-            f"dataset.source: expected auto, mnist, or synthetic, got {source!r}"
-        )
     if cfg.data["experiment"] in ("mirror-cnn", "all"):
         check_sizes(cfg, train.count, test.count)
     return train, test
@@ -262,8 +256,8 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
     else:
         summaries = [run_single(job, data) for job in jobs]
 
-    weights = cfg.lifestar_weights()
-    if weights is not None:
+    weights = astuple(cfg.build("lifestar"))
+    if None not in weights:
         by_name = {s["experiment"]: s for s in summaries}
         reporting.write_json(out_root / "lifestar.json", lifestar(
             weights, by_name["irm"]["detection_f1"],

@@ -2,21 +2,26 @@
 
 Resolution order is defaults < file < flags; the resolved mapping is
 echoed into every output directory so a run can be reproduced from its
-artifacts alone.  Validation is strict: an unknown key anywhere in the
-tree fails with its dotted path, and values must match the type of the
-default they replace.
+artifacts alone.  Every section has one owner dataclass: its fields are
+the section's leaves and their defaults, each field's annotation gives the
+JSON kinds its leaf takes, and the owner's own checks give the ranges.  A
+`--set a.b=v` flag is merged as the file layer `{"a": {"b": v}}` would be,
+so a file and a flag meet one rule set and fail with one message: an
+unknown key or a wrong kind names its dotted path, an out-of-range value
+its section and field.
 """
 from __future__ import annotations
 
 import copy
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args, get_type_hints
 
-from .dataset import SabotageConfig
+from .dataset import REJECT_LABEL, DatasetConfig, SabotageConfig
 from .errors import ConfigError, ValidationError
+from .metrics import LifestarWeights
 from .mirror_cnn import MirrorCnnConfig
 from .models import ModelConfig
 from .quarantine import AdaptiveControllerState, SoftWeightConfig
@@ -39,10 +44,23 @@ ALL_METHODS = (
 )
 EXPERIMENTS = (*ALL_METHODS, "all")
 
+
+@dataclass
+class MirrorTextConfig:
+    """The recorded session `mirror-text` replays: a JSONL path, or None for
+    the bundled one. It lives here so that training runs never import
+    `mirror_text`, which checks the file when it loads it."""
+
+    fixtures: str | None = None
+
+
 # The dataclass that owns each of these sections: its fields are the
-# section's leaves, its field defaults their defaults, and
-# `ExperimentConfig.build` turns the resolved section into one.
+# section's leaves, its field defaults their defaults, its annotations the
+# JSON kinds each takes, and `ExperimentConfig.build` turns the resolved
+# section into one, which checks the values.
 SECTIONS = {
+    "dataset": DatasetConfig,
+    "sabotage": SabotageConfig,
     "model": ModelConfig,
     "train": TrainConfig,
     "soft": SoftWeightConfig,
@@ -50,99 +68,62 @@ SECTIONS = {
     "sweep": SweepConfig,
     "adaptive": AdaptiveControllerState,
     "mirror_cnn": MirrorCnnConfig,
+    "mirror_text": MirrorTextConfig,
+    "lifestar": LifestarWeights,
 }
+# The `hard` section's leaves are PipelineConfig's fields of this prefix.
+HARD_PREFIX = "hard_"
 # The one owner field no config sets: the controller's running history.
 _NOT_LEAVES = {"history"}
 
 
-def _leaves(owner) -> dict[str, Any]:
-    """An owner's config leaves with their defaults; tuples become lists."""
-    return {
-        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-        for f in fields(owner)
-        if f.name not in _NOT_LEAVES
-    }
+def _leaf_table() -> tuple[dict[str, Any], dict[str, tuple]]:
+    """The defaults tree, and the types each leaf's annotation admits by
+    dotted path (a top-level leaf: its default's type)."""
+    defaults: dict[str, Any] = {"experiment": "baseline", "seed": 0, "out_dir": "runs"}
+    kinds = {key: (type(value),) for key, value in defaults.items()}
+    for section, owner in (*SECTIONS.items(), ("hard", PipelineConfig)):
+        prefix = HARD_PREFIX if owner is PipelineConfig else ""
+        hints = get_type_hints(owner)
+        leaves = defaults[section] = {}
+        for f in fields(owner):
+            if f.name.startswith(prefix) and f.name not in _NOT_LEAVES:
+                leaf = f.name[len(prefix):]
+                leaves[leaf] = list(f.default) if isinstance(f.default, tuple) else f.default
+                kinds[f"{section}.{leaf}"] = get_args(hints[f.name]) or (hints[f.name],)
+    return defaults, kinds
 
 
-_PIPELINE = PipelineConfig()
-
-DEFAULTS: dict[str, Any] = {
-    "experiment": "baseline",
-    "seed": 0,
-    "out_dir": "runs",
-    "dataset": {
-        # auto: use mnist_dir when its four IDX files exist, else the
-        # built-in synthetic glyph set (keeps every command runnable
-        # without a download).
-        "source": "auto",
-        "mnist_dir": "data/mnist",
-        "synthetic_train": 6000,
-        "synthetic_test": 1000,
-        "synthetic_seed": 1234,
-    },
-    "sabotage": {
-        "rate": _PIPELINE.sabotage.rate,
-        "label_mode": _PIPELINE.sabotage.label_mode,
-    },
-    "hard": {
-        "cutoff": _PIPELINE.hard_cutoff,
-        "auto_quantile": _PIPELINE.hard_auto_quantile,
-    },
-    **{name: _leaves(owner) for name, owner in SECTIONS.items()},
-    "mirror_text": {"fixtures": None},
-    # Life* weights have no published defaults; leave unset and require
-    # all three explicitly before the score is computed.
-    "lifestar": {"alpha": None, "beta": None, "gamma": None},
-}
-
-# Integer leaves with no owning dataclass to check them, and their least values.
-_MINIMUMS = {"seed": 0, "dataset.synthetic_seed": 0, "dataset.synthetic_train": 1,
-             "dataset.synthetic_test": 1}
-# Number leaves that also take null, as their owning dataclass does.
-_NULLABLE_NUMBERS = {"mirror_cnn.gate_boundary_fraction"}
-
-# Leaves whose accepted values cannot be inferred from the default alone.
-_SPECIAL_LEAVES = {
-    "hard.cutoff": "number or 'auto'",
-    "mirror_text.fixtures": "path string or null",
-    "lifestar.alpha": "number or null",
-    "lifestar.beta": "number or null",
-    "lifestar.gamma": "number or null",
-}
+DEFAULTS, _KINDS = _leaf_table()
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_leaf(path: str, default: Any, value: Any) -> Any:
-    if path in _SPECIAL_LEAVES:
-        ok = (
-            (path == "hard.cutoff" and (_is_number(value) or value == "auto"))
-            or (path == "mirror_text.fixtures" and (value is None or isinstance(value, str)))
-            or (path.startswith("lifestar.") and (value is None or _is_number(value)))
-        )
-        if not ok:
-            raise ConfigError(f"{path}: expected {_SPECIAL_LEAVES[path]}, got {value!r}")
-    elif value is None and path in _NULLABLE_NUMBERS:
-        return None
-    elif isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-    elif isinstance(default, int):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    elif isinstance(default, float):
-        if not _is_number(value):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        value = float(value)
-    elif isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-    elif isinstance(default, list):
-        if not isinstance(value, list) or not all(_is_number(v) for v in value):
-            raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
-        value = [float(v) for v in value]
+# For each annotated type: its name in messages, the JSON values it takes,
+# and the value it stores.
+_RULES = {
+    bool: ("a boolean", lambda v: isinstance(v, bool), None),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None),
+    float: ("a number", _is_number, float),
+    str: ("a string", lambda v: isinstance(v, str), None),
+    tuple: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+            lambda v: [float(x) for x in v]),
+    type(None): ("null", lambda v: v is None, None),
+}
+
+
+def _check_leaf(path: str, value: Any) -> Any:
+    kinds = _KINDS[path]
+    for kind in kinds:
+        _, takes, store = _RULES[kind]
+        if takes(value):
+            value = store(value) if store else value
+            break
+    else:
+        names = " or ".join(_RULES[kind][0] for kind in kinds)
+        raise ConfigError(f"{path}: expected {names}, got {value!r}")
     # JSON's NaN and Infinity tokens parse; no leaf takes them, and the
     # echoed config.json could not hold them
     if any(isinstance(v, float) and not math.isfinite(v)
@@ -161,39 +142,7 @@ def _merge(base: dict, incoming: Mapping, prefix: str = "") -> None:
                 raise ConfigError(f"{path}: expected a section (object), got {value!r}")
             _merge(base[key], value, prefix=f"{path}.")
         else:
-            base[key] = _check_leaf(path, DEFAULTS_LEAF[path], value)
-
-
-def _flatten(tree: Mapping, prefix: str = "") -> dict[str, Any]:
-    flat: dict[str, Any] = {}
-    for key, value in tree.items():
-        path = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, prefix=f"{path}."))
-        else:
-            flat[path] = value
-    return flat
-
-
-DEFAULTS_LEAF = _flatten(DEFAULTS)
-
-
-def _set_dotted(tree: dict, path: str, value: Any) -> None:
-    parts = path.split(".")
-    node = tree
-    walked = []
-    for part in parts[:-1]:
-        walked.append(part)
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config key: {'.'.join(walked)}")
-        node = node[part]
-    leaf = parts[-1]
-    full = ".".join(parts)
-    if leaf not in node:
-        raise ConfigError(f"unknown config key: {full}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"{full} is a section, not a value")
-    node[leaf] = _check_leaf(full, DEFAULTS_LEAF[full], value)
+            base[key] = _check_leaf(path, value)
 
 
 def parse_override(text: str) -> tuple[str, Any]:
@@ -213,12 +162,12 @@ def parse_override(text: str) -> tuple[str, Any]:
 class ExperimentConfig:
     """Fully resolved configuration tree with typed builders.
 
-    Builders hand sub-sections to the dataclasses that own their
-    validation; any rejection is re-raised as a ConfigError carrying the
-    section name so the CLI exits with the config status code. Every
-    `SECTIONS` owner, the pipeline with its `sabotage` and `hard` leaves,
-    and the Life* weights are checked once here, so a bad value fails at
-    parse time, before any data loads or any experiment of `run all` trains.
+    Builders hand a section to the dataclass that owns its validation; any
+    rejection is re-raised as a ConfigError carrying the section name so
+    the CLI exits with the config status code. Every `SECTIONS` owner and
+    the pipeline with its `hard` leaves are built once here, so a bad
+    value fails at parse time, before any data loads or any experiment of
+    `run all` trains.
     """
 
     data: dict[str, Any]
@@ -229,18 +178,11 @@ class ExperimentConfig:
                 f"experiment: expected one of {', '.join(EXPERIMENTS)}, "
                 f"got {self.data['experiment']!r}"
             )
-        flat = _flatten(self.data)
-        for path, least in _MINIMUMS.items():
-            if flat[path] < least:
-                raise ConfigError(f"{path}: expected an integer >= {least}, got {flat[path]}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: expected an integer >= 0, got {self.seed}")
         for name in SECTIONS:
             self.build(name)
         self.pipeline_config("baseline")
-        weights = self.section("lifestar").values()
-        if None in weights and any(v is not None for v in weights):
-            raise ConfigError("lifestar: alpha, beta, gamma must be given together")
-        if any(v is not None and v < 0 for v in weights):
-            raise ConfigError(f"lifestar: weights must be >= 0, got {list(weights)}")
 
     @property
     def seed(self) -> int:
@@ -259,15 +201,6 @@ class ExperimentConfig:
         except ValidationError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
 
-    def sabotage_config(self, *, label_mode: str | None = None) -> SabotageConfig:
-        sab = self.section("sabotage")
-        return self._build(
-            "sabotage",
-            SabotageConfig,
-            rate=sab["rate"],
-            label_mode=label_mode or sab["label_mode"],
-        )
-
     def build(self, name: str):
         """The `SECTIONS` owner of section `name`, built from its leaves."""
         leaves = {
@@ -277,27 +210,20 @@ class ExperimentConfig:
         return self._build(name, SECTIONS[name], **leaves)
 
     def pipeline_config(self, method: str) -> PipelineConfig:
-        label_mode = "reject" if method == "irm" else None
-        hard = self.section("hard")
+        sabotage = self.build("sabotage")
+        if method == "irm":
+            sabotage = replace(sabotage, label_mode=REJECT_LABEL)
         return self._build(
             "hard",
             PipelineConfig,
             seed=self.seed,
-            sabotage=self.sabotage_config(label_mode=label_mode),
+            sabotage=sabotage,
             model=self.build("model"),
             train=self.build("train"),
             soft=self.build("soft"),
             gate=self.build("gate"),
-            hard_cutoff=hard["cutoff"],
-            hard_auto_quantile=hard["auto_quantile"],
+            **{HARD_PREFIX + key: value for key, value in self.section("hard").items()},
         )
-
-    def lifestar_weights(self) -> tuple[float, float, float] | None:
-        """(alpha, beta, gamma), or None when no Life* score is asked for."""
-        ls = self.section("lifestar")
-        if ls["alpha"] is None:
-            return None
-        return float(ls["alpha"]), float(ls["beta"]), float(ls["gamma"])
 
 
 def parse_config(
@@ -305,7 +231,8 @@ def parse_config(
     overrides: Mapping[str, Any] | None = None,
 ) -> ExperimentConfig:
     """Layered resolution: package defaults, then the JSON file, then
-    flag overrides; each layer is validated against the defaults tree.
+    flag overrides, each override merged as the one-leaf tree its dotted
+    key names.
 
     An empty file (or ``{}``) is valid and yields pure defaults.
     """
@@ -329,5 +256,7 @@ def parse_config(
                 )
             _merge(resolved, tree)
     for key, value in (overrides or {}).items():
-        _set_dotted(resolved, key, value)
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _merge(resolved, value)
     return ExperimentConfig(resolved)

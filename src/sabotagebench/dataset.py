@@ -120,6 +120,30 @@ def load_idx(images_path, labels_path) -> MnistSet:
     return MnistSet(images, labels)
 
 
+@dataclass
+class DatasetConfig:
+    """Where the train and test sets come from. `auto` reads `mnist_dir`
+    when its four IDX files exist and draws the synthetic glyph set (of
+    `synthetic_train` and `synthetic_test` images from `synthetic_seed`)
+    otherwise, so every command runs without a download."""
+
+    source: str = "auto"
+    mnist_dir: str = "data/mnist"
+    synthetic_train: int = 6000
+    synthetic_test: int = 1000
+    synthetic_seed: int = 1234
+
+    def __post_init__(self) -> None:
+        if self.source not in ("auto", "mnist", "synthetic"):
+            raise ValidationError(
+                f"source must be auto, mnist or synthetic, got {self.source!r}")
+        for name in ("synthetic_train", "synthetic_test"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.synthetic_seed < 0:
+            raise ValidationError(f"synthetic_seed must be >= 0, got {self.synthetic_seed}")
+
+
 def mnist_files(root) -> list[Path | None]:
     """Each MNIST_STEMS file under `root`, plain or `.gz`; None where neither exists."""
     root = Path(root)
@@ -143,7 +167,7 @@ def load_mnist_dir(root) -> tuple[MnistSet, MnistSet]:
 
 @dataclass
 class SabotageConfig:
-    rate: float
+    rate: float = 0.05
     label_mode: str = RANDOM_LABEL
 
     def __post_init__(self) -> None:

@@ -132,10 +132,27 @@ def separation_auc(scores, positive) -> float | None:
 # ---------------------------------------------------------------- Life*
 
 
+@dataclass
+class LifestarWeights:
+    """The Life* weights, which have no published defaults: all three, each
+    >= 0, or none when no score is asked for."""
+
+    alpha: float | None = None
+    beta: float | None = None
+    gamma: float | None = None
+
+    def __post_init__(self) -> None:
+        weights = [self.alpha, self.beta, self.gamma]
+        if None in weights and any(v is not None for v in weights):
+            raise ValidationError("alpha, beta, gamma must be given together")
+        if any(v is not None and v < 0 for v in weights):
+            raise ValidationError(f"weights must be >= 0, got {weights}")
+
+
 def lifestar(weights: tuple[float, float, float], detection_f1: float,
              pair_accuracy: float) -> dict:
-    """The lifestar.json payload for weights (alpha, beta, gamma), already
-    checked (all >= 0) at parse time.
+    """The lifestar.json payload for weights (alpha, beta, gamma), as
+    `LifestarWeights` checked them.
 
     Score = alpha*SelfMaint + beta*EmergComp + gamma*SelfRecog, with
     SelfMaint the detection F1 and SelfRecog the mirror pair accuracy above

@@ -142,7 +142,7 @@ class GateTrainConfig:
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    sabotage: SabotageConfig = field(default_factory=lambda: SabotageConfig(rate=0.05))
+    sabotage: SabotageConfig = field(default_factory=SabotageConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     soft: SoftWeightConfig = field(default_factory=SoftWeightConfig)

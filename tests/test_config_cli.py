@@ -34,8 +34,8 @@ from sabotagebench.config import (
     parse_config,
     parse_override,
 )
-from sabotagebench.dataset import SabotageConfig
 from sabotagebench.errors import ConfigError
+from sabotagebench.metrics import LifestarWeights
 from sabotagebench.quarantine import AdaptiveControllerState
 from sabotagebench.training import PipelineConfig
 
@@ -142,7 +142,7 @@ class TestParseConfig:
             parse_config(path)
 
     def test_override_cannot_target_a_section(self):
-        with pytest.raises(ConfigError, match="train is a section"):
+        with pytest.raises(ConfigError, match=r"^train: expected a section \(object\), got 3$"):
             parse_config(None, {"train": 3})
 
     @pytest.mark.parametrize(
@@ -157,10 +157,10 @@ class TestParseConfig:
             ("sweep.thresholds", [0.1, "x"], "expected a list of numbers"),
             ("sweep.thresholds", 0.1, "expected a list of numbers"),
             ("seed", -1, "seed: expected an integer >= 0, got -1"),
-            ("dataset.synthetic_seed", -1, "dataset.synthetic_seed: expected an integer >= 0"),
-            ("dataset.synthetic_test", 0, "dataset.synthetic_test: expected an integer >= 1"),
-            ("dataset.synthetic_train", -3, "dataset.synthetic_train: expected an integer >= 1"),
-            ("dataset.synthetic_train", 0, "dataset.synthetic_train: expected an integer >= 1"),
+            ("dataset.synthetic_seed", -1, "dataset: synthetic_seed must be >= 0, got -1"),
+            ("dataset.synthetic_test", 0, "dataset: synthetic_test must be >= 1, got 0"),
+            ("dataset.synthetic_train", -3, "dataset: synthetic_train must be >= 1, got -3"),
+            ("dataset.synthetic_train", 0, "dataset: synthetic_train must be >= 1, got 0"),
         ],
     )
     def test_leaf_type_errors(self, key, value, expected):
@@ -171,12 +171,18 @@ class TestParseConfig:
         cfg = parse_config(None, {"sabotage.rate": 0})
         assert cfg.section("sabotage")["rate"] == 0.0
         assert isinstance(cfg.section("sabotage")["rate"], float)
+        # so does a number leaf that also takes a string or null
+        cfg = parse_config(None, {"hard.cutoff": 1, "mirror_cnn.gate_boundary_fraction": 0})
+        assert repr(cfg.section("hard")["cutoff"]) == "1.0"
+        assert repr(cfg.section("mirror_cnn")["gate_boundary_fraction"]) == "0.0"
 
     def test_hard_cutoff_accepts_number_or_auto(self):
         assert parse_config(None, {"hard.cutoff": 0.5}).section("hard")["cutoff"] == 0.5
         assert parse_config(None, {"hard.cutoff": "auto"}).section("hard")["cutoff"] == "auto"
-        with pytest.raises(ConfigError, match="hard.cutoff"):
+        with pytest.raises(ConfigError, match="^hard: hard_cutoff must be a number or 'auto'"):
             parse_config(None, {"hard.cutoff": "max"})
+        with pytest.raises(ConfigError, match="^hard.cutoff: expected a number or a string"):
+            parse_config(None, {"hard.cutoff": None})
 
     def test_fixtures_leaf_accepts_path_or_null(self):
         cfg = parse_config(None, {"mirror_text.fixtures": "x.jsonl"})
@@ -184,7 +190,7 @@ class TestParseConfig:
         assert parse_config(None, {"mirror_text.fixtures": None}).section(
             "mirror_text"
         )["fixtures"] is None
-        with pytest.raises(ConfigError, match="mirror_text.fixtures"):
+        with pytest.raises(ConfigError, match="^mirror_text.fixtures: expected a string or null"):
             parse_config(None, {"mirror_text.fixtures": 3})
 
     def test_lifestar_leaves_accept_number_or_null(self):
@@ -193,7 +199,7 @@ class TestParseConfig:
         )
         assert cfg.section("lifestar")["beta"] == 0.3
         assert parse_config(None, {"lifestar.beta": None}).section("lifestar")["beta"] is None
-        with pytest.raises(ConfigError, match="lifestar.alpha"):
+        with pytest.raises(ConfigError, match="^lifestar.alpha: expected a number or null"):
             parse_config(None, {"lifestar.alpha": "half"})
 
 
@@ -244,19 +250,34 @@ class TestExperimentConfig:
             return build
 
         monkeypatch.setattr(config, "PipelineConfig", recording(PipelineConfig))
-        monkeypatch.setattr(config, "SabotageConfig", recording(SabotageConfig))
         monkeypatch.setattr(config, "SECTIONS",
                             {name: recording(owner) for name, owner in SECTIONS.items()})
         parse_config().pipeline_config("baseline")
         unset = {}
-        for owner in (PipelineConfig, SabotageConfig, *SECTIONS.values()):
+        for owner in (PipelineConfig, *SECTIONS.values()):
             names = {f.name for f in dataclasses.fields(owner)} - passed[owner]
             if names:
                 unset[owner.__name__] = names
         assert unset == {AdaptiveControllerState.__name__: {"history"}}
 
+    def test_every_leaf_has_an_owner_field_with_its_default(self):
+        # a leaf stated beside its owner would be checked by no one
+        assert set(DEFAULTS) == {"experiment", "seed", "out_dir", "hard", *SECTIONS}
+        for section, leaves in DEFAULTS.items():
+            if section in ("experiment", "seed", "out_dir"):
+                continue
+            owner, prefix = ((PipelineConfig, config.HARD_PREFIX) if section == "hard"
+                             else (SECTIONS[section], ""))
+            owned = {f.name: f.default for f in dataclasses.fields(owner)}
+            for leaf, default in leaves.items():
+                assert prefix + leaf in owned, f"{section}.{leaf} has no owner field"
+                field_default = owned[prefix + leaf]
+                if isinstance(field_default, tuple):
+                    field_default = list(field_default)
+                assert field_default == default, f"{section}.{leaf}"
+
     def test_lifestar_weights_default_none(self):
-        assert parse_config().lifestar_weights() is None
+        assert parse_config().build("lifestar") == LifestarWeights(None, None, None)
 
     def test_lifestar_weights_all_or_nothing(self):
         with pytest.raises(ConfigError, match="together"):
@@ -267,7 +288,7 @@ class TestExperimentConfig:
             None,
             {"lifestar.alpha": 0.5, "lifestar.beta": 0.3, "lifestar.gamma": 0.2},
         )
-        assert cfg.lifestar_weights() == (0.5, 0.3, 0.2)
+        assert cfg.build("lifestar") == LifestarWeights(0.5, 0.3, 0.2)
 
 
 # ----------------------------------------------------------- data loading
@@ -309,9 +330,8 @@ class TestLoadData:
             cli.load_data(cfg)
 
     def test_unknown_source_rejected(self):
-        cfg = parse_config(None, {"dataset.source": "imagenet"})
-        with pytest.raises(ConfigError, match="dataset.source"):
-            cli.load_data(cfg)
+        with pytest.raises(ConfigError, match="^dataset: source must be auto, mnist or synthetic"):
+            parse_config(None, {"dataset.source": "imagenet"})
 
 
 def write_idx(root: Path, train_size: int, test_size: int) -> None:
@@ -549,6 +569,68 @@ class TestRunExitCodes:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
+
+    # A file and `--set` go through one walker, so each bad leaf fails with
+    # one text both ways. The section and object cases used to differ:
+    # `--set train=5` read "train is a section, not a value" and `--set
+    # model.conv1_channels={"x": 1}` "unknown config key:
+    # model.conv1_channels".
+    @pytest.mark.parametrize("via", ["set", "file"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("train.epohcs", 2, "unknown config key: train.epohcs"),
+        ("trian.epochs", 2, "unknown config key: trian"),
+        ("train", 5, "train: expected a section (object), got 5"),
+        ("model.conv1_channels", {"x": 1},
+         "model.conv1_channels: expected an integer, got {'x': 1}"),
+        ("seed", {"x": 1}, "seed: expected an integer, got {'x': 1}"),
+        ("sabotage.rate", "high", "sabotage.rate: expected a number, got 'high'"),
+        ("adaptive.literal_step_rule", 1, "adaptive.literal_step_rule: expected a boolean, got 1"),
+        ("sweep.thresholds", [0.1, "x"],
+         "sweep.thresholds: expected a list of numbers, got [0.1, 'x']"),
+        ("hard.cutoff", True, "hard.cutoff: expected a number or a string, got True"),
+        ("train.epochs", None, "train.epochs: expected an integer, got None"),
+        ("dataset.source", None, "dataset.source: expected a string, got None"),
+        ("train.learning_rate", float("nan"),
+         "train.learning_rate: expected finite numbers, got nan"),
+        ("lifestar.alpha", float("inf"), "lifestar.alpha: expected finite numbers, got inf"),
+        ("seed", -1, "seed: expected an integer >= 0, got -1"),
+        ("dataset.synthetic_train", 0, "dataset: synthetic_train must be >= 1, got 0"),
+        ("dataset.source", "bogus",
+         "dataset: source must be auto, mnist or synthetic, got 'bogus'"),
+        ("mirror_cnn.gate_boundary_fraction", 1,
+         "mirror_cnn: gate_boundary_fraction must lie in [0, 1) or be None, got 1.0"),
+    ])
+    def test_a_bad_leaf_reads_alike_from_a_file_and_from_set(
+            self, tmp_path, capsys, monkeypatch, via, key, value, message):
+        def load_data(cfg):
+            raise AssertionError("data loaded for a bad config")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
+        argv = ["run", "baseline", "--out", str(tmp_path / "out")]
+        if via == "set":
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        else:
+            tree = value
+            for part in reversed(key.split(".")):
+                tree = {part: tree}
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(tree))
+            argv += ["--config", str(path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    # mirror-text loads no data, so an unknown source used to pass it
+    # (exit 0, "bogus" echoed into config.json); the others refused it
+    # only in load_data
+    @pytest.mark.parametrize("experiment", ["mirror-text", "baseline"])
+    def test_an_unknown_source_fails_at_parse_time(self, tmp_path, capsys, experiment):
+        out = tmp_path / "out"
+        argv = ["run", experiment, "--out", str(out), "--set", "dataset.source=bogus"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: dataset: source must be auto, mnist or synthetic, got 'bogus'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["baseline", "all"])
     @pytest.mark.parametrize("weights,message", [
