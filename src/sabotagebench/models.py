@@ -13,11 +13,11 @@ window whose entries are all negative pools to -0.0 either way (max * 0
 here, the ReLU's -0.0 entries there). Only the index of such a window moves,
 from the first of four tied zeros to the first raw maximum. Its gradient is
 dy * 0 either way, a zero with dy's sign, now at another position of
-conv2's gradient; a zero's sign only shows in a sum of zeros, and the conv
-layers' `grad +=` into the zeroed gradient buffers turns such a -0.0 into
-+0.0, so every parameter keeps its bytes. (A conv2 output of exactly +0.0
-next to negatives would pool to +0.0 here and to -0.0 there; no later sum
-sees the sign.)
+conv2's gradient; a zero's sign only shows in a sum of zeros, so only a
+parameter gradient of zero can change sign, and -0.0 steps like +0.0 (see
+`sgd_step`): every parameter keeps its bytes. (A conv2 output of exactly
++0.0 next to negatives would pool to +0.0 here and to -0.0 there; no later
+sum sees the sign.)
 
 Each ReLU writes over its input (nncore.relu), so the first overwrites
 conv1's output: `x * mask` keeps the -0.0 of a negative value and keeps a
@@ -114,7 +114,7 @@ class SimpleCNN:
 
     `n_outputs` defaults to the class count; the integrated rejection model
     passes N_CLASSES + 1. Forward is pure (cache returned to the caller);
-    backward fills the ParamSet's zeroed gradient buffers (see ParamSet).
+    backward writes every gradient buffer of the ParamSet (see ParamSet).
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, n_outputs: int | None = None):
@@ -272,23 +272,23 @@ class SimpleCNN:
         return logits
 
     def backward(self, dlogits: np.ndarray, cache) -> None:
-        """Fill the zeroed gradient buffers for one forward pass."""
+        """Write every parameter's gradient for one forward pass."""
         p = self.params
         da3, _, db = linear_backward(dlogits, cache["fc2"], dw_out=p["fc2_w"].grad)
-        p["fc2_b"].grad += db
+        p["fc2_b"].grad[...] = db
         df1 = relu_backward(da3, cache["relu3"])
         dflat, _, db = linear_backward(df1, cache["fc1"], dw_out=p["fc1_w"].grad)
-        p["fc1_b"].grad += db
+        p["fc1_b"].grad[...] = db
         dmid = dflat.reshape(cache["mid_shape"]).transpose(0, 2, 3, 1)
         dpooled = relu_backward(dmid, cache["relu2"])
         dh2 = maxpool2x2_backward(dpooled, cache["pool_idx"])
         da1, dw, db = conv2d_backward(dh2, cache["conv2"])
-        p["conv2_w"].grad += dw
-        p["conv2_b"].grad += db
+        p["conv2_w"].grad[...] = dw
+        p["conv2_b"].grad[...] = db
         dh1 = relu_backward(da1, cache["relu1"])
         _, dw, db = conv2d_backward(dh1, cache["conv1"], input_grad=False)
-        p["conv1_w"].grad += dw
-        p["conv1_b"].grad += db
+        p["conv1_w"].grad[...] = dw
+        p["conv1_b"].grad[...] = db
 
 
 def make_irm_model(cfg: ModelConfig, rng: np.random.Generator) -> SimpleCNN:
@@ -367,8 +367,8 @@ class MlpBinary:
         p = self.params
         dz = dlogits[:, None]
         dd, _, db = linear_backward(dz, cache["fc2"], dw_out=p["w2"].grad)
-        p["b2"].grad += db
+        p["b2"].grad[...] = db
         da = dropout_backward(dd, cache["drop"])
         dh = relu_backward(da, cache["relu"])
         _, _, db = linear_backward(dh, cache["fc1"], input_grad=False, dw_out=p["w1"].grad)
-        p["b1"].grad += db
+        p["b1"].grad[...] = db

@@ -17,18 +17,16 @@ def grad_check(loss_fn, params: ParamSet, epsilon: float = 1e-5) -> float:
     """Return the worst relative error between analytic and numeric gradients.
 
     `loss_fn(backward: bool) -> float` must compute the scalar loss from the
-    current parameter values, filling the zeroed gradients of `params` only
-    when `backward` is True. Relative error per element is
+    current parameter values, writing every gradient of `params` only when
+    `backward` is True. Relative error per element is
     |a - n| / max(1, |a|, |n|), so near-zero gradients are compared absolutely.
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValidationError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
-    params.zero_grads()
     loss = loss_fn(backward=True)
     if not math.isfinite(loss):
         raise NumericsError(f"non-finite loss {loss} in grad_check")
     analytic = {name: param.grad.copy() for name, param in params.items()}
-    params.zero_grads()
 
     worst = 0.0
     for name, param in params.items():

@@ -282,8 +282,9 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 def linear_backward(dy: np.ndarray, cache, input_grad: bool = True,
                     dw_out: np.ndarray | None = None):
     """Gradients of linear: returns (dx, dw, db); dx is None, and not
-    computed, when input_grad is False. With `dw_out`, the weight gradient's
-    GEMM writes into that buffer, which is returned as dw, and allocates no
+    computed, when input_grad is False. With `dw_out`, a gradient buffer
+    that the backward pass writes like every other (see ParamSet), the
+    weight gradient's GEMM writes into it, returns it as dw and allocates no
     weight-sized array."""
     x, w = cache
     dx = dy @ w.T if input_grad else None

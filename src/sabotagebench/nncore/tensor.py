@@ -58,12 +58,10 @@ class Param:
 class ParamSet:
     """Ordered, named collection of parameters with gradient buffers.
 
-    A backward pass expects zeroed gradient buffers, as the optimizer step
-    and `zero_grads` leave them, and fills them with one pass's gradients:
-    the linear layers' weight gradients are written (their GEMM's output
-    buffer), the rest are added (+=). So two backward passes before a step
-    do not sum. A written gradient keeps a -0.0 that the add would make
-    +0.0; `sgd_step` says why no parameter sees the difference.
+    A backward pass writes every gradient into its buffer over whatever the
+    buffer held (a linear layer's weight gradient is its GEMM's output), so
+    two passes before a step do not sum, and nothing clears a buffer: after
+    `sgd_step` it holds lr * grad until the next backward overwrites it.
     `checksum()` hashes names, shapes and raw bytes so frozen phases can
     prove bit-identity.
 
@@ -87,10 +85,6 @@ class ParamSet:
 
     def items(self):
         return self._params.items()
-
-    def zero_grads(self) -> None:
-        for param in self._params.values():
-            param.grad[...] = 0
 
     def drop_grads(self) -> None:
         for param in self._params.values():

@@ -34,7 +34,7 @@ from sabotagebench.mirror_cnn import (
     train_pair_gate,
 )
 from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings
-from sabotagebench.nncore import relu, softmax
+from sabotagebench.nncore import relu, sgd_step, softmax
 from sabotagebench.quarantine import decide
 from sabotagebench.training import (
     GateTrainConfig,
@@ -233,6 +233,14 @@ def test_pair_gate_matches_the_adding_backward(monkeypatch, batch_size):
     kwargs = dict(seed=5, **pair_gate_args(hidden=16, epochs=2, batch_size=batch_size))
     gate = train_pair_gate(train, **kwargs)
     monkeypatch.setattr(oracle, "MlpBinary", oracle_backward.AddingMlp)
+
+    def step_then_zero(params, learning_rate):
+        # the adding backward needs the zeroed buffers that the step left
+        sgd_step(params, learning_rate)
+        for _, param in params.items():
+            param.grad[...] = 0
+
+    monkeypatch.setattr(oracle, "sgd_step", step_then_zero)
     expected = oracle.train_pair_gate(train, **kwargs)
     assert type(expected) is oracle_backward.AddingMlp
     assert gate.params.checksum() == expected.params.checksum()

@@ -21,7 +21,12 @@ from sabotagebench.models import (
 )
 from sabotagebench.nncore import fan_in_uniform
 from sabotagebench.nncore.gradcheck import grad_check
-from sabotagebench.nncore.ops import weighted_softmax_ce, weighted_softmax_ce_backward
+from sabotagebench.nncore.ops import (
+    bce_with_logits,
+    bce_with_logits_backward,
+    weighted_softmax_ce,
+    weighted_softmax_ce_backward,
+)
 from sabotagebench.training import _fit_step
 
 from conftest import nchw, nhwc
@@ -258,6 +263,8 @@ class TestPoolBeforeReluMatchesOracle:
                 o_logits = oracle.narrow(o_cache, o_mid, rows)
                 assert logits.tobytes() == o_logits.tobytes()
             _fit_step(engine, logits, cache, labels[rows], weights[rows], lr=0.1)
+            for _, param in oracle.params.items():
+                param.grad[...] = 0  # the oracle's backward adds to its buffers
             _fit_step(oracle, o_logits, o_cache, labels[rows], weights[rows], lr=0.1)
             assert engine.params.checksum() == oracle.params.checksum()
 
@@ -274,8 +281,8 @@ class TestPoolBeforeReluMatchesOracle:
 
 
 class TestWrittenGradientsMatchOracle:
-    """Writing the linear layers' weight gradients into the zeroed buffers
-    leaves the parameters of the adding backward (`oracle_backward`) after a
+    """Writing every gradient into its buffer leaves the parameters of the
+    adding backward (`oracle_backward`, into fresh zeroed buffers) after a
     stock step, at a full batch and at one row, whose weight gradients are
     outer products."""
 
@@ -288,6 +295,46 @@ class TestWrittenGradientsMatchOracle:
             _fit_step(model, logits, cache, labels, np.ones(n), lr=0.1)
         engine, oracle = models_
         assert engine.params.checksum() == oracle.params.checksum()
+
+
+def _cnn_backward(model, seed):
+    x, labels = _stock_batch(seed, 8)
+    weights = np.ones(8)
+    logits, _, cache = model.forward(x)
+    _, probs = weighted_softmax_ce(logits, labels, weights)
+    model.backward(weighted_softmax_ce_backward(probs, labels, weights).astype(logits.dtype),
+                   cache)
+
+
+def _gate_backward(model, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(8, 12)).astype(np.float32)
+    targets = (rng.random(8) < 0.5).astype(np.float64)
+    _, logits, cache = model.forward(x)
+    _, probs = bce_with_logits(logits, targets)
+    model.backward(bce_with_logits_backward(probs, targets).astype(np.float32), cache)
+
+
+class TestBackwardWritesEveryGradient:
+    """A backward pass writes every gradient buffer over what it held, so two
+    passes before a step leave the second pass's gradients, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "build, backward",
+        [
+            (lambda rng: SimpleCNN(ModelConfig(), rng), _cnn_backward),
+            (lambda rng: MlpBinary(GateConfig(input_dim=12, hidden=6, dropout=0.0), rng),
+             _gate_backward),
+        ],
+        ids=["SimpleCNN", "MlpBinary"],
+    )
+    def test_second_pass_overwrites_the_first(self, build, backward):
+        twice, once = (build(np.random.default_rng(11)) for _ in range(2))
+        backward(twice, 1)
+        backward(twice, 2)
+        backward(once, 2)
+        for name, param in twice.params.items():
+            assert param.grad.tobytes() == once.params[name].grad.tobytes(), name
 
 
 class TestNarrowedCache:

@@ -4,11 +4,14 @@
                               [--seconds S] [--out FILE]
 
 REV (a commit, branch or tag) is exported with `git archive` into a
-temporary directory. Each pair then runs `bench/run.py --workload W --seed
-SEED --seconds S` once in REV's tree and once in the working tree, one
-after the other; even pairs run REV first and odd pairs the working tree
-first, so a drift in machine speed does not favour one side. Pair k uses
-the k-th seed of A-B, cycling when there are fewer seeds than pairs.
+temporary directory, and the working tree is copied into another: the files
+git tracks or does not ignore, as they are on disk, so neither side starts
+with the caches or outputs (`__pycache__`, `.bench_out/`) of earlier runs.
+Each pair then runs `bench/run.py --workload W --seed SEED --seconds S`
+once in each copy, one after the other; even pairs run REV first and odd
+pairs the working tree first, so a drift in machine speed does not favour
+one side. Pair k uses the k-th seed of A-B, cycling when there are fewer
+seeds than pairs.
 
 The result goes to FILE (default `BENCH_<sha>.json` at the root of the
 repository, after REV's short commit id), under the workload's name; the
@@ -18,6 +21,13 @@ quartiles, both as the benchmark reports it (times scaled to the reference
 job's speed) and as measured (raw setup_s and run_s), the change's wins
 (pairs where the working tree is better), and every pair's values.
 
+After the table, one verdict line per end-to-end metric reads the scaled
+values: `gain` when the working tree wins at least 9 in 10 of at least 10
+pairs and its median is better than REV's by more than the interquartile
+range of REV's runs; `regression` when its median is worse than REV's by
+more than the metric's relative `bound` in `BENCHMARK.json`; `unresolved`
+otherwise.
+
 Exit status: 0 when every run finished, 2 when a benchmark run failed.
 """
 from __future__ import annotations
@@ -26,6 +36,7 @@ import argparse
 import io
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,11 +56,23 @@ def git(*args: str) -> str:
 
 
 def export(rev: str, dest: Path) -> None:
+    """Extract the files of commit `rev` into the directory `dest`."""
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def copy_worktree(dest: Path) -> None:
+    """Copy the working tree's files that git tracks or does not ignore, as
+    they are on disk, into the directory `dest`."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        source = ROOT / name
+        if source.exists():  # a tracked file deleted on disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name, follow_symlinks=False)
 
 
 def seed_range(text: str) -> list[int]:
@@ -88,9 +111,22 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(scaled: dict, pairs: int, lower: bool, bound: float) -> str:
+    """`gain`, `regression` or `unresolved` for one metric's scaled entry
+    of `compare` (see the module docstring)."""
+    base, change = scaled["base"]["median"], scaled["change"]["median"]
+    gained = base - change if lower else change - base
+    if pairs >= 10 and scaled["wins"] >= 0.9 * pairs and \
+            gained > scaled["base"]["q3"] - scaled["base"]["q1"]:
+        return "gain"
+    if -gained > bound * base:
+        return "regression"
+    return "unresolved"
+
+
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, scaled and raw, and
-    the change's wins."""
+    """Per metric: each side's median and quartiles, scaled and raw, the
+    change's wins, and the verdict on the scaled values."""
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -100,6 +136,7 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
             change = [p["change"][kind][name] for p in pairs]
             wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
             entry[kind] = {"base": summary(base), "change": summary(change), "wins": wins}
+        entry["verdict"] = verdict(entry["scaled"], len(pairs), lower, metric["bound"])
         out[name] = entry
     return out
 
@@ -121,14 +158,15 @@ def main(args: list[str] | None = None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        base_tree = Path(tmp)
+        base_tree, change_tree = Path(tmp, "base"), Path(tmp, "change")
         export(sha, base_tree)
+        copy_worktree(change_tree)
         for k in range(opts.pairs):
             seed = opts.seeds[k % len(opts.seeds)]
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             record = {"seed": seed, "first": order[0]}
             for side in order:
-                tree = base_tree if side == "base" else ROOT
+                tree = base_tree if side == "base" else change_tree
                 try:
                     record[side] = bench(tree, opts.workload, seed, opts.seconds)
                 except RuntimeError as exc:
@@ -162,6 +200,8 @@ def main(args: list[str] | None = None) -> int:
                   f"[{e['base']['q1']:.4g}, {e['base']['q3']:.4g}]  change "
                   f"{e['change']['median']:.4g} [{e['change']['q1']:.4g}, "
                   f"{e['change']['q3']:.4g}]  wins {e['wins']}/{len(pairs)}")
+    for name, entry in result["metrics"].items():
+        print(f"verdict {name}: {entry['verdict']}")
     print(f"wrote {out}")
     return 0
 

@@ -33,12 +33,10 @@ fails.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -46,16 +44,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from bench.workloads import WORKLOADS, digests  # noqa: E402
+from tools.ab_bench import export  # noqa: E402
 
 RUN = "import sys; from sabotagebench.cli import main; sys.exit(main(sys.argv[1:]))"
-
-
-def export(rev: str, dest: Path) -> None:
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def run(tree: Path, argv: list[str]) -> int:
