@@ -162,19 +162,20 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
         summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
         summary["semiself_accuracy"] = report.semiself_accuracy
     elif experiment == "sweep":
-        result = run_sweep(cfg.pipeline_config("baseline"), cfg.build("sweep"), *data)
+        result = run_sweep(cfg.pipeline_config(), cfg.build("sweep"), *data)
         reporting.write_sweep_artifacts(out_dir, result)
     else:
+        pipeline = cfg.pipeline_config()
         if experiment == "adaptive":
-            report = train_adaptive(cfg.pipeline_config("baseline"), *data, cfg.build("adaptive"))
+            report = train_adaptive(pipeline, *data, cfg.build("adaptive"))
         elif experiment == "baseline":
-            report = train_baseline(cfg.pipeline_config("baseline"), *data)
+            report = train_baseline(pipeline, *data)
         elif experiment == "soft":
-            report = train_soft(cfg.pipeline_config("soft"), *data)
+            report = train_soft(pipeline, *data)
         elif experiment == "hard":
-            report = train_hard(cfg.pipeline_config("hard"), *data)
+            report = train_hard(pipeline, *data)
         elif experiment == "irm":
-            report = train_irm(cfg.pipeline_config("irm"), *data)
+            report = train_irm(pipeline, *data)
         else:
             raise ConfigError(f"unknown experiment {experiment!r}")
         if report.extras.get("gate_inverted"):
@@ -273,6 +274,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["out_dir"] = args.out
     overrides["experiment"] = args.experiment
     cfg = parse_config(args.config, overrides)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot create {cfg.out_dir} ({exc.strerror})") from exc
 
     data = None if args.experiment == "mirror-text" else load_data(cfg)
     if args.experiment == "all":

@@ -15,22 +15,17 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping, get_args, get_type_hints
 
-from .dataset import REJECT_LABEL, DatasetConfig, SabotageConfig
+from .dataset import DatasetConfig, SabotageConfig
 from .errors import ConfigError, ValidationError
 from .metrics import LifestarWeights
 from .mirror_cnn import MirrorCnnConfig
 from .models import ModelConfig
 from .quarantine import AdaptiveControllerState, SoftWeightConfig
-from .training import (
-    GateTrainConfig,
-    PipelineConfig,
-    SweepConfig,
-    TrainConfig,
-)
+from .training import GateTrainConfig, HardConfig, PipelineConfig, SweepConfig, TrainConfig
 
 ALL_METHODS = (
     "baseline",
@@ -65,16 +60,16 @@ SECTIONS = {
     "train": TrainConfig,
     "soft": SoftWeightConfig,
     "gate": GateTrainConfig,
+    "hard": HardConfig,
     "sweep": SweepConfig,
     "adaptive": AdaptiveControllerState,
     "mirror_cnn": MirrorCnnConfig,
     "mirror_text": MirrorTextConfig,
     "lifestar": LifestarWeights,
 }
-# The `hard` section's leaves are PipelineConfig's fields of this prefix.
-HARD_PREFIX = "hard_"
-# The one owner field no config sets: the controller's running history.
-_NOT_LEAVES = {"history"}
+# The owner fields no config sets: the controller's running history, and
+# the sabotage label mode, which `train_irm` sets to its reject labels.
+_NOT_LEAVES = {"history", "label_mode"}
 
 
 def _leaf_table() -> tuple[dict[str, Any], dict[str, tuple]]:
@@ -82,15 +77,13 @@ def _leaf_table() -> tuple[dict[str, Any], dict[str, tuple]]:
     dotted path (a top-level leaf: its default's type)."""
     defaults: dict[str, Any] = {"experiment": "baseline", "seed": 0, "out_dir": "runs"}
     kinds = {key: (type(value),) for key, value in defaults.items()}
-    for section, owner in (*SECTIONS.items(), ("hard", PipelineConfig)):
-        prefix = HARD_PREFIX if owner is PipelineConfig else ""
+    for section, owner in SECTIONS.items():
         hints = get_type_hints(owner)
         leaves = defaults[section] = {}
         for f in fields(owner):
-            if f.name.startswith(prefix) and f.name not in _NOT_LEAVES:
-                leaf = f.name[len(prefix):]
-                leaves[leaf] = list(f.default) if isinstance(f.default, tuple) else f.default
-                kinds[f"{section}.{leaf}"] = get_args(hints[f.name]) or (hints[f.name],)
+            if f.name not in _NOT_LEAVES:
+                leaves[f.name] = list(f.default) if isinstance(f.default, tuple) else f.default
+                kinds[f"{section}.{f.name}"] = get_args(hints[f.name]) or (hints[f.name],)
     return defaults, kinds
 
 
@@ -164,10 +157,9 @@ class ExperimentConfig:
 
     Builders hand a section to the dataclass that owns its validation; any
     rejection is re-raised as a ConfigError carrying the section name so
-    the CLI exits with the config status code. Every `SECTIONS` owner and
-    the pipeline with its `hard` leaves are built once here, so a bad
-    value fails at parse time, before any data loads or any experiment of
-    `run all` trains.
+    the CLI exits with the config status code. Every `SECTIONS` owner is
+    built once here, so a bad value fails at parse time, before any data
+    loads or any experiment of `run all` trains.
     """
 
     data: dict[str, Any]
@@ -182,7 +174,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed: expected an integer >= 0, got {self.seed}")
         for name in SECTIONS:
             self.build(name)
-        self.pipeline_config("baseline")
 
     @property
     def seed(self) -> int:
@@ -195,35 +186,22 @@ class ExperimentConfig:
     def section(self, name: str) -> dict[str, Any]:
         return self.data[name]
 
-    def _build(self, section: str, factory, **kwargs):
-        try:
-            return factory(**kwargs)
-        except ValidationError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-
     def build(self, name: str):
         """The `SECTIONS` owner of section `name`, built from its leaves."""
         leaves = {
             key: tuple(value) if isinstance(value, list) else value
             for key, value in self.section(name).items()
         }
-        return self._build(name, SECTIONS[name], **leaves)
+        try:
+            return SECTIONS[name](**leaves)
+        except ValidationError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
-    def pipeline_config(self, method: str) -> PipelineConfig:
-        sabotage = self.build("sabotage")
-        if method == "irm":
-            sabotage = replace(sabotage, label_mode=REJECT_LABEL)
-        return self._build(
-            "hard",
-            PipelineConfig,
-            seed=self.seed,
-            sabotage=sabotage,
-            model=self.build("model"),
-            train=self.build("train"),
-            soft=self.build("soft"),
-            gate=self.build("gate"),
-            **{HARD_PREFIX + key: value for key, value in self.section("hard").items()},
-        )
+    def pipeline_config(self) -> PipelineConfig:
+        """The seed and, for each other PipelineConfig field, the owner of
+        the section of that name."""
+        return PipelineConfig(seed=self.seed, **{
+            f.name: self.build(f.name) for f in fields(PipelineConfig) if f.name != "seed"})
 
 
 def parse_config(

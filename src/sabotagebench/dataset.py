@@ -65,13 +65,15 @@ class MnistSet:
 
 def _read_payload(path) -> bytes:
     p = Path(path)
-    if p.suffix == ".gz":
-        try:
-            with gzip.open(p, "rb") as fh:
-                return fh.read()
-        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
-            raise FormatError(f"{p}: corrupt gzip file ({exc})") from exc
-    return p.read_bytes()
+    try:
+        if p.suffix != ".gz":
+            return p.read_bytes()
+        with gzip.open(p, "rb") as fh:
+            return fh.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise FormatError(f"{p}: corrupt gzip file ({exc})") from exc
+    except OSError as exc:  # after BadGzipFile, which is one
+        raise FormatError(f"{p}: cannot read ({exc.strerror})") from exc
 
 
 def _parse_idx_images(data: bytes, path) -> np.ndarray:

@@ -134,44 +134,37 @@ def separation_auc(scores, positive) -> float | None:
 
 @dataclass
 class LifestarWeights:
-    """The Life* weights, which have no published defaults: all three, each
-    >= 0, or none when no score is asked for."""
+    """The Life* weights, which have no published defaults: both, each
+    >= 0, or neither when no score is asked for."""
 
     alpha: float | None = None
-    beta: float | None = None
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        weights = [self.alpha, self.beta, self.gamma]
+        weights = [self.alpha, self.gamma]
         if None in weights and any(v is not None for v in weights):
-            raise ValidationError("alpha, beta, gamma must be given together")
+            raise ValidationError("alpha and gamma must be given together")
         if any(v is not None and v < 0 for v in weights):
             raise ValidationError(f"weights must be >= 0, got {weights}")
 
 
-def lifestar(weights: tuple[float, float, float], detection_f1: float,
+def lifestar(weights: tuple[float, float], detection_f1: float,
              pair_accuracy: float) -> dict:
-    """The lifestar.json payload for weights (alpha, beta, gamma), as
+    """The lifestar.json payload for weights (alpha, gamma), as
     `LifestarWeights` checked them.
 
-    Score = alpha*SelfMaint + beta*EmergComp + gamma*SelfRecog, with
-    SelfMaint the detection F1 and SelfRecog the mirror pair accuracy above
-    chance, (accuracy - 0.5) / 0.5 clipped to [0, 1]. EmergComp has no
-    computable value in this workbench, so a beta > 0 gives an error entry
-    in place of the score, never a silent zero.
+    Score = alpha*SelfMaint + gamma*SelfRecog, with SelfMaint the detection
+    F1 and SelfRecog the mirror pair accuracy above chance, (accuracy -
+    0.5) / 0.5 clipped to [0, 1]. The paper's third term, EmergComp, has no
+    computable value in this workbench, so the score has no such term.
     """
     for name, value in (("F1", detection_f1), ("pair accuracy", pair_accuracy)):
         if not 0 <= value <= 1:
             raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-    alpha, beta, gamma = weights
-    payload: dict = {"alpha": alpha, "beta": beta, "gamma": gamma}
-    if beta > 0:
-        payload["error"] = "EmergComp has no computable value; set beta to 0"
-        return payload
+    alpha, gamma = weights
     self_maint = float(detection_f1)
     self_recog = float(min(max((pair_accuracy - 0.5) / 0.5, 0.0), 1.0))
-    emerg_comp = 0.0  # weighted by beta == 0
-    payload["score"] = alpha * self_maint + beta * emerg_comp + gamma * self_recog
-    payload["self_maint"] = self_maint
-    payload["self_recog"] = self_recog
-    return payload
+    # + 0.0 turns the one signed-zero sum (both weights -0.0) into +0.0
+    score = alpha * self_maint + gamma * self_recog + 0.0
+    return {"alpha": alpha, "gamma": gamma, "score": score,
+            "self_maint": self_maint, "self_recog": self_recog}

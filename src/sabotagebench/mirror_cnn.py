@@ -18,7 +18,7 @@ both nets' test-set embeddings (A's rows, then B's), and the classifier's
 input is gathered from that table batch by batch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,15 +273,15 @@ class MirrorCnnConfig:
 @dataclass
 class MirrorCnnReport:
     seed: int
-    test_error_a: float = 0.0
-    test_error_b: float = 0.0
-    self_accuracy: float = 0.0
-    cross_accuracy: float = 0.0
-    self_vs_cross_accuracy: float = 0.0
-    semiself_accuracy: float = 0.0
-    train_counts: dict = field(default_factory=dict)
-    eval_counts: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    test_error_a: float
+    test_error_b: float
+    self_accuracy: float
+    cross_accuracy: float
+    self_vs_cross_accuracy: float
+    semiself_accuracy: float
+    train_counts: dict
+    eval_counts: dict
+    extras: dict
 
 
 def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: int,
@@ -333,21 +333,22 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
                               stream(seed, "mirror/pairs/eval"))
     acc = eval_pairs(gate, eval_set, joint=(MODE_SELF, MODE_CROSS))
 
-    report = MirrorCnnReport(seed=seed)
-    report.test_error_a = err_a
-    report.test_error_b = err_b
-    report.self_accuracy = acc[MODE_SELF]
-    report.cross_accuracy = acc[MODE_CROSS]
-    report.self_vs_cross_accuracy = acc["joint"]
-    report.semiself_accuracy = acc[MODE_SEMISELF]
-    report.train_counts = train_pairs.counts
-    report.eval_counts = eval_counts
-    report.extras = {
-        "net_a_checksum": checksum_a,
-        "net_b_checksum": checksum_b,
-        "pair_gate_checksum": gate.params.checksum(),
-        "embedding_dim": int(table.shape[1]),
-        "train_pool_size": int(train_pool.size),
-        "eval_pool_size": int(eval_pool.size),
-    }
-    return report
+    return MirrorCnnReport(
+        seed=seed,
+        test_error_a=err_a,
+        test_error_b=err_b,
+        self_accuracy=acc[MODE_SELF],
+        cross_accuracy=acc[MODE_CROSS],
+        self_vs_cross_accuracy=acc["joint"],
+        semiself_accuracy=acc[MODE_SEMISELF],
+        train_counts=train_pairs.counts,
+        eval_counts=eval_counts,
+        extras={
+            "net_a_checksum": checksum_a,
+            "net_b_checksum": checksum_b,
+            "pair_gate_checksum": gate.params.checksum(),
+            "embedding_dim": int(table.shape[1]),
+            "train_pool_size": int(train_pool.size),
+            "eval_pool_size": int(eval_pool.size),
+        },
+    )

@@ -58,7 +58,7 @@ any defense that lets a single poisoned sample through.
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -140,23 +140,32 @@ class GateTrainConfig:
 
 
 @dataclass
+class HardConfig:
+    """The hard pipeline's cutoff on w: a fixed number, or "auto" for the
+    `auto_quantile` quantile of each batch's w (see `_hard_flags`)."""
+
+    cutoff: float | str = "auto"
+    auto_quantile: float = 0.65
+
+    def __post_init__(self) -> None:
+        if self.cutoff != "auto" and not isinstance(self.cutoff, (int, float)):
+            raise ValidationError(f"cutoff must be a number or 'auto', got {self.cutoff!r}")
+        if not 0 < self.auto_quantile < 1:
+            raise ValidationError(f"auto_quantile must lie in (0, 1), got {self.auto_quantile}")
+
+
+@dataclass
 class PipelineConfig:
+    """The seed and, under each config section's name, the owner of that
+    section, for every CNN pipeline."""
+
     seed: int = 0
     sabotage: SabotageConfig = field(default_factory=SabotageConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     soft: SoftWeightConfig = field(default_factory=SoftWeightConfig)
     gate: GateTrainConfig = field(default_factory=GateTrainConfig)
-    hard_cutoff: float | str = "auto"
-    hard_auto_quantile: float = 0.65
-
-    def __post_init__(self) -> None:
-        if self.hard_cutoff != "auto" and not isinstance(self.hard_cutoff, (int, float)):
-            raise ValidationError(f"hard_cutoff must be a number or 'auto', got {self.hard_cutoff!r}")
-        if not 0 < self.hard_auto_quantile < 1:
-            raise ValidationError(
-                f"hard_auto_quantile must lie in (0, 1), got {self.hard_auto_quantile}"
-            )
+    hard: HardConfig = field(default_factory=HardConfig)
 
 
 @dataclass
@@ -526,7 +535,7 @@ def _gate_decide(cfg: PipelineConfig, hard_cutoff, max_prob, scores):
     _, w, flags = decide(max_prob, scores, cfg.soft)
     if hard_cutoff is None:
         return w, flags, cfg.soft.confidence_threshold
-    flags, tau = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
+    flags, tau = _hard_flags(w, hard_cutoff, cfg.hard.auto_quantile)
     return w, flags, tau
 
 
@@ -584,7 +593,7 @@ def _run_gated(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
     )
     if hard_cutoff is not None:
         report.extras["hard_cutoff"] = (
-            f"auto(q={cfg.hard_auto_quantile})" if hard_cutoff == "auto" else float(hard_cutoff)
+            f"auto(q={cfg.hard.auto_quantile})" if hard_cutoff == "auto" else float(hard_cutoff)
         )
     return report
 
@@ -596,7 +605,7 @@ def train_soft(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
 
 def train_hard(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
                asset: GateAsset | None = None) -> RunReport:
-    return _run_gated(cfg, train_set, test_set, asset, hard_cutoff=cfg.hard_cutoff)
+    return _run_gated(cfg, train_set, test_set, asset, hard_cutoff=cfg.hard.cutoff)
 
 
 # -------------------------------------------------------------------- irm
@@ -605,9 +614,9 @@ def train_hard(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
 def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> RunReport:
     """Integrated rejection: sabotaged samples are relabeled to the extra
     class n and the network learns to route them there. At inference,
-    argmax == n rejects the sample; there is no separate detector."""
-    if cfg.sabotage.label_mode != REJECT_LABEL:
-        raise ValidationError("irm requires sabotage label_mode 'reject'")
+    argmax == n rejects the sample; there is no separate detector. The
+    reject labels are irm's own: it sets them whatever `cfg.sabotage` says."""
+    cfg = replace(cfg, sabotage=replace(cfg.sabotage, label_mode=REJECT_LABEL))
     reject_class = N_CLASSES
     model = make_irm_model(cfg.model, stream(cfg.seed, "init/body"))
     report = _run(cfg, IRM, model, UnitWeights(),

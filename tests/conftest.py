@@ -49,11 +49,11 @@ def med_test():
 
 
 def tiny_pipeline(method: str, seed: int = 0, **kwargs) -> PipelineConfig:
-    """Tiny-scale pipeline settings; `method` only picks the label mode."""
-    label_mode = "reject" if method == "irm" else "random"
+    """Tiny-scale pipeline settings; `method` names the pipeline they are for
+    and changes nothing (`train_irm` sets its own reject labels)."""
     defaults = dict(
         seed=seed,
-        sabotage=SabotageConfig(rate=0.05, label_mode=label_mode),
+        sabotage=SabotageConfig(rate=0.05),
         model=ModelConfig(**TINY_MODEL),
         train=TrainConfig(epochs=1, learning_rate=0.1),
         gate=GateTrainConfig(hidden=32, epochs=1),
@@ -63,10 +63,10 @@ def tiny_pipeline(method: str, seed: int = 0, **kwargs) -> PipelineConfig:
 
 
 def med_pipeline(method: str, seed: int = 0, **kwargs) -> PipelineConfig:
-    label_mode = "reject" if method == "irm" else "random"
+    """Medium-scale pipeline settings; `method` as for `tiny_pipeline`."""
     defaults = dict(
         seed=seed,
-        sabotage=SabotageConfig(rate=0.05, label_mode=label_mode),
+        sabotage=SabotageConfig(rate=0.05),
         model=ModelConfig(),
         train=TrainConfig(epochs=2, learning_rate=0.1),
     )

@@ -7,8 +7,9 @@ verbatim, apart from the gated evaluation loop, which is lifted out of the
 pipeline into a function of its inputs, and the conv2 bypass's sabotage
 fraction, always 0.0, is no longer passed, nor is the removed
 `force_unit_weights` knob read (a test that wants unit weights patches this
-module's `decide`). The engine's versions must give the same bytes. Do not
-edit it.
+module's `decide`), and the hard quantile is read as
+`cfg.hard.auto_quantile`, from the `hard` section's own owner. The engine's
+versions must give the same bytes. Do not edit it.
 """
 
 import numpy as np
@@ -51,7 +52,7 @@ def gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images, h
         scores = _gate_scores(gate, mid)
         _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
         if hard_cutoff is not None:
-            flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
+            flags, _ = _hard_flags(w, hard_cutoff, cfg.hard.auto_quantile)
         chunks_flags.append(flags)
         chunks_pred.append(probs.argmax(axis=1))
     return np.concatenate(chunks_flags), np.concatenate(chunks_pred)

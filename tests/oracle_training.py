@@ -20,7 +20,9 @@ Test-only oracle, kept verbatim:
 
 The report fields that only repeated a value of the detection block
 (`rejection_rate`, `accuracy_on_accepted`, `accepted_empty` and
-`extras.final_test_error`) are no longer written.
+`extras.final_test_error`) are no longer written. The hard quantile is
+read as `cfg.hard.auto_quantile`, since the `hard` section has its own
+owner, `HardConfig`.
 
 The engine's versions must give the same reports, logs and checksums. Do not
 edit it.
@@ -222,7 +224,7 @@ def _run_gated_pipeline(
             _, w, flags = decide(max_prob, scores, cfg.soft)
             batch_tau = cfg.soft.confidence_threshold
             if method == HARD:
-                flags, batch_tau = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
+                flags, batch_tau = _hard_flags(w, hard_cutoff, cfg.hard.auto_quantile)
             latency = time.perf_counter() - t0
             c = confusion(flags, bt.mask)
             epoch_counts += (c.tp, c.fp, c.fn, c.tn)
@@ -275,7 +277,7 @@ def _run_gated_pipeline(
     )
     if method == HARD:
         report.extras["hard_cutoff"] = (
-            f"auto(q={cfg.hard_auto_quantile})" if hard_cutoff == "auto" else float(hard_cutoff)
+            f"auto(q={cfg.hard.auto_quantile})" if hard_cutoff == "auto" else float(hard_cutoff)
         )
     return report
 
@@ -292,7 +294,7 @@ def _gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images,
         scores = _gate_scores(gate, mid)
         _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
         if hard_cutoff is not None:
-            flags, _ = _hard_flags(w, hard_cutoff, cfg.hard_auto_quantile)
+            flags, _ = _hard_flags(w, hard_cutoff, cfg.hard.auto_quantile)
         chunks_flags.append(flags)
         chunks_pred.append(probs.argmax(axis=1))
     return np.concatenate(chunks_flags), np.concatenate(chunks_pred)

@@ -86,34 +86,34 @@ def mnist_data():
 
 @pytest.fixture(scope="module")
 def baseline_report(mnist_data):
-    return train_baseline(stock_config().pipeline_config("baseline"), *mnist_data)
+    return train_baseline(stock_config().pipeline_config(), *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def irm_report(mnist_data):
-    return train_irm(stock_config().pipeline_config("irm"), *mnist_data)
+    return train_irm(stock_config().pipeline_config(), *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def hard_report(mnist_data):
-    return train_hard(stock_config().pipeline_config("hard"), *mnist_data)
+    return train_hard(stock_config().pipeline_config(), *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def soft_report(mnist_data):
-    return train_soft(stock_config().pipeline_config("soft"), *mnist_data)
+    return train_soft(stock_config().pipeline_config(), *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def sweep_result(mnist_data):
     cfg = stock_config()
-    return run_sweep(cfg.pipeline_config("baseline"), cfg.build("sweep"), *mnist_data)
+    return run_sweep(cfg.pipeline_config(), cfg.build("sweep"), *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def adaptive_report(mnist_data):
     cfg = stock_config()
-    return train_adaptive(cfg.pipeline_config("baseline"), *mnist_data, cfg.build("adaptive"))
+    return train_adaptive(cfg.pipeline_config(), *mnist_data, cfg.build("adaptive"))
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +275,7 @@ def test_criterion_9_property_suite(tmp_path):
     train_set, test_set = load_data(cfg)
     dirs = (tmp_path / "first", tmp_path / "second")
     for out in dirs:
-        report = train_baseline(cfg.pipeline_config("baseline"), train_set, test_set)
+        report = train_baseline(cfg.pipeline_config(), train_set, test_set)
         reporting.write_run_report(out, report)
     for name in ("report_baseline_seed0.json", "epochs_baseline_seed0.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()

@@ -15,6 +15,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -34,10 +35,11 @@ from sabotagebench.config import (
     parse_config,
     parse_override,
 )
+from sabotagebench.dataset import SabotageConfig
 from sabotagebench.errors import ConfigError
 from sabotagebench.metrics import LifestarWeights
 from sabotagebench.quarantine import AdaptiveControllerState
-from sabotagebench.training import PipelineConfig
+from sabotagebench.training import HardConfig, PipelineConfig
 
 
 # --------------------------------------------------------------- overrides
@@ -179,7 +181,7 @@ class TestParseConfig:
     def test_hard_cutoff_accepts_number_or_auto(self):
         assert parse_config(None, {"hard.cutoff": 0.5}).section("hard")["cutoff"] == 0.5
         assert parse_config(None, {"hard.cutoff": "auto"}).section("hard")["cutoff"] == "auto"
-        with pytest.raises(ConfigError, match="^hard: hard_cutoff must be a number or 'auto'"):
+        with pytest.raises(ConfigError, match="^hard: cutoff must be a number or 'auto'"):
             parse_config(None, {"hard.cutoff": "max"})
         with pytest.raises(ConfigError, match="^hard.cutoff: expected a number or a string"):
             parse_config(None, {"hard.cutoff": None})
@@ -194,13 +196,30 @@ class TestParseConfig:
             parse_config(None, {"mirror_text.fixtures": 3})
 
     def test_lifestar_leaves_accept_number_or_null(self):
-        cfg = parse_config(
-            None, {"lifestar.alpha": 0.5, "lifestar.beta": 0.3, "lifestar.gamma": 0.2}
-        )
-        assert cfg.section("lifestar")["beta"] == 0.3
-        assert parse_config(None, {"lifestar.beta": None}).section("lifestar")["beta"] is None
+        cfg = parse_config(None, {"lifestar.alpha": 0.5, "lifestar.gamma": 0.2})
+        assert cfg.section("lifestar")["gamma"] == 0.2
+        assert parse_config(None, {"lifestar.gamma": None}).section("lifestar")["gamma"] is None
         with pytest.raises(ConfigError, match="^lifestar.alpha: expected a number or null"):
             parse_config(None, {"lifestar.alpha": "half"})
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a `section.leaf` token in README, backticked or after `--set`
+README_LEAF = re.compile(r"(?:`|--set )([a-z_]+)\.([a-z_][a-z0-9_]*)(?![a-z0-9_])")
+FILE_SUFFIXES = {"csv", "gz", "json", "jsonl", "md", "py"}
+
+
+def test_readme_names_only_existing_leaves():
+    # a leaf that is removed or renamed must leave the docs too; a file
+    # name such as `lifestar.json` is no leaf
+    stale = sorted(
+        f"{section}.{leaf}" for section, leaf in README_LEAF.findall(README.read_text())
+        if isinstance(DEFAULTS.get(section), dict) and leaf not in FILE_SUFFIXES
+        and leaf not in DEFAULTS[section]
+    )
+    assert stale == []
+    assert README_LEAF.findall("`sabotage.label_mode`, `lifestar.json`, --set hard.cutoff=1") == [
+        ("sabotage", "label_mode"), ("lifestar", "json"), ("hard", "cutoff")]
 
 
 # -------------------------------------------------------- typed builders
@@ -225,11 +244,22 @@ class TestExperimentConfig:
         )
         assert cli.ALL_METHODS == EXPERIMENTS[:-1]
 
-    def test_irm_pipeline_forces_reject_labels(self):
-        cfg = parse_config()
-        assert cfg.section("sabotage")["label_mode"] == "random"
-        assert cfg.pipeline_config("irm").sabotage.label_mode == "reject"
-        assert cfg.pipeline_config("baseline").sabotage.label_mode == "random"
+    def test_label_mode_is_not_a_leaf(self):
+        # irm sets its own reject labels; every other pipeline trains on
+        # random ones, so no config value of the mode changes a run
+        assert "label_mode" not in DEFAULTS["sabotage"]
+        with pytest.raises(ConfigError, match="^unknown config key: sabotage.label_mode$"):
+            parse_config(None, {"sabotage.label_mode": "reject"})
+        assert parse_config().pipeline_config().sabotage.label_mode == "random"
+
+    def test_pipeline_config_holds_each_section_owner(self):
+        cfg = parse_config(None, {"seed": 4, "hard.cutoff": 0.25})
+        pipeline = cfg.pipeline_config()
+        assert pipeline.seed == 4
+        for f in dataclasses.fields(PipelineConfig):
+            if f.name != "seed":
+                assert getattr(pipeline, f.name) == cfg.build(f.name), f.name
+        assert pipeline.hard == HardConfig(cutoff=0.25)
 
     def test_builder_rejection_becomes_config_error(self):
         # 1.5 passes the leaf type check (a number) but fails the
@@ -239,8 +269,9 @@ class TestExperimentConfig:
             parse_config(None, {"sabotage.rate": 1.5})
 
     def test_every_owner_field_is_set_from_the_config(self, monkeypatch):
-        # a field no config sets is a value no run can change; the one
-        # exception is the controller's running history, which starts empty
+        # a field no config sets is a value no run can change; the two
+        # exceptions are the controller's running history, which starts
+        # empty, and the label mode, which irm alone sets
         passed = {}
 
         def recording(owner):
@@ -249,46 +280,45 @@ class TestExperimentConfig:
                 return owner(**kwargs)
             return build
 
-        monkeypatch.setattr(config, "PipelineConfig", recording(PipelineConfig))
         monkeypatch.setattr(config, "SECTIONS",
                             {name: recording(owner) for name, owner in SECTIONS.items()})
-        parse_config().pipeline_config("baseline")
+        parse_config().pipeline_config()
         unset = {}
-        for owner in (PipelineConfig, *SECTIONS.values()):
+        for owner in SECTIONS.values():
             names = {f.name for f in dataclasses.fields(owner)} - passed[owner]
             if names:
                 unset[owner.__name__] = names
-        assert unset == {AdaptiveControllerState.__name__: {"history"}}
+        assert unset == {AdaptiveControllerState.__name__: {"history"},
+                         SabotageConfig.__name__: {"label_mode"}}
 
     def test_every_leaf_has_an_owner_field_with_its_default(self):
         # a leaf stated beside its owner would be checked by no one
-        assert set(DEFAULTS) == {"experiment", "seed", "out_dir", "hard", *SECTIONS}
+        assert set(DEFAULTS) == {"experiment", "seed", "out_dir", *SECTIONS}
         for section, leaves in DEFAULTS.items():
             if section in ("experiment", "seed", "out_dir"):
                 continue
-            owner, prefix = ((PipelineConfig, config.HARD_PREFIX) if section == "hard"
-                             else (SECTIONS[section], ""))
-            owned = {f.name: f.default for f in dataclasses.fields(owner)}
+            owned = {f.name: f.default for f in dataclasses.fields(SECTIONS[section])}
             for leaf, default in leaves.items():
-                assert prefix + leaf in owned, f"{section}.{leaf} has no owner field"
-                field_default = owned[prefix + leaf]
+                assert leaf in owned, f"{section}.{leaf} has no owner field"
+                field_default = owned[leaf]
                 if isinstance(field_default, tuple):
                     field_default = list(field_default)
                 assert field_default == default, f"{section}.{leaf}"
 
     def test_lifestar_weights_default_none(self):
-        assert parse_config().build("lifestar") == LifestarWeights(None, None, None)
+        assert parse_config().build("lifestar") == LifestarWeights(None, None)
 
     def test_lifestar_weights_all_or_nothing(self):
         with pytest.raises(ConfigError, match="together"):
             parse_config(None, {"lifestar.alpha": 0.5})
 
-    def test_lifestar_weights_full_triplet(self):
-        cfg = parse_config(
-            None,
-            {"lifestar.alpha": 0.5, "lifestar.beta": 0.3, "lifestar.gamma": 0.2},
-        )
-        assert cfg.build("lifestar") == LifestarWeights(0.5, 0.3, 0.2)
+    def test_lifestar_weights_both_given(self):
+        cfg = parse_config(None, {"lifestar.alpha": 0.5, "lifestar.gamma": 0.2})
+        assert cfg.build("lifestar") == LifestarWeights(0.5, 0.2)
+
+    def test_leaf_count(self):
+        # experiment, seed and out_dir, and each section's leaves
+        assert sum(len(v) if isinstance(v, dict) else 1 for v in DEFAULTS.values()) == 51
 
 
 # ----------------------------------------------------------- data loading
@@ -354,7 +384,7 @@ def test_image_size_must_match_the_idx_images(tmp_path, capsys, train_size, test
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
         f"config error: model.image_size: 28 does not match the 12x12 images under {tmp_path}\n")
-    assert not (tmp_path / "out").exists()
+    assert not list((tmp_path / "out").iterdir())  # made before the data loads, left empty
     cfg = parse_config(None, {"dataset.source": "mnist", "dataset.mnist_dir": str(tmp_path),
                               "model.image_size": 12})
     if train_size == test_size:
@@ -372,6 +402,21 @@ CORRUPT_GZ = {
     "truncated": lambda gz: gz[: len(gz) // 2],
     "bad_deflate_body": lambda gz: gz[:10] + b"\xff" * 8 + gz[18:],
 }
+
+
+def test_unreadable_idx_path_is_config_error(tmp_path, capsys):
+    # a directory in place of the file used to end in an IsADirectoryError
+    # traceback
+    write_idx(tmp_path, 28, 28)
+    broken = tmp_path / "train-images-idx3-ubyte"
+    broken.unlink()
+    broken.mkdir()
+    argv = ["run", "baseline", "--out", str(tmp_path / "out"),
+            "--set", "dataset.source=mnist", "--set", f"dataset.mnist_dir={tmp_path}"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: dataset.mnist_dir: {broken}: cannot read (")
+    assert not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPT_GZ))
@@ -427,6 +472,23 @@ class TestRunExitCodes:
         assert cli.main(["run", "baseline", "--set", "model.small_path_trigger=0.1"]) == 1
         assert "unknown config key: model.small_path_trigger" in capsys.readouterr().err
 
+    # label_mode was overwritten for irm and broke every other pipeline
+    # mid-training; beta had one working value, 0
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("leaf,value", [("sabotage.label_mode", "reject"),
+                                            ("lifestar.beta", "0")])
+    def test_removed_leaves_are_unknown(self, tmp_path, capsys, monkeypatch,
+                                        experiment, leaf, value):
+        def load_data(cfg):
+            raise AssertionError("data loaded for a bad config")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
+        out = tmp_path / "out"
+        argv = ["run", experiment, "--out", str(out), "--set", f"{leaf}={value}"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"config error: unknown config key: {leaf}\n"
+        assert not out.exists()
+
     def test_bad_override_value(self, capsys):
         assert cli.main(["run", "baseline", "--set", "train.epochs=2.5"]) == 1
         assert "expected an integer" in capsys.readouterr().err
@@ -465,6 +527,24 @@ class TestRunExitCodes:
         assert "config error: mirror_text.fixtures: cannot read" in err
         assert str(missing) in err
 
+
+    # these used to end in a FileExistsError or NotADirectoryError traceback,
+    # on data runs only after the dataset had loaded
+    @pytest.mark.parametrize("experiment", ["mirror-text", "baseline"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_dir_that_cannot_be_made_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         experiment, below):
+        def load_data(cfg):
+            raise AssertionError("data loaded for an out_dir that cannot be made")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "run" if below else taken
+        assert cli.main(["run", experiment, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: out_dir: cannot create {out} (")
+        assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("experiment", ["mirror-cnn", "all"])
     def test_missized_mirror_subsets_fail_before_training(self, tmp_path, capsys, experiment):
@@ -548,9 +628,9 @@ class TestRunExitCodes:
         ("all", "lifestar.gamma", "Infinity", "lifestar.gamma: expected finite"),
         ("baseline", "sabotage.rate", "5", "sabotage: sabotage rate must lie in [0, 1], got 5.0"),
         ("mirror-cnn", "sabotage.rate", "5", "sabotage: sabotage rate must lie in [0, 1]"),
-        ("mirror-cnn", "sabotage.label_mode", '"flip"', "sabotage: label_mode must be"),
         ("baseline", "hard.auto_quantile", "1.5",
-         "hard: hard_auto_quantile must lie in (0, 1), got 1.5"),
+         "hard: auto_quantile must lie in (0, 1), got 1.5"),
+        ("mirror-cnn", "hard.cutoff", '"max"', "hard: cutoff must be a number or 'auto'"),
     ])
     def test_bad_number_fails_at_parse_time(self, tmp_path, capsys, monkeypatch, via,
                                              experiment, leaf, text, message):
@@ -634,12 +714,12 @@ class TestRunExitCodes:
 
     @pytest.mark.parametrize("experiment", ["baseline", "all"])
     @pytest.mark.parametrize("weights,message", [
-        ({"alpha": 0.5}, "lifestar: alpha, beta, gamma must be given together"),
-        ({"alpha": 0.5, "gamma": 0.5}, "lifestar: alpha, beta, gamma must be given together"),
-        ({"alpha": -0.5, "beta": 0, "gamma": 0.5}, "lifestar: weights must be >= 0"),
+        ({"alpha": 0.5}, "lifestar: alpha and gamma must be given together"),
+        ({"gamma": 0.5}, "lifestar: alpha and gamma must be given together"),
+        ({"alpha": -0.5, "gamma": 0.5}, "lifestar: weights must be >= 0"),
     ])
-    def test_bad_lifestar_triplet_fails_before_any_output(self, tmp_path, capsys, monkeypatch,
-                                                          experiment, weights, message):
+    def test_bad_lifestar_weights_fail_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                         experiment, weights, message):
         # both used to surface only after every experiment of `run all` had
         # written its output, the negative weight with exit 2
         def load_data(cfg):
@@ -685,7 +765,7 @@ class TestRunExitCodes:
         err = capsys.readouterr().err
         assert "config error: mirror_cnn.train_pool_fraction" in err
         assert "0 train indices of 10" in err
-        assert not (tmp_path / "out").exists()
+        assert not list((tmp_path / "out").iterdir())  # made before the data loads, left empty
 
 
 # ---------------------------------------------------------- orchestration
@@ -713,7 +793,7 @@ TINY_TREE = {
         "gate_hidden": 16,
         "gate_epochs": 2,
     },
-    "lifestar": {"alpha": 0.5, "beta": 0.0, "gamma": 0.5},
+    "lifestar": {"alpha": 0.5, "gamma": 0.5},
 }
 
 
@@ -1101,23 +1181,17 @@ class TestRunAllLifestar:
             None,
             {
                 "out_dir": str(tmp_path),
-                **{f"lifestar.{k}": v for k, v in zip(("alpha", "beta", "gamma"), weights)},
+                **{f"lifestar.{k}": v for k, v in zip(("alpha", "gamma"), weights)},
             },
         )
         cli.run_all(cfg, None, parallel=False)
         return json.loads((tmp_path / "lifestar.json").read_text())
 
-    def test_score_computed_when_beta_zero(self, tmp_path, monkeypatch):
-        payload = self.run(tmp_path, monkeypatch, (0.5, 0.0, 0.5))
+    def test_score_computed(self, tmp_path, monkeypatch):
+        payload = self.run(tmp_path, monkeypatch, (0.5, 0.5))
         # self_maint = f1 = 0.8; self_recog = (0.9 - 0.5) / 0.5 = 0.8
-        assert payload["score"] == pytest.approx(0.8)
-        assert payload["self_maint"] == pytest.approx(0.8)
-        assert payload["self_recog"] == pytest.approx(0.8)
-
-    def test_unavailable_component_reported_honestly(self, tmp_path, monkeypatch):
-        payload = self.run(tmp_path, monkeypatch, (0.5, 0.3, 0.2))
-        assert "score" not in payload
-        assert "EmergComp" in payload["error"]
+        assert payload == {"alpha": 0.5, "gamma": 0.5, "score": pytest.approx(0.8),
+                           "self_maint": pytest.approx(0.8), "self_recog": pytest.approx(0.8)}
 
     def test_no_weights_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_single", self.fake_run_single)

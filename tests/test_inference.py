@@ -97,7 +97,7 @@ def test_gated_eval_matches_oracle(stock, n, hard_cutoff):
         # the oracle takes the auto quantile per 512-row chunk; give it the
         # whole stream's as a numeric cutoff
         w = _oracle_weights(cfg, model, gate, images[:n])
-        cutoff = float(np.quantile(w, cfg.hard_auto_quantile))
+        cutoff = float(np.quantile(w, cfg.hard.auto_quantile))
     expected_flags, expected_preds = oracle.gated_eval(cfg, model, gate, images[:n], cutoff)
     assert flags.tobytes() == expected_flags.tobytes()
     assert preds.tobytes() == expected_preds.tobytes()
@@ -119,7 +119,7 @@ def test_auto_cutoff_takes_the_quantile_of_the_whole_eval_stream(stock):
     flags = _gated_flags(cfg, "auto")(*_infer(model, images, gate))
     w = _oracle_weights(cfg, model, gate, images)
     assert images.shape[0] == 1025
-    assert flags.tobytes() == (w < np.quantile(w, cfg.hard_auto_quantile)).tobytes()
+    assert flags.tobytes() == (w < np.quantile(w, cfg.hard.auto_quantile)).tobytes()
 
 
 def test_midlayer_names_a_nonfinite_layer(monkeypatch):

@@ -165,28 +165,21 @@ class TestSeparationAuc:
 class TestLifeStarScore:
     def test_worked_example(self):
         # self_maint = F1 = 0.9; self_recog = (1.0 - 0.5) / 0.5 = 1.0
-        assert lifestar((0.5, 0.0, 0.5), 0.9, 1.0) == {
-            "alpha": 0.5, "beta": 0.0, "gamma": 0.5,
+        assert lifestar((0.5, 0.5), 0.9, 1.0) == {
+            "alpha": 0.5, "gamma": 0.5,
             "score": pytest.approx(0.95), "self_maint": 0.9, "self_recog": 1.0,
         }
 
     def test_unit_and_zero(self):
-        assert lifestar((0.5, 0.0, 0.5), 1.0, 1.0)["score"] == 1.0
-        assert lifestar((0.5, 0.0, 0.5), 0.0, 0.5)["score"] == 0.0
+        assert lifestar((0.5, 0.5), 1.0, 1.0)["score"] == 1.0
+        assert lifestar((0.5, 0.5), 0.0, 0.5)["score"] == 0.0
 
-    def test_unavailable_emerg_comp_with_weight_raises(self):
-        # the error takes the score's place in the payload
-        assert lifestar((0.5, 0.3, 0.2), 0.9, 1.0) == {
-            "alpha": 0.5, "beta": 0.3, "gamma": 0.2,
-            "error": "EmergComp has no computable value; set beta to 0",
-        }
-
-    def test_unavailable_emerg_comp_zero_weighted_is_fine(self):
-        assert lifestar((0.6, 0.0, 0.4), 0.5, 0.75)["score"] == pytest.approx(0.5)
+    def test_weighted_sum_of_the_two_terms(self):
+        assert lifestar((0.6, 0.4), 0.5, 0.75)["score"] == pytest.approx(0.5)
 
     def test_linear_in_each_component(self):
         def score(f1, pair_accuracy):
-            return lifestar((0.5, 0.0, 0.2), f1, pair_accuracy)["score"]
+            return lifestar((0.5, 0.2), f1, pair_accuracy)["score"]
 
         base = score(0.2, 0.6)
         assert score(0.7, 0.6) - base == pytest.approx(0.5 * 0.5)
@@ -195,37 +188,38 @@ class TestLifeStarScore:
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="F1"):
-            lifestar((0.5, 0.0, 0.5), 1.5, 0.5)
+            lifestar((0.5, 0.5), 1.5, 0.5)
         with pytest.raises(ValidationError, match="pair accuracy"):
-            lifestar((0.5, 0.0, 0.5), 0.5, 1.01)
+            lifestar((0.5, 0.5), 0.5, 1.01)
 
     def test_score_keeps_the_component_formula_bit_for_bit(self):
-        # alpha*SelfMaint + beta*EmergComp + gamma*SelfRecog, summed left to
-        # right with EmergComp 0.0, keeps each bit, signed zeros included
+        # the score has the bits of the three-term sum it replaced,
+        # alpha*SelfMaint + beta*EmergComp + gamma*SelfRecog summed left to
+        # right with beta and EmergComp 0.0, signed zeros included
         grid = (0.0, -0.0, 0.1, 1 / 3, 0.5, 0.7, 1.0, 2.5)
         values = (0.0, 0.1, 0.3, 0.5, 0.55, 2 / 3, 0.75, 0.9, 1.0)
-        for alpha, beta, gamma in itertools.product(grid, (0.0, -0.0), grid):
+        for alpha, gamma in itertools.product(grid, grid):
             for f1, pair_accuracy in itertools.product(values, values):
                 m = float(f1)
                 r = float(min(max((pair_accuracy - 0.5) / 0.5, 0.0), 1.0))
-                got = lifestar((alpha, beta, gamma), f1, pair_accuracy)
-                assert got["score"].hex() == (alpha * m + beta * 0.0 + gamma * r).hex()
+                got = lifestar((alpha, gamma), f1, pair_accuracy)
+                assert got["score"].hex() == (alpha * m + 0.0 * 0.0 + gamma * r).hex()
                 assert (got["self_maint"], got["self_recog"]) == (m, r)
 
 
 class TestComponentMappings:
     def test_self_maint_is_f1(self):
-        assert lifestar((1.0, 0.0, 0.0), 0.73, 0.5)["self_maint"] == 0.73
+        assert lifestar((1.0, 0.0), 0.73, 0.5)["self_maint"] == 0.73
         with pytest.raises(ValidationError):
-            lifestar((1.0, 0.0, 0.0), 1.2, 0.5)
+            lifestar((1.0, 0.0), 1.2, 0.5)
 
     @pytest.mark.parametrize(
         "pair_acc,expected",
         [(0.0, 0.0), (0.4, 0.0), (0.5, 0.0), (0.75, 0.5), (1.0, 1.0)],
     )
     def test_self_recog_rescales_above_chance(self, pair_acc, expected):
-        assert lifestar((0.0, 0.0, 1.0), 0.5, pair_acc)["self_recog"] == pytest.approx(expected)
+        assert lifestar((0.0, 1.0), 0.5, pair_acc)["self_recog"] == pytest.approx(expected)
 
     def test_self_recog_validation(self):
         with pytest.raises(ValidationError):
-            lifestar((0.0, 0.0, 1.0), 0.5, -0.1)
+            lifestar((0.0, 1.0), 0.5, -0.1)

@@ -299,7 +299,10 @@ class TestConfigAndReport:
 
     def test_report_json_keys(self):
         # the report is written as `asdict(report)`, so its fields are the keys
-        report = MirrorCnnReport(seed=1)
+        report = MirrorCnnReport(
+            seed=1, test_error_a=0.5, test_error_b=0.5, self_accuracy=1.0, cross_accuracy=1.0,
+            self_vs_cross_accuracy=1.0, semiself_accuracy=0.5, train_counts={},
+            eval_counts={}, extras={})
         assert set(dataclasses.asdict(report)) == {
             "seed",
             "test_error_a",

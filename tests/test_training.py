@@ -2,6 +2,7 @@
 scale. The medium battery is the expensive part of the suite; every report it
 needs is computed once in a module fixture and shared."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from sabotagebench.nncore import sgd_step, sigmoid
 from sabotagebench.quarantine import AdaptiveControllerState
 from sabotagebench.training import (
     GateTrainConfig,
+    HardConfig,
     PipelineConfig,
     SweepConfig,
     TrainConfig,
@@ -67,13 +69,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="logit_cap"):
             GateTrainConfig(logit_cap=0.0)
 
-    def test_pipeline_config(self, tiny_train, tiny_test):
-        with pytest.raises(ValidationError, match="reject"):
-            train_irm(tiny_pipeline("baseline"), tiny_train, tiny_test)
-        with pytest.raises(ValidationError, match="hard_cutoff"):
-            tiny_pipeline("hard", hard_cutoff="median")
-        with pytest.raises(ValidationError, match="quantile"):
-            tiny_pipeline("hard", hard_auto_quantile=1.0)
+    def test_hard_config(self):
+        with pytest.raises(ValidationError, match="^cutoff must be a number or 'auto'"):
+            HardConfig(cutoff="median")
+        with pytest.raises(ValidationError, match="^auto_quantile must lie in"):
+            HardConfig(auto_quantile=1.0)
 
 
 def unit_decide(max_prob, gate_out, cfg):
@@ -253,7 +253,7 @@ class TestHardPipeline:
     def test_cutoff_zero_reduces_to_baseline_bitwise(
         self, tiny_train, tiny_test, tiny_gate_asset, tiny_baseline_report
     ):
-        cfg = tiny_pipeline("hard", hard_cutoff=0.0)
+        cfg = tiny_pipeline("hard", hard=HardConfig(cutoff=0.0))
         report = train_hard(cfg, tiny_train, tiny_test, tiny_gate_asset)
         assert report.extras["model_checksum"] == tiny_baseline_report.extras["model_checksum"]
         assert report.starvation_events == 0
@@ -273,7 +273,7 @@ class TestHardPipeline:
     def test_impossible_cutoff_starves_every_batch(
         self, tiny_train, tiny_test, tiny_gate_asset
     ):
-        cfg = tiny_pipeline("hard", hard_cutoff=1.0)
+        cfg = tiny_pipeline("hard", hard=HardConfig(cutoff=1.0))
         report = train_hard(cfg, tiny_train, tiny_test, tiny_gate_asset)
         n_batches = math.ceil(tiny_train.count / 64)
         assert report.starvation_events == n_batches
@@ -436,6 +436,14 @@ class TestPipelinesMatchOracle:
         _assert_same_run(train_irm(cfg("irm"), train, test),
                          oracle_training.train_irm(cfg("irm"), train, test))
 
+    def test_irm_sets_its_own_reject_labels(self, oracle_case):
+        # irm trains on its reject labels whatever the config's label mode
+        train, test, cfg, _ = oracle_case
+        random_labels = dataclasses.replace(
+            cfg("irm"), sabotage=SabotageConfig(rate=0.3, label_mode="random"))
+        _assert_same_run(train_irm(random_labels, train, test),
+                         train_irm(cfg("irm"), train, test))
+
     @staticmethod
     def _unit_weights(monkeypatch, unit):
         if unit:
@@ -455,7 +463,7 @@ class TestPipelinesMatchOracle:
     def test_hard(self, oracle_case, cutoff, unit, monkeypatch):
         train, test, cfg, asset = oracle_case
         self._unit_weights(monkeypatch, unit)
-        c = cfg("hard", hard_cutoff=cutoff)
+        c = cfg("hard", hard=HardConfig(cutoff=cutoff))
         report = train_hard(c, train, test, asset)
         _assert_same_run(report,
                          oracle_training._run_gated_pipeline(c, train, test, asset, cutoff))
