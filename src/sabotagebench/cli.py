@@ -133,13 +133,21 @@ def check_sizes(cfg: ExperimentConfig, train_count: int, test_count: int) -> Non
         ) from exc
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Create `out_dir` and its parents; one that cannot be made is a
+    config error."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot create {out_dir} ({exc.strerror})") from exc
+
+
 def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) -> dict:
     """Run the experiment `cfg` names on the (train, test) sets `data` (None
-    for mirror-text), write its artifacts to `cfg.out_dir`, return headline
-    numbers."""
+    for mirror-text), write its artifacts to `cfg.out_dir`, which exists,
+    and return headline numbers."""
     started, clock = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     experiment, out_dir = cfg.data["experiment"], cfg.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     reporting.echo_config(out_dir, cfg.data)
     summary: dict = {"experiment": experiment, "out_dir": str(out_dir)}
     payload: dict = {}
@@ -239,13 +247,16 @@ def _write_metadata(out_dir: Path, started: resource.struct_rusage, clock: float
 def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bool) -> list[dict]:
     """Run every method on `data`, each on its own config tree: its seed
     offset by its position in ALL_METHODS, its own experiment, and a
-    subdirectory of `cfg.out_dir` as its out_dir."""
+    subdirectory of `cfg.out_dir` as its out_dir. Every subdirectory is made
+    before any method runs."""
     out_root = cfg.out_dir
     jobs = [
         ExperimentConfig({**cfg.data, "seed": cfg.seed + index, "experiment": experiment,
                           "out_dir": str(out_root / experiment)})
         for index, experiment in enumerate(ALL_METHODS)
     ]
+    for job in jobs:
+        _make_out_dir(job.out_dir)
     if parallel:
         # imported here: every other run would pay for loading the process
         # pool and multiprocessing at start-up
@@ -274,10 +285,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["out_dir"] = args.out
     overrides["experiment"] = args.experiment
     cfg = parse_config(args.config, overrides)
-    try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out_dir: cannot create {cfg.out_dir} ({exc.strerror})") from exc
+    _make_out_dir(cfg.out_dir)
 
     data = None if args.experiment == "mirror-text" else load_data(cfg)
     if args.experiment == "all":

@@ -99,7 +99,8 @@ def _is_number(value: Any) -> bool:
 _RULES = {
     bool: ("a boolean", lambda v: isinstance(v, bool), None),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None),
-    float: ("a number", _is_number, float),
+    # + 0.0 stores -0.0 as 0.0, so no number leaf carries a signed zero
+    float: ("a number", _is_number, lambda v: float(v) + 0.0),
     str: ("a string", lambda v: isinstance(v, str), None),
     tuple: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
             lambda v: [float(x) for x in v]),

@@ -183,9 +183,9 @@ class SabotageConfig:
 
 @dataclass
 class SabotagedBatch:
-    """Parallel arrays: originals, mask, and effective (possibly corrupted) data."""
+    """Parallel arrays: original labels, mask, and effective (possibly
+    corrupted) data."""
 
-    images: np.ndarray
     labels: np.ndarray
     mask: np.ndarray
     effective_images: np.ndarray
@@ -222,7 +222,7 @@ def inject_sabotage(
             effective_labels[mask] = rng.integers(0, N_CLASSES, size=count)
         else:
             effective_labels[mask] = N_CLASSES
-    return SabotagedBatch(images, labels, mask, effective_images, effective_labels)
+    return SabotagedBatch(labels, mask, effective_images, effective_labels)
 
 
 def disjoint_subsets(dataset: MnistSet, sizes, rng: np.random.Generator) -> list[MnistSet]:

@@ -19,7 +19,7 @@ adjustment off, so both are set:
 
 The program never holds a buffer bigger than a training step's for long:
 inference runs the conv trunk in pieces of a training batch and builds no
-full im2col matrix (see `models.SimpleCNN.midlayer`), so the kept heap does
+full im2col matrix (see `models.extract_embeddings`), so the kept heap does
 not raise peak memory.
 
 Only the process owner calls `keep_heap` (the CLI's `main`, its worker

@@ -164,7 +164,6 @@ def lifestar(weights: tuple[float, float], detection_f1: float,
     alpha, gamma = weights
     self_maint = float(detection_f1)
     self_recog = float(min(max((pair_accuracy - 0.5) / 0.5, 0.0), 1.0))
-    # + 0.0 turns the one signed-zero sum (both weights -0.0) into +0.0
-    score = alpha * self_maint + gamma * self_recog + 0.0
+    score = alpha * self_maint + gamma * self_recog
     return {"alpha": alpha, "gamma": gamma, "score": score,
             "self_maint": self_maint, "self_recog": self_recog}

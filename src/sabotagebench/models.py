@@ -26,9 +26,9 @@ holds its input columns, not its output.
 
 Inside the trunk the activations are channels-last ([N,H,W,C], see
 nncore.ops); the input images [N,1,H,W] are viewed that way, and the pooled
-output is transposed once, so the midlayer stays [N,C,H/2,W/2]. fc1's row
-order, the gate's input and the mirror embeddings all read the midlayer in
-that order.
+output is transposed once and flattened, so the midlayer is [N, feature_dim]
+in (C, H/2, W/2) order. fc1's row order, the gate's input and the mirror
+embeddings all read it in that layout.
 
 The integrated rejection variant is the same backbone with an
 (N_CLASSES+1)-way head; class N_CLASSES is the rejection class.
@@ -46,13 +46,13 @@ a larger batch. `SimpleCNN.narrow` builds on this. It cuts a forward's
 cache down to some rows, keeping the trunk's entries and rerunning only
 the head, so a training step on those rows costs no second trunk pass.
 
-Inference builds on it too. `SimpleCNN.midlayer` runs the trunk over
+Inference builds on it too. `extract_embeddings` runs the trunk over
 pieces of a training batch's size and keeps no cache: its convs fill their
 im2col columns one block of images at a time (`conv2d(..., keep_cols=False)`),
 so a 64-image piece peaks at about 16 MiB, where a 512-image chunk in one
-piece would hold 49 MiB in conv2's output alone. `head(midlayer(x))` then
-runs the head once over all of x's rows, so the logits hold the same bytes
-as those of one `forward(x)`.
+piece would hold 49 MiB in conv2's output alone. `head` then runs once over
+all of the midlayer's rows, so the logits hold the same bytes as those of
+one `forward(x)`.
 """
 
 from dataclasses import dataclass
@@ -138,7 +138,7 @@ class SimpleCNN:
         self.params = params
 
     def forward(self, x: np.ndarray):
-        """Return (logits [N,n_outputs], midlayer [N,C2,H/2,W/2], cache)."""
+        """Return (logits [N,n_outputs], midlayer [N,feature_dim], cache)."""
         mid, h1, h2, cache = self._trunk(x)
         # No later layer turns a NaN or inf finite again (inf * 0 is NaN), so
         # one scan of the logits covers the whole forward; only when it fails
@@ -151,38 +151,9 @@ class SimpleCNN:
         cache.update(head)
         return logits, mid, cache
 
-    def midlayer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The midlayer of `forward(x)`, byte for byte, without a cache.
-
-        The trunk runs over pieces of `trunk_piece` images (64 at the stock
-        shapes) and builds no full im2col matrix, so inference never holds a
-        buffer bigger than a training step's. Each piece's activations are
-        dropped before the next piece runs. Each piece's midlayer is written
-        into `out` when given (of the result's shape and dtype), else into a
-        new array.
-        """
-        cfg = self.cfg
-        piece = self.trunk_piece(x.dtype)
-        dtype = np.result_type(x.dtype, self.params["conv1_w"].value.dtype)
-        shape = (x.shape[0], cfg.conv2_channels, cfg.pooled_size, cfg.pooled_size)
-        if out is None:
-            out = np.empty(shape, dtype)
-        elif out.shape != shape or out.dtype != dtype:
-            raise ShapeError(f"midlayer output must be {dtype} {shape}, got "
-                             f"{out.dtype} {out.shape}")
-        for start in range(0, x.shape[0], piece):
-            mid, h1, h2 = self._trunk(x[start : start + piece], keep_cols=False)[:3]
-            try:
-                require_finite("pool", mid)
-            except NumericsError:
-                self._name_nonfinite(h1, h2)
-                raise
-            out[start : start + mid.shape[0]] = mid
-        return out
-
     def head(self, mid: np.ndarray) -> np.ndarray:
-        """The logits of the fc head over a midlayer, [N,C,H/2,W/2] or
-        flattened to [N, feature_dim]; keeps no cache."""
+        """The logits of the fc head over a midlayer [N, feature_dim]; keeps
+        no cache."""
         return self._head(mid)[0]
 
     def trunk_piece(self, dtype) -> int:
@@ -191,10 +162,10 @@ class SimpleCNN:
         forward's im2col matrix (conv2's, as conv1 has one input channel),
         under `heap.MMAP_THRESHOLD`.
 
-        Inference builds no such matrix itself (see `midlayer`); the rule
-        sizes a piece like the largest training batch whose buffers all come
-        from the kept heap, so a piece's activations (conv outputs, ReLU
-        masks, pooling) have a training step's sizes and reuse the heap
+        Inference builds no such matrix itself (see `extract_embeddings`);
+        the rule sizes a piece like the largest training batch whose buffers
+        all come from the kept heap, so a piece's activations (conv outputs,
+        ReLU masks, pooling) have a training step's sizes and reuse the heap
         blocks a step frees. A power of two, not simply the most that fit
         (74 at the stock shapes), because 64 images is a stock training
         batch, and a 74-image piece's activations would match no step's.
@@ -206,7 +177,7 @@ class SimpleCNN:
         return 1 << (fits.bit_length() - 1)
 
     def _trunk(self, x: np.ndarray, keep_cols: bool = True):
-        """conv1 -> ReLU -> conv2 -> pool -> ReLU; returns (mid [N,C,H/2,W/2],
+        """conv1 -> ReLU -> conv2 -> pool -> ReLU; returns (mid [N,feature_dim],
         h1 (conv1's output, rectified in place), h2 (conv2's output), trunk
         cache). h1 and h2 are [N,H,W,C]. With keep_cols False the convs keep
         no im2col columns, and the cache holds None for them."""
@@ -221,14 +192,13 @@ class SimpleCNN:
                              keep_cols=keep_cols)
         pooled, idx_pool = maxpool2x2(h2)
         pooled, m_relu2 = relu(pooled)
-        mid = np.ascontiguousarray(pooled.transpose(0, 3, 1, 2))
+        mid = np.ascontiguousarray(pooled.transpose(0, 3, 1, 2)).reshape(len(pooled), -1)
         cache = {
             "conv1": c_conv1,
             "relu1": m_relu1,
             "conv2": c_conv2,
             "relu2": m_relu2,
             "pool_idx": idx_pool,
-            "mid_shape": mid.shape,
         }
         return mid, h1, h2, cache
 
@@ -240,8 +210,7 @@ class SimpleCNN:
     def _head(self, mid: np.ndarray):
         """fc1 -> ReLU -> fc2 on the midlayer; returns (logits, head cache)."""
         p = self.params
-        flat = mid.reshape(mid.shape[0], -1)
-        f1, c_fc1 = linear(flat, p["fc1_w"].value, p["fc1_b"].value)
+        f1, c_fc1 = linear(mid, p["fc1_w"].value, p["fc1_b"].value)
         a3, m_relu3 = relu(f1)
         logits, c_fc2 = linear(a3, p["fc2_w"].value, p["fc2_b"].value)
         try:
@@ -260,14 +229,12 @@ class SimpleCNN:
         mid[rows]. The cache stays the dict object `forward` returned, and
         `backward` then takes it like the cache of a forward of x[rows].
         """
-        sub = mid[rows]
-        logits, head = self._head(sub)
+        logits, head = self._head(mid[rows])
         cache["conv1"] = conv2d_cache_rows(cache["conv1"], rows)
         cache["relu1"] = cache["relu1"][rows]
         cache["conv2"] = conv2d_cache_rows(cache["conv2"], rows)
         cache["relu2"] = cache["relu2"][rows]
         cache["pool_idx"] = cache["pool_idx"][rows]
-        cache["mid_shape"] = sub.shape
         cache.update(head)
         return logits
 
@@ -279,8 +246,9 @@ class SimpleCNN:
         df1 = relu_backward(da3, cache["relu3"])
         dflat, _, db = linear_backward(df1, cache["fc1"], dw_out=p["fc1_w"].grad)
         p["fc1_b"].grad[...] = db
-        dmid = dflat.reshape(cache["mid_shape"]).transpose(0, 2, 3, 1)
-        dpooled = relu_backward(dmid, cache["relu2"])
+        size = self.cfg.pooled_size
+        dmid = dflat.reshape(len(dflat), self.cfg.conv2_channels, size, size)
+        dpooled = relu_backward(dmid.transpose(0, 2, 3, 1), cache["relu2"])
         dh2 = maxpool2x2_backward(dpooled, cache["pool_idx"])
         da1, dw, db = conv2d_backward(dh2, cache["conv2"])
         p["conv2_w"].grad[...] = dw
@@ -298,21 +266,33 @@ def make_irm_model(cfg: ModelConfig, rng: np.random.Generator) -> SimpleCNN:
 
 def extract_embeddings(model: SimpleCNN, images: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Flattened post-pool mid-layer activations; never mutates parameters.
+    """The midlayer of `model.forward(images)`, byte for byte, without a cache
+    and without the head; never mutates parameters.
 
-    The trunk runs in pieces as in `SimpleCNN.midlayer`; the head is not
-    run. Given `out`, a C-contiguous [N, feature_dim] array, the embeddings
-    are written into it and it is returned.
+    The trunk runs over pieces of `trunk_piece` images (64 at the stock
+    shapes) and builds no full im2col matrix, so inference never holds a
+    buffer bigger than a training step's. Each piece's activations are
+    dropped before the next piece runs. Each piece's rows are written into
+    `out` when given ([N, feature_dim], of the result's dtype), else into a
+    new array.
     """
-    n, dim = images.shape[0], model.cfg.feature_dim
-    if out is not None:
-        if out.shape != (n, dim) or not out.flags.c_contiguous:
-            raise ShapeError(f"embedding output must be a contiguous [{n}, {dim}] array, "
-                             f"got {out.shape}")
-        size = model.cfg.pooled_size
-        model.midlayer(images, out=out.reshape(n, model.cfg.conv2_channels, size, size))
-        return out
-    return model.midlayer(images).reshape(n, dim)
+    dtype = np.result_type(images.dtype, model.params["conv1_w"].value.dtype)
+    shape = (images.shape[0], model.cfg.feature_dim)
+    if out is None:
+        out = np.empty(shape, dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"embedding output must be {dtype} {shape}, got "
+                         f"{out.dtype} {out.shape}")
+    piece = model.trunk_piece(images.dtype)
+    for start in range(0, images.shape[0], piece):
+        mid, h1, h2 = model._trunk(images[start : start + piece], keep_cols=False)[:3]
+        try:
+            require_finite("pool", mid)
+        except NumericsError:
+            model._name_nonfinite(h1, h2)
+            raise
+        out[start : start + mid.shape[0]] = mid
+    return out
 
 
 # -------------------------------------------------------------------- gate

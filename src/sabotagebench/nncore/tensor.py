@@ -14,8 +14,8 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> np.ndarray:
-    """Seeded uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)].
+def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Seeded float32 uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)].
 
     The float64 draw fills the result 64K values at a time. The generator
     fills in order, so the bytes and the generator's next draw are those of
@@ -24,7 +24,7 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float3
     if fan_in <= 0:
         raise ValidationError(f"fan_in must be positive, got {fan_in}")
     bound = 1.0 / np.sqrt(float(fan_in))
-    out = np.empty(shape, dtype=dtype)
+    out = np.empty(shape, dtype=np.float32)
     flat = out.reshape(-1)
     for start in range(0, flat.size, 1 << 16):
         piece = flat[start : start + (1 << 16)]

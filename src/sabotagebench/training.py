@@ -43,11 +43,10 @@ in a table (25 KB per training image at the stock shapes: 150 MB for 6000
 images, about 1.5 GB for the 60 000 of real MNIST) and forwards only the
 inverted rows of each batch.
 
-Inference keeps no cache (`SimpleCNN.midlayer`, `extract_embeddings`). The
-conv trunk runs in pieces of a training batch's size, so no inference
-buffer is bigger than a training step's; the fc head and the gate still see
-each 512-row chunk of `_infer` at once, so their GEMMs round as one forward
-of the chunk did.
+Inference keeps no cache (`extract_embeddings`). The conv trunk runs in
+pieces of a training batch's size, so no inference buffer is bigger than a
+training step's; the fc head and the gate still see each 512-row chunk of
+`_infer` at once, so their GEMMs round as one forward of the chunk did.
 
 Evaluation poisons the test stream at the training rate under a distinct
 seed stream. Accuracy-on-accepted is computed over accepted AND clean
@@ -227,14 +226,14 @@ def _infer(model: SimpleCNN, images: np.ndarray, gate: MlpBinary | None = None,
 
     The fc head and the gate see chunks of 512 rows at once, so the bytes
     are those of one forward per chunk. Given the images' midlayer `mid` (as
-    `midlayer` or `extract_embeddings` returns it), the trunk does not run."""
+    `extract_embeddings` returns it), the trunk does not run."""
     probs, scores = [], []
     for start in range(0, images.shape[0], 512):
         rows = slice(start, start + 512)
-        chunk = model.midlayer(images[rows]) if mid is None else mid[rows]
+        chunk = extract_embeddings(model, images[rows]) if mid is None else mid[rows]
         probs.append(softmax(model.head(chunk)))
         if gate is not None:
-            scores.append(_gate_scores(gate, chunk))
+            scores.append(gate.forward(chunk, train=False)[0])
         del chunk  # the next chunk's trunk must not run beside it
     return np.concatenate(probs), np.concatenate(scores) if gate is not None else None
 
@@ -265,11 +264,6 @@ def _fit_accepted(model: SimpleCNN, mid, cache, labels, accepted, lr: float) -> 
         model, logits, cache, labels[accepted], np.ones(logits.shape[0]), lr
     )
     return correct
-
-
-def _gate_scores(gate: MlpBinary, midlayer: np.ndarray) -> np.ndarray:
-    scores, _, _ = gate.forward(midlayer.reshape(midlayer.shape[0], -1), train=False)
-    return scores
 
 
 def poison_eval_stream(test_set: MnistSet, sabotage: SabotageConfig, seed: int):
@@ -509,8 +503,8 @@ def _gate_separation(asset: GateAsset) -> dict:
 
 
 def _body_features(body: SimpleCNN, clean_features, idx, bt: SabotagedBatch) -> np.ndarray:
-    """Flattened body midlayer of a sabotaged batch of train_set[idx]: clean
-    rows from the table, inverted rows forwarded (in chunks)."""
+    """Body midlayer of a sabotaged batch of train_set[idx]: clean rows
+    from the table, inverted rows forwarded (in chunks)."""
     flat = clean_features[idx]
     if bt.mask.any():
         flat[bt.mask] = extract_embeddings(body, bt.effective_images[bt.mask])
@@ -554,7 +548,7 @@ class GatePolicy:
 
     def __call__(self, epoch, logits, mid) -> Decision:
         max_prob = softmax(logits).max(axis=1)
-        scores = _gate_scores(self.gate, mid)
+        scores = self.gate.forward(mid, train=False)[0]
         w, flags, tau = _gate_decide(self.cfg, self.hard_cutoff, max_prob, scores)
         if epoch != self.epoch:
             self.epoch, self.flagged, self.seen = epoch, 0, 0

@@ -8,8 +8,10 @@ pipeline into a function of its inputs, and the conv2 bypass's sabotage
 fraction, always 0.0, is no longer passed, nor is the removed
 `force_unit_weights` knob read (a test that wants unit weights patches this
 module's `decide`), and the hard quantile is read as
-`cfg.hard.auto_quantile`, from the `hard` section's own owner. The engine's
-versions must give the same bytes. Do not edit it.
+`cfg.hard.auto_quantile`, from the `hard` section's own owner, and the
+deleted `training._gate_scores(gate, mid)` is written out as
+`gate.forward(mid, train=False)[0]`. The engine's versions must give the
+same bytes. Do not edit it.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from sabotagebench.nncore import bce_with_logits, bce_with_logits_backward, sgd_
 from sabotagebench.errors import ValidationError
 from sabotagebench.quarantine import decide
 from sabotagebench.rng import stream
-from sabotagebench.training import PipelineConfig, _batches, _gate_scores, _hard_flags
+from sabotagebench.training import PipelineConfig, _batches, _hard_flags
 
 
 def forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512) -> np.ndarray:
@@ -49,7 +51,7 @@ def gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images, h
         sl = slice(start, start + 512)
         logits, mid = model.forward(images[sl])[:2]
         probs = softmax(logits)
-        scores = _gate_scores(gate, mid)
+        scores = gate.forward(mid, train=False)[0]
         _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
         if hard_cutoff is not None:
             flags, _ = _hard_flags(w, hard_cutoff, cfg.hard.auto_quantile)

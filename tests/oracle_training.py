@@ -15,8 +15,10 @@ Test-only oracle, kept verbatim:
   that wants unit weights patches this module's `decide`); the removed
   `ModelConfig.n_classes` reads `dataset.N_CLASSES`;
 - `_forward_probs`, the softmax these loops evaluated with, where the
-  deleted `SimpleCNN.infer(x)` is written out as `head(midlayer(x))`, as is
-  the one call of it in `_gated_eval`.
+  deleted `SimpleCNN.infer(x)` is written out as
+  `head(extract_embeddings(model, x))`, as is the one call of it in
+  `_gated_eval`. The deleted `training._gate_scores(gate, mid)` is written
+  out as `gate.forward(mid, train=False)[0]`.
 
 The report fields that only repeated a value of the detection block
 (`rejection_rate`, `accuracy_on_accepted`, `accepted_empty` and
@@ -59,7 +61,6 @@ from sabotagebench.training import (
     _batches,
     _fit_accepted,
     _fit_step,
-    _gate_scores,
     _hard_flags,
     _plain_test_error,
     poison_eval_stream,
@@ -86,12 +87,13 @@ def _forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512,
                    mid: np.ndarray | None = None) -> np.ndarray:
     """Softmax over chunks of `batch_size` rows; each chunk's head sees the
     chunk's rows at once (`SimpleCNN.infer`). Given the images' midlayer
-    `mid` (as `midlayer` or `extract_embeddings` returns it), only the head
+    `mid` (as `extract_embeddings` returns it), only the head
     runs, over the same chunks, so the bytes are the same."""
     chunks = []
     for start in range(0, images.shape[0], batch_size):
         rows = slice(start, start + batch_size)
-        logits = model.head(model.midlayer(images[rows])) if mid is None else model.head(mid[rows])
+        logits = (model.head(extract_embeddings(model, images[rows])) if mid is None
+                  else model.head(mid[rows]))
         chunks.append(softmax(logits))
     return np.concatenate(chunks, axis=0)
 
@@ -220,7 +222,7 @@ def _run_gated_pipeline(
             logits, mid, cache = model.forward(bt.effective_images)
             t0 = time.perf_counter()
             max_prob = softmax(logits).max(axis=1)
-            scores = _gate_scores(gate, mid)
+            scores = gate.forward(mid, train=False)[0]
             _, w, flags = decide(max_prob, scores, cfg.soft)
             batch_tau = cfg.soft.confidence_threshold
             if method == HARD:
@@ -288,10 +290,10 @@ def _gated_eval(cfg: PipelineConfig, model: SimpleCNN, gate: MlpBinary, images,
     on `images`, decided over chunks of 512 rows."""
     chunks_flags, chunks_pred = [], []
     for start in range(0, images.shape[0], 512):
-        mid = model.midlayer(images[start : start + 512])
+        mid = extract_embeddings(model, images[start : start + 512])
         logits = model.head(mid)
         probs = softmax(logits)
-        scores = _gate_scores(gate, mid)
+        scores = gate.forward(mid, train=False)[0]
         _, w, flags = decide(probs.max(axis=1), scores, cfg.soft)
         if hard_cutoff is not None:
             flags, _ = _hard_flags(w, hard_cutoff, cfg.hard.auto_quantile)

@@ -5,8 +5,10 @@ change, kept verbatim (ReLU before the pool, the ReLU backward at full size
 behind the pool backward) as methods of a subclass, which inherits the
 unchanged head, `forward`, `narrow` and inference, with `nncore.relu` as it
 was then (out of place). The removed `ModelConfig.padding` reads
-`models.PADDING`. The engine's model must give the same logits, midlayers
-and parameters. Do not edit it.
+`models.PADDING`. Since the inherited head takes the midlayer flattened to
+[N, feature_dim], the trunk returns it so, and the backward takes its 4-D
+shape from the model config, not from the cache. The engine's model must
+give the same logits, midlayers and parameters. Do not edit it otherwise.
 """
 
 import numpy as np
@@ -32,7 +34,7 @@ def relu(x: np.ndarray):
 class ReluThenPoolCNN(SimpleCNN):
     def _trunk(self, x: np.ndarray):
         """conv1 -> ReLU -> conv2 -> ReLU -> pool; returns
-        (mid [N,C,H/2,W/2], h1, h2 [N,H,W,C], trunk cache)."""
+        (mid [N,C,H/2,W/2] flattened, h1, h2 [N,H,W,C], trunk cache)."""
         if x.ndim != 4:
             raise ShapeError(f"images must be [N,C,H,W], got shape {tuple(x.shape)}")
         p = self.params
@@ -49,9 +51,8 @@ class ReluThenPoolCNN(SimpleCNN):
             "conv2": c_conv2,
             "relu2": m_relu2,
             "pool_idx": idx_pool,
-            "mid_shape": mid.shape,
         }
-        return mid, h1, h2, cache
+        return mid.reshape(mid.shape[0], -1), h1, h2, cache
 
     def backward(self, dlogits: np.ndarray, cache) -> None:
         """Accumulate parameter gradients for one forward pass."""
@@ -63,7 +64,8 @@ class ReluThenPoolCNN(SimpleCNN):
         dflat, dw, db = linear_backward(df1, cache["fc1"])
         p["fc1_w"].grad += dw
         p["fc1_b"].grad += db
-        dmid = dflat.reshape(cache["mid_shape"]).transpose(0, 2, 3, 1)
+        size = self.cfg.pooled_size
+        dmid = dflat.reshape(len(dflat), self.cfg.conv2_channels, size, size).transpose(0, 2, 3, 1)
         da2 = maxpool2x2_backward(dmid, cache["pool_idx"])
         dh2 = relu_backward(da2, cache["relu2"])
         da1, dw, db = conv2d_backward(dh2, cache["conv2"])

@@ -202,6 +202,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^lifestar.alpha: expected a number or null"):
             parse_config(None, {"lifestar.alpha": "half"})
 
+    def test_negative_zero_number_resolves_and_echoes_as_zero(self, tmp_path):
+        # a -0.0 weight was stored and echoed as -0.0
+        key, value = parse_override("lifestar.alpha=-0.0")
+        assert np.signbit(value)
+        alpha = parse_config(None, {key: value, "lifestar.gamma": 0.5}).section("lifestar")["alpha"]
+        assert alpha == 0.0 and not np.signbit(alpha)
+        out = tmp_path / "mt"
+        argv = ["run", "mirror-text", "--out", str(out),
+                "--set", "lifestar.alpha=-0.0", "--set", "lifestar.gamma=0.5"]
+        assert cli.main(argv) == 0
+        assert '"alpha": 0.0,' in (out / "config.json").read_text()
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a `section.leaf` token in README, backticked or after `--set`
@@ -545,6 +557,22 @@ class TestRunExitCodes:
         assert capsys.readouterr().err.startswith(
             f"config error: out_dir: cannot create {out} (")
         assert taken.read_text() == "not a directory\n"
+
+    # `run all` made each method's subdirectory only as the method started,
+    # so a file in the way ended in a FileExistsError traceback, after the
+    # methods before it had written their reports
+    @pytest.mark.parametrize("method", [cli.ALL_METHODS[0], cli.ALL_METHODS[-1]])
+    def test_run_all_subdir_that_cannot_be_made_is_config_error(self, tiny_config, tmp_path,
+                                                                capsys, method):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / method).write_text("not a directory\n")
+        assert cli.main(["run", "all", "--config", str(tiny_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out_dir: cannot create {out / method} (")
+        assert "Traceback" not in err
+        assert not list(out.rglob("report_*"))
+        assert (out / method).read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("experiment", ["mirror-cnn", "all"])
     def test_missized_mirror_subsets_fail_before_training(self, tmp_path, capsys, experiment):

@@ -39,7 +39,6 @@ from sabotagebench.quarantine import decide
 from sabotagebench.training import (
     GateTrainConfig,
     PipelineConfig,
-    _gate_scores,
     _gated_flags,
     _infer,
 )
@@ -109,7 +108,7 @@ def _oracle_weights(cfg, model, gate, images):
     for start in range(0, images.shape[0], 512):
         logits, mid, _ = model.forward(images[start : start + 512])
         probs.append(softmax(logits))
-        scores.append(_gate_scores(gate, mid))
+        scores.append(gate.forward(mid, train=False)[0])
     return decide(np.concatenate(probs).max(axis=1), np.concatenate(scores), cfg.soft)[1]
 
 
@@ -122,14 +121,14 @@ def test_auto_cutoff_takes_the_quantile_of_the_whole_eval_stream(stock):
     assert flags.tobytes() == (w < np.quantile(w, cfg.hard.auto_quantile)).tobytes()
 
 
-def test_midlayer_names_a_nonfinite_layer(monkeypatch):
+def test_extract_embeddings_names_a_nonfinite_layer(monkeypatch):
     model = SimpleCNN(ModelConfig(conv1_channels=2, conv2_channels=3, fc_hidden=8, image_size=8),
                       np.random.default_rng(0))
     model.params["conv2_w"].value[0, 0, 0, 0] = np.nan
     x = np.random.default_rng(1).random((5, 1, 8, 8)).astype(np.float32)
     monkeypatch.setattr(SimpleCNN, "trunk_piece", lambda self, dtype: 2)
     with pytest.raises(NumericsError, match="'conv2'"):
-        model.midlayer(x)
+        extract_embeddings(model, x)
 
 
 # ------------------------------------------------------------ pair features

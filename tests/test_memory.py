@@ -44,7 +44,7 @@ from sabotagebench.mirror_cnn import (
     run_mirror_experiment,
     train_pair_gate,
 )
-from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN
+from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings
 from sabotagebench.nncore import (bce_with_logits, bce_with_logits_backward, fan_in_uniform,
                                   sgd_step)
 from sabotagebench.training import _fit_step
@@ -71,9 +71,9 @@ def _peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
-def test_midlayer_builds_no_full_im2col(stock_batch):
+def test_extract_embeddings_builds_no_full_im2col(stock_batch):
     model, x, _ = stock_batch
-    assert _peak_mib(lambda: model.midlayer(x)) < 24
+    assert _peak_mib(lambda: extract_embeddings(model, x)) < 24
 
 
 def test_training_step_builds_no_full_input_gradient_columns(stock_batch):
@@ -126,9 +126,9 @@ def test_synthetic_set_draws_no_whole_set_noise():
 def test_mirror_embeddings_fill_one_pair_table(monkeypatch):
     # From the second net's training to the first pair set, the traced
     # memory grows by the [2T, 6272] table and one trunk piece's activations
-    # (under 24 MiB, see test_midlayer_builds_no_full_im2col): 120.6 MiB at
-    # T = 2000, with a 95.7 MiB table. With two embedding tables and their
-    # concatenation it grew by 179.1 MiB.
+    # (under 24 MiB, see test_extract_embeddings_builds_no_full_im2col):
+    # 120.6 MiB at T = 2000, with a 95.7 MiB table. With two embedding tables
+    # and their concatenation it grew by 179.1 MiB.
     train, test = synthetic_mnist_set(128, 30), synthetic_mnist_set(2000, 31)
     cfg = MirrorCnnConfig(subset_size=64, train_pairs_per_mode=8, eval_pairs_per_mode=8,
                           gate_hidden=4, gate_epochs=1)

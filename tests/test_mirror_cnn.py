@@ -342,20 +342,22 @@ class TestConfigAndReport:
 
 class TestTrunkPasses:
     def test_each_net_runs_its_trunk_over_the_test_set_once(self, monkeypatch):
-        # the test error and the embeddings come from the same midlayer pass
+        # the test error and the embeddings come from the same trunk pass;
+        # every other trunk run is a training forward
         train = synthetic_mnist_set(120, seed=30, image_size=8)
         test = synthetic_mnist_set(40, seed=31, image_size=8)
         cfg = MirrorCnnConfig(subset_size=50, train_pairs_per_mode=20, eval_pairs_per_mode=10)
-        rows = []
-        midlayer = SimpleCNN.midlayer
+        cached, cacheless = [], []
+        trunk = SimpleCNN._trunk
 
-        def counted(self, x, out=None):
-            rows.append(x.shape[0])
-            return midlayer(self, x, out)
+        def counted(self, x, keep_cols=True):
+            (cached if keep_cols else cacheless).append(x.shape[0])
+            return trunk(self, x, keep_cols)
 
-        monkeypatch.setattr(SimpleCNN, "midlayer", counted)
+        monkeypatch.setattr(SimpleCNN, "_trunk", counted)
         run_mirror_experiment(cfg, ModelConfig(**TINY_MODEL, image_size=8), 0, train, test)
-        assert rows == [test.count, test.count]
+        assert cacheless == [test.count, test.count]
+        assert sum(cached) == 2 * cfg.epochs * cfg.subset_size
 
 
 class TestPairTable:
