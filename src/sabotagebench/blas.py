@@ -6,7 +6,7 @@ checksums. So every process that trains runs one thread, whatever
 OPENBLAS_NUM_THREADS says, and its reports keep their bytes. The count is
 set through the `ctypes` symbols of numpy's bundled OpenBLAS
 (`libscipy_openblas64_`); where numpy bundles none, `one_thread` does
-nothing and `in_effect` reports None, as `heap.keep_heap` does off glibc.
+nothing and `in_effect` reports None.
 Only the process owner calls `one_thread` (the CLI's `main`, its worker
 processes, the test session); importing this module changes nothing.
 """

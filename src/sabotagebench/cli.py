@@ -23,6 +23,7 @@ experiment's start, so loading the dataset is not included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import resource
 import sys
@@ -36,7 +37,6 @@ from . import blas, reporting
 from .config import ALL_METHODS, EXPERIMENTS, ExperimentConfig, parse_config, parse_override
 from .dataset import MnistSet, invert, load_mnist_dir, mnist_files, synthetic_mnist_set
 from .errors import ConfigError, ValidationError, WorkbenchError
-from .heap import keep_heap
 from .metrics import lifestar
 from .mirror_cnn import pool_split, run_mirror_experiment
 from .training import (
@@ -263,7 +263,7 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
         from concurrent.futures import ProcessPoolExecutor
 
         # initializer, not fork inheritance: the start method may be spawn
-        with ProcessPoolExecutor(max_workers=min(4, len(jobs)), initializer=own_process) as pool:
+        with ProcessPoolExecutor(max_workers=min(4, len(jobs)), initializer=blas.one_thread) as pool:
             summaries = list(pool.map(run_single, jobs, [data] * len(jobs)))
     else:
         summaries = [run_single(job, data) for job in jobs]
@@ -285,9 +285,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["out_dir"] = args.out
     overrides["experiment"] = args.experiment
     cfg = parse_config(args.config, overrides)
+    made = [folder for folder in (cfg.out_dir, *cfg.out_dir.parents) if not folder.exists()]
     _make_out_dir(cfg.out_dir)
-
-    data = None if args.experiment == "mirror-text" else load_data(cfg)
+    try:
+        data = None if args.experiment == "mirror-text" else load_data(cfg)
+    except ConfigError:
+        # a run that cannot start removes the directories it made, deepest
+        # first; one it cannot remove (a path through "..", say) stays
+        for folder in made:
+            with contextlib.suppress(OSError):
+                folder.rmdir()
+        raise
     if args.experiment == "all":
         summaries = run_all(cfg, data, args.parallel)
     else:
@@ -373,15 +381,8 @@ def cmd_check(_: argparse.Namespace) -> int:
     return 3 if failures else 0
 
 
-def own_process() -> None:
-    """Set up a process that trains: glibc's heap thresholds fixed and
-    OpenBLAS on one thread (see heap.py and blas.py)."""
-    keep_heap()
-    blas.one_thread()
-
-
 def main(argv: list[str] | None = None) -> int:
-    own_process()
+    blas.one_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -188,9 +188,9 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int, epochs: int,
             sgd_step(gate.params, learning_rate)
     gate.params.drop_grads()
     if boundary_fraction is not None:
-        # Score in chunks of a training batch, whose features reuse the heap
-        # blocks that training freed (512-pair chunks needed 25.7 MB each at
-        # the stock shapes). The chunk is even, as the pair count is
+        # Score in chunks of a training batch, so a chunk's features take no
+        # more memory than a training step's (512-pair chunks needed 25.7 MB
+        # each at the stock shapes). The chunk is even, as the pair count is
         # (balanced modes), so no chunk has 1 row: a 1-row GEMM runs through
         # GEMV, which rounds differently from the same row of a larger chunk.
         chunk = batch_size + batch_size % 2

@@ -61,7 +61,6 @@ import numpy as np
 
 from .dataset import N_CLASSES
 from .errors import NumericsError, ShapeError, ValidationError
-from .heap import MMAP_THRESHOLD
 from .nncore import (
     ParamSet,
     conv2d,
@@ -83,6 +82,11 @@ from .nncore import (
 IN_CHANNELS = 1
 KERNEL_SIZE = 3
 PADDING = 1
+# The budget that sizes an inference trunk piece (`SimpleCNN.trunk_piece`):
+# the im2col matrix its images would need in a training step. 32 MiB holds
+# conv2's for a stock batch of 64 (27.6 MiB), so a piece's activations stay
+# at a training step's size and inference adds nothing to the peak memory.
+TRUNK_PIECE_BYTES = 32 << 20
 
 
 @dataclass
@@ -160,20 +164,19 @@ class SimpleCNN:
         """Images per inference trunk piece: the largest power of two of
         images whose training step keeps its biggest buffer, the training
         forward's im2col matrix (conv2's, as conv1 has one input channel),
-        under `heap.MMAP_THRESHOLD`.
+        under `TRUNK_PIECE_BYTES`.
 
         Inference builds no such matrix itself (see `extract_embeddings`);
-        the rule sizes a piece like the largest training batch whose buffers
-        all come from the kept heap, so a piece's activations (conv outputs,
-        ReLU masks, pooling) have a training step's sizes and reuse the heap
-        blocks a step frees. A power of two, not simply the most that fit
-        (74 at the stock shapes), because 64 images is a stock training
-        batch, and a 74-image piece's activations would match no step's.
+        the rule sizes a piece like a training batch, so a piece's
+        activations (conv outputs, ReLU masks, pooling) take no more memory
+        than a training step's, however many images inference runs over. A
+        power of two, not simply the most that fit (74 at the stock shapes),
+        so that at the stock shapes a piece is a stock training batch of 64.
         """
         cfg = self.cfg
         taps = KERNEL_SIZE * KERNEL_SIZE * cfg.image_size * cfg.image_size
         per_image = cfg.conv1_channels * taps * np.dtype(dtype).itemsize
-        fits = max(1, MMAP_THRESHOLD // per_image)
+        fits = max(1, TRUNK_PIECE_BYTES // per_image)
         return 1 << (fits.bit_length() - 1)
 
     def _trunk(self, x: np.ndarray, keep_cols: bool = True):

@@ -6,16 +6,14 @@ model) for the integration tests that need the detection behavior to
 actually emerge. The synthetic glyph set replaces MNIST everywhere so
 the whole suite runs without a download.
 
-The session fixes glibc's heap thresholds and runs OpenBLAS on one thread,
-as the CLI does, so the suite's training steps run on the same heap and
-the same GEMM kernels as the program's.
+The session runs OpenBLAS on one thread, as the CLI does, so the suite's
+training steps run on the same GEMM kernels as the program's.
 """
 import numpy as np
 import pytest
 
 from sabotagebench import blas
 from sabotagebench.dataset import SabotageConfig, synthetic_mnist_set
-from sabotagebench.heap import keep_heap
 from sabotagebench.mirror_cnn import MirrorCnnConfig
 from sabotagebench.models import ModelConfig
 from sabotagebench.training import GateTrainConfig, PipelineConfig, TrainConfig
@@ -24,7 +22,6 @@ TINY_MODEL = dict(conv1_channels=4, conv2_channels=8, fc_hidden=32)
 
 
 def pytest_configure(config):
-    keep_heap()
     blas.one_thread()
 
 

@@ -396,7 +396,7 @@ def test_image_size_must_match_the_idx_images(tmp_path, capsys, train_size, test
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
         f"config error: model.image_size: 28 does not match the 12x12 images under {tmp_path}\n")
-    assert not list((tmp_path / "out").iterdir())  # made before the data loads, left empty
+    assert not (tmp_path / "out").exists()  # made before the data loads, then removed
     cfg = parse_config(None, {"dataset.source": "mnist", "dataset.mnist_dir": str(tmp_path),
                               "model.image_size": 12})
     if train_size == test_size:
@@ -405,6 +405,28 @@ def test_image_size_must_match_the_idx_images(tmp_path, capsys, train_size, test
     else:
         with pytest.raises(ConfigError, match="model.image_size: 12 does not match the 28x28"):
             cli.load_data(cfg)
+
+
+@pytest.mark.parametrize("out", ["new/runs/out", "new/../out"])
+def test_data_that_fails_to_load_leaves_no_new_directory(tmp_path, capsys, out):
+    argv = ["run", "baseline", "--out", f"{tmp_path}/{out}",
+            "--set", "dataset.source=synthetic", "--set", "model.image_size=6"]
+    assert cli.main(argv) == 1
+    assert "config error: model.image_size" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_data_that_fails_to_load_keeps_an_existing_out_dir(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    argv = ["run", "baseline", "--out", str(tmp_path / "out" / "run"),
+            "--set", "dataset.source=synthetic", "--set", "model.image_size=6"]
+    assert cli.main(argv) == 1
+    assert "config error: model.image_size" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.rglob("*")] == ["out"]
+
+    argv[2] = str(tmp_path / "out")
+    assert cli.main(argv) == 1
+    assert [path.name for path in tmp_path.rglob("*")] == ["out"]
 
 
 # Each corruption raises a different exception inside gzip: BadGzipFile (an
@@ -428,7 +450,7 @@ def test_unreadable_idx_path_is_config_error(tmp_path, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(
         f"config error: dataset.mnist_dir: {broken}: cannot read (")
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPT_GZ))
@@ -445,6 +467,7 @@ def test_corrupt_mnist_gz_is_config_error(tmp_path, capsys, corruption):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: dataset.mnist_dir: {broken}: corrupt gzip file")
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------- self-check
@@ -793,7 +816,7 @@ class TestRunExitCodes:
         err = capsys.readouterr().err
         assert "config error: mirror_cnn.train_pool_fraction" in err
         assert "0 train indices of 10" in err
-        assert not list((tmp_path / "out").iterdir())  # made before the data loads, left empty
+        assert not (tmp_path / "out").exists()  # made before the data loads, then removed
 
 
 # ---------------------------------------------------------- orchestration
@@ -1095,7 +1118,7 @@ class TestRunMetadata:
             assert set(metadata["environment"]) == self.ENVIRONMENT, method
             assert len(metadata["config_sha256"]) == 64, method
 
-    def test_parallel_workers_keep_the_heap(self, tmp_path, monkeypatch):
+    def test_parallel_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         made = {}
 
         class Pool:
@@ -1114,12 +1137,7 @@ class TestRunMetadata:
         # run_all imports the pool from concurrent.futures when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=True)
-        assert made["initializer"] is cli.own_process
-        called = []
-        monkeypatch.setattr(cli, "keep_heap", lambda: called.append("heap"))
-        monkeypatch.setattr(cli.blas, "one_thread", lambda: called.append("blas"))
-        made["initializer"]()
-        assert called == ["heap", "blas"]
+        assert made["initializer"] is blas.one_thread
 
 
 def test_importing_the_cli_loads_no_process_pool():

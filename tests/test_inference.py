@@ -1,10 +1,11 @@
-"""Inference without a training step's cache, and the process heap.
+"""Inference without a training step's cache, and warm training steps.
 
 Inference runs the conv trunk in pieces of at most a training batch's size
 and the fc head once per 512-row chunk (`training._infer`); the mirror pair
 gate builds its features batch by batch. Both must give the bytes of the
-one-forward-per-chunk code kept in `oracle_inference`. The heap thresholds
-the CLI sets must keep a warm training step from faulting pages in.
+one-forward-per-chunk code kept in `oracle_inference`. On glibc's default
+allocator thresholds, a warm training step of the CNN and of the pair gate
+must fault no pages in.
 """
 
 import json
@@ -22,7 +23,7 @@ import oracle_backward
 import oracle_inference as oracle
 import oracle_pairs
 from oracle_table import pair_table
-from sabotagebench import heap, mirror_cnn
+from sabotagebench import mirror_cnn
 from sabotagebench.errors import NumericsError
 from sabotagebench.mirror_cnn import (
     MODE_CROSS,
@@ -284,26 +285,15 @@ def test_boundary_logits_do_not_depend_on_the_chunk(count):
     assert logits(64).tobytes() == logits(512).tobytes()
 
 
-# -------------------------------------------------------------------- heap
-
-
-def test_keep_heap_does_nothing_off_glibc(monkeypatch):
-    def no_libc(*args, **kwargs):
-        raise AssertionError("the C library was opened off glibc")
-
-    monkeypatch.setattr(heap.platform, "libc_ver", lambda *args, **kwargs: ("", ""))
-    monkeypatch.setattr(heap.ctypes, "CDLL", no_libc)
-    assert heap.keep_heap() is False
+# ------------------------------------------------------------ warm steps
 
 
 _WARM_STEPS = """
 import json, resource
 import numpy as np
-from sabotagebench.heap import keep_heap
 from sabotagebench.models import ModelConfig, SimpleCNN
 from sabotagebench.training import RunReport, UnitWeights, fit
 
-assert keep_heap()
 rng = np.random.default_rng(0)
 model = SimpleCNN(ModelConfig(), rng)
 x = rng.random((64, 1, 28, 28)).astype(np.float32)
@@ -328,17 +318,56 @@ faults = np.diff(policy.marks).tolist()  # a step's backward, then the next forw
 print(json.dumps(faults[3:]))
 """
 
+# The pair gate's step at the mirror width, as `train_pair_gate` runs it:
+# features gathered from the pair table, BCE, backward, SGD.
+_WARM_GATE_STEPS = """
+import json, resource
+import numpy as np
+from sabotagebench.mirror_cnn import MODE_CROSS, MODE_SELF, PairSet
+from sabotagebench.models import GateConfig, MlpBinary, ModelConfig
+from sabotagebench.nncore import bce_with_logits, bce_with_logits_backward, sgd_step
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are glibc-only")
-def test_warm_train_steps_fault_no_pages_in():
+rng = np.random.default_rng(0)
+dim = ModelConfig().feature_dim
+table = rng.random((256, dim)).astype(np.float32)
+pairs = PairSet(table, rng.integers(0, 256, size=(448, 2)),
+                np.repeat([MODE_SELF, MODE_CROSS], 224))
+targets = pairs.targets()
+gate = MlpBinary(GateConfig(2 * dim, 256, dropout=0.0), rng)
+marks = []
+for start in range(0, pairs.count, 64):
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    idx = rng.permutation(pairs.count)[:64]
+    _, logits, cache = gate.forward(pairs.features(idx), train=True)
+    _, probs = bce_with_logits(logits, targets[idx])
+    gate.backward(bce_with_logits_backward(probs, targets[idx]).astype(np.float32), cache)
+    sgd_step(gate.params, 0.01)
+print(json.dumps(np.diff(marks).tolist()[2:]))
+"""
+
+
+def _faults_per_warm_step(script: str) -> list[int]:
+    """The minor faults of each warm step that `script` prints, run in a
+    fresh interpreter with no allocator setting of its own."""
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(_WARM_STEPS)],
+        [sys.executable, "-c", textwrap.dedent(script)],
         env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    faults = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's allocator")
+def test_warm_train_steps_fault_no_pages_in():
+    faults = _faults_per_warm_step(_WARM_STEPS)
+    assert all(f < 100 for f in faults), faults
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's allocator")
+def test_warm_pair_gate_steps_fault_no_pages_in():
+    faults = _faults_per_warm_step(_WARM_GATE_STEPS)
     assert all(f < 100 for f in faults), faults

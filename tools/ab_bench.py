@@ -19,7 +19,11 @@ entries of other workloads against the same REV are kept. For each
 end-to-end metric of `BENCHMARK.json` it holds each side's median and
 quartiles, both as the benchmark reports it (times scaled to the reference
 job's speed) and as measured (raw setup_s and run_s), the change's wins
-(pairs where the working tree is better), and every pair's values.
+(pairs where the working tree is better), and every pair's values. Under
+`reference_s` it holds each side's median reference job time (seconds, as
+measured) and the pairs where the working tree's reference job was slower:
+the scaled times are divided by it, so it can move them while the
+workload does not.
 
 After the table, one verdict line per end-to-end metric reads the scaled
 values: `gain` when the working tree wins at least 9 in 10 of at least 10
@@ -141,6 +145,15 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def reference(pairs: list[dict]) -> dict:
+    """Each side's median reference job time, and the pairs where the
+    change's reference job was slower."""
+    base = [p["base"]["raw"]["reference_s"] for p in pairs]
+    change = [p["change"]["raw"]["reference_s"] for p in pairs]
+    return {"base": statistics.median(base), "change": statistics.median(change),
+            "slower": sum(c > b for b, c in zip(base, change))}
+
+
 def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to benchmark the working tree against")
@@ -184,6 +197,7 @@ def main(args: list[str] | None = None) -> int:
         "change": {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
         "seconds": opts.seconds,
         "metrics": compare(pairs, metrics),
+        "reference_s": reference(pairs),
         "pairs": pairs,
     }
     out = opts.out or ROOT / f"BENCH_{sha[:7]}.json"
@@ -200,6 +214,9 @@ def main(args: list[str] | None = None) -> int:
                   f"[{e['base']['q1']:.4g}, {e['base']['q3']:.4g}]  change "
                   f"{e['change']['median']:.4g} [{e['change']['q1']:.4g}, "
                   f"{e['change']['q3']:.4g}]  wins {e['wins']}/{len(pairs)}")
+    ref = result["reference_s"]
+    print(f"reference_s  raw    base {ref['base']:.4g}  change {ref['change']:.4g}  "
+          f"change slower {ref['slower']}/{len(pairs)}")
     for name, entry in result["metrics"].items():
         print(f"verdict {name}: {entry['verdict']}")
     print(f"wrote {out}")
