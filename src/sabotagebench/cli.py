@@ -169,33 +169,25 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
         reporting.write_mirror_cnn_report(out_dir, report)
         summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
         summary["semiself_accuracy"] = report.semiself_accuracy
-    elif experiment == "sweep":
-        result = run_sweep(cfg.pipeline_config(), cfg.build("sweep"), *data)
-        reporting.write_sweep_artifacts(out_dir, result)
     else:
-        pipeline = cfg.pipeline_config()
-        if experiment == "adaptive":
-            report = train_adaptive(pipeline, *data, cfg.build("adaptive"))
-        elif experiment == "baseline":
-            report = train_baseline(pipeline, *data)
-        elif experiment == "soft":
-            report = train_soft(pipeline, *data)
-        elif experiment == "hard":
-            report = train_hard(pipeline, *data)
-        elif experiment == "irm":
-            report = train_irm(pipeline, *data)
+        # Built per call: a function patched into this module after import
+        # (bench/tracer.py wraps train_baseline and train_hard) then runs.
+        pipelines = {"baseline": train_baseline, "soft": train_soft, "hard": train_hard,
+                     "irm": train_irm, "sweep": run_sweep, "adaptive": train_adaptive}
+        report = pipelines[experiment](cfg.pipeline_config(), *data)
+        if experiment == "sweep":
+            reporting.write_sweep_artifacts(out_dir, report)
         else:
-            raise ConfigError(f"unknown experiment {experiment!r}")
-        if report.extras.get("gate_inverted"):
-            print(f"warning: the {experiment} gate is inverted: it scores sabotaged images "
-                  f"above clean ones (calibration AUC {report.extras['gate_val_auc']:.3f})",
-                  file=sys.stderr)
-        reporting.write_run_report(out_dir, report)
-        payload = {"latencies_s": report.latencies}
-        summary["rejection_rate"] = report.detection.rejection_rate
-        summary["accuracy_on_accepted"] = report.detection.accuracy_on_accepted
-        summary["detection_f1"] = report.detection.f1
-        summary["final_test_error"] = report.epochs[-1].test_error
+            if report.extras.get("gate_inverted"):
+                print(f"warning: the {experiment} gate is inverted: it scores sabotaged "
+                      f"images above clean ones (calibration AUC "
+                      f"{report.extras['gate_val_auc']:.3f})", file=sys.stderr)
+            reporting.write_run_report(out_dir, report)
+            payload = {"latencies_s": report.latencies}
+            summary["rejection_rate"] = report.detection.rejection_rate
+            summary["accuracy_on_accepted"] = report.detection.accuracy_on_accepted
+            summary["detection_f1"] = report.detection.f1
+            summary["final_test_error"] = report.epochs[-1].test_error
     _write_metadata(out_dir, started, clock, cfg.data, payload)
     return summary
 

@@ -11,6 +11,11 @@
             excluded from the loss) retrained per threshold value
   adaptive  same quarantine with tau driven by the feedback controller
 
+Each is called as `train_<method>(cfg, train_set, test_set)` (`run_sweep`
+for the sweep), where `cfg` is a `PipelineConfig`, which holds every
+section any of them reads. Soft and hard also take an optional pre-trained
+`GateAsset`, which tests pass to share one gate.
+
 All of them, the gate's disposable body and the mirror nets train in one
 loop, `fit`: take a batch, forward it, let a policy decide, log, step. The
 pipelines differ only in their seed streams, their policy and their final
@@ -154,9 +159,27 @@ class HardConfig:
 
 
 @dataclass
+class SweepConfig:
+    thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5)
+    epochs: int = 2
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValidationError(f"sweep epochs must be >= 1, got {self.epochs}")
+        values = list(self.thresholds)
+        if not values:
+            raise ValidationError("threshold sweep needs at least one value")
+        if any(not 0 < v < 1 for v in values):
+            raise ValidationError(f"sweep thresholds must lie in (0, 1), got {values}")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValidationError(f"sweep thresholds must be strictly increasing, got {values}")
+
+
+@dataclass
 class PipelineConfig:
     """The seed and, under each config section's name, the owner of that
-    section, for every CNN pipeline."""
+    section: all that any CNN pipeline reads. Every pipeline is called as
+    `train_<method>(cfg, train_set, test_set)` (`run_sweep` for the sweep)."""
 
     seed: int = 0
     sabotage: SabotageConfig = field(default_factory=SabotageConfig)
@@ -165,6 +188,8 @@ class PipelineConfig:
     soft: SoftWeightConfig = field(default_factory=SoftWeightConfig)
     gate: GateTrainConfig = field(default_factory=GateTrainConfig)
     hard: HardConfig = field(default_factory=HardConfig)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    adaptive: AdaptiveControllerState = field(default_factory=AdaptiveControllerState)
 
 
 @dataclass
@@ -524,55 +549,51 @@ def _hard_flags(w: np.ndarray, cutoff, quantile: float) -> tuple[np.ndarray, flo
 # ------------------------------------------------------------- soft / hard
 
 
-def _gate_decide(cfg: PipelineConfig, hard_cutoff, max_prob, scores):
-    """(w, flags, tau) of the soft (hard_cutoff None) or hard rule."""
-    _, w, flags = decide(max_prob, scores, cfg.soft)
-    if hard_cutoff is None:
-        return w, flags, cfg.soft.confidence_threshold
-    flags, tau = _hard_flags(w, hard_cutoff, cfg.hard.auto_quantile)
-    return w, flags, tau
-
-
 class GatePolicy:
-    """Soft (hard_cutoff None) or hard quarantine through a frozen gate. Soft
+    """Soft (`hard` None) or hard quarantine through a frozen gate. Soft
     trains every row at weight w; hard trains the rows the cutoff accepts.
     f_avg is the flagged share of the epoch so far."""
 
     logged = True
 
-    def __init__(self, cfg: PipelineConfig, gate: MlpBinary, hard_cutoff) -> None:
+    def __init__(self, cfg: PipelineConfig, gate: MlpBinary, hard: HardConfig | None) -> None:
         self.cfg = cfg
         self.gate = gate
-        self.hard_cutoff = hard_cutoff
+        self.hard = hard
         self.epoch = self.flagged = self.seen = 0
+
+    def rule(self, max_prob, scores):
+        """(w, flags, tau) of the soft or hard rule over these rows."""
+        _, w, flags = decide(max_prob, scores, self.cfg.soft)
+        if self.hard is None:
+            return w, flags, self.cfg.soft.confidence_threshold
+        flags, tau = _hard_flags(w, self.hard.cutoff, self.hard.auto_quantile)
+        return w, flags, tau
 
     def __call__(self, epoch, logits, mid) -> Decision:
         max_prob = softmax(logits).max(axis=1)
         scores = self.gate.forward(mid, train=False)[0]
-        w, flags, tau = _gate_decide(self.cfg, self.hard_cutoff, max_prob, scores)
+        w, flags, tau = self.rule(max_prob, scores)
         if epoch != self.epoch:
             self.epoch, self.flagged, self.seen = epoch, 0, 0
         self.flagged += int(flags.sum())
         self.seen += flags.size
-        weights = w if self.hard_cutoff is None else None
+        weights = w if self.hard is None else None
         return Decision(weights, flags, tau, self.flagged / self.seen)
 
 
-def _gated_flags(cfg: PipelineConfig, hard_cutoff):
-    """The final flag rule of the soft (hard_cutoff None) or hard pipeline:
-    `_gate_decide` over the whole stream."""
-    return lambda probs, scores: _gate_decide(cfg, hard_cutoff, probs.max(axis=1), scores)[1]
-
-
 def _run_gated(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
-               asset: GateAsset | None, hard_cutoff) -> RunReport:
+               asset: GateAsset | None, hard: HardConfig | None) -> RunReport:
+    """The soft (`hard` None) or hard pipeline; the final flags are the
+    policy's rule over the whole evaluation stream."""
     if asset is None:
         asset = pretrain_gate(cfg, train_set)
     gate = asset.gate
     gate_checksum = gate.params.checksum()
     model = SimpleCNN(cfg.model, stream(cfg.seed, "init/body"))
-    report = _run(cfg, SOFT if hard_cutoff is None else HARD, model,
-                  GatePolicy(cfg, gate, hard_cutoff), _gated_flags(cfg, hard_cutoff),
+    policy = GatePolicy(cfg, gate, hard)
+    report = _run(cfg, SOFT if hard is None else HARD, model, policy,
+                  lambda probs, scores: policy.rule(probs.max(axis=1), scores)[1],
                   train_set, test_set, cfg.train.epochs, gate)
     if gate.params.checksum() != gate_checksum:
         raise WorkbenchError("frozen gate parameters changed during main training")
@@ -585,21 +606,21 @@ def _run_gated(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
             **_gate_separation(asset),
         }
     )
-    if hard_cutoff is not None:
+    if hard is not None:
         report.extras["hard_cutoff"] = (
-            f"auto(q={cfg.hard.auto_quantile})" if hard_cutoff == "auto" else float(hard_cutoff)
+            f"auto(q={hard.auto_quantile})" if hard.cutoff == "auto" else float(hard.cutoff)
         )
     return report
 
 
 def train_soft(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
                asset: GateAsset | None = None) -> RunReport:
-    return _run_gated(cfg, train_set, test_set, asset, hard_cutoff=None)
+    return _run_gated(cfg, train_set, test_set, asset, None)
 
 
 def train_hard(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet,
                asset: GateAsset | None = None) -> RunReport:
-    return _run_gated(cfg, train_set, test_set, asset, hard_cutoff=cfg.hard.cutoff)
+    return _run_gated(cfg, train_set, test_set, asset, cfg.hard)
 
 
 # -------------------------------------------------------------------- irm
@@ -621,23 +642,6 @@ def train_irm(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> R
 
 
 # --------------------------------------------------- confidence quarantine
-
-
-@dataclass
-class SweepConfig:
-    thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5)
-    epochs: int = 2
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValidationError(f"sweep epochs must be >= 1, got {self.epochs}")
-        values = list(self.thresholds)
-        if not values:
-            raise ValidationError("threshold sweep needs at least one value")
-        if any(not 0 < v < 1 for v in values):
-            raise ValidationError(f"sweep thresholds must lie in (0, 1), got {values}")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValidationError(f"sweep thresholds must be strictly increasing, got {values}")
 
 
 class ConfidencePolicy:
@@ -682,13 +686,13 @@ def _confidence_run(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet
     return report
 
 
-def run_sweep(
-    cfg: PipelineConfig, sweep: SweepConfig, train_set: MnistSet, test_set: MnistSet
-) -> dict:
-    """Retrain from scratch at each threshold; returns a per-threshold table.
+def run_sweep(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> dict:
+    """Retrain from scratch at each of `cfg.sweep`'s thresholds; returns a
+    per-threshold table.
 
     Cumulative precision/recall count training-time flag decisions over the
     whole run; error columns are the plain final test error."""
+    sweep = cfg.sweep
     reports = sweep_thresholds(
         sweep.thresholds,
         lambda tau: _confidence_run(cfg, train_set, test_set, tau, None, sweep.epochs),
@@ -718,12 +722,8 @@ def run_sweep(
     return {"seed": cfg.seed, "epochs": sweep.epochs, "rows": rows, "reports": reports}
 
 
-def train_adaptive(
-    cfg: PipelineConfig,
-    train_set: MnistSet,
-    test_set: MnistSet,
-    controller: AdaptiveControllerState | None = None,
-) -> RunReport:
-    """Confidence quarantine with the feedback controller steering tau."""
-    state = controller if controller is not None else AdaptiveControllerState()
-    return _confidence_run(cfg, train_set, test_set, state.tau, state, cfg.train.epochs)
+def train_adaptive(cfg: PipelineConfig, train_set: MnistSet, test_set: MnistSet) -> RunReport:
+    """Confidence quarantine with the feedback controller steering tau from
+    `cfg.adaptive`, which stays as it was: the state is frozen."""
+    return _confidence_run(cfg, train_set, test_set, cfg.adaptive.tau, cfg.adaptive,
+                           cfg.train.epochs)

@@ -106,14 +106,12 @@ def soft_report(mnist_data):
 
 @pytest.fixture(scope="module")
 def sweep_result(mnist_data):
-    cfg = stock_config()
-    return run_sweep(cfg.pipeline_config(), cfg.build("sweep"), *mnist_data)
+    return run_sweep(stock_config().pipeline_config(), *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def adaptive_report(mnist_data):
-    cfg = stock_config()
-    return train_adaptive(cfg.pipeline_config(), *mnist_data, cfg.build("adaptive"))
+    return train_adaptive(stock_config().pipeline_config(), *mnist_data)
 
 
 @pytest.fixture(scope="module")

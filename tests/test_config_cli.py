@@ -36,10 +36,10 @@ from sabotagebench.config import (
     parse_override,
 )
 from sabotagebench.dataset import SabotageConfig
-from sabotagebench.errors import ConfigError
+from sabotagebench.errors import ConfigError, WorkbenchError
 from sabotagebench.metrics import LifestarWeights
 from sabotagebench.quarantine import AdaptiveControllerState
-from sabotagebench.training import HardConfig, PipelineConfig
+from sabotagebench.training import HardConfig, PipelineConfig, SweepConfig
 
 
 # --------------------------------------------------------------- overrides
@@ -265,13 +265,16 @@ class TestExperimentConfig:
         assert parse_config().pipeline_config().sabotage.label_mode == "random"
 
     def test_pipeline_config_holds_each_section_owner(self):
-        cfg = parse_config(None, {"seed": 4, "hard.cutoff": 0.25})
+        cfg = parse_config(None, {"seed": 4, "hard.cutoff": 0.25, "adaptive.tau": 0.2,
+                                  "sweep.thresholds": [0.3]})
         pipeline = cfg.pipeline_config()
         assert pipeline.seed == 4
         for f in dataclasses.fields(PipelineConfig):
             if f.name != "seed":
                 assert getattr(pipeline, f.name) == cfg.build(f.name), f.name
         assert pipeline.hard == HardConfig(cutoff=0.25)
+        assert pipeline.adaptive == AdaptiveControllerState(tau=0.2)
+        assert pipeline.sweep == SweepConfig(thresholds=(0.3,))
 
     def test_builder_rejection_becomes_config_error(self):
         # 1.5 passes the leaf type check (a number) but fails the
@@ -905,6 +908,36 @@ def test_an_inverted_gate_is_named_on_stderr(tiny_config, tmp_path, capsys, monk
     lines = [line for line in capsys.readouterr().err.splitlines() if "gate" in line]
     assert lines == (["warning: the hard gate is inverted: it scores sabotaged images"
                       " above clean ones (calibration AUC 0.250)"] if auc < 0.5 else [])
+
+
+class _Stopped(WorkbenchError):
+    """Raised by a stubbed pipeline once it has recorded its call."""
+
+
+@pytest.mark.parametrize("experiment, name", [
+    ("baseline", "train_baseline"), ("soft", "train_soft"), ("hard", "train_hard"),
+    ("irm", "train_irm"), ("adaptive", "train_adaptive"), ("sweep", "run_sweep"),
+])
+def test_run_calls_the_pipeline_found_in_cli_at_run_time(experiment, name, tiny_config,
+                                                         tmp_path, monkeypatch):
+    """Every CNN pipeline is called as (pipeline config, train set, test set),
+    and the one that runs is the one in the cli module when the run starts,
+    so a wrapper patched in after import (bench/tracer.py's) is not bypassed."""
+    calls = []
+
+    def stub(cfg, train_set, test_set):
+        calls.append(cfg)
+        raise _Stopped("stub")
+
+    monkeypatch.setattr(cli, name, stub)
+    out = tmp_path / "out"
+    sets = {"adaptive.tau": 0.2, "sweep.thresholds": [0.3]}
+    args = ["run", experiment, "--config", str(tiny_config), "--out", str(out)]
+    for key, value in sets.items():
+        args += ["--set", f"{key}={json.dumps(value)}"]
+    assert run_cli(args) == 2
+    resolved = parse_config(tiny_config, {**sets, "experiment": experiment, "out_dir": str(out)})
+    assert calls == [resolved.pipeline_config()]
 
 
 def test_the_removed_offline_knobs_are_refused(tmp_path, capsys):

@@ -39,8 +39,8 @@ from sabotagebench.nncore import relu, sgd_step, softmax
 from sabotagebench.quarantine import decide
 from sabotagebench.training import (
     GateTrainConfig,
+    GatePolicy,
     PipelineConfig,
-    _gated_flags,
     _infer,
 )
 
@@ -91,7 +91,9 @@ def test_gated_eval_matches_oracle(stock, n, hard_cutoff):
     model, gate, images = stock
     cfg = PipelineConfig()
     probs, scores = _infer(model, images[:n], gate)
-    flags, preds = _gated_flags(cfg, hard_cutoff)(probs, scores), probs.argmax(axis=1)
+    hard = None if hard_cutoff is None else cfg.hard
+    flags = GatePolicy(cfg, gate, hard).rule(probs.max(axis=1), scores)[1]
+    preds = probs.argmax(axis=1)
     cutoff = hard_cutoff
     if hard_cutoff == "auto" and n > 512:
         # the oracle takes the auto quantile per 512-row chunk; give it the
@@ -116,7 +118,8 @@ def _oracle_weights(cfg, model, gate, images):
 def test_auto_cutoff_takes_the_quantile_of_the_whole_eval_stream(stock):
     model, gate, images = stock
     cfg = PipelineConfig()
-    flags = _gated_flags(cfg, "auto")(*_infer(model, images, gate))
+    probs, scores = _infer(model, images, gate)
+    flags = GatePolicy(cfg, gate, cfg.hard).rule(probs.max(axis=1), scores)[1]
     w = _oracle_weights(cfg, model, gate, images)
     assert images.shape[0] == 1025
     assert flags.tobytes() == (w < np.quantile(w, cfg.hard.auto_quantile)).tobytes()

@@ -304,8 +304,8 @@ class TestEvalStream:
 
 @pytest.fixture(scope="module")
 def sweep_result(tiny_train, tiny_test):
-    cfg = tiny_pipeline("baseline")
-    return run_sweep(cfg, SweepConfig(thresholds=(0.1, 0.3), epochs=1), tiny_train, tiny_test)
+    cfg = tiny_pipeline("baseline", sweep=SweepConfig(thresholds=(0.1, 0.3), epochs=1))
+    return run_sweep(cfg, tiny_train, tiny_test)
 
 
 class TestSweepTiny:
@@ -347,13 +347,22 @@ class TestSweepTiny:
 class TestAdaptiveTiny:
     def test_controller_steers_within_clamp(self, tiny_train, tiny_test):
         state = AdaptiveControllerState(tau=0.30, delta=0.01, tau_min=0.05, tau_max=0.95)
-        report = train_adaptive(tiny_pipeline("baseline"), tiny_train, tiny_test, state)
+        report = train_adaptive(tiny_pipeline("baseline", adaptive=state), tiny_train, tiny_test)
         assert report.method == "adaptive"
         taus = [row.tau for row in report.log_rows]
         assert all(0.05 <= t <= 0.95 for t in taus)
         steps = np.abs(np.diff(taus))
         assert steps.max() <= 0.01 + 1e-12
         assert report.extras["tau_final"] == pytest.approx(taus[-1], abs=0.011)
+
+    def test_a_run_leaves_the_configs_controller_as_it_was(self, tiny_train, tiny_test):
+        # the controller starts from the config, which runs may share
+        cfg = tiny_pipeline("baseline")
+        first = train_adaptive(cfg, tiny_train, tiny_test)
+        assert len({row.tau for row in first.log_rows}) > 1
+        _assert_same_run(train_adaptive(cfg, tiny_train, tiny_test), first)
+        assert cfg.adaptive.history == ()
+        assert cfg.adaptive == AdaptiveControllerState()
 
 
 # ----------------------------------------------------------------- oracle
@@ -473,7 +482,7 @@ class TestPipelinesMatchOracle:
     def test_sweep(self, oracle_case):
         # at tau 0.5 the untrained net flags everything, so batches starve
         train, test, cfg, _ = oracle_case
-        result = run_sweep(cfg("baseline"), SweepConfig(thresholds=(0.1, 0.5), epochs=2),
+        result = run_sweep(cfg("baseline", sweep=SweepConfig(thresholds=(0.1, 0.5), epochs=2)),
                            train, test)
         for tau, report in zip((0.1, 0.5), result["reports"]):
             _assert_same_run(report, oracle_training._confidence_quarantine_run(
@@ -483,7 +492,7 @@ class TestPipelinesMatchOracle:
     def test_adaptive(self, oracle_case):
         train, test, cfg, _ = oracle_case
         state = AdaptiveControllerState(tau=0.3, delta=0.05, window=3)
-        report = train_adaptive(cfg("baseline"), train, test, state)
+        report = train_adaptive(cfg("baseline", adaptive=state), train, test)
         _assert_same_run(report, oracle_training._confidence_quarantine_run(
             cfg("baseline"), train, test, state.tau, state, 2))
         assert len({row.tau for row in report.log_rows}) > 1
