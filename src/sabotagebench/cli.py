@@ -87,9 +87,9 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
     """Resolve the dataset section to (train, test) sets, and check that
     their images are `model.image_size` square and that the mirror-cnn
     subsets fit them when the run includes mirror-cnn."""
-    ds = cfg.build("dataset")
+    ds = cfg.pipeline.dataset
     source, mnist_dir = ds.source, Path(ds.mnist_dir)
-    image_size = cfg.section("model")["image_size"]
+    image_size = cfg.pipeline.model.image_size
     if source == "auto":
         source = "mnist" if all(mnist_files(mnist_dir)) else "synthetic"
     if source == "mnist":
@@ -118,7 +118,7 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
 def check_sizes(cfg: ExperimentConfig, train_count: int, test_count: int) -> None:
     """Raise ConfigError when the mirror-cnn subsets do not fit the data,
     before anything trains."""
-    mirror = cfg.build("mirror_cnn")
+    mirror = cfg.pipeline.mirror_cnn
     if 2 * mirror.subset_size > train_count:
         raise ConfigError(
             f"mirror_cnn.subset_size: two disjoint subsets of {mirror.subset_size} "
@@ -156,27 +156,29 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
         # imported here so the other experiments never load mirror_text
         from .mirror_text import run_mirror_text_experiment
 
-        report = run_mirror_text_experiment(cfg.section("mirror_text")["fixtures"])
+        report = run_mirror_text_experiment(cfg.pipeline.mirror_text.fixtures)
         reporting.write_mirror_text_report(out_dir, report)
         payload = report.metadata
         summary["recognition"] = {
             row["system"]: row["score_percent"] for row in report.recognition
         }
-    elif experiment == "mirror-cnn":
-        report = run_mirror_experiment(
-            cfg.build("mirror_cnn"), cfg.build("model"), cfg.seed, *data
-        )
-        reporting.write_mirror_cnn_report(out_dir, report)
-        summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
-        summary["semiself_accuracy"] = report.semiself_accuracy
     else:
         # Built per call: a function patched into this module after import
-        # (bench/tracer.py wraps train_baseline and train_hard) then runs.
+        # (bench/tracer.py wraps train_baseline, train_hard and
+        # run_mirror_experiment) then runs.
         pipelines = {"baseline": train_baseline, "soft": train_soft, "hard": train_hard,
-                     "irm": train_irm, "sweep": run_sweep, "adaptive": train_adaptive}
-        report = pipelines[experiment](cfg.pipeline_config(), *data)
-        if experiment == "sweep":
+                     "irm": train_irm, "sweep": run_sweep, "adaptive": train_adaptive,
+                     "mirror-cnn": run_mirror_experiment}
+        report = pipelines[experiment](cfg.pipeline, *data)
+        if experiment == "mirror-cnn":
+            reporting.write_mirror_cnn_report(out_dir, report)
+            summary["self_vs_cross_accuracy"] = report.self_vs_cross_accuracy
+            summary["semiself_accuracy"] = report.semiself_accuracy
+        elif experiment == "sweep":
             reporting.write_sweep_artifacts(out_dir, report)
+            # keyed by threshold as the quarantine log names print it
+            payload = {"latencies_s": {f"{run.extras['threshold']}": run.latencies
+                                       for run in report["reports"]}}
         else:
             if report.extras.get("gate_inverted"):
                 print(f"warning: the {experiment} gate is inverted: it scores sabotaged "
@@ -260,7 +262,7 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
     else:
         summaries = [run_single(job, data) for job in jobs]
 
-    weights = astuple(cfg.build("lifestar"))
+    weights = astuple(cfg.pipeline.lifestar)
     if None not in weights:
         by_name = {s["experiment"]: s for s in summaries}
         reporting.write_json(out_root / "lifestar.json", lifestar(

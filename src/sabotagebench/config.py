@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, get_args, get_type_hints
 
@@ -25,7 +25,7 @@ from .metrics import LifestarWeights
 from .mirror_cnn import MirrorCnnConfig
 from .models import ModelConfig
 from .quarantine import AdaptiveControllerState, SoftWeightConfig
-from .training import GateTrainConfig, HardConfig, PipelineConfig, SweepConfig, TrainConfig
+from .training import GateTrainConfig, HardConfig, SweepConfig, TrainConfig
 
 ALL_METHODS = (
     "baseline",
@@ -48,25 +48,35 @@ class MirrorTextConfig:
 
     fixtures: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.fixtures == "":
+            raise ValidationError("fixtures must name a file, or be null for the bundled one")
 
-# The dataclass that owns each of these sections: its fields are the
-# section's leaves, its field defaults their defaults, its annotations the
-# JSON kinds each takes, and `ExperimentConfig.build` turns the resolved
-# section into one, which checks the values.
-SECTIONS = {
-    "dataset": DatasetConfig,
-    "sabotage": SabotageConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "soft": SoftWeightConfig,
-    "gate": GateTrainConfig,
-    "hard": HardConfig,
-    "sweep": SweepConfig,
-    "adaptive": AdaptiveControllerState,
-    "mirror_cnn": MirrorCnnConfig,
-    "mirror_text": MirrorTextConfig,
-    "lifestar": LifestarWeights,
-}
+
+@dataclass
+class PipelineConfig:
+    """The typed config of a run: its seed and, under each section's name,
+    that section's owner. `ExperimentConfig` builds it once per run, and
+    every experiment but mirror-text is called as `f(cfg, train_set,
+    test_set)` with it."""
+
+    seed: int = 0
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    sabotage: SabotageConfig = field(default_factory=SabotageConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    soft: SoftWeightConfig = field(default_factory=SoftWeightConfig)
+    gate: GateTrainConfig = field(default_factory=GateTrainConfig)
+    hard: HardConfig = field(default_factory=HardConfig)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    adaptive: AdaptiveControllerState = field(default_factory=AdaptiveControllerState)
+    mirror_cnn: MirrorCnnConfig = field(default_factory=MirrorCnnConfig)
+    mirror_text: MirrorTextConfig = field(default_factory=MirrorTextConfig)
+    lifestar: LifestarWeights = field(default_factory=LifestarWeights)
+
+
+# Each section's name and owner, in PipelineConfig's order
+SECTIONS = {name: kind for name, kind in get_type_hints(PipelineConfig).items() if name != "seed"}
 # The owner fields no config sets: the controller's running history, and
 # the sabotage label mode, which `train_irm` sets to its reject labels.
 _NOT_LEAVES = {"history", "label_mode"}
@@ -152,18 +162,27 @@ def parse_override(text: str) -> tuple[str, Any]:
     return key.strip(), value
 
 
+def _build(name: str, leaves: Mapping[str, Any]):
+    """The `SECTIONS` owner of section `name`, built from its resolved
+    leaves; a rejection becomes a ConfigError naming the section."""
+    try:
+        return SECTIONS[name](**{key: tuple(value) if isinstance(value, list) else value
+                                 for key, value in leaves.items()})
+    except ValidationError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
-    """Fully resolved configuration tree with typed builders.
+    """The resolved config tree, `data`, and its typed form, `pipeline`.
 
-    Builders hand a section to the dataclass that owns its validation; any
-    rejection is re-raised as a ConfigError carrying the section name so
-    the CLI exits with the config status code. Every `SECTIONS` owner is
-    built once here, so a bad value fails at parse time, before any data
-    loads or any experiment of `run all` trains.
+    Every `SECTIONS` owner is built once, here, so a bad value fails at
+    parse time, before any data loads or any experiment of `run all`
+    trains. `data` is what config.json echoes and the digest covers.
     """
 
     data: dict[str, Any]
+    pipeline: PipelineConfig = field(init=False)
 
     def __post_init__(self) -> None:
         if self.data["experiment"] not in EXPERIMENTS:
@@ -173,8 +192,8 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed: expected an integer >= 0, got {self.seed}")
-        for name in SECTIONS:
-            self.build(name)
+        self.pipeline = PipelineConfig(
+            seed=self.seed, **{name: _build(name, self.data[name]) for name in SECTIONS})
 
     @property
     def seed(self) -> int:
@@ -183,26 +202,6 @@ class ExperimentConfig:
     @property
     def out_dir(self) -> Path:
         return Path(self.data["out_dir"])
-
-    def section(self, name: str) -> dict[str, Any]:
-        return self.data[name]
-
-    def build(self, name: str):
-        """The `SECTIONS` owner of section `name`, built from its leaves."""
-        leaves = {
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in self.section(name).items()
-        }
-        try:
-            return SECTIONS[name](**leaves)
-        except ValidationError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-
-    def pipeline_config(self) -> PipelineConfig:
-        """The seed and, for each other PipelineConfig field, the owner of
-        the section of that name."""
-        return PipelineConfig(seed=self.seed, **{
-            f.name: self.build(f.name) for f in fields(PipelineConfig) if f.name != "seed"})
 
 
 def parse_config(

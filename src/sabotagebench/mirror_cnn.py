@@ -16,17 +16,25 @@ is the evidence that it reads distribution-level cues instead.
 A pair stores no embedding floats: it is two row indices into one table of
 both nets' test-set embeddings (A's rows, then B's), and the classifier's
 input is gathered from that table batch by batch.
+
+The experiment and its two trainers take the run's `config.PipelineConfig`
+first, as every CNN pipeline does, and read its seed, model and mirror_cnn.
 """
+from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import MnistSet, disjoint_subsets
 from .errors import ShapeError, ValidationError
-from .models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, extract_embeddings
+from .models import GateConfig, MlpBinary, SimpleCNN, extract_embeddings
 from .nncore import bce_with_logits, bce_with_logits_backward, sgd_step
 from .rng import stream
+
+if TYPE_CHECKING:  # config imports MirrorCnnConfig from here
+    from .config import PipelineConfig
 
 MODE_SELF = "self"
 MODE_CROSS = "cross"
@@ -89,23 +97,23 @@ class PairSet:
         return out
 
 
-def train_partial(subset: MnistSet, model_cfg: ModelConfig, seed: int, tag: str,
-                  epochs: int, batch_size: int, learning_rate: float) -> SimpleCNN:
+def train_partial(cfg: PipelineConfig, subset: MnistSet, tag: str) -> SimpleCNN:
     """Train a fresh net briefly on one subset.
 
     The tag keeps the two nets' seed streams apart so they differ in both
     data and initialization."""
     from .training import RunReport, UnitWeights, _batches, fit
 
-    net = SimpleCNN(model_cfg, stream(seed, f"mirror/init/{tag}"))
+    seed, mirror = cfg.seed, cfg.mirror_cnn
+    net = SimpleCNN(cfg.model, stream(seed, f"mirror/init/{tag}"))
 
     def batches(epoch: int):
         shuffle = stream(seed, f"mirror/shuffle/{tag}/{epoch}")
-        for idx in _batches(subset.count, batch_size, shuffle):
+        for idx in _batches(subset.count, mirror.batch_size, shuffle):
             yield subset.images[idx], subset.labels[idx], None
 
-    fit(net, RunReport(method=f"mirror/{tag}", seed=seed), epochs, batches, UnitWeights(),
-        learning_rate)
+    fit(net, RunReport(method=f"mirror/{tag}", seed=seed), mirror.epochs, batches,
+        UnitWeights(), mirror.learning_rate)
     return net
 
 
@@ -149,20 +157,18 @@ def build_pair_set(table: np.ndarray, pool: np.ndarray, counts: dict,
     return PairSet(table, rows, modes)
 
 
-def train_pair_gate(pairs: PairSet, seed: int, hidden: int, epochs: int,
-                    batch_size: int, learning_rate: float,
-                    boundary_fraction: float | None) -> MlpBinary:
+def train_pair_gate(cfg: PipelineConfig, pairs: PairSet) -> MlpBinary:
     """Fit the binary pair classifier on a balanced self/cross set.
 
     After fitting, the output bias is shifted so the decision boundary sits
-    at `boundary_fraction` of the way from the cross-pair logit mean to the
-    self-pair logit mean (None keeps the raw boundary). Trained logits
-    saturate symmetrically, which parks the raw boundary at the midpoint of
-    the gap; a probe agreeing with its anchor on only half the coordinates
-    then lands within noise of that midpoint and flips arbitrarily.
-    Anchoring the boundary just above the known cross population instead
-    makes partial agreement read as self while both base classes stay on
-    their own sides."""
+    at `cfg.mirror_cnn.gate_boundary_fraction` of the way from the cross-pair
+    logit mean to the self-pair logit mean (None keeps the raw boundary).
+    Trained logits saturate symmetrically, which parks the raw boundary at
+    the midpoint of the gap; a probe agreeing with its anchor on only half
+    the coordinates then lands within noise of that midpoint and flips
+    arbitrarily. Anchoring the boundary just above the known cross
+    population instead makes partial agreement read as self while both base
+    classes stay on their own sides."""
     counts = pairs.counts
     if set(counts) != {MODE_SELF, MODE_CROSS}:
         raise ValidationError(
@@ -173,21 +179,23 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int, epochs: int,
             f"training pairs must be balanced, got {counts[MODE_SELF]} self "
             f"vs {counts[MODE_CROSS]} cross"
         )
+    mirror = cfg.mirror_cnn
+    batch_size, fraction = mirror.batch_size, mirror.gate_boundary_fraction
     targets = pairs.targets()
-    gate = MlpBinary(GateConfig(2 * pairs.table.shape[1], hidden, dropout=0.0),
-                     stream(seed, "mirror/gate/init"))
+    gate = MlpBinary(GateConfig(2 * pairs.table.shape[1], mirror.gate_hidden, dropout=0.0),
+                     stream(cfg.seed, "mirror/gate/init"))
     from .training import _batches
 
-    for epoch in range(epochs):
-        shuffle = stream(seed, f"mirror/gate/shuffle/{epoch}")
+    for epoch in range(mirror.gate_epochs):
+        shuffle = stream(cfg.seed, f"mirror/gate/shuffle/{epoch}")
         for idx in _batches(pairs.count, batch_size, shuffle):
             _, logits, cache = gate.forward(pairs.features(idx), train=True)
             t = targets[idx]
             _, probs = bce_with_logits(logits, t)
             gate.backward(bce_with_logits_backward(probs, t).astype(np.float32), cache)
-            sgd_step(gate.params, learning_rate)
+            sgd_step(gate.params, mirror.gate_learning_rate)
     gate.params.drop_grads()
-    if boundary_fraction is not None:
+    if fraction is not None:
         # Score in chunks of a training batch, so a chunk's features take no
         # more memory than a training step's (512-pair chunks needed 25.7 MB
         # each at the stock shapes). The chunk is even, as the pair count is
@@ -203,7 +211,7 @@ def train_pair_gate(pairs: PairSet, seed: int, hidden: int, epochs: int,
         logits = np.concatenate(chunks)
         self_mean = logits[targets == 1.0].mean()
         cross_mean = logits[targets == 0.0].mean()
-        boundary = cross_mean + boundary_fraction * (self_mean - cross_mean)
+        boundary = cross_mean + fraction * (self_mean - cross_mean)
         gate.params["b2"].value -= np.float32(boundary)
     return gate
 
@@ -284,8 +292,8 @@ class MirrorCnnReport:
     extras: dict
 
 
-def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: int,
-                          train_set: MnistSet, test_set: MnistSet) -> MirrorCnnReport:
+def run_mirror_experiment(cfg: PipelineConfig, train_set: MnistSet,
+                          test_set: MnistSet) -> MirrorCnnReport:
     """Full embedding mirror test: partial nets, pair sets, classifier, eval.
 
     The pair classifier trains on pairs drawn from one slice of the test-set
@@ -293,14 +301,13 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     two stages never see the same embedding row."""
     from .training import _plain_test_error
 
+    seed, mirror = cfg.seed, cfg.mirror_cnn
     sub_a, sub_b = disjoint_subsets(
-        train_set, (cfg.subset_size, cfg.subset_size), stream(seed, "mirror/subsets")
+        train_set, (mirror.subset_size, mirror.subset_size), stream(seed, "mirror/subsets")
     )
-    net_a = train_partial(sub_a, model_cfg, seed, "A", cfg.epochs,
-                          cfg.batch_size, cfg.learning_rate)
+    net_a = train_partial(cfg, sub_a, "A")
     del sub_a  # net B trains without subset A's images
-    net_b = train_partial(sub_b, model_cfg, seed, "B", cfg.epochs,
-                          cfg.batch_size, cfg.learning_rate)
+    net_b = train_partial(cfg, sub_b, "B")
     del sub_b
 
     # One trunk pass over the test set per net writes its embeddings into
@@ -308,7 +315,7 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     # error (the head over that half).
     count = test_set.count
     dtype = np.result_type(test_set.images.dtype, net_a.params["conv1_w"].value.dtype)
-    table = np.empty((2 * count, model_cfg.feature_dim), dtype)
+    table = np.empty((2 * count, cfg.model.feature_dim), dtype)
     err_a = _plain_test_error(
         net_a, test_set, extract_embeddings(net_a, test_set.images, out=table[:count]))
     err_b = _plain_test_error(
@@ -316,19 +323,17 @@ def run_mirror_experiment(cfg: MirrorCnnConfig, model_cfg: ModelConfig, seed: in
     checksum_a, checksum_b = net_a.params.checksum(), net_b.params.checksum()
     del net_a, net_b  # the pair gate trains without the nets' 6.4 MB
     perm = stream(seed, "mirror/pools").permutation(test_set.count)
-    cut = pool_split(test_set.count, cfg.train_pool_fraction)
+    cut = pool_split(test_set.count, mirror.train_pool_fraction)
     train_pool, eval_pool = perm[:cut], perm[cut:]
 
     train_pairs = build_pair_set(
         table, train_pool,
-        {MODE_SELF: cfg.train_pairs_per_mode, MODE_CROSS: cfg.train_pairs_per_mode},
+        {MODE_SELF: mirror.train_pairs_per_mode, MODE_CROSS: mirror.train_pairs_per_mode},
         stream(seed, "mirror/pairs"),
     )
-    gate = train_pair_gate(train_pairs, seed, cfg.gate_hidden, cfg.gate_epochs,
-                           cfg.batch_size, cfg.gate_learning_rate,
-                           cfg.gate_boundary_fraction)
-    eval_counts = {MODE_SELF: cfg.eval_pairs_per_mode, MODE_CROSS: cfg.eval_pairs_per_mode,
-                   MODE_SEMISELF: cfg.eval_pairs_per_mode}
+    gate = train_pair_gate(cfg, train_pairs)
+    per_mode = mirror.eval_pairs_per_mode
+    eval_counts = {MODE_SELF: per_mode, MODE_CROSS: per_mode, MODE_SEMISELF: per_mode}
     eval_set = build_pair_set(table, eval_pool, eval_counts,
                               stream(seed, "mirror/pairs/eval"))
     acc = eval_pairs(gate, eval_set, joint=(MODE_SELF, MODE_CROSS))

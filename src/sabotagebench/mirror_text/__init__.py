@@ -366,7 +366,7 @@ def run_mirror_text_experiment(fixtures_path: str | Path | None = None) -> Mirro
     checked against them so scripts and recorded scores cannot drift
     apart.
     """
-    fixtures = import_fixtures(fixtures_path or bundled_fixture_path())
+    fixtures = import_fixtures(bundled_fixture_path() if fixtures_path is None else fixtures_path)
     guesses = {s: _guesses(s, fixtures.guess_scripts[s]) for s in SYSTEM_IDS}
     recognition = []
     for sys_id in SYSTEM_IDS:

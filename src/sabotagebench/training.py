@@ -12,9 +12,10 @@
   adaptive  same quarantine with tau driven by the feedback controller
 
 Each is called as `train_<method>(cfg, train_set, test_set)` (`run_sweep`
-for the sweep), where `cfg` is a `PipelineConfig`, which holds every
-section any of them reads. Soft and hard also take an optional pre-trained
-`GateAsset`, which tests pass to share one gate.
+for the sweep), as mirror-cnn's `run_mirror_experiment` is, where `cfg` is
+the run's one `config.PipelineConfig`, built when its config was parsed.
+Soft and hard also take an optional pre-trained `GateAsset`, which tests
+pass to share one gate.
 
 All of them, the gate's disposable body and the mirror nets train in one
 loop, `fit`: take a batch, forward it, let a policy decide, log, step. The
@@ -60,9 +61,12 @@ samples against original labels; counting accepted-but-sabotaged samples
 any defense that lets a single poisoned sample through.
 """
 
+from __future__ import annotations
+
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -81,7 +85,6 @@ from .metrics import (
 from .models import (
     GateConfig,
     MlpBinary,
-    ModelConfig,
     SimpleCNN,
     extract_embeddings,
     make_irm_model,
@@ -96,12 +99,14 @@ from .nncore import (
 )
 from .quarantine import (
     AdaptiveControllerState,
-    SoftWeightConfig,
     adaptive_update,
     decide,
     sweep_thresholds,
 )
 from .rng import stream
+
+if TYPE_CHECKING:  # config imports this module's section owners
+    from .config import PipelineConfig
 
 BASELINE = "baseline"
 SOFT = "soft"
@@ -173,23 +178,6 @@ class SweepConfig:
             raise ValidationError(f"sweep thresholds must lie in (0, 1), got {values}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValidationError(f"sweep thresholds must be strictly increasing, got {values}")
-
-
-@dataclass
-class PipelineConfig:
-    """The seed and, under each config section's name, the owner of that
-    section: all that any CNN pipeline reads. Every pipeline is called as
-    `train_<method>(cfg, train_set, test_set)` (`run_sweep` for the sweep)."""
-
-    seed: int = 0
-    sabotage: SabotageConfig = field(default_factory=SabotageConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    soft: SoftWeightConfig = field(default_factory=SoftWeightConfig)
-    gate: GateTrainConfig = field(default_factory=GateTrainConfig)
-    hard: HardConfig = field(default_factory=HardConfig)
-    sweep: SweepConfig = field(default_factory=SweepConfig)
-    adaptive: AdaptiveControllerState = field(default_factory=AdaptiveControllerState)
 
 
 @dataclass

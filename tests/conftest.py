@@ -14,9 +14,9 @@ import pytest
 
 from sabotagebench import blas
 from sabotagebench.dataset import SabotageConfig, synthetic_mnist_set
-from sabotagebench.mirror_cnn import MirrorCnnConfig
+from sabotagebench.config import PipelineConfig
 from sabotagebench.models import ModelConfig
-from sabotagebench.training import GateTrainConfig, PipelineConfig, TrainConfig
+from sabotagebench.training import GateTrainConfig, TrainConfig
 
 TINY_MODEL = dict(conv1_channels=4, conv2_channels=8, fc_hidden=32)
 
@@ -77,15 +77,6 @@ def med_gate_asset(med_train):
     from sabotagebench.training import pretrain_gate
 
     return pretrain_gate(med_pipeline("hard"), med_train)
-
-
-def pair_gate_args(**chosen) -> dict:
-    """`train_pair_gate`'s settings as `run_mirror_experiment` passes them
-    from the stock MirrorCnnConfig, with the `chosen` ones replaced."""
-    cfg = MirrorCnnConfig()
-    return dict(hidden=cfg.gate_hidden, epochs=cfg.gate_epochs, batch_size=cfg.batch_size,
-                learning_rate=cfg.gate_learning_rate,
-                boundary_fraction=cfg.gate_boundary_fraction) | chosen
 
 
 @pytest.fixture

@@ -16,13 +16,14 @@ same bytes. Do not edit it.
 
 import numpy as np
 
+from sabotagebench.config import PipelineConfig
 from sabotagebench.mirror_cnn import MODE_CROSS, MODE_SELF, PairSet
 from sabotagebench.models import GateConfig, MlpBinary, SimpleCNN
 from sabotagebench.nncore import bce_with_logits, bce_with_logits_backward, sgd_step, softmax
 from sabotagebench.errors import ValidationError
 from sabotagebench.quarantine import decide
 from sabotagebench.rng import stream
-from sabotagebench.training import PipelineConfig, _batches, _hard_flags
+from sabotagebench.training import _batches, _hard_flags
 
 
 def forward_probs(model: SimpleCNN, images: np.ndarray, batch_size: int = 512) -> np.ndarray:

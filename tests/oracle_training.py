@@ -34,6 +34,7 @@ import time
 
 import numpy as np
 
+from sabotagebench.config import PipelineConfig
 from sabotagebench.dataset import N_CLASSES, MnistSet, SabotagedBatch, inject_sabotage
 from sabotagebench.errors import WorkbenchError
 from sabotagebench.metrics import accuracy_on_accepted, confusion, detection_metrics
@@ -56,7 +57,6 @@ from sabotagebench.training import (
     EpochStats,
     GateAsset,
     LogRow,
-    PipelineConfig,
     RunReport,
     _batches,
     _fit_accepted,

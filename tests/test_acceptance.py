@@ -86,40 +86,37 @@ def mnist_data():
 
 @pytest.fixture(scope="module")
 def baseline_report(mnist_data):
-    return train_baseline(stock_config().pipeline_config(), *mnist_data)
+    return train_baseline(stock_config().pipeline, *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def irm_report(mnist_data):
-    return train_irm(stock_config().pipeline_config(), *mnist_data)
+    return train_irm(stock_config().pipeline, *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def hard_report(mnist_data):
-    return train_hard(stock_config().pipeline_config(), *mnist_data)
+    return train_hard(stock_config().pipeline, *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def soft_report(mnist_data):
-    return train_soft(stock_config().pipeline_config(), *mnist_data)
+    return train_soft(stock_config().pipeline, *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def sweep_result(mnist_data):
-    return run_sweep(stock_config().pipeline_config(), *mnist_data)
+    return run_sweep(stock_config().pipeline, *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def adaptive_report(mnist_data):
-    return train_adaptive(stock_config().pipeline_config(), *mnist_data)
+    return train_adaptive(stock_config().pipeline, *mnist_data)
 
 
 @pytest.fixture(scope="module")
 def mirror_report(mnist_data):
-    cfg = stock_config()
-    return run_mirror_experiment(
-        cfg.build("mirror_cnn"), cfg.build("model"), cfg.seed, *mnist_data
-    )
+    return run_mirror_experiment(stock_config().pipeline, *mnist_data)
 
 
 @requires_mnist
@@ -273,7 +270,7 @@ def test_criterion_9_property_suite(tmp_path):
     train_set, test_set = load_data(cfg)
     dirs = (tmp_path / "first", tmp_path / "second")
     for out in dirs:
-        report = train_baseline(cfg.pipeline_config(), train_set, test_set)
+        report = train_baseline(cfg.pipeline, train_set, test_set)
         reporting.write_run_report(out, report)
     for name in ("report_baseline_seed0.json", "epochs_baseline_seed0.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()

@@ -32,14 +32,32 @@ from sabotagebench.config import (
     EXPERIMENTS,
     SECTIONS,
     ExperimentConfig,
+    PipelineConfig,
     parse_config,
     parse_override,
 )
 from sabotagebench.dataset import SabotageConfig
 from sabotagebench.errors import ConfigError, WorkbenchError
 from sabotagebench.metrics import LifestarWeights
+from sabotagebench.mirror_text import run_mirror_text_experiment
 from sabotagebench.quarantine import AdaptiveControllerState
-from sabotagebench.training import HardConfig, PipelineConfig, SweepConfig
+from sabotagebench.training import HardConfig, SweepConfig
+
+
+def _record_builds(monkeypatch) -> list:
+    """Patch `config.SECTIONS` with builders that record each owner they
+    build, with the names of the leaves passed, in build order."""
+    builds = []
+
+    def recording(owner):
+        def build(**kwargs):
+            builds.append((owner, set(kwargs)))
+            return owner(**kwargs)
+        return build
+
+    monkeypatch.setattr(config, "SECTIONS",
+                        {name: recording(owner) for name, owner in SECTIONS.items()})
+    return builds
 
 
 # --------------------------------------------------------------- overrides
@@ -105,8 +123,8 @@ class TestParseConfig:
         path.write_text(json.dumps({"seed": 5, "train": {"epochs": 7}}))
         cfg = parse_config(path)
         assert cfg.seed == 5
-        assert cfg.section("train")["epochs"] == 7
-        assert cfg.section("train")["batch_size"] == 64
+        assert cfg.data["train"]["epochs"] == 7
+        assert cfg.data["train"]["batch_size"] == 64
 
     def test_override_beats_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -171,16 +189,16 @@ class TestParseConfig:
 
     def test_int_widens_to_float_leaf(self):
         cfg = parse_config(None, {"sabotage.rate": 0})
-        assert cfg.section("sabotage")["rate"] == 0.0
-        assert isinstance(cfg.section("sabotage")["rate"], float)
+        assert cfg.data["sabotage"]["rate"] == 0.0
+        assert isinstance(cfg.data["sabotage"]["rate"], float)
         # so does a number leaf that also takes a string or null
         cfg = parse_config(None, {"hard.cutoff": 1, "mirror_cnn.gate_boundary_fraction": 0})
-        assert repr(cfg.section("hard")["cutoff"]) == "1.0"
-        assert repr(cfg.section("mirror_cnn")["gate_boundary_fraction"]) == "0.0"
+        assert repr(cfg.data["hard"]["cutoff"]) == "1.0"
+        assert repr(cfg.data["mirror_cnn"]["gate_boundary_fraction"]) == "0.0"
 
     def test_hard_cutoff_accepts_number_or_auto(self):
-        assert parse_config(None, {"hard.cutoff": 0.5}).section("hard")["cutoff"] == 0.5
-        assert parse_config(None, {"hard.cutoff": "auto"}).section("hard")["cutoff"] == "auto"
+        assert parse_config(None, {"hard.cutoff": 0.5}).data["hard"]["cutoff"] == 0.5
+        assert parse_config(None, {"hard.cutoff": "auto"}).data["hard"]["cutoff"] == "auto"
         with pytest.raises(ConfigError, match="^hard: cutoff must be a number or 'auto'"):
             parse_config(None, {"hard.cutoff": "max"})
         with pytest.raises(ConfigError, match="^hard.cutoff: expected a number or a string"):
@@ -188,17 +206,17 @@ class TestParseConfig:
 
     def test_fixtures_leaf_accepts_path_or_null(self):
         cfg = parse_config(None, {"mirror_text.fixtures": "x.jsonl"})
-        assert cfg.section("mirror_text")["fixtures"] == "x.jsonl"
-        assert parse_config(None, {"mirror_text.fixtures": None}).section(
+        assert cfg.data["mirror_text"]["fixtures"] == "x.jsonl"
+        assert parse_config(None, {"mirror_text.fixtures": None}).data[
             "mirror_text"
-        )["fixtures"] is None
+        ]["fixtures"] is None
         with pytest.raises(ConfigError, match="^mirror_text.fixtures: expected a string or null"):
             parse_config(None, {"mirror_text.fixtures": 3})
 
     def test_lifestar_leaves_accept_number_or_null(self):
         cfg = parse_config(None, {"lifestar.alpha": 0.5, "lifestar.gamma": 0.2})
-        assert cfg.section("lifestar")["gamma"] == 0.2
-        assert parse_config(None, {"lifestar.gamma": None}).section("lifestar")["gamma"] is None
+        assert cfg.data["lifestar"]["gamma"] == 0.2
+        assert parse_config(None, {"lifestar.gamma": None}).data["lifestar"]["gamma"] is None
         with pytest.raises(ConfigError, match="^lifestar.alpha: expected a number or null"):
             parse_config(None, {"lifestar.alpha": "half"})
 
@@ -206,7 +224,7 @@ class TestParseConfig:
         # a -0.0 weight was stored and echoed as -0.0
         key, value = parse_override("lifestar.alpha=-0.0")
         assert np.signbit(value)
-        alpha = parse_config(None, {key: value, "lifestar.gamma": 0.5}).section("lifestar")["alpha"]
+        alpha = parse_config(None, {key: value, "lifestar.gamma": 0.5}).data["lifestar"]["alpha"]
         assert alpha == 0.0 and not np.signbit(alpha)
         out = tmp_path / "mt"
         argv = ["run", "mirror-text", "--out", str(out),
@@ -262,16 +280,18 @@ class TestExperimentConfig:
         assert "label_mode" not in DEFAULTS["sabotage"]
         with pytest.raises(ConfigError, match="^unknown config key: sabotage.label_mode$"):
             parse_config(None, {"sabotage.label_mode": "reject"})
-        assert parse_config().pipeline_config().sabotage.label_mode == "random"
+        assert parse_config().pipeline.sabotage.label_mode == "random"
 
     def test_pipeline_config_holds_each_section_owner(self):
         cfg = parse_config(None, {"seed": 4, "hard.cutoff": 0.25, "adaptive.tau": 0.2,
                                   "sweep.thresholds": [0.3]})
-        pipeline = cfg.pipeline_config()
+        pipeline = cfg.pipeline
         assert pipeline.seed == 4
-        for f in dataclasses.fields(PipelineConfig):
-            if f.name != "seed":
-                assert getattr(pipeline, f.name) == cfg.build(f.name), f.name
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == ["seed", *SECTIONS]
+        for name, owner in SECTIONS.items():
+            leaves = {key: tuple(value) if isinstance(value, list) else value
+                      for key, value in cfg.data[name].items()}
+            assert getattr(pipeline, name) == owner(**leaves), name
         assert pipeline.hard == HardConfig(cutoff=0.25)
         assert pipeline.adaptive == AdaptiveControllerState(tau=0.2)
         assert pipeline.sweep == SweepConfig(thresholds=(0.3,))
@@ -287,17 +307,9 @@ class TestExperimentConfig:
         # a field no config sets is a value no run can change; the two
         # exceptions are the controller's running history, which starts
         # empty, and the label mode, which irm alone sets
-        passed = {}
-
-        def recording(owner):
-            def build(**kwargs):
-                passed[owner] = set(kwargs)
-                return owner(**kwargs)
-            return build
-
-        monkeypatch.setattr(config, "SECTIONS",
-                            {name: recording(owner) for name, owner in SECTIONS.items()})
-        parse_config().pipeline_config()
+        builds = _record_builds(monkeypatch)
+        parse_config()
+        passed = dict(builds)
         unset = {}
         for owner in SECTIONS.values():
             names = {f.name for f in dataclasses.fields(owner)} - passed[owner]
@@ -321,7 +333,7 @@ class TestExperimentConfig:
                 assert field_default == default, f"{section}.{leaf}"
 
     def test_lifestar_weights_default_none(self):
-        assert parse_config().build("lifestar") == LifestarWeights(None, None)
+        assert parse_config().pipeline.lifestar == LifestarWeights(None, None)
 
     def test_lifestar_weights_all_or_nothing(self):
         with pytest.raises(ConfigError, match="together"):
@@ -329,7 +341,7 @@ class TestExperimentConfig:
 
     def test_lifestar_weights_both_given(self):
         cfg = parse_config(None, {"lifestar.alpha": 0.5, "lifestar.gamma": 0.2})
-        assert cfg.build("lifestar") == LifestarWeights(0.5, 0.2)
+        assert cfg.pipeline.lifestar == LifestarWeights(0.5, 0.2)
 
     def test_leaf_count(self):
         # experiment, seed and out_dir, and each section's leaves
@@ -565,6 +577,16 @@ class TestRunExitCodes:
         assert "config error: mirror_text.fixtures: cannot read" in err
         assert str(missing) in err
 
+    # an empty path replayed the bundled session while config.json echoed ""
+    def test_empty_fixture_path_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "mirror-text", "--out", str(out), "--set", 'mirror_text.fixtures=""']
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: mirror_text: ")
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="^mirror_text.fixtures: cannot read"):
+            run_mirror_text_experiment("")
+
 
     # these used to end in a FileExistsError or NotADirectoryError traceback,
     # on data runs only after the dataset had loaded
@@ -789,8 +811,8 @@ class TestRunExitCodes:
 
     def test_null_boundary_fraction_is_accepted(self):
         cfg = parse_config(None, {"mirror_cnn.gate_boundary_fraction": None})
-        assert cfg.section("mirror_cnn")["gate_boundary_fraction"] is None
-        assert cfg.build("mirror_cnn").gate_boundary_fraction is None
+        assert cfg.data["mirror_cnn"]["gate_boundary_fraction"] is None
+        assert cfg.pipeline.mirror_cnn.gate_boundary_fraction is None
 
     def test_unsorted_sweep_thresholds_fail_at_parse_time(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="sweep: .*strictly increasing"):
@@ -917,12 +939,14 @@ class _Stopped(WorkbenchError):
 @pytest.mark.parametrize("experiment, name", [
     ("baseline", "train_baseline"), ("soft", "train_soft"), ("hard", "train_hard"),
     ("irm", "train_irm"), ("adaptive", "train_adaptive"), ("sweep", "run_sweep"),
+    ("mirror-cnn", "run_mirror_experiment"),
 ])
 def test_run_calls_the_pipeline_found_in_cli_at_run_time(experiment, name, tiny_config,
                                                          tmp_path, monkeypatch):
-    """Every CNN pipeline is called as (pipeline config, train set, test set),
-    and the one that runs is the one in the cli module when the run starts,
-    so a wrapper patched in after import (bench/tracer.py's) is not bypassed."""
+    """Every CNN pipeline and mirror-cnn is called as (pipeline config, train
+    set, test set), and the one that runs is the one in the cli module when
+    the run starts, so a wrapper patched in after import (bench/tracer.py's)
+    is not bypassed."""
     calls = []
 
     def stub(cfg, train_set, test_set):
@@ -937,7 +961,21 @@ def test_run_calls_the_pipeline_found_in_cli_at_run_time(experiment, name, tiny_
         args += ["--set", f"{key}={json.dumps(value)}"]
     assert run_cli(args) == 2
     resolved = parse_config(tiny_config, {**sets, "experiment": experiment, "out_dir": str(out)})
-    assert calls == [resolved.pipeline_config()]
+    assert calls == [resolved.pipeline]
+
+
+def test_a_run_builds_each_section_owner_once(tiny_config, tmp_path, monkeypatch):
+    """The owners are built when the config is parsed; loading the data and
+    calling the pipeline read them from `cfg.pipeline`."""
+    builds = _record_builds(monkeypatch)
+
+    def stub(cfg, train_set, test_set):
+        raise _Stopped("stub")
+
+    monkeypatch.setattr(cli, "train_baseline", stub)
+    argv = ["run", "baseline", "--config", str(tiny_config), "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    assert [owner for owner, _ in builds] == list(SECTIONS.values())
 
 
 def test_the_removed_offline_knobs_are_refused(tmp_path, capsys):
@@ -1150,6 +1188,22 @@ class TestRunMetadata:
             assert set(metadata["resources"]) == self.RESOURCES, method
             assert set(metadata["environment"]) == self.ENVIRONMENT, method
             assert len(metadata["config_sha256"]) == 64, method
+
+    def test_latencies_count_the_quarantine_log_rows(self, all_dir):
+        # one per logged batch; the sweep's keyed by threshold as its log names print it
+        def latencies(method):
+            return json.loads((all_dir / method / "metadata.json").read_text())["latencies_s"]
+
+        def rows(method, tag):
+            log = all_dir / method / f"quarantine_log_{tag}.csv"
+            return len(log.read_text().splitlines()) - 1  # the header
+
+        for method, seed in (("soft", 1), ("hard", 2), ("adaptive", 5)):
+            assert len(latencies(method)) == rows(method, f"{method}_seed{seed}") > 0, method
+        sweep = latencies("sweep")
+        assert list(sweep) == ["0.2", "0.5"]
+        for tau, values in sweep.items():
+            assert len(values) == rows("sweep", f"sweep_tau{tau}_seed4") > 0, tau
 
     def test_parallel_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         made = {}

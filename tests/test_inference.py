@@ -24,11 +24,13 @@ import oracle_inference as oracle
 import oracle_pairs
 from oracle_table import pair_table
 from sabotagebench import mirror_cnn
+from sabotagebench.config import PipelineConfig
 from sabotagebench.errors import NumericsError
 from sabotagebench.mirror_cnn import (
     MODE_CROSS,
     MODE_SELF,
     MODE_SEMISELF,
+    MirrorCnnConfig,
     PairSet,
     build_pair_set,
     eval_pairs,
@@ -40,11 +42,8 @@ from sabotagebench.quarantine import decide
 from sabotagebench.training import (
     GateTrainConfig,
     GatePolicy,
-    PipelineConfig,
     _infer,
 )
-
-from conftest import pair_gate_args
 
 SIZES = [1, 2, 63, 64, 65, 129, 511, 512, 513, 1025]
 
@@ -182,14 +181,23 @@ def test_pair_features_gather_like_concatenate(rng):
         pairs.features(np.array([pairs.count]))
 
 
+def _oracle_pair_gate(cfg: PipelineConfig, pairs: PairSet) -> MlpBinary:
+    """The oracle's pair gate, at the settings `train_pair_gate` reads from
+    `cfg`."""
+    mirror = cfg.mirror_cnn
+    return oracle.train_pair_gate(pairs, cfg.seed, mirror.gate_hidden, mirror.gate_epochs,
+                                  mirror.batch_size, mirror.gate_learning_rate,
+                                  mirror.gate_boundary_fraction)
+
+
 @pytest.mark.parametrize("boundary_fraction", [None, 1 / 3])
 @pytest.mark.parametrize("per_mode", [1, 33, 300])
 def test_pair_gate_matches_oracle(monkeypatch, per_mode, boundary_fraction):
     train = _pairs(np.random.default_rng(per_mode), per_mode, semiself=False)
-    kwargs = dict(seed=5, **pair_gate_args(hidden=16, epochs=2,
-                                           boundary_fraction=boundary_fraction))
-    gate = train_pair_gate(train, **kwargs)
-    expected = oracle.train_pair_gate(train, **kwargs)
+    cfg = PipelineConfig(seed=5, mirror_cnn=MirrorCnnConfig(
+        gate_hidden=16, gate_epochs=2, gate_boundary_fraction=boundary_fraction))
+    gate = train_pair_gate(cfg, train)
+    expected = _oracle_pair_gate(cfg, train)
     assert gate.params.checksum() == expected.params.checksum()
     held = _pairs(np.random.default_rng(per_mode + 1), per_mode + 100)
     assert eval_pairs(gate, held) == oracle.eval_pairs(expected, held)
@@ -203,8 +211,8 @@ def test_joint_accuracy_equals_scoring_those_modes_alone(monkeypatch, per_mode):
     # scoring their rows as a set of their own ends in another chunk layout
     # (133 per mode: a 10-row last chunk there, 143 rows here)
     held = _pairs(np.random.default_rng(per_mode), per_mode)
-    gate = train_pair_gate(_pairs(np.random.default_rng(7), 20, semiself=False),
-                           5, **pair_gate_args(hidden=16, epochs=1))
+    cfg = PipelineConfig(seed=5, mirror_cnn=MirrorCnnConfig(gate_hidden=16, gate_epochs=1))
+    gate = train_pair_gate(cfg, _pairs(np.random.default_rng(7), 20, semiself=False))
     rows = slice(0, 2 * per_mode)
     base = PairSet(held.table, held.rows[rows], held.modes[rows])
     for batch_size in (256, 7):
@@ -233,8 +241,9 @@ def test_pair_gate_matches_the_adding_backward(monkeypatch, batch_size):
     # -0.0). The oracle also scores the boundary in 512-pair chunks. 289
     # pairs per mode leave a short last chunk at either chunk size.
     train = _relu_pairs(np.random.default_rng(3), 289, 40, dead=10)
-    kwargs = dict(seed=5, **pair_gate_args(hidden=16, epochs=2, batch_size=batch_size))
-    gate = train_pair_gate(train, **kwargs)
+    cfg = PipelineConfig(seed=5, mirror_cnn=MirrorCnnConfig(
+        gate_hidden=16, gate_epochs=2, batch_size=batch_size))
+    gate = train_pair_gate(cfg, train)
     monkeypatch.setattr(oracle, "MlpBinary", oracle_backward.AddingMlp)
 
     def step_then_zero(params, learning_rate):
@@ -244,7 +253,7 @@ def test_pair_gate_matches_the_adding_backward(monkeypatch, batch_size):
             param.grad[...] = 0
 
     monkeypatch.setattr(oracle, "sgd_step", step_then_zero)
-    expected = oracle.train_pair_gate(train, **kwargs)
+    expected = _oracle_pair_gate(cfg, train)
     assert type(expected) is oracle_backward.AddingMlp
     assert gate.params.checksum() == expected.params.checksum()
 
@@ -266,7 +275,8 @@ def test_boundary_chunks_never_hold_one_pair(monkeypatch, per_mode, batch_size):
 
     monkeypatch.setattr(MlpBinary, "forward", spy)
     pairs = _pairs(np.random.default_rng(per_mode), per_mode, semiself=False)
-    train_pair_gate(pairs, 5, **pair_gate_args(hidden=8, epochs=1, batch_size=batch_size))
+    train_pair_gate(PipelineConfig(seed=5, mirror_cnn=MirrorCnnConfig(
+        gate_hidden=8, gate_epochs=1, batch_size=batch_size)), pairs)
     assert sum(sizes) == pairs.count
     assert min(sizes) >= 2 and max(sizes) <= batch_size + 1
 

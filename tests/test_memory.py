@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from sabotagebench import mirror_cnn
+from sabotagebench.config import PipelineConfig
 from sabotagebench.dataset import synthetic_mnist_set
 from sabotagebench.mirror_cnn import (
     MODE_CROSS,
@@ -48,8 +49,6 @@ from sabotagebench.models import GateConfig, MlpBinary, ModelConfig, SimpleCNN, 
 from sabotagebench.nncore import (bce_with_logits, bce_with_logits_backward, fan_in_uniform,
                                   sgd_step)
 from sabotagebench.training import _fit_step
-
-from conftest import pair_gate_args
 
 MIB = 1 << 20
 
@@ -109,7 +108,8 @@ def test_pair_gate_holds_no_weight_sized_temporaries():
     rng = np.random.default_rng(6)
     table = np.maximum(rng.normal(size=(2 * 64, 6272)).astype(np.float32), 0)
     pairs = build_pair_set(table, np.arange(64), {MODE_SELF: 512, MODE_CROSS: 512}, rng)
-    assert _peak_mib(lambda: train_pair_gate(pairs, 5, **pair_gate_args(epochs=1))) < 45
+    cfg = PipelineConfig(seed=5, mirror_cnn=MirrorCnnConfig(gate_epochs=1))
+    assert _peak_mib(lambda: train_pair_gate(cfg, pairs)) < 45
 
 
 def test_init_draws_no_float64_copy_of_the_weight():
@@ -130,8 +130,9 @@ def test_mirror_embeddings_fill_one_pair_table(monkeypatch):
     # 120.6 MiB at T = 2000, with a 95.7 MiB table. With two embedding tables
     # and their concatenation it grew by 179.1 MiB.
     train, test = synthetic_mnist_set(128, 30), synthetic_mnist_set(2000, 31)
-    cfg = MirrorCnnConfig(subset_size=64, train_pairs_per_mode=8, eval_pairs_per_mode=8,
-                          gate_hidden=4, gate_epochs=1)
+    cfg = PipelineConfig(mirror_cnn=MirrorCnnConfig(
+        subset_size=64, train_pairs_per_mode=8, eval_pairs_per_mode=8, gate_hidden=4,
+        gate_epochs=1))
     train_partial, build = mirror_cnn.train_partial, mirror_cnn.build_pair_set
     phase = {}
 
@@ -152,7 +153,7 @@ def test_mirror_embeddings_fill_one_pair_table(monkeypatch):
     monkeypatch.setattr(mirror_cnn, "build_pair_set", paired)
     tracemalloc.start()
     try:
-        run_mirror_experiment(cfg, ModelConfig(), 0, train, test)
+        run_mirror_experiment(cfg, train, test)
     finally:
         tracemalloc.stop()
     assert phase["table"] == 2 * 2000 * 6272 * 4

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracle_pairs as oracle
 from oracle_table import pair_table
 from sabotagebench import mirror_cnn
+from sabotagebench.config import PipelineConfig
 from sabotagebench.dataset import synthetic_mnist_set
 from sabotagebench.errors import ShapeError, ValidationError
 from sabotagebench.mirror_cnn import (
@@ -34,7 +35,7 @@ from sabotagebench.mirror_cnn import (
 from sabotagebench.models import ModelConfig, SimpleCNN, extract_embeddings
 from sabotagebench.training import _plain_test_error
 
-from conftest import TINY_MODEL, pair_gate_args
+from conftest import TINY_MODEL
 
 
 def toy_tables(rng, n=40, dim=8):
@@ -257,10 +258,10 @@ class TestPairGate:
         emb_a, emb_b = toy_tables(rng)
         unbalanced = make_pairs(emb_a, emb_b, {MODE_SELF: 4, MODE_CROSS: 6}, rng)
         with pytest.raises(ValidationError, match="balanced"):
-            train_pair_gate(unbalanced, 0, **pair_gate_args())
+            train_pair_gate(PipelineConfig(), unbalanced)
         semis = make_pairs(emb_a, emb_b, {MODE_SELF: 4, MODE_SEMISELF: 4}, rng)
         with pytest.raises(ValidationError, match="exactly self and cross"):
-            train_pair_gate(semis, 0, **pair_gate_args())
+            train_pair_gate(PipelineConfig(), semis)
 
     def test_boundary_fraction_validation(self):
         # checked where the experiment's config is built, before any net trains
@@ -274,7 +275,8 @@ class TestPairGate:
         # tables A and B are 3 sigma apart, so this is trivially learnable
         emb_a, emb_b = toy_tables(rng, n=120)
         train = make_pairs(emb_a, emb_b, {MODE_SELF: 200, MODE_CROSS: 200}, rng)
-        gate = train_pair_gate(train, 0, **pair_gate_args(hidden=16, epochs=5))
+        gate = train_pair_gate(PipelineConfig(mirror_cnn=MirrorCnnConfig(
+            gate_hidden=16, gate_epochs=5)), train)
         held = make_pairs(emb_a, emb_b, {MODE_SELF: 100, MODE_CROSS: 100}, rng)
         acc = eval_pairs(gate, held)
         assert acc["overall"] >= 0.95
@@ -283,8 +285,9 @@ class TestPairGate:
     def test_gate_training_is_deterministic(self, rng):
         emb_a, emb_b = toy_tables(rng)
         pairs = make_pairs(emb_a, emb_b, {MODE_SELF: 16, MODE_CROSS: 16}, rng)
-        one = train_pair_gate(pairs, 3, **pair_gate_args(hidden=8, epochs=2))
-        two = train_pair_gate(pairs, 3, **pair_gate_args(hidden=8, epochs=2))
+        cfg = PipelineConfig(seed=3, mirror_cnn=MirrorCnnConfig(gate_hidden=8, gate_epochs=2))
+        one = train_pair_gate(cfg, pairs)
+        two = train_pair_gate(cfg, pairs)
         assert one.params.checksum() == two.params.checksum()
 
 
@@ -322,9 +325,9 @@ class TestConfigAndReport:
         test = synthetic_mnist_set(40, seed=31, image_size=8)
         model = ModelConfig(**TINY_MODEL, image_size=8)
         extras = [
-            run_mirror_experiment(
-                MirrorCnnConfig(subset_size=50, train_pairs_per_mode=20, eval_pairs_per_mode=10,
-                                gate_learning_rate=lr), model, 0, train, test).extras
+            run_mirror_experiment(PipelineConfig(model=model, mirror_cnn=MirrorCnnConfig(
+                subset_size=50, train_pairs_per_mode=20, eval_pairs_per_mode=10,
+                gate_learning_rate=lr)), train, test).extras
             for lr in (0.05, 0.06)
         ]
         assert len(extras[0]["pair_gate_checksum"]) == 64
@@ -335,9 +338,11 @@ class TestConfigAndReport:
     def test_degenerate_pool_split_rejected(self):
         train = synthetic_mnist_set(4, seed=30, image_size=8)
         test = synthetic_mnist_set(1, seed=31, image_size=8)
-        cfg = MirrorCnnConfig(subset_size=1, train_pairs_per_mode=1, eval_pairs_per_mode=1)
+        cfg = PipelineConfig(model=ModelConfig(**TINY_MODEL, image_size=8),
+                             mirror_cnn=MirrorCnnConfig(subset_size=1, train_pairs_per_mode=1,
+                                                        eval_pairs_per_mode=1))
         with pytest.raises(ValidationError, match="pool split degenerate"):
-            run_mirror_experiment(cfg, ModelConfig(**TINY_MODEL, image_size=8), 0, train, test)
+            run_mirror_experiment(cfg, train, test)
 
 
 class TestTrunkPasses:
@@ -346,7 +351,7 @@ class TestTrunkPasses:
         # every other trunk run is a training forward
         train = synthetic_mnist_set(120, seed=30, image_size=8)
         test = synthetic_mnist_set(40, seed=31, image_size=8)
-        cfg = MirrorCnnConfig(subset_size=50, train_pairs_per_mode=20, eval_pairs_per_mode=10)
+        mirror = MirrorCnnConfig(subset_size=50, train_pairs_per_mode=20, eval_pairs_per_mode=10)
         cached, cacheless = [], []
         trunk = SimpleCNN._trunk
 
@@ -355,9 +360,10 @@ class TestTrunkPasses:
             return trunk(self, x, keep_cols)
 
         monkeypatch.setattr(SimpleCNN, "_trunk", counted)
-        run_mirror_experiment(cfg, ModelConfig(**TINY_MODEL, image_size=8), 0, train, test)
+        run_mirror_experiment(PipelineConfig(model=ModelConfig(**TINY_MODEL, image_size=8),
+                                             mirror_cnn=mirror), train, test)
         assert cacheless == [test.count, test.count]
-        assert sum(cached) == 2 * cfg.epochs * cfg.subset_size
+        assert sum(cached) == 2 * mirror.epochs * mirror.subset_size
 
 
 class TestPairTable:
@@ -365,8 +371,9 @@ class TestPairTable:
         # stock shapes; 130 test images end each net's pass in a partial piece
         train = synthetic_mnist_set(128, seed=30)
         test = synthetic_mnist_set(130, seed=31)
-        cfg = MirrorCnnConfig(subset_size=64, train_pairs_per_mode=8, eval_pairs_per_mode=8,
-                              gate_hidden=4, gate_epochs=1)
+        cfg = PipelineConfig(mirror_cnn=MirrorCnnConfig(
+            subset_size=64, train_pairs_per_mode=8, eval_pairs_per_mode=8, gate_hidden=4,
+            gate_epochs=1))
         nets, tables = [], []
         train_partial, build = mirror_cnn.train_partial, mirror_cnn.build_pair_set
 
@@ -380,7 +387,7 @@ class TestPairTable:
 
         monkeypatch.setattr(mirror_cnn, "train_partial", trained)
         monkeypatch.setattr(mirror_cnn, "build_pair_set", paired)
-        report = run_mirror_experiment(cfg, ModelConfig(), 0, train, test)
+        report = run_mirror_experiment(cfg, train, test)
         expected = pair_table(*(extract_embeddings(net, test.images) for net in nets))
         assert tables[0] is tables[1]
         assert tables[0].dtype == expected.dtype and tables[0].tobytes() == expected.tobytes()
@@ -394,12 +401,13 @@ class TestMirrorInvariant:
     def test_semiself_reads_as_self_across_seeds(self):
         train = synthetic_mnist_set(4000, seed=21)
         test = synthetic_mnist_set(1000, seed=22)
-        cfg = MirrorCnnConfig(
+        mirror = MirrorCnnConfig(
             subset_size=1500, train_pairs_per_mode=800, eval_pairs_per_mode=400
         )
         semis = []
         for seed in (5, 6, 7, 8):
-            report = run_mirror_experiment(cfg, ModelConfig(), seed, train, test)
+            report = run_mirror_experiment(PipelineConfig(seed=seed, mirror_cnn=mirror),
+                                           train, test)
             assert report.self_vs_cross_accuracy >= 0.99
             assert report.self_accuracy >= 0.99
             assert report.cross_accuracy >= 0.99

@@ -10,11 +10,13 @@ import pytest
 
 import oracle_training
 from sabotagebench import training
+from sabotagebench.config import PipelineConfig
 from sabotagebench.dataset import SabotageConfig, synthetic_mnist_set
 from sabotagebench.errors import ValidationError
 from sabotagebench.mirror_cnn import (
     MODE_CROSS,
     MODE_SELF,
+    MirrorCnnConfig,
     build_pair_set,
     train_pair_gate,
     train_partial,
@@ -25,7 +27,6 @@ from sabotagebench.quarantine import AdaptiveControllerState
 from sabotagebench.training import (
     GateTrainConfig,
     HardConfig,
-    PipelineConfig,
     SweepConfig,
     TrainConfig,
     _eval_digests,
@@ -41,7 +42,7 @@ from sabotagebench.training import (
     train_soft,
 )
 
-from conftest import med_pipeline, pair_gate_args, tiny_pipeline
+from conftest import med_pipeline, tiny_pipeline
 
 REPORT_KEYS = {
     "method",
@@ -502,10 +503,11 @@ class TestPipelinesMatchOracle:
         # the mirror experiment takes a net's test error from the head over
         # its test embeddings, where the oracle ran the net over the test set
         train, test, _, _ = oracle_case
-        args = (train, ModelConfig(**ORACLE_MODEL), 6, "A", 2, 16, 0.1)
-        net = train_partial(*args)
+        mirror = MirrorCnnConfig(epochs=2, batch_size=16, learning_rate=0.1)
+        net = train_partial(PipelineConfig(seed=6, model=ModelConfig(**ORACLE_MODEL),
+                                           mirror_cnn=mirror), train, "A")
         expected_net, expected_error = oracle_training.train_partial(
-            *args, test if with_test else None
+            train, ModelConfig(**ORACLE_MODEL), 6, "A", 2, 16, 0.1, test if with_test else None
         )
         assert net.params.checksum() == expected_net.params.checksum()
         if with_test:
@@ -568,13 +570,16 @@ class TestTrainingDropsGradients:
         _assert_training_ended(asset.gate, extract_embeddings(body, small[0].images[:4]))
 
     def test_mirror_net(self, small):
-        net = train_partial(small[0], ModelConfig(**ORACLE_MODEL), 6, "A", 1, 16, 0.1)
+        mirror = MirrorCnnConfig(epochs=1, batch_size=16, learning_rate=0.1)
+        net = train_partial(PipelineConfig(seed=6, model=ModelConfig(**ORACLE_MODEL),
+                                           mirror_cnn=mirror), small[0], "A")
         _assert_training_ended(net, small[1].images[:4])
 
     def test_pair_gate(self, rng):
         table = rng.normal(size=(40, 8)).astype(np.float32)
         pairs = build_pair_set(table, np.arange(20), {MODE_SELF: 8, MODE_CROSS: 8}, rng)
-        gate = train_pair_gate(pairs, 0, **pair_gate_args(hidden=4, epochs=1))
+        gate = train_pair_gate(PipelineConfig(mirror_cnn=MirrorCnnConfig(
+            gate_hidden=4, gate_epochs=1)), pairs)
         _assert_training_ended(gate, pairs.features(np.arange(4)))
 
 
