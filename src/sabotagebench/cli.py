@@ -12,13 +12,13 @@ The resolved config is the whole description of a run: `--seed` and
 land in the echoed config.json.  `mirror-text` replays a recorded chat
 session: the bundled one, or the file `mirror_text.fixtures` names.
 
-`run all` reads the dataset once and executes every method on it; each
-method gets its own config tree, with an output subdirectory (its
-config.json names it as `out_dir`) and a seed offset by its position in
-the method list, so the pipelines stay independent whether they run
-sequentially or (with --parallel) as concurrent worker processes.
-The `wall_clock_s` and `resources` in each metadata.json count from the
-experiment's start, so loading the dataset is not included.
+`run all` reads the dataset once and runs every method on it, each in a
+fresh process; --parallel sets only how many run at once. Each method
+gets its own config tree, with an output subdirectory (its config.json
+names it as `out_dir`) and a seed offset by its position in the method
+list. The `wall_clock_s` and `resources` in each metadata.json count from
+the experiment's start, so loading the dataset is not included, and its
+peak RSS is the high-water mark of the process that ran it.
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
     run.add_argument(
         "--parallel",
         action="store_true",
-        help="with 'all': run method pipelines in concurrent processes",
+        help="with 'all': run up to four methods at once",
     )
     run.add_argument(
         "--set",
@@ -194,17 +194,29 @@ def run_single(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet] | None) ->
     return summary
 
 
+def _peak_rss_mb(usage: resource.struct_rusage) -> float:
+    """This process's peak RSS in MiB: VmHWM where /proc/self/status gives
+    it, else `usage.ru_maxrss`."""
+    # exec keeps the parent's high-water mark in ru_maxrss, not in VmHWM
+    with contextlib.suppress(OSError):
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes vs KiB
+    return usage.ru_maxrss * rss_unit / 2**20
+
+
 def _write_metadata(out_dir: Path, started: resource.struct_rusage, clock: float,
                     resolved: dict, payload: dict) -> None:
     """metadata.json: the seconds since `clock` as `wall_clock_s`, `payload`,
     this process's resource use since `started` (faults and CPU seconds;
-    peak RSS is the process's high-water mark), the
+    peak RSS is the process's high-water mark, `_peak_rss_mb`), the
     numpy/BLAS build with the BLAS thread settings as found in the
     environment (None when unset), the OpenBLAS thread count in effect and
     its core name (None without numpy's bundled OpenBLAS), and the resolved
     config's digest."""
     wall_clock_s, now = time.perf_counter() - clock, resource.getrusage(resource.RUSAGE_SELF)
-    rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes vs KiB
     try:
         build = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy before 1.26 prints its config and takes no mode
@@ -216,7 +228,7 @@ def _write_metadata(out_dir: Path, started: resource.struct_rusage, clock: float
             "wall_clock_s": wall_clock_s,
             **payload,
             "resources": {
-                "peak_rss_mb": now.ru_maxrss * rss_unit / 2**20,
+                "peak_rss_mb": _peak_rss_mb(now),
                 "minor_faults": now.ru_minflt - started.ru_minflt,
                 "user_s": now.ru_utime - started.ru_utime,
                 "sys_s": now.ru_stime - started.ru_stime,
@@ -251,16 +263,29 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
     ]
     for job in jobs:
         _make_out_dir(job.out_dir)
-    if parallel:
-        # imported here: every other run would pay for loading the process
-        # pool and multiprocessing at start-up
-        from concurrent.futures import ProcessPoolExecutor
+    # imported here: every other run would pay for loading the process
+    # pool and multiprocessing at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        # initializer, not fork inheritance: the start method may be spawn
-        with ProcessPoolExecutor(max_workers=min(4, len(jobs)), initializer=blas.one_thread) as pool:
-            summaries = list(pool.map(run_single, jobs, [data] * len(jobs)))
-    else:
-        summaries = [run_single(job, data) for job in jobs]
+    # A fresh process per job, so its metadata's resources are its own.
+    # max_tasks_per_child refuses fork; the forkserver forks each job from
+    # one interpreter that has imported the package, sooner than spawn.
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["sabotagebench.cli"])
+    workers = min(4, len(jobs)) if parallel else 1
+    # an initializer: importing the package sets no BLAS thread count
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context, max_tasks_per_child=1,
+                             initializer=blas.one_thread) as pool:
+        futures = []
+        for index, job in enumerate(jobs):
+            # at most `workers` jobs in the pool, since it queues calls
+            # beyond its workers where no cancel reaches them; a failure
+            # raises here, and no later job starts
+            if index >= workers:
+                futures[index - workers].result()
+            futures.append(pool.submit(run_single, job, data))
+        summaries = [future.result() for future in futures]
 
     weights = astuple(cfg.pipeline.lifestar)
     if None not in weights:

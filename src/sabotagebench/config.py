@@ -107,7 +107,6 @@ def _is_number(value: Any) -> bool:
 # For each annotated type: its name in messages, the JSON values it takes,
 # and the value it stores.
 _RULES = {
-    bool: ("a boolean", lambda v: isinstance(v, bool), None),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None),
     # + 0.0 stores -0.0 as 0.0, so no number leaf carries a signed zero
     float: ("a number", _is_number, lambda v: float(v) + 0.0),

@@ -8,8 +8,7 @@ A sample is flagged when w falls strictly below the soft flag threshold.
 The controller holds the flagged fraction inside a target band by moving the
 cutoff tau with negative feedback: too many flags -> flag fewer, too few ->
 flag more. Samples are flagged when their max softmax probability is below
-tau, so "flag fewer" means lowering tau. `literal_step_rule` flips the two
-directions for comparison runs.
+tau, so "flag fewer" means lowering tau.
 """
 
 from dataclasses import dataclass, replace
@@ -66,7 +65,6 @@ class AdaptiveControllerState:
     window: int = 20
     upper_bound: float = 0.15
     lower_bound: float = 0.05
-    literal_step_rule: bool = False
     history: tuple = ()
 
     def __post_init__(self) -> None:
@@ -108,10 +106,10 @@ def adaptive_update(
     tau = state.tau
     if f_avg > state.upper_bound:
         # Too much is being flagged. Samples are flagged when their confidence
-        # is below tau, so negative feedback lowers tau; the literal rule raises it.
-        tau += state.delta if state.literal_step_rule else -state.delta
+        # is below tau, so negative feedback lowers tau.
+        tau -= state.delta
     elif f_avg < state.lower_bound:
-        tau += -state.delta if state.literal_step_rule else state.delta
+        tau += state.delta
     tau = min(max(tau, state.tau_min), state.tau_max)
     return replace(state, tau=tau, history=history)
 

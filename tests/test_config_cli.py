@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import gzip
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -71,10 +72,7 @@ class TestParseOverride:
         assert parse_override("sabotage.rate=0.25") == ("sabotage.rate", 0.25)
 
     def test_json_bool_and_null(self):
-        assert parse_override("adaptive.literal_step_rule=true") == (
-            "adaptive.literal_step_rule",
-            True,
-        )
+        assert parse_override("some.flag=true") == ("some.flag", True)
         assert parse_override("lifestar.alpha=null") == ("lifestar.alpha", None)
 
     def test_json_list(self):
@@ -172,7 +170,6 @@ class TestParseConfig:
             ("train.epochs", True, "expected an integer"),
             ("sabotage.rate", "high", "expected a number"),
             ("sabotage.rate", True, "expected a number"),
-            ("adaptive.literal_step_rule", 1, "expected a boolean"),
             ("dataset.source", 7, "expected a string"),
             ("sweep.thresholds", [0.1, "x"], "expected a list of numbers"),
             ("sweep.thresholds", 0.1, "expected a list of numbers"),
@@ -345,7 +342,7 @@ class TestExperimentConfig:
 
     def test_leaf_count(self):
         # experiment, seed and out_dir, and each section's leaves
-        assert sum(len(v) if isinstance(v, dict) else 1 for v in DEFAULTS.values()) == 51
+        assert sum(len(v) if isinstance(v, dict) else 1 for v in DEFAULTS.values()) == 50
 
 
 # ----------------------------------------------------------- data loading
@@ -523,10 +520,12 @@ class TestRunExitCodes:
         assert "unknown config key: model.small_path_trigger" in capsys.readouterr().err
 
     # label_mode was overwritten for irm and broke every other pipeline
-    # mid-training; beta had one working value, 0
+    # mid-training; beta had one working value, 0; literal_step_rule moved
+    # tau with positive feedback, which left the adaptive net untrained
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     @pytest.mark.parametrize("leaf,value", [("sabotage.label_mode", "reject"),
-                                            ("lifestar.beta", "0")])
+                                            ("lifestar.beta", "0"),
+                                            ("adaptive.literal_step_rule", "true")])
     def test_removed_leaves_are_unknown(self, tmp_path, capsys, monkeypatch,
                                         experiment, leaf, value):
         def load_data(cfg):
@@ -740,7 +739,6 @@ class TestRunExitCodes:
          "model.conv1_channels: expected an integer, got {'x': 1}"),
         ("seed", {"x": 1}, "seed: expected an integer, got {'x': 1}"),
         ("sabotage.rate", "high", "sabotage.rate: expected a number, got 'high'"),
-        ("adaptive.literal_step_rule", 1, "adaptive.literal_step_rule: expected a boolean, got 1"),
         ("sweep.thresholds", [0.1, "x"],
          "sweep.thresholds: expected a list of numbers, got [0.1, 'x']"),
         ("hard.cutoff", True, "hard.cutoff: expected a number or a string, got True"),
@@ -916,6 +914,73 @@ def test_sequential_run_all_builds_the_dataset_once(tiny_config, tmp_path, monke
     out = tmp_path / "out"
     assert run_cli(["run", "all", "--config", str(tiny_config), "--out", str(out)]) == 0
     assert len(calls) == 2
+
+
+def _touch_256_mib() -> None:
+    """Raise this process's high-water mark by 256 MiB, then free it."""
+    block = np.ones(256 * 2**20, dtype=np.uint8)
+    del block
+
+
+def _peak_rss_mb(out: Path) -> float:
+    return json.loads((out / "metadata.json").read_text())["resources"]["peak_rss_mb"]
+
+
+@pytest.fixture(scope="module")
+def sequential_all_dir(tiny_config, tmp_path_factory):
+    """A sequential `run all` in this process, after the process touched
+    256 MiB."""
+    _touch_256_mib()
+    out = tmp_path_factory.mktemp("all_sequential")
+    assert run_cli(["run", "all", "--config", str(tiny_config), "--out", str(out)]) == 0
+    return out
+
+
+class TestOwnPeak:
+    """Each experiment's peak_rss_mb is its own process's high-water mark,
+    though exec keeps the parent's in ru_maxrss. Each run here peaks far
+    below the 256 MiB its parent touched."""
+
+    def test_a_run_started_by_a_bigger_process(self, tiny_config, tmp_path):
+        _touch_256_mib()
+        out = tmp_path / "out"
+        src = Path(cli.__file__).resolve().parent.parent
+        subprocess.run(
+            [sys.executable, "-c", _RUN, "run", "baseline", "--config", str(tiny_config),
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=300,
+            check=True,
+        )
+        assert 0 < _peak_rss_mb(out) < 256
+
+    def test_every_experiment_of_a_sequential_run_all(self, sequential_all_dir):
+        for method in cli.ALL_METHODS:
+            assert 0 < _peak_rss_mb(sequential_all_dir / method) < 256, method
+
+
+def test_sequential_and_parallel_run_all_write_the_same_tree(sequential_all_dir, all_dir):
+    # the benchmark's digest rule: metadata.json skipped, config.json without
+    # out_dir, quarantine logs without latency_s
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location(
+        "tools_compare_artifacts", tools / "compare_artifacts.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    sequential = compare.tree_digests(sequential_all_dir)
+    assert sequential == compare.tree_digests(all_dir)
+    assert {name.split("/")[0] for name in sequential} == {*cli.ALL_METHODS, "lifestar.json"}
+
+
+def test_a_failing_experiment_stops_a_sequential_run_all(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "all", "--config", str(tiny_config), "--out", str(out),
+            "--set", "train.learning_rate=1e30"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.rglob("report_*"))
+    # no later experiment started: each would have echoed its config.json first
+    for method in cli.ALL_METHODS[1:]:
+        assert not any((out / method).iterdir()), method
 
 
 @pytest.mark.parametrize("auc", [0.25, 0.75])
@@ -1206,25 +1271,11 @@ class TestRunMetadata:
             assert len(values) == rows("sweep", f"sweep_tau{tau}_seed4") > 0, tau
 
     def test_parallel_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
-        made = {}
-
-        class Pool:
-            def __init__(self, **kwargs):
-                made.update(kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, data):
-                return [{"experiment": job.data["experiment"]} for job in jobs]
-
-        # run_all imports the pool from concurrent.futures when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        pool = stub_pool(monkeypatch)
         cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=True)
-        assert made["initializer"] is blas.one_thread
+        assert pool.made["initializer"] is blas.one_thread
+        assert pool.made["max_tasks_per_child"] == 1
+        assert pool.made["max_workers"] == 4
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -1297,19 +1348,39 @@ class TestBlasThreads:
         assert blas.in_effect() == {"threads": None, "core": None}
 
 
+def stub_pool(monkeypatch):
+    """Put a stand-in for the process pool in concurrent.futures, where
+    run_all imports it from, and return its class. It records its keyword
+    arguments in `made`, and each submitted job completes at once, without
+    running, with a summary that names the job's experiment."""
+
+    class Pool:
+        made: dict = {}
+
+        def __init__(self, **kwargs):
+            Pool.made = kwargs
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job, data):
+            future = concurrent.futures.Future()
+            future.set_result({"experiment": job.data["experiment"], "detection_f1": 0.8,
+                               "self_vs_cross_accuracy": 0.9})
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return Pool
+
+
 class TestRunAllLifestar:
     """lifestar.json branches, with the per-method runs stubbed out."""
 
-    @staticmethod
-    def fake_run_single(cfg, data):
-        return {
-            "experiment": cfg.data["experiment"],
-            "detection_f1": 0.8,
-            "self_vs_cross_accuracy": 0.9,
-        }
-
     def run(self, tmp_path, monkeypatch, weights):
-        monkeypatch.setattr(cli, "run_single", self.fake_run_single)
+        pool = stub_pool(monkeypatch)
         cfg = parse_config(
             None,
             {
@@ -1318,6 +1389,8 @@ class TestRunAllLifestar:
             },
         )
         cli.run_all(cfg, None, parallel=False)
+        # without --parallel, one job at a time, each in a fresh process
+        assert (pool.made["max_workers"], pool.made["max_tasks_per_child"]) == (1, 1)
         return json.loads((tmp_path / "lifestar.json").read_text())
 
     def test_score_computed(self, tmp_path, monkeypatch):
@@ -1327,6 +1400,6 @@ class TestRunAllLifestar:
                            "self_maint": pytest.approx(0.8), "self_recog": pytest.approx(0.8)}
 
     def test_no_weights_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run_single", self.fake_run_single)
+        stub_pool(monkeypatch)
         cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=False)
         assert not (tmp_path / "lifestar.json").exists()

@@ -172,11 +172,6 @@ class TestAdaptiveUpdate:
         nxt = adaptive_update(state, 0.10)
         assert nxt.tau == pytest.approx(0.5)
 
-    def test_literal_step_rule_flips_direction(self):
-        state = AdaptiveControllerState(tau=0.5, literal_step_rule=True)
-        assert adaptive_update(state, 1.0).tau == pytest.approx(0.51)
-        assert adaptive_update(state, 0.0).tau == pytest.approx(0.49)
-
     def test_window_truncates_history(self):
         state = AdaptiveControllerState(window=3)
         for value in (0.1, 0.2, 0.3, 0.4):
