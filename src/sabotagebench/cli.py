@@ -13,12 +13,13 @@ land in the echoed config.json.  `mirror-text` replays a recorded chat
 session: the bundled one, or the file `mirror_text.fixtures` names.
 
 `run all` reads the dataset once and runs every method on it, each in a
-fresh process; --parallel sets only how many run at once. Each method
-gets its own config tree, with an output subdirectory (its config.json
-names it as `out_dir`) and a seed offset by its position in the method
-list. The `wall_clock_s` and `resources` in each metadata.json count from
-the experiment's start, so loading the dataset is not included, and its
-peak RSS is the high-water mark of the process that ran it.
+fresh process that loads the dataset from one temporary .npz file;
+--parallel sets only how many run at once. Each method gets its own
+config tree, with an output subdirectory (its config.json names it as
+`out_dir`) and a seed offset by its position in the method list. The
+`wall_clock_s` and `resources` in each metadata.json count from the
+experiment's start, so loading the dataset is not included, and its peak
+RSS is the high-water mark of the process that ran it.
 """
 from __future__ import annotations
 
@@ -250,6 +251,28 @@ def _write_metadata(out_dir: Path, started: resource.struct_rusage, clock: float
     )
 
 
+def _save_sets(path: Path, data: tuple[MnistSet, MnistSet]) -> None:
+    """Write the (train, test) sets `data` to the .npz file `path`."""
+    train, test = data
+    np.savez(path, train_images=train.images, train_labels=train.labels,
+             test_images=test.images, test_labels=test.labels)
+
+
+def _run_saved(cfg: ExperimentConfig, sets: Path) -> dict:
+    """run_single on the (train, test) sets `_save_sets` wrote to `sets`,
+    which mirror-text does not read.
+
+    A `run all` job gets its data from a file, not as a pickled argument:
+    its process would hold the pickle beside the arrays rebuilt from it,
+    and its peak RSS would count a second copy of the dataset."""
+    data = None
+    if cfg.data["experiment"] != "mirror-text":
+        with np.load(sets) as saved:
+            data = tuple(MnistSet(saved[f"{part}_images"], saved[f"{part}_labels"])
+                         for part in ("train", "test"))
+    return run_single(cfg, data)
+
+
 def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bool) -> list[dict]:
     """Run every method on `data`, each on its own config tree: its seed
     offset by its position in ALL_METHODS, its own experiment, and a
@@ -266,6 +289,7 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
     # imported here: every other run would pay for loading the process
     # pool and multiprocessing at start-up
     import multiprocessing
+    import tempfile
     from concurrent.futures import ProcessPoolExecutor
 
     # A fresh process per job, so its metadata's resources are its own.
@@ -275,8 +299,11 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
     context.set_forkserver_preload(["sabotagebench.cli"])
     workers = min(4, len(jobs)) if parallel else 1
     # an initializer: importing the package sets no BLAS thread count
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context, max_tasks_per_child=1,
-                             initializer=blas.one_thread) as pool:
+    with (tempfile.TemporaryDirectory(prefix="sabotagebench-") as folder,
+          ProcessPoolExecutor(max_workers=workers, mp_context=context, max_tasks_per_child=1,
+                              initializer=blas.one_thread) as pool):
+        sets = Path(folder) / "sets.npz"
+        _save_sets(sets, data)
         futures = []
         for index, job in enumerate(jobs):
             # at most `workers` jobs in the pool, since it queues calls
@@ -284,7 +311,7 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
             # raises here, and no later job starts
             if index >= workers:
                 futures[index - workers].result()
-            futures.append(pool.submit(run_single, job, data))
+            futures.append(pool.submit(_run_saved, job, sets))
         summaries = [future.result() for future in futures]
 
     weights = astuple(cfg.pipeline.lifestar)

@@ -16,6 +16,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import pickle
 import re
 import shutil
 import struct
@@ -1272,7 +1273,8 @@ class TestRunMetadata:
 
     def test_parallel_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         pool = stub_pool(monkeypatch)
-        cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=True)
+        cfg = parse_config(None, {"out_dir": str(tmp_path)})
+        cli.run_all(cfg, _tiny_sets(), parallel=True)
         assert pool.made["initializer"] is blas.one_thread
         assert pool.made["max_tasks_per_child"] == 1
         assert pool.made["max_workers"] == 4
@@ -1348,17 +1350,24 @@ class TestBlasThreads:
         assert blas.in_effect() == {"threads": None, "core": None}
 
 
+def _tiny_sets():
+    """A (train, test) pair of four 8x8 synthetic images each."""
+    return tuple(cli.synthetic_mnist_set(4, seed, image_size=8) for seed in (0, 1))
+
+
 def stub_pool(monkeypatch):
     """Put a stand-in for the process pool in concurrent.futures, where
     run_all imports it from, and return its class. It records its keyword
-    arguments in `made`, and each submitted job completes at once, without
-    running, with a summary that names the job's experiment."""
+    arguments in `made` and each submitted call in `calls`, and each
+    submitted job completes at once, without running, with a summary that
+    names the job's experiment."""
 
     class Pool:
         made: dict = {}
+        calls: list = []
 
         def __init__(self, **kwargs):
-            Pool.made = kwargs
+            Pool.made, Pool.calls = kwargs, []
 
         def __enter__(self):
             return self
@@ -1366,7 +1375,8 @@ def stub_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, job, data):
+        def submit(self, fn, job, *args):
+            Pool.calls.append((fn, job, *args))
             future = concurrent.futures.Future()
             future.set_result({"experiment": job.data["experiment"], "detection_f1": 0.8,
                                "self_vs_cross_accuracy": 0.9})
@@ -1388,7 +1398,7 @@ class TestRunAllLifestar:
                 **{f"lifestar.{k}": v for k, v in zip(("alpha", "gamma"), weights)},
             },
         )
-        cli.run_all(cfg, None, parallel=False)
+        cli.run_all(cfg, _tiny_sets(), parallel=False)
         # without --parallel, one job at a time, each in a fresh process
         assert (pool.made["max_workers"], pool.made["max_tasks_per_child"]) == (1, 1)
         return json.loads((tmp_path / "lifestar.json").read_text())
@@ -1401,5 +1411,33 @@ class TestRunAllLifestar:
 
     def test_no_weights_no_file(self, tmp_path, monkeypatch):
         stub_pool(monkeypatch)
-        cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), None, parallel=False)
+        cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), _tiny_sets(), parallel=False)
         assert not (tmp_path / "lifestar.json").exists()
+
+
+class TestRunAllHandOff:
+    """`run all` hands each job its data as a file, not as a pickled
+    argument that its process would hold beside the arrays rebuilt from it."""
+
+    def test_a_job_is_sent_without_the_dataset(self, tmp_path, monkeypatch):
+        pool = stub_pool(monkeypatch)
+        data = tuple(cli.synthetic_mnist_set(1000, seed) for seed in (0, 1))  # 3 MiB each
+        cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), data, parallel=False)
+        assert [call[1].data["experiment"] for call in pool.calls] == list(cli.ALL_METHODS)
+        for call in pool.calls:
+            assert len(pickle.dumps(call)) < 2**16
+
+    def test_each_job_reads_the_sets_it_was_given(self, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli, "run_single",
+                            lambda job, data: seen.setdefault(job.data["experiment"], data))
+        data, sets = _tiny_sets(), tmp_path / "sets.npz"
+        cli._save_sets(sets, data)
+        for experiment in ("baseline", "mirror-text"):
+            cli._run_saved(parse_config(None, {"experiment": experiment}), sets)
+        for got, given in zip(seen["baseline"], data):
+            for name in ("images", "labels"):
+                assert getattr(got, name).dtype == getattr(given, name).dtype
+                np.testing.assert_array_equal(getattr(got, name), getattr(given, name))
+        # mirror-text reads no dataset, so its process loads none
+        assert seen["mirror-text"] is None
