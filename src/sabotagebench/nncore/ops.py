@@ -9,28 +9,35 @@ Conventions:
     checks); loss scalars accumulate in float64
 
 conv2d is im2col plus a GEMM, the bias added into the GEMM's output in
-place. `cols` is [N*Ho*Wo, C*kh*kw] with columns in (c, kh, kw) order; it
-is filled by one copy per kernel tap from the channels-last (padded) input,
-and conv2d_backward adds dcols back tap by tap, in (kh, kw) order, into a
-channels-last buffer. The GEMM output rows
-are (n, ho, wo) and its columns k, so `y` is channels-last as it comes out
-of the GEMM and `dy` goes into the GEMMs as it is: a channels-last trunk
-copies nothing between layers. Every GEMM keeps the same operands, layouts
-and transpose flags, and every sum the same order, as the plain NCHW
-im2col version, so results are bit-identical to it. The K-major layout
-([C*kh*kw, N*Ho*Wo], `wmat @ cols`) is cheaper to fill but swaps or
-transposes the GEMM operands; on small shapes NumPy and OpenBLAS then pick
-other kernels (GEMV, small-matrix GEMM) that round differently.
+place. `cols` is [N*Ho*Wo, kh*kw*C], tap-major: its columns run in
+(kh, kw, c) order, and the kernel matrix is `w` transposed to match,
+[K, kh*kw*C]. In a channels-last input each kernel row's kw*C values are
+one contiguous run, so one np.copyto from an as_strided view of the
+(padded) input fills a block of columns. The GEMM output rows are
+(n, ho, wo) and its columns k, so `y` is channels-last as it comes out of
+the GEMM and `dy` goes into the GEMMs as it is: a channels-last trunk
+copies nothing between layers.
 
-The forward GEMM and the dcols GEMM run one block of images at a time.
+conv2d_backward builds dx with one [B*Ho*Wo, K] @ [K, C] GEMM per kernel
+tap into one reused [B*Ho*Wo, C] buffer, added into the padded gradient
+while the block is in cache, taps in (kh, kw) order. It builds no
+[N*Ho*Wo, kh*kw*C] column gradient. dw is one GEMM over the tap-major
+`cols`, transposed back to [K, C, kh, kw], and db one sum over all rows.
+
+The test oracle (tests/oracle_ops.py) is this formulation on NCHW arrays,
+unblocked: every GEMM keeps its operands, layouts and transpose flags, and
+every sum its order, so results match it byte for byte. A K-major layout
+([kh*kw*C, N*Ho*Wo], `wmat @ cols`) would swap the GEMM operands; on small
+shapes NumPy and OpenBLAS then pick other kernels (GEMV, small-matrix
+GEMM) that round differently.
+
+The forward GEMM and the dx GEMMs run one block of images at a time.
 conv2d fills each block's columns and multiplies them into its rows of
 `y`: the training forward fills its block of the whole batch's `cols`,
 which dw reads, and with keep_cols False (every inference pass) one
 reused buffer holds a block, so the full-size matrix (conv2's is 27.6 MiB
 at batch 64) is never allocated. Training and inference forwards thus run
-one computation at every shape. conv2d_backward computes dcols a block at
-a time and adds each into dx while it is in cache; dw and db stay one GEMM
-and one sum over all rows. A GEMM's output
+one computation at every shape. A GEMM's output
 row depends only on its row of the left operand, so a block keeps the
 bytes of the whole GEMM's rows as long as OpenBLAS runs the same kernel
 for both. At one thread (see blas.py) it does while M stays large: each
@@ -62,6 +69,7 @@ gives exactly dy or +0.0, as np.where(idx == q, dy, 0) does.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ShapeError, ValidationError
 
@@ -73,9 +81,9 @@ def _check_image_batch(name: str, x: np.ndarray) -> None:
 
 # ---------------------------------------------------------------- conv2d
 
-# im2col, its scatter and the blocked GEMMs run over blocks of images whose
-# columns take about _BLOCK_BYTES, so a block's columns are still in L2 when
-# the next step reads them
+# im2col and the blocked GEMMs run over blocks of images whose columns take
+# about _BLOCK_BYTES, so a block's columns are still in L2 when the next
+# step reads them
 _BLOCK_BYTES = 1 << 20
 
 
@@ -90,21 +98,11 @@ def _image_blocks(n: int, image_bytes: int) -> list[slice]:
 
 
 def _fill_cols(dst: np.ndarray, src: np.ndarray) -> None:
-    """im2col of a block: dst [B,Ho,Wo,C,kh,kw] from the padded src
-    [B,Hp,Wp,C], one copy per kernel tap."""
-    _, ho, wo, _, kh, kw = dst.shape
-    for i in range(kh):
-        for j in range(kw):
-            dst[..., i, j] = src[:, i : i + ho, j : j + wo]
-
-
-def _add_cols(dst: np.ndarray, src: np.ndarray) -> None:
-    """The adjoint of _fill_cols: add src [B,Ho,Wo,C,kh,kw] into the padded
-    dst [B,Hp,Wp,C], tap by tap in (kh, kw) order."""
-    _, ho, wo, _, kh, kw = src.shape
-    for i in range(kh):
-        for j in range(kw):
-            dst[:, i : i + ho, j : j + wo] += src[..., i, j]
+    """im2col of a block: dst [B,Ho,Wo,kh,kw,C] from the padded src
+    [B,Hp,Wp,C], in one copy from a view whose tap axes step like src's
+    rows and columns."""
+    sn, sh, sw, sc = src.strides
+    np.copyto(dst, as_strided(src, dst.shape, (sn, sh, sw, sh, sw, sc), writeable=False))
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0,
@@ -136,19 +134,19 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0,
         xh[:, padding : padding + h, padding : padding + wd] = x
     else:
         xh = x
-    wmat = w.reshape(k, c * kh * kw)
-    # cols: [N,Ho,Wo,C,kh,kw] -> [N*Ho*Wo, C*kh*kw]
-    blocks = _image_blocks(n, ho * wo * c * kh * kw * x.dtype.itemsize)
+    wmat = w.transpose(0, 2, 3, 1).reshape(k, kh * kw * c)
+    # cols: [N,Ho,Wo,kh,kw,C] -> [N*Ho*Wo, kh*kw*C]
+    blocks = _image_blocks(n, ho * wo * kh * kw * c * x.dtype.itemsize)
     # the whole batch's columns, which the backward reads, or one reused block
     cols = np.empty((n if keep_cols else blocks[-1].stop - blocks[-1].start,
-                     ho, wo, c, kh, kw), dtype=x.dtype)
+                     ho, wo, kh, kw, c), dtype=x.dtype)
     y = np.empty((n * ho * wo, k), dtype=np.result_type(x, w))
     for blk in blocks:
         block = cols[blk] if keep_cols else cols[: blk.stop - blk.start]
         _fill_cols(block, xh[blk])
         rows = slice(blk.start * ho * wo, blk.stop * ho * wo)
-        np.matmul(block.reshape(-1, c * kh * kw), wmat.T, out=y[rows])
-    cache = (cols.reshape(n * ho * wo, c * kh * kw), wmat, w.shape, x.shape,
+        np.matmul(block.reshape(-1, kh * kw * c), wmat.T, out=y[rows])
+    cache = (cols.reshape(n * ho * wo, kh * kw * c), wmat, w.shape, x.shape,
              padding) if keep_cols else None
     y += b
     return y.reshape(n, ho, wo, k), cache
@@ -158,9 +156,9 @@ def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
     """Gradients of conv2d: returns (dx, dw, db).
 
     dy and dx are channels-last like conv2d's output and input; with padding,
-    dx is a view into the padded gradient buffer. With input_grad False, dx
-    is None and its GEMMs and scatter are skipped; dw and db are the same
-    bytes either way.
+    dx is a view into the padded gradient buffer. dw is a [K,C,kh,kw] view
+    of the tap-major GEMM's output. With input_grad False, dx is None and
+    its GEMMs are skipped; dw and db are the same bytes either way.
     """
     cols, wmat, wshape, xshape, padding = cache
     k, c, kh, kw = wshape
@@ -168,20 +166,24 @@ def conv2d_backward(dy: np.ndarray, cache, input_grad: bool = True):
     hp, wp = h + 2 * padding, wd + 2 * padding
     ho, wo = hp - kh + 1, wp - kw + 1
     dy2 = dy.reshape(n * ho * wo, k)
-    db = dy2.sum(axis=0, dtype=dy.dtype)
-    dw = (dy2.T @ cols).reshape(wshape)
+    db = np.einsum("ij->j", dy2)
+    dw = (dy2.T @ cols).reshape(k, kh, kw, c).transpose(0, 3, 1, 2)
     if not input_grad:
         return None, dw, db
-    # dcols of one block of images at a time, [B*Ho*Wo, C*kh*kw] in one
-    # reused buffer, added into the padded input gradient while in cache
+    # one block of images at a time, each tap's [B*Ho*Wo, C] input gradient
+    # in one reused buffer, added into the padded input gradient while in cache
+    taps = np.ascontiguousarray(wmat.reshape(k, kh, kw, c).transpose(1, 2, 0, 3))
     dxh = np.zeros((n, hp, wp, c), dtype=dy.dtype)
-    blocks = _image_blocks(n, ho * wo * c * kh * kw * dy.dtype.itemsize)
-    buf = np.empty(((blocks[-1].stop - blocks[-1].start) * ho * wo, c * kh * kw),
+    blocks = _image_blocks(n, ho * wo * kh * kw * c * dy.dtype.itemsize)
+    buf = np.empty(((blocks[-1].stop - blocks[-1].start) * ho * wo, c),
                    dtype=np.result_type(dy, wmat))
     for blk in blocks:
         rows = slice(blk.start * ho * wo, blk.stop * ho * wo)
-        dcols = np.matmul(dy2[rows], wmat, out=buf[: rows.stop - rows.start])
-        _add_cols(dxh[blk], dcols.reshape(-1, ho, wo, c, kh, kw))
+        grad = buf[: rows.stop - rows.start]
+        for i in range(kh):
+            for j in range(kw):
+                np.matmul(dy2[rows], taps[i, j], out=grad)
+                dxh[blk, i : i + ho, j : j + wo] += grad.reshape(-1, ho, wo, c)
     return dxh[:, padding : padding + h, padding : padding + wd], dw, db
 
 

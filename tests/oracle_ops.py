@@ -1,8 +1,15 @@
-"""The four image ops as they were before the channels-last rewrite.
+"""The four image ops on NCHW arrays, unblocked, as test-only oracles.
 
-Test-only oracle: `conv2d`, `conv2d_backward`, `maxpool2x2` and
-`maxpool2x2_backward` are kept verbatim so the engine's versions can be
-checked against them byte for byte. Do not edit them.
+`conv2d`, `conv2d_backward`, `maxpool2x2` and `maxpool2x2_backward` hold
+the arithmetic of the engine's ops, so the engine's versions can be checked
+against them byte for byte. The conv is a tap-major im2col (columns in
+(kh, kw, c) order) with one GEMM over the whole batch, and its input
+gradient one GEMM per kernel tap, added in (kh, kw) order.
+
+`conv2d_channel_major` and `conv2d_backward_channel_major` are the
+(c, kh, kw) im2col that the engine ran before it turned tap-major, kept
+verbatim: its forward GEMM sums in another order, so the engine matches it
+within a rounding tolerance, not byte for byte.
 """
 
 import numpy as np
@@ -44,6 +51,66 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
     else:
         xp = x
     ho, wo = hp - kh + 1, wp - kw + 1
+    # windows: [N, C, Ho, Wo, kh, kw] -> cols: [N*Ho*Wo, kh*kw*C]
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 4, 5, 1))
+    cols = cols.reshape(n * ho * wo, kh * kw * c)
+    wmat = w.transpose(0, 2, 3, 1).reshape(k, kh * kw * c)
+    y = cols @ wmat.T + b
+    y = y.reshape(n, ho, wo, k).transpose(0, 3, 1, 2)
+    cache = (cols, w, x.shape, padding)
+    return np.ascontiguousarray(y), cache
+
+
+def conv2d_backward(dy: np.ndarray, cache):
+    """Gradients of conv2d: returns (dx, dw, db)."""
+    cols, w, xshape, padding = cache
+    k, c, kh, kw = w.shape
+    n, _, h, wd = xshape
+    ho, wo = h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1
+    dy2 = dy.transpose(0, 2, 3, 1).reshape(n * ho * wo, k)
+    # row by row, as dy2.sum(axis=0) adds them for K > 1; with K = 1 the
+    # two sum one column in different orders
+    db = np.einsum("ij->j", dy2)
+    dw = (dy2.T @ cols).reshape(k, kh, kw, c).transpose(0, 3, 1, 2)
+    # one GEMM per kernel tap, [N*Ho*Wo, K] @ [K, C], added into the padded input
+    dxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=dy.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            tap = dy2 @ np.ascontiguousarray(w[:, :, i, j])
+            dxp[:, :, i : i + ho, j : j + wo] += tap.reshape(n, ho, wo, c).transpose(0, 3, 1, 2)
+    if padding:
+        dx = dxp[:, :, padding:-padding, padding:-padding]
+    else:
+        dx = dxp
+    return np.ascontiguousarray(dx), np.ascontiguousarray(dw), db
+
+
+def conv2d_channel_major(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
+    """Stride-1 2-D convolution (cross-correlation) with symmetric padding.
+
+    x: [N,C,H,W], w: [K,C,kh,kw], b: [K] -> y: [N,K,H',W'] where
+    H' = H + 2*padding - kh + 1.
+    """
+    _check_image_batch("conv2d input", x)
+    if w.ndim != 4:
+        raise ShapeError(f"conv2d kernel must be [K,C,kh,kw], got shape {tuple(w.shape)}")
+    n, c, h, wd = x.shape
+    k, cw, kh, kw = w.shape
+    if cw != c:
+        raise ShapeError(f"conv2d channel mismatch: input C={c}, kernel C={cw}")
+    if b.shape != (k,):
+        raise ShapeError(f"conv2d bias must be [{k}], got shape {tuple(b.shape)}")
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    if kh > hp or kw > wp:
+        raise ShapeError(
+            f"conv2d kernel {kh}x{kw} larger than padded input {hp}x{wp}"
+        )
+    if padding:
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    else:
+        xp = x
+    ho, wo = hp - kh + 1, wp - kw + 1
     # windows: [N, C, Ho, Wo, kh, kw] -> cols: [N*Ho*Wo, C*kh*kw]
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
@@ -55,8 +122,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int = 0):
     return np.ascontiguousarray(y), cache
 
 
-def conv2d_backward(dy: np.ndarray, cache):
-    """Gradients of conv2d: returns (dx, dw, db)."""
+def conv2d_backward_channel_major(dy: np.ndarray, cache):
+    """Gradients of conv2d_channel_major: returns (dx, dw, db)."""
     cols, wmat, wshape, xshape, padding = cache
     k, c, kh, kw = wshape
     n, _, h, wd = xshape

@@ -120,7 +120,7 @@ class TestSimpleCNN:
 
 class TestEngineMatchesOracle:
     """One training step with the engine's conv/pool ops and one with the
-    pre-rewrite oracle ops must leave bit-identical parameters. The oracle
+    `oracle_ops` ones must leave bit-identical parameters. The oracle
     ops are NCHW; they are wrapped with transposes at the call boundary to
     take and return the engine's channels-last arrays."""
 

@@ -1,4 +1,6 @@
-"""The engine's conv and pool ops against the pre-rewrite oracle, byte for byte.
+"""The engine's conv and pool ops against the NCHW oracles, byte for byte,
+and the conv within a stated rounding bound of the (c, kh, kw) im2col it
+replaced and of a float64 direct sum.
 
 Bytes, not values: relu is `x * mask`, so pool inputs hold -0.0, and
 `array_equal` would count -0.0 and 0.0 as equal.
@@ -61,29 +63,39 @@ def check_conv(x, kernel, bias, padding, dy_rng):
     assert_same_bytes(db, db_old)
 
 
+# a random conv: dtype, kernel size, padding and NCHW shape
+CONV_CASES = given(
+    dtype=st.sampled_from(DTYPES),
+    ksize=st.sampled_from([1, 3, 5]),
+    padding=st.integers(0, 2),
+    n=st.integers(1, 9),
+    c=st.integers(1, 6),
+    k=st.integers(1, 6),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    relu_input=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def random_conv(dtype, ksize, padding, n, c, k, h, w, relu_input, seed):
+    """(x, kernel, bias, padding, rng) of one CONV_CASES draw; rng then
+    draws dy."""
+    assume(h + 2 * padding >= ksize and w + 2 * padding >= ksize)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, w)).astype(dtype)
+    if relu_input:
+        x = relu(x)
+    kernel = rng.normal(size=(k, c, ksize, ksize)).astype(dtype)
+    bias = rng.normal(size=k).astype(dtype)
+    return x, kernel, bias, padding, rng
+
+
 class TestConvAgainstOracle:
     @settings(max_examples=150, deadline=None)
-    @given(
-        dtype=st.sampled_from(DTYPES),
-        ksize=st.sampled_from([1, 3, 5]),
-        padding=st.integers(0, 2),
-        n=st.integers(1, 9),
-        c=st.integers(1, 6),
-        k=st.integers(1, 6),
-        h=st.integers(1, 12),
-        w=st.integers(1, 12),
-        relu_input=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @CONV_CASES
     def test_forward_and_gradients(self, dtype, ksize, padding, n, c, k, h, w, relu_input, seed):
-        assume(h + 2 * padding >= ksize and w + 2 * padding >= ksize)
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, c, h, w)).astype(dtype)
-        if relu_input:
-            x = relu(x)
-        kernel = rng.normal(size=(k, c, ksize, ksize)).astype(dtype)
-        bias = rng.normal(size=k).astype(dtype)
-        check_conv(x, kernel, bias, padding, rng)
+        check_conv(*random_conv(dtype, ksize, padding, n, c, k, h, w, relu_input, seed))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n", [1, 64])
@@ -215,6 +227,79 @@ class TestBlockedConv:
         kernel = rng.normal(size=(k, c, 3, 3)).astype(np.float32)
         bias = rng.normal(size=k).astype(np.float32)
         check_conv(x, kernel, bias, 1, rng)
+
+
+def gamma(terms: int, dtype) -> float:
+    """The classical bound on the relative error of a sum of `terms` rounded
+    products, in any order: |computed - exact| <= gamma * sum |term|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1)."""
+    nu = terms * np.finfo(dtype).eps / 2
+    return nu / (1 - nu)
+
+
+def direct_conv64(x, kernel, bias, padding, dy):
+    """y, dx, dw and db of a stride-1 conv as float64 sums over the kernel
+    taps, with no im2col; all NCHW."""
+    x, kernel, bias, dy = (np.asarray(a, dtype=np.float64) for a in (x, kernel, bias, dy))
+    ho, wo = dy.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    y = np.zeros(dy.shape) + bias[:, None, None]
+    dxp = np.zeros(xp.shape)
+    dw = np.empty(kernel.shape)
+    for i in range(kernel.shape[2]):
+        for j in range(kernel.shape[3]):
+            window = xp[:, :, i : i + ho, j : j + wo]
+            y += np.einsum("nchw,kc->nkhw", window, kernel[:, :, i, j])
+            dxp[:, :, i : i + ho, j : j + wo] += np.einsum("nkhw,kc->nchw", dy, kernel[:, :, i, j])
+            dw[:, :, i, j] = np.einsum("nkhw,nchw->kc", dy, window)
+    dx = dxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
+    return y, dx, dw, dy.sum(axis=(0, 2, 3))
+
+
+def check_conv_rounding(x, kernel, bias, padding, dy_rng):
+    """The engine's conv2d and conv2d_backward against the (c, kh, kw)
+    formulation and against the float64 direct sum. Each of the three is
+    within gamma(L) * sum |term| of the exact result, L being the output's
+    number of terms: C*kh*kw + 1 for y (the bias included), K*kh*kw for dx,
+    N*Ho*Wo for dw and db. So any two of them differ by at most twice that
+    (the float64 sum's own bound is at most the dtype's)."""
+    k, c, kh, kw = kernel.shape
+    y, cache = conv2d(nhwc(x), kernel, bias, padding)
+    y_old, cache_old = oracle.conv2d_channel_major(x, kernel, bias, padding)
+    dy = dy_rng.normal(size=y_old.shape).astype(x.dtype)
+    dx, dw, db = conv2d_backward(nhwc(dy), cache)
+    old = (y_old, *oracle.conv2d_backward_channel_major(dy, cache_old))
+    exact = direct_conv64(x, kernel, bias, padding, dy)
+    magnitude = direct_conv64(abs(x), abs(kernel), abs(bias), padding, abs(dy))
+    rows = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    terms = (c * kh * kw + 1, k * kh * kw, rows, rows)
+    for name, new, before, ref, size, count in zip(
+        ("y", "dx", "dw", "db"), (nchw(y), nchw(dx), dw, db), old, exact, magnitude, terms
+    ):
+        bound = 2 * gamma(count, x.dtype) * size
+        for other in (before, ref):
+            excess = np.abs(new.astype(np.float64) - other) - bound
+            assert excess.max() <= 0, f"{name} exceeds its rounding bound by {excess.max()}"
+
+
+class TestConvRoundingBound:
+    """The tap-major engine changes y's bytes (and conv1's dx, and db with
+    K = 1) against the (c, kh, kw) im2col it replaced; every output stays
+    within the rounding bound of check_conv_rounding of both that
+    formulation and a float64 direct sum."""
+
+    @settings(max_examples=100, deadline=None)
+    @CONV_CASES
+    def test_hypothesis_shapes(self, dtype, ksize, padding, n, c, k, h, w, relu_input, seed):
+        check_conv_rounding(*random_conv(dtype, ksize, padding, n, c, k, h, w, relu_input, seed))
+
+    @pytest.mark.parametrize("layer", sorted(STOCK_CONVS))
+    def test_stock_shapes(self, rng, layer):
+        c, k = STOCK_CONVS[layer]
+        x = relu(rng.normal(size=(64, c, 28, 28))).astype(np.float32)
+        kernel = rng.normal(size=(k, c, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=k).astype(np.float32)
+        check_conv_rounding(x, kernel, bias, 1, rng)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,7 @@
 """The comparison tools under `tools/`: the artifact differ's key paths and
-the A/B benchmark's verdict and seed ranges. A change's byte-identity and
-benchmark claims rest on them. The modules are loaded by path, and nothing
-here starts a subprocess."""
+the A/B benchmark's verdict, seed ranges and workload names. A change's
+byte-identity and benchmark claims rest on them. The modules are loaded by
+path, and nothing here starts a subprocess."""
 
 import argparse
 import importlib.util
@@ -108,6 +108,19 @@ class TestVerdict:
 
     def test_a_flat_change_is_unresolved(self):
         assert ab_bench.verdict(_scaled(10, 9.5, 10.5, 10, 5), 10, True, 0.25) == "unresolved"
+
+
+class TestWorkloadChoice:
+    def test_all_is_refused_before_any_run(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may run before the arguments are checked")
+
+        for name in ("git", "export", "copy_worktree", "bench"):
+            monkeypatch.setattr(ab_bench, name, refuse)
+        with pytest.raises(SystemExit) as exited:
+            ab_bench.main(["HEAD", "--workload", "all", "--pairs", "1", "--seeds", "5"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'all'" in capsys.readouterr().err
 
 
 class TestSeedRange:

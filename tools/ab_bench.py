@@ -3,6 +3,9 @@
     python3 tools/ab_bench.py REV --workload W --pairs N --seeds A-B
                               [--seconds S] [--out FILE]
 
+W is one of the benchmark's workloads (`bench.workloads.WORKLOADS`); to
+cover several, run the tool once for each.
+
 REV (a commit, branch or tag) is exported with `git archive` into a
 temporary directory, and the working tree is copied into another: the files
 git tracks or does not ignore, as they are on disk, so neither side starts
@@ -32,7 +35,8 @@ range of REV's runs; `regression` when its median is worse than REV's by
 more than the metric's relative `bound` in `BENCHMARK.json`; `unresolved`
 otherwise.
 
-Exit status: 0 when every run finished, 2 when a benchmark run failed.
+Exit status: 0 when every run finished, 2 when the arguments are refused or
+a benchmark run failed.
 """
 from __future__ import annotations
 
@@ -49,6 +53,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from bench.workloads import WORKLOADS  # noqa: E402
+
 # bench/run.py prints the unscaled medians on one line
 MEASURED = re.compile(r"as measured: setup_s (\S+) s, run_s (\S+) s; reference job (\S+) s")
 
@@ -157,7 +165,9 @@ def reference(pairs: list[dict]) -> dict:
 def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to benchmark the working tree against")
-    parser.add_argument("--workload", required=True)
+    # one workload per file entry: `bench/run.py --workload all` names its
+    # metrics per workload, and the pairs read the bare names
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
     parser.add_argument("--seconds", type=float, default=30,
