@@ -12,6 +12,10 @@ The resolved config is the whole description of a run: `--seed` and
 land in the echoed config.json.  `mirror-text` replays a recorded chat
 session: the bundled one, or the file `mirror_text.fixtures` names.
 
+Before anything trains, `cmd_run` makes every directory the run writes
+(`out_dir` and each `run all` job's), reads any mirror-text fixtures it
+replays and loads the dataset; a failure there removes what it made.
+
 `run all` reads the dataset once and runs every method on it, each in a
 fresh process that loads the dataset from one temporary .npz file;
 --parallel sets only how many run at once. Each method gets its own
@@ -112,31 +116,26 @@ def load_data(cfg: ExperimentConfig) -> tuple[MnistSet, MnistSet]:
         except ValidationError as exc:
             raise ConfigError(f"model.image_size: {exc}") from exc
     if cfg.data["experiment"] in ("mirror-cnn", "all"):
-        check_sizes(cfg, train.count, test.count)
+        mirror = cfg.pipeline.mirror_cnn
+        if 2 * mirror.subset_size > train.count:
+            raise ConfigError(
+                f"mirror_cnn.subset_size: two disjoint subsets of {mirror.subset_size} "
+                f"images need {2 * mirror.subset_size}, but the train set has {train.count}"
+            )
+        try:
+            pool_split(test.count, mirror.train_pool_fraction)
+        except ValidationError as exc:
+            raise ConfigError(
+                f"mirror_cnn.train_pool_fraction: {mirror.train_pool_fraction} of the "
+                f"{test.count} test images leaves no train or no eval pool ({exc})"
+            ) from exc
     return train, test
 
 
-def check_sizes(cfg: ExperimentConfig, train_count: int, test_count: int) -> None:
-    """Raise ConfigError when the mirror-cnn subsets do not fit the data,
-    before anything trains."""
-    mirror = cfg.pipeline.mirror_cnn
-    if 2 * mirror.subset_size > train_count:
-        raise ConfigError(
-            f"mirror_cnn.subset_size: two disjoint subsets of {mirror.subset_size} "
-            f"images need {2 * mirror.subset_size}, but the train set has {train_count}"
-        )
-    try:
-        pool_split(test_count, mirror.train_pool_fraction)
-    except ValidationError as exc:
-        raise ConfigError(
-            f"mirror_cnn.train_pool_fraction: {mirror.train_pool_fraction} of the "
-            f"{test_count} test images leaves no train or no eval pool ({exc})"
-        ) from exc
-
-
-def _make_out_dir(out_dir: Path) -> None:
-    """Create `out_dir` and its parents; one that cannot be made is a
-    config error."""
+def _make_out_dir(out_dir: Path, made: list[Path]) -> None:
+    """Create `out_dir` and its parents, each new one put first in `made`
+    (deepest first); one that cannot be made is a config error."""
+    made[:0] = [folder for folder in (out_dir, *out_dir.parents) if not folder.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -273,19 +272,22 @@ def _run_saved(cfg: ExperimentConfig, sets: Path) -> dict:
     return run_single(cfg, data)
 
 
-def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bool) -> list[dict]:
-    """Run every method on `data`, each on its own config tree: its seed
-    offset by its position in ALL_METHODS, its own experiment, and a
-    subdirectory of `cfg.out_dir` as its out_dir. Every subdirectory is made
-    before any method runs."""
-    out_root = cfg.out_dir
-    jobs = [
+def _jobs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
+    """The runs `cfg` asks for: itself, or under `all` one config tree per
+    method (see the module docstring)."""
+    if cfg.data["experiment"] != "all":
+        return [cfg]
+    return [
         ExperimentConfig({**cfg.data, "seed": cfg.seed + index, "experiment": experiment,
-                          "out_dir": str(out_root / experiment)})
+                          "out_dir": str(cfg.out_dir / experiment)})
         for index, experiment in enumerate(ALL_METHODS)
     ]
-    for job in jobs:
-        _make_out_dir(job.out_dir)
+
+
+def run_all(cfg: ExperimentConfig, jobs: list[ExperimentConfig],
+            data: tuple[MnistSet, MnistSet], parallel: bool) -> list[dict]:
+    """Run the `jobs` of the `run all` config `cfg` on `data`, each into its
+    out_dir, which exists, and write lifestar.json when `cfg` weighs it."""
     # imported here: every other run would pay for loading the process
     # pool and multiprocessing at start-up
     import multiprocessing
@@ -317,7 +319,7 @@ def run_all(cfg: ExperimentConfig, data: tuple[MnistSet, MnistSet], parallel: bo
     weights = astuple(cfg.pipeline.lifestar)
     if None not in weights:
         by_name = {s["experiment"]: s for s in summaries}
-        reporting.write_json(out_root / "lifestar.json", lifestar(
+        reporting.write_json(cfg.out_dir / "lifestar.json", lifestar(
             weights, by_name["irm"]["detection_f1"],
             by_name["mirror-cnn"]["self_vs_cross_accuracy"]))
     return summaries
@@ -331,11 +333,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["out_dir"] = args.out
     overrides["experiment"] = args.experiment
     cfg = parse_config(args.config, overrides)
-    made = [folder for folder in (cfg.out_dir, *cfg.out_dir.parents) if not folder.exists()]
-    _make_out_dir(cfg.out_dir)
+    jobs, made = _jobs(cfg), []
     try:
+        for out_dir in dict.fromkeys((cfg.out_dir, *(job.out_dir for job in jobs))):
+            _make_out_dir(out_dir, made)
+        if args.experiment in ("mirror-text", "all"):
+            # imported here so the other experiments never load mirror_text
+            from .mirror_text import import_fixtures
+
+            import_fixtures(cfg.pipeline.mirror_text.fixtures)
         data = None if args.experiment == "mirror-text" else load_data(cfg)
-    except ConfigError:
+    except WorkbenchError:
         # a run that cannot start removes the directories it made, deepest
         # first; one it cannot remove (a path through "..", say) stays
         for folder in made:
@@ -343,7 +351,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 folder.rmdir()
         raise
     if args.experiment == "all":
-        summaries = run_all(cfg, data, args.parallel)
+        summaries = run_all(cfg, jobs, data, args.parallel)
     else:
         summaries = [run_single(cfg, data)]
     for summary in summaries:

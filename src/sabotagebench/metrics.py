@@ -28,10 +28,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValidationError("confusion counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(flags, sabotage_mask) -> ConfusionCounts:
     """Flag-vs-sabotage confusion: TP = flagged & sabotaged, FP = flagged & clean."""

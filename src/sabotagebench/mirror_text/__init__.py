@@ -211,8 +211,8 @@ def _add_once(table: dict, key, value, line_no: int, kind: str) -> None:
     table[key] = value
 
 
-def import_fixtures(path: str | Path) -> FixtureSet:
-    """Parse a fixture file into a FixtureSet.
+def import_fixtures(path: str | Path | None = None) -> FixtureSet:
+    """Parse a fixture file (default: the bundled one) into a FixtureSet.
 
     One JSON object per line, its "kind" one of meta, answer,
     guess_script, ranking or outcome. Any malformed, unrecognised or
@@ -224,6 +224,7 @@ def import_fixtures(path: str | Path) -> FixtureSet:
     rankings: dict[str, RankingMatrix] = {}
     outcomes: dict[str, int] = {}
     meta: dict[str, str] | None = None
+    path = bundled_fixture_path() if path is None else path
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -366,7 +367,7 @@ def run_mirror_text_experiment(fixtures_path: str | Path | None = None) -> Mirro
     checked against them so scripts and recorded scores cannot drift
     apart.
     """
-    fixtures = import_fixtures(bundled_fixture_path() if fixtures_path is None else fixtures_path)
+    fixtures = import_fixtures(fixtures_path)
     guesses = {s: _guesses(s, fixtures.guess_scripts[s]) for s in SYSTEM_IDS}
     recognition = []
     for sys_id in SYSTEM_IDS:

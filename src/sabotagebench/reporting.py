@@ -4,7 +4,8 @@ Reports are written with sorted keys, fixed indentation, and no NaN
 tokens, so a rerun with the same resolved config and seed produces
 byte-identical files.  Everything run-dependent but not result-bearing
 (timestamps, wall-clock, per-batch latencies, transcripts) goes to a
-separate metadata file that is excluded from that guarantee.
+separate metadata file that is excluded from that guarantee.  Each writer
+expects its directory to exist: the CLI makes a run's before anything trains.
 """
 from __future__ import annotations
 
@@ -29,13 +30,11 @@ def canonical_json(payload: Any) -> str:
 
 
 def write_json(path: Path, payload: Any) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_json(payload), encoding="utf-8")
     return path
 
 
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(header))
@@ -45,7 +44,7 @@ def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> Pa
 
 
 def echo_config(out_dir: Path, resolved: Mapping) -> Path:
-    return write_json(Path(out_dir) / "config.json", dict(resolved))
+    return write_json(out_dir / "config.json", dict(resolved))
 
 
 def config_digest(resolved: Mapping) -> str:
@@ -57,8 +56,7 @@ def config_digest(resolved: Mapping) -> str:
 
 def write_metadata(out_dir: Path, payload: dict) -> Path:
     payload = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **payload}
-    path = Path(out_dir) / "metadata.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "metadata.json"
     path.write_text(json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8")
     return path
 
@@ -72,7 +70,6 @@ def write_quarantine_log(path: Path, report: RunReport) -> Path:
 
 def write_run_report(out_dir: Path, report: RunReport) -> None:
     """report_<method>_seed<N>.json + epoch and quarantine CSVs."""
-    out_dir = Path(out_dir)
     tag = f"{report.method}_seed{report.seed}"
     write_json(out_dir / f"report_{tag}.json", report.to_json_dict())
     write_csv(
@@ -89,7 +86,6 @@ def write_sweep_artifacts(out_dir: Path, sweep_result: dict) -> None:
 
     Threshold values are embedded in the filenames so rows from several
     sweeps never collide."""
-    out_dir = Path(out_dir)
     seed = sweep_result["seed"]
     rows = sweep_result["rows"]  # one per threshold, each with run_sweep's columns
     write_csv(out_dir / f"sweep_summary_seed{seed}.csv", rows[0], (row.values() for row in rows))
@@ -103,7 +99,6 @@ def write_sweep_artifacts(out_dir: Path, sweep_result: dict) -> None:
 
 
 def write_mirror_cnn_report(out_dir: Path, report: MirrorCnnReport) -> None:
-    out_dir = Path(out_dir)
     payload = asdict(report)
     write_json(out_dir / f"report_mirror-cnn_seed{report.seed}.json", payload)
     write_csv(
@@ -118,8 +113,9 @@ def write_mirror_cnn_report(out_dir: Path, report: MirrorCnnReport) -> None:
     )
 
 
-def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> None:
-    """One CSV per figure analog, with fixed column order.
+def write_mirror_text_report(out_dir: Path, report: MirrorTextReport) -> None:
+    """report_mirror-text.json, then one CSV per figure analog, with fixed
+    column order.
 
     recognition_bar: 5 rows (system, score).  self_rating_heatmap: 10
     question rows x 5 system columns.  rank_sums: per-evaluator sums
@@ -131,7 +127,7 @@ def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> None:
     from .mirror_text.questionnaire import SYSTEM_IDS
 
     payload = report.to_json_dict()
-    out_dir = Path(out_dir)
+    write_json(out_dir / "report_mirror-text.json", payload)
     write_csv(
         out_dir / "mirror_text_recognition_bar.csv",
         ("system", "k", "score_percent"),
@@ -164,9 +160,3 @@ def emit_mirror_text_plot_data(out_dir: Path, report: MirrorTextReport) -> None:
             for j, system in enumerate(SYSTEM_IDS)
         ),
     )
-
-
-def write_mirror_text_report(out_dir: Path, report: MirrorTextReport) -> None:
-    out_dir = Path(out_dir)
-    write_json(out_dir / "report_mirror-text.json", report.to_json_dict())
-    emit_mirror_text_plot_data(out_dir, report)

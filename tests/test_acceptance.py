@@ -271,6 +271,7 @@ def test_criterion_9_property_suite(tmp_path):
     dirs = (tmp_path / "first", tmp_path / "second")
     for out in dirs:
         report = train_baseline(cfg.pipeline, train_set, test_set)
+        out.mkdir()
         reporting.write_run_report(out, report)
     for name in ("report_baseline_seed0.json", "epochs_baseline_seed0.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()

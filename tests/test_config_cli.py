@@ -420,9 +420,10 @@ def test_image_size_must_match_the_idx_images(tmp_path, capsys, train_size, test
             cli.load_data(cfg)
 
 
+@pytest.mark.parametrize("experiment", ["baseline", "all"])
 @pytest.mark.parametrize("out", ["new/runs/out", "new/../out"])
-def test_data_that_fails_to_load_leaves_no_new_directory(tmp_path, capsys, out):
-    argv = ["run", "baseline", "--out", f"{tmp_path}/{out}",
+def test_data_that_fails_to_load_leaves_no_new_directory(tmp_path, capsys, out, experiment):
+    argv = ["run", experiment, "--out", f"{tmp_path}/{out}",
             "--set", "dataset.source=synthetic", "--set", "model.image_size=6"]
     assert cli.main(argv) == 1
     assert "config error: model.image_size" in capsys.readouterr().err
@@ -608,10 +609,15 @@ class TestRunExitCodes:
 
     # `run all` made each method's subdirectory only as the method started,
     # so a file in the way ended in a FileExistsError traceback, after the
-    # methods before it had written their reports
+    # methods before it had written their reports; then only after the data
+    # had loaded, leaving the subdirectories made before it
     @pytest.mark.parametrize("method", [cli.ALL_METHODS[0], cli.ALL_METHODS[-1]])
     def test_run_all_subdir_that_cannot_be_made_is_config_error(self, tiny_config, tmp_path,
-                                                                capsys, method):
+                                                                capsys, monkeypatch, method):
+        def load_data(cfg):
+            raise AssertionError("data loaded for a subdirectory that cannot be made")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
         out = tmp_path / "out"
         out.mkdir()
         (out / method).write_text("not a directory\n")
@@ -619,8 +625,29 @@ class TestRunExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: out_dir: cannot create {out / method} (")
         assert "Traceback" not in err
-        assert not list(out.rglob("report_*"))
+        assert list(out.iterdir()) == [out / method]
         assert (out / method).read_text() == "not a directory\n"
+
+    # `run all` read the fixtures only in its last job, after every other
+    # method had trained and written its reports
+    @pytest.mark.parametrize("content,code,message", [
+        (None, 1, "config error: mirror_text.fixtures: cannot read"),
+        ('{"kind": "meta"\n', 2, "error: line 1: not valid JSON"),
+    ], ids=["missing", "malformed"])
+    def test_run_all_checks_the_fixtures_before_the_data_loads(
+            self, tiny_config, tmp_path, capsys, monkeypatch, content, code, message):
+        def load_data(cfg):
+            raise AssertionError("data loaded for fixtures that cannot be replayed")
+
+        monkeypatch.setattr(cli, "load_data", load_data)
+        fixtures = tmp_path / "session.jsonl"
+        if content is not None:
+            fixtures.write_text(content)
+        argv = ["run", "all", "--config", str(tiny_config), "--out", str(tmp_path / "out"),
+                "--set", f"mirror_text.fixtures={fixtures}"]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert list(tmp_path.iterdir()) == ([] if content is None else [fixtures])
 
     @pytest.mark.parametrize("experiment", ["mirror-cnn", "all"])
     def test_missized_mirror_subsets_fail_before_training(self, tmp_path, capsys, experiment):
@@ -846,37 +873,13 @@ class TestRunExitCodes:
 # ---------------------------------------------------------- orchestration
 
 
-TINY_TREE = {
-    "dataset": {
-        "source": "synthetic",
-        "synthetic_train": 256,
-        "synthetic_test": 96,
-    },
-    "model": {
-        "conv1_channels": 2,
-        "conv2_channels": 3,
-        "fc_hidden": 8,
-        "image_size": 8,
-    },
-    "train": {"epochs": 1, "batch_size": 32},
-    "gate": {"hidden": 8, "epochs": 1, "body_epochs": 1},
-    "sweep": {"thresholds": [0.2, 0.5], "epochs": 1},
-    "mirror_cnn": {
-        "subset_size": 100,
-        "train_pairs_per_mode": 80,
-        "eval_pairs_per_mode": 40,
-        "gate_hidden": 16,
-        "gate_epochs": 2,
-    },
-    "lifestar": {"alpha": 0.5, "gamma": 0.5},
-}
+# the tests' tiny config, which tools/golden_digests.py runs too
+TINY_TREE = Path(__file__).with_name("tiny_tree.json")
 
 
 @pytest.fixture(scope="module")
-def tiny_config(tmp_path_factory) -> Path:
-    path = tmp_path_factory.mktemp("cfg") / "tiny.json"
-    path.write_text(json.dumps(TINY_TREE))
-    return path
+def tiny_config() -> Path:
+    return TINY_TREE
 
 
 def run_cli(args: list[str]) -> int:
@@ -970,6 +973,26 @@ def test_sequential_and_parallel_run_all_write_the_same_tree(sequential_all_dir,
     sequential = compare.tree_digests(sequential_all_dir)
     assert sequential == compare.tree_digests(all_dir)
     assert {name.split("/")[0] for name in sequential} == {*cli.ALL_METHODS, "lifestar.json"}
+
+
+def test_run_all_keeps_the_golden_digests(all_dir):
+    """The tiny `run all`'s artifacts keep the digests in
+    tests/golden_digests.json, which tools/golden_digests.py writes."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("tools_golden_digests",
+                                                  tools / "golden_digests.py")
+    golden_tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_tool)
+    golden = json.loads(golden_tool.GOLDEN.read_text(encoding="utf-8"))
+    here = golden_tool.environment()
+    moved = {key: (value, here.get(key)) for key, value in golden["environment"].items()
+             if here.get(key) != value}
+    if moved:
+        pytest.skip(f"golden digests were taken in another environment (golden, here): {moved}")
+    found = golden_tool.tree_digests(all_dir)
+    assert sorted(found) == sorted(golden["digests"])
+    differ = [name for name in sorted(found) if found[name] != golden["digests"][name]]
+    assert not differ, f"artifacts whose digest differs from tests/golden_digests.json: {differ}"
 
 
 def test_a_failing_experiment_stops_a_sequential_run_all(tiny_config, tmp_path, capsys):
@@ -1273,8 +1296,7 @@ class TestRunMetadata:
 
     def test_parallel_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         pool = stub_pool(monkeypatch)
-        cfg = parse_config(None, {"out_dir": str(tmp_path)})
-        cli.run_all(cfg, _tiny_sets(), parallel=True)
+        run_all_stubbed(tmp_path, _tiny_sets(), parallel=True)
         assert pool.made["initializer"] is blas.one_thread
         assert pool.made["max_tasks_per_child"] == 1
         assert pool.made["max_workers"] == 4
@@ -1355,6 +1377,13 @@ def _tiny_sets():
     return tuple(cli.synthetic_mnist_set(4, seed, image_size=8) for seed in (0, 1))
 
 
+def run_all_stubbed(out: Path, data, parallel: bool, **sets) -> list[dict]:
+    """`cli.run_all` on `data`, for the stock `run all` config with its
+    out_dir at `out` and the leaves `sets` (dotted path to value)."""
+    cfg = parse_config(None, {**sets, "experiment": "all", "out_dir": str(out)})
+    return cli.run_all(cfg, cli._jobs(cfg), data, parallel)
+
+
 def stub_pool(monkeypatch):
     """Put a stand-in for the process pool in concurrent.futures, where
     run_all imports it from, and return its class. It records its keyword
@@ -1391,14 +1420,8 @@ class TestRunAllLifestar:
 
     def run(self, tmp_path, monkeypatch, weights):
         pool = stub_pool(monkeypatch)
-        cfg = parse_config(
-            None,
-            {
-                "out_dir": str(tmp_path),
-                **{f"lifestar.{k}": v for k, v in zip(("alpha", "gamma"), weights)},
-            },
-        )
-        cli.run_all(cfg, _tiny_sets(), parallel=False)
+        run_all_stubbed(tmp_path, _tiny_sets(), False,
+                        **{f"lifestar.{k}": v for k, v in zip(("alpha", "gamma"), weights)})
         # without --parallel, one job at a time, each in a fresh process
         assert (pool.made["max_workers"], pool.made["max_tasks_per_child"]) == (1, 1)
         return json.loads((tmp_path / "lifestar.json").read_text())
@@ -1411,7 +1434,7 @@ class TestRunAllLifestar:
 
     def test_no_weights_no_file(self, tmp_path, monkeypatch):
         stub_pool(monkeypatch)
-        cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), _tiny_sets(), parallel=False)
+        run_all_stubbed(tmp_path, _tiny_sets(), parallel=False)
         assert not (tmp_path / "lifestar.json").exists()
 
 
@@ -1422,7 +1445,7 @@ class TestRunAllHandOff:
     def test_a_job_is_sent_without_the_dataset(self, tmp_path, monkeypatch):
         pool = stub_pool(monkeypatch)
         data = tuple(cli.synthetic_mnist_set(1000, seed) for seed in (0, 1))  # 3 MiB each
-        cli.run_all(parse_config(None, {"out_dir": str(tmp_path)}), data, parallel=False)
+        run_all_stubbed(tmp_path, data, parallel=False)
         assert [call[1].data["experiment"] for call in pool.calls] == list(cli.ALL_METHODS)
         for call in pool.calls:
             assert len(pickle.dumps(call)) < 2**16

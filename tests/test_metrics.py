@@ -41,7 +41,7 @@ class TestConfusion:
             else:
                 tn += 1
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (tp, fp, fn, tn)
-        assert counts.total == len(flags)
+        assert counts.tp + counts.fp + counts.fn + counts.tn == len(flags)
 
     def test_perfect_flags(self):
         mask = [True, False, True, False]

@@ -237,7 +237,8 @@ class TestSoftPipeline:
         assert d.accuracy_on_accepted == 0.0
         assert d.recall == 1.0
         counts = d.counts
-        assert d.precision == pytest.approx((counts.tp + counts.fn) / counts.total)
+        total = counts.tp + counts.fp + counts.fn + counts.tn
+        assert d.precision == pytest.approx((counts.tp + counts.fn) / total)
 
     def test_log_rows_track_cumulative_epoch_fraction(
         self, tiny_train, tiny_test, tiny_gate_asset
@@ -288,9 +289,8 @@ class TestIrmPipeline:
         assert report.method == "irm"
         assert report.extras["reject_class"] == 10
         counts = report.detection.counts
-        assert report.detection.rejection_rate == pytest.approx(
-            (counts.tp + counts.fp) / counts.total
-        )
+        total = counts.tp + counts.fp + counts.fn + counts.tn
+        assert report.detection.rejection_rate == pytest.approx((counts.tp + counts.fp) / total)
 
 
 class TestEvalStream:
